@@ -2,7 +2,7 @@
 
 from .classical import ClassicalSolution, SolverError, fidelity, solve, trace_distance
 from .cost import (BaselineCostReport, CostReport, SingularOperatorError, baseline_cost,
-                   cost, cost_from_state, cross_expectation, denominator, expectation,
+                   cost, cost_from_state, denominator, expectation,
                    measured_circuit_count, numerator_hadamard, numerator_overlap)
 from .gradient import (GradientReport, finite_difference_gradient, grad_cost,
                        grad_cost_parameter_shift, grad_denominator, grad_numerator,

@@ -3,7 +3,8 @@
 The cost is E = -(1/2) * numerator^2 / denominator with
 numerator = <f,psi| X (x) I |f,psi> (ancilla Hadamard test, equals Re<psi|f>)
 and denominator = <psi|A|psi> assembled from the operator's measured terms
-plus its constant offset.
+plus its constant offset.  :func:`apply_operator` gives A|phi> itself, which
+the adjoint gradient needs.
 """
 
 from __future__ import annotations
@@ -75,19 +76,21 @@ def expectation(term: ObservableTerm, state: Statevector,
     return float(term.coefficient * np.real(np.vdot(shifted, apply_factor_product(term, shifted))))
 
 
-def cross_expectation(term: ObservableTerm, left: Statevector, right: Statevector,
-                      axes: tuple[int, ...] | None = None) -> float:
-    """coefficient * Re <P^s left | M | P^s right>.
-
-    Equals the ancilla-X expectation of X (x) (coeff * P^-s M P^s) on the
-    superposition state (|0>|left> + |1>|right>)/sqrt(2).
-    """
-    if term.n_qubits != left.n_qubits or left.n_qubits != right.n_qubits:
-        raise ValueError("register sizes differ")
+def apply_term(term: ObservableTerm, amps: np.ndarray,
+               axes: tuple[int, ...] | None = None) -> np.ndarray:
+    """coefficient * P^-s M P^s |phi>: the term as an operator on raw amplitudes."""
     axes = _default_axes(term, axes)
-    a = shift_amplitudes(left.amplitudes, axes, term.axis_shifts)
-    b = shift_amplitudes(right.amplitudes, axes, term.axis_shifts)
-    return float(term.coefficient * np.real(np.vdot(a, apply_factor_product(term, b))))
+    m_shifted = apply_factor_product(term, shift_amplitudes(amps, axes, term.axis_shifts))
+    unshift = tuple(-s for s in term.axis_shifts)
+    return term.coefficient * shift_amplitudes(m_shifted, axes, unshift)
+
+
+def apply_operator(op: PoissonOperator, amps: np.ndarray) -> np.ndarray:
+    """A|phi> = constant offset * |phi> + sum of the measured terms applied to |phi>."""
+    out = op.constant_offset * amps
+    for term in op.terms:
+        out += apply_term(term, amps, op.axes)
+    return out
 
 
 def denominator(op: PoissonOperator, psi: Statevector) -> float:

@@ -1,12 +1,15 @@
-"""Analytic gradient of the cost via pi-shifted states, plus checkers.
+"""Analytic gradient of the cost by an adjoint sweep, plus checkers.
 
-For R_Y parameters, d|psi>/d theta_i = (1/2) U(..., theta_i + pi, ...)|0...0>,
-so every gradient component is an expectation involving the pi-shifted state.
-All parameter_count shifted states are simulated as one batch: R_Y rotations
-about the same axis compose, so row i just receives an extra R_Y(pi) right
-after its own gate.  A +-pi/2 parameter-shift route is provided for the
-denominator terms; it needs no superposition of the shifted and unshifted
-ansatz states and is the one the sampling mode uses.
+Each gradient here is Re<d_i psi|lam> for one real vector lam, with
+d_i psi = d|psi>/d theta_i; :func:`~vqa_poisson.states.ansatz_adjoint` gives
+all its components in one reverse sweep over the ansatz, about two state
+preparations of work.  The numerator takes lam = Re f, the denominator
+lam = 2 A psi, one term lam = 2 T psi, and the cost their quotient-rule
+combination.  For R_Y parameters d_i psi = (1/2) U(..., theta_i + pi, ...)|0...0>;
+:func:`shifted_state` builds that pi-shifted state as a test oracle.  A +-pi/2
+parameter-shift route is provided for the denominator terms; it needs no
+superposition of the shifted and unshifted ansatz states and is the one the
+sampling mode uses.
 """
 
 from __future__ import annotations
@@ -16,10 +19,11 @@ from typing import Callable
 
 import numpy as np
 
-from .cost import (SingularOperatorError, apply_factor_product, denominator,
+from .cost import (SingularOperatorError, apply_operator, apply_term, denominator,
                    expectation, numerator_hadamard)
-from .operators import ObservableTerm, PoissonOperator, shift_amplitudes
-from .states import AnsatzCircuit, Statevector, prepare_ansatz_state
+from .operators import ObservableTerm, PoissonOperator
+from .states import (AnsatzCircuit, Statevector, ansatz_adjoint, ansatz_amplitudes,
+                     prepare_ansatz_state)
 
 
 @dataclass(frozen=True)
@@ -38,116 +42,41 @@ def shifted_state(circuit: AnsatzCircuit, theta: np.ndarray, index: int) -> Stat
     return prepare_ansatz_state(circuit, shifted)
 
 
-def _batch_single_qubit(batch: np.ndarray, qubit: int,
-                        m00: float, m01: float, m10: float, m11: float) -> None:
-    view = batch.reshape(batch.shape[0], -1, 2, 1 << qubit)
-    top = view[:, :, 0, :].copy()
-    bot = view[:, :, 1, :]
-    view[:, :, 0, :] = m00 * top + m01 * bot
-    view[:, :, 1, :] = m10 * top + m11 * bot
-
-
-def gradient_states(circuit: AnsatzCircuit, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(psi, batch) amplitudes with batch[i] the theta_i + pi shifted state."""
-    theta = np.asarray(theta, dtype=float)
-    if theta.shape != (circuit.parameter_count,):
-        raise ValueError(
-            f"theta must have length {circuit.parameter_count}, got shape {theta.shape}"
-        )
-    n = circuit.n_qubits
-    count = circuit.parameter_count
-    batch = np.zeros((count + 1, 1 << n), dtype=np.complex128)
-    batch[:, 0] = 1.0
-    idx = np.arange(1 << n)
-
-    def ry_column(base: int) -> None:
-        for q in range(n):
-            angle = theta[base + q]
-            c, s = np.cos(angle / 2.0), np.sin(angle / 2.0)
-            _batch_single_qubit(batch, q, c, -s, s, c)
-            # extra R_Y(pi) on the row owning this parameter
-            row = batch[base + q].reshape(-1, 2, 1 << q)
-            top = row[:, 0, :].copy()
-            row[:, 0, :] = -row[:, 1, :]
-            row[:, 1, :] = top
-
-    ry_column(0)
-    for layer in range(circuit.n_layers):
-        for a, b in circuit.entangler_pairs(layer):
-            both = (((idx >> a) & 1) & ((idx >> b) & 1)) == 1
-            batch[:, both] *= -1.0
-        ry_column((layer + 1) * n)
-    return batch[count], batch[:count]
-
-
-def _batch_shift(batch: np.ndarray, axes: tuple[int, ...],
-                 shifts: tuple[int, ...]) -> np.ndarray:
-    if not any(shifts):
-        return batch
-    if len(axes) == 1:
-        return np.roll(batch, shifts[0], axis=1)
-    rows = batch.shape[0]
-    arr = batch.reshape((rows,) + tuple(1 << a for a in reversed(axes)))
-    for k, s in enumerate(shifts):
-        if s:
-            arr = np.roll(arr, s, axis=1 + len(axes) - 1 - k)
-    return arr.reshape(rows, -1)
-
-
-def _batch_cross_terms(op_terms, axes: tuple[int, ...], batch: np.ndarray,
-                       psi: np.ndarray) -> np.ndarray:
-    """Components sum_t coeff_t * Re <P^s batch_i | M_t | P^s psi>."""
-    out = np.zeros(batch.shape[0])
-    for term in op_terms:
-        psi_s = shift_amplitudes(psi, axes, term.axis_shifts)
-        batch_s = _batch_shift(batch, axes, term.axis_shifts)
-        m_psi = apply_factor_product(term, psi_s)
-        out += term.coefficient * np.real(np.conj(batch_s) @ m_psi)
-    return out
-
-
 def grad_numerator(circuit: AnsatzCircuit, theta: np.ndarray, f: Statevector) -> np.ndarray:
-    """Components (1/2) Re<psi_{,i}|f> of the numerator gradient."""
-    _, batch = gradient_states(circuit, theta)
-    return 0.5 * np.real(np.conj(batch) @ f.amplitudes)
+    """Components Re<d_i psi|f> of the numerator gradient."""
+    psi = ansatz_amplitudes(circuit, theta)
+    return ansatz_adjoint(circuit, theta, psi, np.real(f.amplitudes))
 
 
 def grad_denominator(op: PoissonOperator, circuit: AnsatzCircuit,
                      theta: np.ndarray) -> np.ndarray:
-    """Components Re<psi_{,i}|A|psi> of the denominator gradient.
-
-    Evaluated term by term through the superposition-state identity; the
-    constant offset contributes exactly zero (Re<psi_{,i}|psi> = 0).
-    """
-    psi, batch = gradient_states(circuit, theta)
-    return _batch_cross_terms(op.terms, op.axes, batch, psi)
+    """Components 2 Re<d_i psi|A|psi> of the denominator gradient."""
+    psi = ansatz_amplitudes(circuit, theta)
+    return ansatz_adjoint(circuit, theta, psi, 2.0 * apply_operator(op, psi))
 
 
 def term_gradient(term: ObservableTerm, circuit: AnsatzCircuit, theta: np.ndarray,
                   axes: tuple[int, ...] | None = None) -> np.ndarray:
     """Gradient of one term's expectation (barren-plateau diagnostics)."""
-    if axes is None:
-        axes = (term.n_qubits,)
-    psi, batch = gradient_states(circuit, theta)
-    return _batch_cross_terms([term], axes, batch, psi)
+    psi = ansatz_amplitudes(circuit, theta)
+    return ansatz_adjoint(circuit, theta, psi, 2.0 * apply_term(term, psi, axes))
 
 
 def grad_cost(op: PoissonOperator, circuit: AnsatzCircuit, theta: np.ndarray,
               f: Statevector) -> GradientReport:
-    """Assemble dE/d theta_i = -(1/2) num G_i / den + (1/2) num^2 D_i / den^2.
+    """dE/d theta_i = -(num/den) Re<d_i psi|f> + (num/den)^2 Re<d_i psi|A|psi>.
 
-    G_i is the numerator evaluated on the pi-shifted superposition state and
-    D_i the denominator cross term; both come from the pi-shift identity.
+    Both parts come from one adjoint sweep with the combined vector lam.
     """
-    psi, batch = gradient_states(circuit, theta)
-    state = Statevector(psi)
-    num = numerator_hadamard(state, f)
-    den = denominator(op, state)
+    psi = ansatz_amplitudes(circuit, theta)
+    f_real = np.real(f.amplitudes)
+    a_psi = apply_operator(op, psi)
+    num = float(psi @ f_real)
+    den = float(psi @ a_psi)
     if den <= 0.0:
         raise SingularOperatorError(f"denominator {den} is not positive")
-    g_num = np.real(np.conj(batch) @ f.amplitudes)
-    d_den = _batch_cross_terms(op.terms, op.axes, batch, psi)
-    grad = -0.5 * num * g_num / den + 0.5 * num * num * d_den / (den * den)
+    ratio = num / den
+    grad = ansatz_adjoint(circuit, theta, psi, ratio * ratio * a_psi - ratio * f_real)
     return GradientReport(grad=grad, norm=float(np.linalg.norm(grad)))
 
 

@@ -229,9 +229,10 @@ def minimize(problem: PoissonProblem, config: OptimizationConfig,
 
     t_c = measured_circuit_count(op)
     counters = {"circuits": 0, "evals": 0}
-    reports: dict[bytes, CostReport] = {}
+    last: tuple[bytes, CostReport] | None = None  # the latest cost evaluation
 
     def eval_cost(theta: np.ndarray) -> float:
+        nonlocal last
         counters["circuits"] += t_c
         if config.mode == "sampled":
             counters["evals"] += 1
@@ -239,7 +240,7 @@ def minimize(problem: PoissonProblem, config: OptimizationConfig,
                                  derive_seed(trial_seed, 1, counters["evals"]))
         else:
             report = cost_from_state(op, prepare_ansatz_state(circuit, theta), f)
-        reports[theta.tobytes()] = report
+        last = (theta.tobytes(), report)
         return report.energy
 
     def eval_grad(theta: np.ndarray) -> np.ndarray:
@@ -263,7 +264,7 @@ def minimize(problem: PoissonProblem, config: OptimizationConfig,
     result = bfgs(eval_cost, eval_grad, theta0, config.max_iterations, stop_when,
                   record_x=config.record_theta)
 
-    final_report = reports.get(result.x.tobytes())
+    final_report = last[1] if last is not None and last[0] == result.x.tobytes() else None
     if final_report is None:
         if result.status.startswith("aborted"):
             final_report = CostReport(np.nan, np.nan, np.nan, np.nan)

@@ -2,11 +2,14 @@
 
 Index convention: basis state |i> stores qubit q in bit q of i, so qubit 0 is
 the least-significant bit.  All gates here (X, H, R_Y, CZ, CNOT, MCX) are real
-matrices; circuits built from them keep amplitudes real.
+matrices; circuits built from them keep amplitudes real.  The layered ansatz
+is therefore simulated on real float64 arrays: a forward sweep for its state
+and a reverse (adjoint) sweep for its gradients.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -65,14 +68,15 @@ def _check_qubits(n_qubits: int, qubits: Sequence[int]) -> None:
         raise ValueError(f"qubit indices must be distinct, got {tuple(qubits)}")
 
 
-def _single_qubit_inplace(amps: np.ndarray, qubit: int,
-                          m00: float, m01: float, m10: float, m11: float) -> None:
-    # Stride view: axis 1 is the target qubit's bit.
-    view = amps.reshape(-1, 2, 1 << qubit)
-    top = view[:, 0, :].copy()
-    bot = view[:, 1, :]
-    view[:, 0, :] = m00 * top + m01 * bot
-    view[:, 1, :] = m10 * top + m11 * bot
+def _apply_single_qubit(amps: np.ndarray, qubit: int,
+                        m00: float, m01: float, m10: float, m11: float) -> None:
+    """2x2 gate on one qubit of every row of a (rows, 2^n) array, in place."""
+    # Stride view: axis 2 is the target qubit's bit.
+    view = amps.reshape(amps.shape[0], -1, 2, 1 << qubit)
+    top = view[:, :, 0, :].copy()
+    bot = view[:, :, 1, :]
+    view[:, :, 0, :] = m00 * top + m01 * bot
+    view[:, :, 1, :] = m10 * top + m11 * bot
 
 
 def _cz_inplace(amps: np.ndarray, qubit_a: int, qubit_b: int) -> None:
@@ -103,7 +107,7 @@ def apply_h(state: Statevector, qubit: int) -> Statevector:
     _check_qubits(state.n_qubits, [qubit])
     amps = state.amplitudes.copy()
     s = 1.0 / np.sqrt(2.0)
-    _single_qubit_inplace(amps, qubit, s, s, s, -s)
+    _apply_single_qubit(amps[None], qubit, s, s, s, -s)
     return Statevector(amps)
 
 
@@ -112,7 +116,7 @@ def apply_ry(state: Statevector, angle: float, qubit: int) -> Statevector:
     _check_qubits(state.n_qubits, [qubit])
     amps = state.amplitudes.copy()
     c, s = np.cos(angle / 2.0), np.sin(angle / 2.0)
-    _single_qubit_inplace(amps, qubit, c, -s, s, c)
+    _apply_single_qubit(amps[None], qubit, c, -s, s, c)
     return Statevector(amps)
 
 
@@ -166,27 +170,84 @@ class AnsatzCircuit:
         return [(q, q + 1) for q in range(start, self.n_qubits - 1, 2)]
 
 
-def prepare_ansatz_state(circuit: AnsatzCircuit, theta: np.ndarray) -> Statevector:
-    """Simulate U(theta)|0...0> for the alternating layered ansatz."""
+@functools.lru_cache(maxsize=None)
+def _cz_brick_signs(n_qubits: int, parity: int) -> np.ndarray:
+    """+-1 diagonal of the controlled-Z brick on pairs (parity, parity+1), ..."""
+    signs = np.ones(1 << n_qubits)
+    for a, b in AnsatzCircuit(n_qubits, 0).entangler_pairs(parity):
+        _cz_inplace(signs, a, b)
+    signs.setflags(write=False)
+    return signs
+
+
+@functools.lru_cache(maxsize=None)
+def _ry_pi_tables(n_qubits: int) -> tuple[np.ndarray, np.ndarray]:
+    """(index, sign) with (R_Y(pi)_q phi)[i] = sign[q, i] * phi[index[q, i]]."""
+    idx = np.arange(1 << n_qubits)
+    masks = (1 << np.arange(n_qubits))[:, None]
+    index = idx ^ masks
+    sign = np.where(idx & masks, 1.0, -1.0)
+    index.setflags(write=False)
+    sign.setflags(write=False)
+    return index, sign
+
+
+def _ry_column(amps: np.ndarray, angles: np.ndarray) -> None:
+    """R_Y(angles[q]) on every qubit q of a (rows, 2^n) array, in place."""
+    for q, angle in enumerate(angles):
+        c, s = np.cos(angle / 2.0), np.sin(angle / 2.0)
+        _apply_single_qubit(amps, q, c, -s, s, c)
+
+
+def _checked_theta(circuit: AnsatzCircuit, theta: np.ndarray) -> np.ndarray:
     theta = np.asarray(theta, dtype=float)
     if theta.shape != (circuit.parameter_count,):
         raise ValueError(
             f"theta must have length {circuit.parameter_count}, got shape {theta.shape}"
         )
+    return theta
+
+
+def ansatz_amplitudes(circuit: AnsatzCircuit, theta: np.ndarray) -> np.ndarray:
+    """Real amplitudes of U(theta)|0...0> for the alternating layered ansatz."""
+    theta = _checked_theta(circuit, theta)
     n = circuit.n_qubits
-    amps = np.zeros(1 << n, dtype=np.complex128)
-    amps[0] = 1.0
-    for q in range(n):
-        c, s = np.cos(theta[q] / 2.0), np.sin(theta[q] / 2.0)
-        _single_qubit_inplace(amps, q, c, -s, s, c)
+    amps = np.zeros((1, 1 << n))
+    amps[0, 0] = 1.0
+    _ry_column(amps, theta[:n])
     for layer in range(circuit.n_layers):
-        for a, b in circuit.entangler_pairs(layer):
-            _cz_inplace(amps, a, b)
-        base = (layer + 1) * n
-        for q in range(n):
-            c, s = np.cos(theta[base + q] / 2.0), np.sin(theta[base + q] / 2.0)
-            _single_qubit_inplace(amps, q, c, -s, s, c)
-    return Statevector(amps)
+        amps *= _cz_brick_signs(n, layer % 2)
+        _ry_column(amps, theta[(layer + 1) * n:(layer + 2) * n])
+    return amps[0]
+
+
+def ansatz_adjoint(circuit: AnsatzCircuit, theta: np.ndarray, psi: np.ndarray,
+                   lam: np.ndarray) -> np.ndarray:
+    """Re<d psi/d theta_i|lam> for every parameter, by one reverse sweep.
+
+    ``psi`` is :func:`ansatz_amplitudes` at ``theta`` and ``lam`` a real
+    vector.  The sweep un-applies the circuit gate by gate to the stacked
+    (psi, lam) pair (Jones & Gacon, arXiv:2009.02823).  The gates of an R_Y
+    column commute, so every gradient of a column is read at the point just
+    after it: d psi/d theta_i = (1/2) R_Y(pi)_q applied there.
+    """
+    theta = _checked_theta(circuit, theta)
+    n = circuit.n_qubits
+    index, sign = _ry_pi_tables(n)
+    pair = np.stack([psi, lam])
+    grad = np.empty(circuit.parameter_count)
+    for column in range(circuit.n_layers, -1, -1):
+        base = column * n
+        grad[base:base + n] = 0.5 * ((pair[0][index] * sign) @ pair[1])
+        if column:
+            _ry_column(pair, -theta[base:base + n])
+            pair *= _cz_brick_signs(n, (column - 1) % 2)
+    return grad
+
+
+def prepare_ansatz_state(circuit: AnsatzCircuit, theta: np.ndarray) -> Statevector:
+    """Simulate U(theta)|0...0> for the alternating layered ansatz."""
+    return Statevector(ansatz_amplitudes(circuit, theta))
 
 
 class StepFunctionSource:

@@ -9,7 +9,9 @@ from vqa_poisson import (AnsatzCircuit, BoundaryCondition, ObservableTerm,
                          denominator, expectation, measured_circuit_count,
                          numerator_hadamard, numerator_overlap, prepare_ansatz_state,
                          prepare_source_state, solve)
-from vqa_poisson.operators import FACTOR_I, FACTOR_P0, FACTOR_X
+from vqa_poisson.cost import apply_operator
+from vqa_poisson.operators import (FACTOR_I, FACTOR_P0, FACTOR_X, Mesh2D, build_fdm_kron,
+                                   build_fem_2d, reassemble_dense)
 
 from conftest import random_real_state, random_theta
 
@@ -80,6 +82,18 @@ def test_denominator_matches_dense_quadratic_form(bc, n, rng):
         psi = random_real_state(rng, n)
         direct = float(np.real(psi.amplitudes) @ dense @ np.real(psi.amplitudes))
         assert denominator(op, psi) == pytest.approx(direct, abs=1e-10)
+
+
+@pytest.mark.parametrize("op", [
+    *(decompose(3, bc, 1e-3) for bc in BoundaryCondition),
+    build_fem_2d(Mesh2D(2, 1), 1e-3),
+    build_fdm_kron(2, 2, NEUMANN, 1e-3),
+], ids=["periodic", "dirichlet", "neumann", "fem2d", "fdm_kron"])
+def test_apply_operator_matches_dense_matrix(op, rng):
+    dense = reassemble_dense(op)
+    for _ in range(3):
+        amps = rng.normal(size=1 << op.n_qubits)
+        np.testing.assert_allclose(apply_operator(op, amps), dense @ amps, atol=1e-12)
 
 
 def test_numerator_signs():

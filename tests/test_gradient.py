@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
 
-from vqa_poisson import (AnsatzCircuit, BoundaryCondition, Statevector,
-                         cost, decompose, finite_difference_gradient, grad_cost,
+from vqa_poisson import (AnsatzCircuit, BoundaryCondition, CustomSource, Mesh2D, Statevector,
+                         StepFunctionSource, build_fdm_kron, build_fem_2d, cost, decompose,
+                         denominator, expectation, finite_difference_gradient, grad_cost,
                          grad_cost_parameter_shift, grad_denominator, grad_numerator,
                          numerator_hadamard, prepare_ansatz_state, prepare_source_state,
-                         shifted_state)
+                         reassemble_dense, shifted_state, term_gradient)
+from vqa_poisson.operators import term_dense
+from vqa_poisson.states import ansatz_adjoint, ansatz_amplitudes
 
 from conftest import random_theta
 
@@ -155,3 +158,83 @@ def test_descent_direction_decreases_cost(rng):
         after = cost(op, circuit, theta - alpha * report.grad, f).energy
         assert after < before
     assert checked > 90
+
+
+def pi_shift_rows(circuit, theta):
+    """Row i: the theta_i + pi shifted state, twice the state derivative."""
+    return np.array([np.real(shifted_state(circuit, theta, i).amplitudes)
+                     for i in range(circuit.parameter_count)])
+
+
+@pytest.mark.parametrize("n,layers", [(1, 0), (1, 2), (2, 1), (3, 0), (4, 3)])
+def test_adjoint_sweep_matches_pi_shift_oracle(n, layers, rng):
+    circuit = AnsatzCircuit(n, layers)
+    theta = random_theta(rng, circuit)
+    lam = rng.normal(size=1 << n)
+    psi = ansatz_amplitudes(circuit, theta)
+    np.testing.assert_allclose(ansatz_adjoint(circuit, theta, psi, lam),
+                               0.5 * pi_shift_rows(circuit, theta) @ lam, atol=1e-12)
+
+
+MULTI_AXIS_OPERATORS = {
+    "fem2d": build_fem_2d(Mesh2D(2, 1)),
+    "fdm_kron": build_fdm_kron(2, 2, BoundaryCondition.NEUMANN, 1e-3),
+}
+
+
+@pytest.fixture(params=sorted(MULTI_AXIS_OPERATORS))
+def multi_axis(request, rng):
+    """(operator, circuit, theta, real psi, pi-shift rows) on a multi-axis register."""
+    op = MULTI_AXIS_OPERATORS[request.param]
+    circuit = AnsatzCircuit(op.n_qubits, 3)
+    theta = random_theta(rng, circuit)
+    psi = np.real(prepare_ansatz_state(circuit, theta).amplitudes)
+    return op, circuit, theta, psi, pi_shift_rows(circuit, theta)
+
+
+def test_multi_axis_grad_denominator(multi_axis):
+    op, circuit, theta, psi, rows = multi_axis
+    grad = grad_denominator(op, circuit, theta)
+    np.testing.assert_allclose(grad, rows @ reassemble_dense(op) @ psi, atol=1e-12)
+    fd = finite_difference_gradient(
+        lambda t: denominator(op, prepare_ansatz_state(circuit, t)), theta)
+    np.testing.assert_allclose(grad, fd, atol=1e-7)
+
+
+def test_multi_axis_term_gradient(multi_axis):
+    op, circuit, theta, psi, rows = multi_axis
+    for term in op.terms:
+        grad = term_gradient(term, circuit, theta, op.axes)
+        np.testing.assert_allclose(grad, rows @ term_dense(term, op.axes) @ psi, atol=1e-12)
+        fd = finite_difference_gradient(
+            lambda t: expectation(term, prepare_ansatz_state(circuit, t), op.axes), theta)
+        np.testing.assert_allclose(grad, fd, atol=1e-7)
+
+
+def test_multi_axis_grad_cost(multi_axis):
+    op, circuit, theta, psi, rows = multi_axis
+    f = prepare_source_state(op.n_qubits)
+    f_real = np.real(f.amplitudes)
+    a_psi = reassemble_dense(op) @ psi
+    num, den = psi @ f_real, psi @ a_psi
+    oracle = -0.5 * num * (rows @ f_real) / den + 0.5 * num * num * (rows @ a_psi) / den**2
+    grad = grad_cost(op, circuit, theta, f).grad
+    np.testing.assert_allclose(grad, oracle, atol=1e-12)
+    fd = finite_difference_gradient(lambda t: cost(op, circuit, t, f).energy, theta)
+    assert np.max(np.abs(grad - fd) / (1.0 + np.abs(fd))) < 1e-5
+
+
+@pytest.mark.parametrize("phase", [1j, np.exp(0.3j)])
+def test_grad_numerator_with_complex_source(phase, rng):
+    step = StepFunctionSource()
+    source = CustomSource(lambda s: Statevector(phase * step.apply(s).amplitudes))
+    f = prepare_source_state(3, source)
+    circuit = AnsatzCircuit(3, 2)
+    theta = random_theta(rng, circuit)
+    grad = grad_numerator(circuit, theta, f)
+    fd = finite_difference_gradient(
+        lambda t: numerator_hadamard(prepare_ansatz_state(circuit, t), f), theta)
+    np.testing.assert_allclose(grad, fd, atol=1e-7)
+    oracle = [0.5 * numerator_hadamard(shifted_state(circuit, theta, i), f)
+              for i in range(circuit.parameter_count)]
+    np.testing.assert_allclose(grad, oracle, atol=1e-12)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from vqa_poisson import (AnsatzCircuit, BoundaryCondition, GradNorm, OptimizationConfig,
-                         PoissonProblem, TraceDistance, make_problem, minimize,
+                         PoissonProblem, TraceDistance, cost, make_problem, minimize,
                          prepare_source_state, run_trials)
 from vqa_poisson.optimize import bfgs
 from vqa_poisson.operators import PoissonOperator
@@ -64,6 +64,15 @@ def test_energy_lower_bound_respected_throughout():
     for seed in (1, 2, 3):
         trace = minimize(problem, config, trial_seed=seed)
         assert all(c >= bound - 1e-9 for c in trace.costs)
+
+
+@pytest.mark.parametrize("max_iterations,status", [(3, "max_iterations"), (1000, "converged")])
+def test_final_report_is_the_cost_at_the_final_theta(max_iterations, status):
+    problem = make_problem(3, DIRICHLET)
+    trace = minimize(problem, OptimizationConfig(max_iterations=max_iterations), trial_seed=11)
+    assert trace.status == status
+    exact = cost(problem.operator, problem.circuit, trace.final_theta, problem.source)
+    assert trace.final_report.energy == exact.energy
 
 
 def test_aborted_trial_reports_diagnostic():

@@ -104,6 +104,23 @@ def test_ansatz_parameter_count_and_pairs():
     assert circuit.entangler_pairs(1) == [(1, 2)]
 
 
+@pytest.mark.parametrize("n", range(1, 7))
+def test_ansatz_state_is_bit_identical_to_gate_by_gate_reference(n, rng):
+    for layers in range(4):
+        circuit = AnsatzCircuit(n, layers)
+        theta = rng.uniform(0, 4 * np.pi, circuit.parameter_count)
+        reference = Statevector.zero(n)
+        for q in range(n):
+            reference = apply_ry(reference, theta[q], q)
+        for layer in range(layers):
+            for a, b in circuit.entangler_pairs(layer):
+                reference = apply_cz(reference, a, b)
+            for q in range(n):
+                reference = apply_ry(reference, theta[(layer + 1) * n + q], q)
+        state = prepare_ansatz_state(circuit, theta)
+        assert np.array_equal(state.amplitudes, reference.amplitudes)
+
+
 def test_ansatz_rejects_wrong_theta_length():
     circuit = AnsatzCircuit(3, 5)
     with pytest.raises(ValueError):
