@@ -28,12 +28,20 @@ def _as_vector(state) -> np.ndarray:
 
 
 def solve(matrix: np.ndarray, rhs) -> ClassicalSolution:
-    """Solve A u = f by dense Cholesky (oracle path, small systems only)."""
+    """Solve A u = f by dense Cholesky (oracle path, small systems only).
+
+    A matrix whose smallest Cholesky pivot is below 1e-12 of its largest is
+    singular to working precision (periodic or Neumann without regularization)
+    and raises instead of returning an arbitrary particular solution.
+    """
     rhs = np.real(_as_vector(rhs)).astype(float)
     try:
         factor = cho_factor(matrix)
     except LinAlgError as err:
         raise SolverError(f"matrix is not positive definite: {err}") from err
+    pivots = np.diag(factor[0]) ** 2
+    if pivots.min() < 1e-12 * pivots.max():
+        raise SolverError("matrix is singular to working precision; add regularization epsilon")
     u = cho_solve(factor, rhs)
     norm = float(np.linalg.norm(u))
     if norm == 0.0:

@@ -92,23 +92,18 @@ class ExperimentConfig:
         return DEFAULT_EPSILON[self.bc]
 
 
-def _parse_int_range(text: str) -> list[int]:
+def _parse_bounds(text: str) -> tuple[int, int]:
+    """(LO, HI) from an integer or an inclusive LO:HI range, 1 <= LO <= HI."""
     try:
-        if ":" in text:
-            lo, hi = text.split(":")
-            lo, hi = int(lo), int(hi)
-        else:
-            lo = hi = int(text)
+        lo, hi = (int(x) for x in text.split(":")) if ":" in text else (int(text),) * 2
     except ValueError as err:
         raise UsageError(f"cannot parse integer or LO:HI range from {text!r}") from err
     if lo < 1 or hi < lo:
-        raise UsageError(f"invalid range {text!r}")
-    return list(range(lo, hi + 1))
+        raise UsageError(f"invalid value or range {text!r}: need 1 <= LO <= HI")
+    return lo, hi
 
 
 def _powers_of_two(lo: int, hi: int) -> list[int]:
-    if lo < 1 or hi < lo:
-        raise UsageError(f"invalid shot range {lo}:{hi}")
     out = []
     s = 1
     while s < lo:
@@ -168,16 +163,17 @@ def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
     file_values = _read_config_file(args.config) if args.config else {}
 
     def pick(name: str, cast, default):
-        cli = getattr(args, name, None)
-        if cli is not None:
-            return cli if cast is None else cast(cli)
-        if name in file_values:
-            return cast(file_values[name]) if cast else file_values[name]
-        return default
+        value = getattr(args, name, None)
+        if value is None:
+            value = file_values.get(name, default)
+        try:
+            return None if value is None else cast(value)
+        except ValueError as err:
+            raise UsageError(f"invalid {name} value {value!r}") from err
 
     experiment = args.experiment
     config = ExperimentConfig(experiment=experiment)
-    config.bc = BoundaryCondition(pick("bc", str, config.bc.value))
+    config.bc = pick("bc", BoundaryCondition, config.bc.value)
     config.layers = pick("layers", int, config.layers)
     config.trials = pick("trials", int, config.trials)
     config.repeats = pick("repeats", int, config.repeats)
@@ -189,25 +185,32 @@ def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
     config.method = pick("method", str, config.method)
     config.mode = pick("mode", str, config.mode)
     config.out = Path(pick("out", str, str(config.out)))
-    config.n_values = _parse_int_range(pick("n", str, N_DEFAULTS[experiment]))
+    lo, hi = _parse_bounds(pick("n", str, N_DEFAULTS[experiment]))
+    config.n_values = list(range(lo, hi + 1))
 
     shots_text = pick("shots", str, None)
     if experiment in ("shot-error-vs-s", "grad-similarity-vs-s"):
         text = shots_text if shots_text is not None else "64:16384"
-        if ":" in text:
-            lo, hi = (int(x) for x in text.split(":"))
-        else:
-            lo = hi = int(text)
-        config.shot_values = _powers_of_two(lo, hi)
+        config.shot_values = _powers_of_two(*_parse_bounds(text))
     elif shots_text is not None:
-        if ":" in str(shots_text):
+        if ":" in shots_text:
             raise UsageError(f"experiment {experiment} takes a single --shots value")
-        config.shots = int(shots_text)
+        config.shots = _parse_bounds(shots_text)[0]
 
-    if any(n > STATEVECTOR_QUBIT_CAP for n in config.n_values):
-        raise UsageError(f"n capped at {STATEVECTOR_QUBIT_CAP} qubits")
-    if config.trials < 1 or config.repeats < 1:
-        raise UsageError("trials and repeats must be >= 1")
+    epsilon = config.resolved_epsilon
+    for ok, message in (
+        (max(config.n_values) <= STATEVECTOR_QUBIT_CAP,
+         f"n capped at {STATEVECTOR_QUBIT_CAP} qubits"),
+        (config.trials >= 1 and config.repeats >= 1, "trials and repeats must be >= 1"),
+        (config.layers >= 0 and config.max_iterations >= 0,
+         "layers and max-iterations must be >= 0"),
+        (config.tol > 0 and config.grad_threshold > 0, "tol and grad-threshold must be > 0"),
+        (epsilon >= 0, "epsilon must be >= 0"),
+        (epsilon > 0 or config.bc is BoundaryCondition.DIRICHLET,
+         f"{config.bc.value} boundaries need epsilon > 0: the operator is singular without it"),
+    ):
+        if not ok:
+            raise UsageError(message)
     return config
 
 

@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import FACTOR_P0, FACTOR_X, ObservableTerm, PoissonOperator, shift_amplitudes
+from .operators import (FACTOR_I, FACTOR_P0, FACTOR_X, ObservableTerm, PoissonOperator,
+                        shift_amplitudes)
 from .states import AnsatzCircuit, Statevector, prepare_ansatz_state, prepare_superposition_state
 
 
@@ -35,6 +36,11 @@ class BaselineCostReport:
 
     cost: float
     r: float
+
+
+def ancilla_x_term(n_register: int) -> ObservableTerm:
+    """X on the ancilla of an (n+1)-qubit superposition register."""
+    return ObservableTerm(1.0, (FACTOR_I,) * n_register + (FACTOR_X,), (0,))
 
 
 def _factor_masks(factors: tuple[str, ...]) -> tuple[int, int]:

@@ -6,10 +6,10 @@ all its components in one reverse sweep over the ansatz, about two state
 preparations of work.  The numerator takes lam = Re f, the denominator
 lam = 2 A psi, one term lam = 2 T psi, and the cost their quotient-rule
 combination.  For R_Y parameters d_i psi = (1/2) U(..., theta_i + pi, ...)|0...0>;
-:func:`shifted_state` builds that pi-shifted state as a test oracle.  A +-pi/2
-parameter-shift route is provided for the denominator terms; it needs no
-superposition of the shifted and unshifted ansatz states and is the one the
-sampling mode uses.
+:func:`shifted_state` builds that pi-shifted state.  :func:`parameter_shift_gradient`
+is the one shifted-circuit route: the numerator from pi shifts, the denominator
+terms from +-pi/2 shifts, each term value from a caller-supplied estimator
+(exact expectations here, shot estimates in the sampling mode).
 """
 
 from __future__ import annotations
@@ -19,11 +19,11 @@ from typing import Callable
 
 import numpy as np
 
-from .cost import (SingularOperatorError, apply_operator, apply_term, denominator,
-                   expectation, numerator_hadamard)
+from .cost import (CostReport, SingularOperatorError, ancilla_x_term, apply_operator,
+                   apply_term, cost, expectation)
 from .operators import ObservableTerm, PoissonOperator
 from .states import (AnsatzCircuit, Statevector, ansatz_adjoint, ansatz_amplitudes,
-                     prepare_ansatz_state)
+                     prepare_ansatz_state, prepare_superposition_state)
 
 
 @dataclass(frozen=True)
@@ -80,36 +80,46 @@ def grad_cost(op: PoissonOperator, circuit: AnsatzCircuit, theta: np.ndarray,
     return GradientReport(grad=grad, norm=float(np.linalg.norm(grad)))
 
 
-def grad_cost_parameter_shift(op: PoissonOperator, circuit: AnsatzCircuit,
-                              theta: np.ndarray, f: Statevector) -> GradientReport:
-    """Same gradient through +-pi/2 shifts of the denominator terms.
+def parameter_shift_gradient(op: PoissonOperator, circuit: AnsatzCircuit, theta: np.ndarray,
+                             f: Statevector, base: CostReport,
+                             estimate: Callable[..., float]) -> np.ndarray:
+    """Cost gradient from shifted circuits, with each term's value from `estimate`.
 
-    The numerator derivative still uses the single +pi evaluation; the
-    denominator derivative becomes (den(+pi/2) - den(-pi/2))/2 per parameter,
-    keeping every circuit on the bare n-qubit register.
+    ``base`` is the cost report at theta.  ``estimate(slot, term, state, axes,
+    key)`` returns one term's expectation; slot 0 is the numerator's ancilla X
+    and slot k + 1 is ``op.terms[k]``.  Per parameter i, the numerator
+    derivative is half the numerator at theta_i + pi (key ``(1, i)``) and the
+    denominator derivative is half the difference of the term sums at
+    theta_i +- pi/2 (parameter-shift rule, Schuld et al., arXiv:1811.11184;
+    keys ``(2, i, k)`` and ``(3, i, k)``).  No circuit superposes a shifted
+    and an unshifted ansatz state.
     """
     theta = np.asarray(theta, dtype=float)
-    psi = prepare_ansatz_state(circuit, theta)
-    num = numerator_hadamard(psi, f)
-    den = denominator(op, psi)
-    if den <= 0.0:
-        raise SingularOperatorError(f"denominator {den} is not positive")
+    x_ancilla = ancilla_x_term(op.n_qubits)
     count = circuit.parameter_count
     g_num = np.empty(count)
     d_den = np.empty(count)
     for i in range(count):
-        g_num[i] = numerator_hadamard(shifted_state(circuit, theta, i), f)
-        plus = theta.copy()
-        plus[i] += np.pi / 2.0
-        minus = theta.copy()
-        minus[i] -= np.pi / 2.0
-        psi_p = prepare_ansatz_state(circuit, plus)
-        psi_m = prepare_ansatz_state(circuit, minus)
-        d_den[i] = 0.5 * (
-            sum(expectation(t, psi_p, op.axes) for t in op.terms)
-            - sum(expectation(t, psi_m, op.axes) for t in op.terms)
-        )
-    grad = -0.5 * num * g_num / den + 0.5 * num * num * d_den / (den * den)
+        sup = prepare_superposition_state(f, shifted_state(circuit, theta, i))
+        g_num[i] = estimate(0, x_ancilla, sup, None, (1, i))
+        branch_sums = []
+        for branch, delta in ((2, np.pi / 2.0), (3, -np.pi / 2.0)):
+            shifted = theta.copy()
+            shifted[i] += delta
+            psi = prepare_ansatz_state(circuit, shifted)
+            branch_sums.append(sum(estimate(k + 1, term, psi, op.axes, (branch, i, k))
+                                   for k, term in enumerate(op.terms)))
+        d_den[i] = 0.5 * (branch_sums[0] - branch_sums[1])
+    num, den = base.numerator, base.denominator
+    return -0.5 * num * g_num / den + 0.5 * num * num * d_den / (den * den)
+
+
+def grad_cost_parameter_shift(op: PoissonOperator, circuit: AnsatzCircuit,
+                              theta: np.ndarray, f: Statevector) -> GradientReport:
+    """Same gradient as :func:`grad_cost` through exact shifted-circuit expectations."""
+    grad = parameter_shift_gradient(
+        op, circuit, theta, f, cost(op, circuit, theta, f),
+        lambda slot, term, state, axes, key: expectation(term, state, axes))
     return GradientReport(grad=grad, norm=float(np.linalg.norm(grad)))
 
 

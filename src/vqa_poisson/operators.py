@@ -16,8 +16,6 @@ from enum import Enum
 
 import numpy as np
 
-from .states import Statevector
-
 FACTOR_I = "I"
 FACTOR_X = "X"
 FACTOR_P0 = "0"  # |0><0| projector
@@ -149,14 +147,12 @@ def decompose(n: int, bc: BoundaryCondition, epsilon: float = 0.0) -> PoissonOpe
     return PoissonOperator((n,), bc, tuple(terms), offset)
 
 
-def apply_shift(state: Statevector, power: int) -> Statevector:
-    """Cyclic shift P^power: amplitude at |i> moves to |(i+power) mod 2^n>."""
-    return Statevector(np.roll(state.amplitudes, power))
-
-
 def shift_amplitudes(amps: np.ndarray, axes: tuple[int, ...],
                      shifts: tuple[int, ...]) -> np.ndarray:
-    """Apply per-axis cyclic shifts to a raw amplitude vector."""
+    """Per-axis cyclic shifts P^s of a raw amplitude vector.
+
+    On axis k the amplitude at field value j moves to (j + shifts[k]) mod 2^axes[k].
+    """
     if not any(shifts):
         return amps
     if len(axes) == 1:
@@ -269,26 +265,14 @@ def assemble_fem_2d_dense(mesh: Mesh2D) -> np.ndarray:
     return acc / 6.0
 
 
-def _shifted_indices(size: int, axes: tuple[int, ...],
-                     shifts: tuple[int, ...]) -> np.ndarray:
-    idx = np.arange(size)
-    out = np.zeros_like(idx)
-    low = 0
-    for a, s in zip(axes, shifts):
-        comp = (idx >> low) & ((1 << a) - 1)
-        comp = (comp + s) % (1 << a)
-        out |= comp << low
-        low += a
-    return out
-
-
 def term_dense(term: ObservableTerm, axes: tuple[int, ...]) -> np.ndarray:
     """Dense matrix of one term (verification path only)."""
     dense = np.ones((1, 1))
     for f in term.factors:
         dense = np.kron(_FACTOR_MATRICES[f], dense)
     if any(term.axis_shifts):
-        sigma = _shifted_indices(dense.shape[0], axes, term.axis_shifts)
+        unshift = tuple(-s for s in term.axis_shifts)
+        sigma = shift_amplitudes(np.arange(dense.shape[0]), axes, unshift)
         dense = dense[np.ix_(sigma, sigma)]
     return term.coefficient * dense
 

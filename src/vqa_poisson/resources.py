@@ -1,22 +1,19 @@
 """Static accounting of circuit executions, shift-operator gates and depths.
 
-The shift operator is never gate-decomposed in the simulator (it acts as a
-permutation on amplitudes); the counts here are analytic bookkeeping for the
-resource report.  Gradient circuits are counted as parameter_count copies of
-one cost-evaluation circuit set, the convention used throughout the harness.
+Circuit counts come from the operator itself: one cost evaluation measures
+the numerator plus each term of ``decompose(n, bc)``
+(:func:`~vqa_poisson.cost.measured_circuit_count`), and gradient circuits are
+counted as parameter_count copies of that set, the convention used throughout
+the harness.  The shift operator is never gate-decomposed in the simulator (it
+acts as a permutation on amplitudes); its gate counts are analytic bookkeeping.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .operators import BoundaryCondition
-
-COST_CIRCUITS = {
-    BoundaryCondition.PERIODIC: 3,
-    BoundaryCondition.DIRICHLET: 4,
-    BoundaryCondition.NEUMANN: 5,
-}
+from .cost import measured_circuit_count
+from .operators import BoundaryCondition, decompose
 
 
 @dataclass(frozen=True)
@@ -26,18 +23,6 @@ class StatePrepDepth:
     ansatz_depth: int
     encoding_depth: int
     shift_depth_bound: int  # O(n^2) shift-circuit depth, evaluated at n
-
-
-@dataclass(frozen=True)
-class ComplexityExpression:
-    """Structured record of T = T_it * T_P * (T_C + T_G) * T_S."""
-
-    state_prep: StatePrepDepth
-    cost_circuits: int
-    gradient_circuits: int
-    iteration_symbol: str = "T_it"
-    shot_symbol: str = "O(1/epsilon^2)"
-    formula: str = "T_it * (D_ansatz + D_enc + n^2) * (T_C + T_G) / epsilon^2"
 
 
 @dataclass(frozen=True)
@@ -59,12 +44,11 @@ class ResourceReport:
     shift_x: int
     total_qubits_with_ancilla: int
     state_prep: StatePrepDepth
-    complexity: ComplexityExpression
 
 
 def count_cost_circuits(bc: BoundaryCondition) -> int:
-    """Circuits per cost evaluation: 3 periodic, 4 Dirichlet, 5 Neumann."""
-    return COST_CIRCUITS[bc]
+    """Circuits per cost evaluation for n >= 2: 3 periodic, 4 Dirichlet, 5 Neumann."""
+    return measured_circuit_count(decompose(2, bc))
 
 
 def count_baseline_circuits(n: int) -> int:
@@ -99,7 +83,7 @@ def ansatz_depth(n_layers: int) -> int:
 
 def count_gradient_circuits(n: int, n_layers: int, bc: BoundaryCondition) -> int:
     """parameter_count * cost circuits (one circuit set per shifted parameter)."""
-    return n * (n_layers + 1) * count_cost_circuits(bc)
+    return n * (n_layers + 1) * measured_circuit_count(decompose(n, bc))
 
 
 def resource_report(n: int, n_layers: int, bc: BoundaryCondition,
@@ -117,18 +101,13 @@ def resource_report(n: int, n_layers: int, bc: BoundaryCondition,
         encoding_depth=encoding_depth,
         shift_depth_bound=n * n,
     )
-    t_c = count_cost_circuits(bc)
-    t_g = count_gradient_circuits(n, n_layers, bc)
     return ResourceReport(
-        t_c=t_c,
-        t_g=t_g,
+        t_c=measured_circuit_count(decompose(n, bc)),
+        t_g=count_gradient_circuits(n, n_layers, bc),
         shift_rel_phase_toffolis=shift.rel_phase_toffolis,
         shift_toffolis=shift.toffolis,
         shift_cnot=shift.cnot,
         shift_x=shift.x,
         total_qubits_with_ancilla=shift.total_qubits_with_ancilla,
         state_prep=prep,
-        complexity=ComplexityExpression(
-            state_prep=prep, cost_circuits=t_c, gradient_circuits=t_g,
-        ),
     )

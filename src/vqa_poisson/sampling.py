@@ -15,8 +15,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .cost import CostReport
-from .operators import FACTOR_I, FACTOR_P0, FACTOR_X, ObservableTerm, PoissonOperator, shift_amplitudes
+from .cost import CostReport, _factor_masks, ancilla_x_term
+from .gradient import parameter_shift_gradient
+from .operators import FACTOR_X, ObservableTerm, PoissonOperator, shift_amplitudes
 from .states import (AnsatzCircuit, Statevector, apply_h, prepare_ansatz_state,
                      prepare_superposition_state)
 
@@ -44,12 +45,6 @@ def derive_seed(seed: int, *key: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-def ancilla_x_term(n_register: int) -> ObservableTerm:
-    """X on the ancilla of an (n+1)-qubit superposition register."""
-    factors = tuple([FACTOR_I] * n_register + [FACTOR_X])
-    return ObservableTerm(1.0, factors, (0,))
-
-
 def _measurement_distribution(term: ObservableTerm, state: Statevector,
                               axes: tuple[int, ...] | None) -> tuple[np.ndarray, np.ndarray]:
     """(outcome probabilities, per-outcome shot values) for one term."""
@@ -66,13 +61,15 @@ def _measurement_distribution(term: ObservableTerm, state: Statevector,
     probs = rotated.probabilities()
     probs = np.clip(probs, 0.0, None)
     probs /= probs.sum()
+    xmask, pmask = _factor_masks(term.factors)
     idx = np.arange(probs.size)
-    values = np.full(probs.size, term.coefficient)
-    for q, f in enumerate(term.factors):
-        if f == FACTOR_X:
-            values = values * (1.0 - 2.0 * ((idx >> q) & 1))
-        elif f == FACTOR_P0:
-            values = values * (((idx >> q) & 1) == 0)
+    # Bit 0 of `parity` ends up as the parity of the X bits of each outcome.
+    parity = idx & xmask
+    step = 1
+    while step < term.n_qubits:
+        parity ^= parity >> step
+        step *= 2
+    values = term.coefficient * (1.0 - 2.0 * (parity & 1)) * ((idx & pmask) == 0)
     return probs, values
 
 
@@ -166,38 +163,14 @@ def predict_mse(r_opt: float, variances: Sequence[float],
 def sampled_gradient(op: PoissonOperator, circuit: AnsatzCircuit, theta: np.ndarray,
                      f: Statevector, shots_per_term: int | Sequence[int],
                      seed: int) -> np.ndarray:
-    """Shot-based cost gradient via the parameter-shift route.
+    """Shot-based cost gradient via :func:`~vqa_poisson.gradient.parameter_shift_gradient`.
 
-    Per parameter: the numerator derivative is half the sampled numerator at
-    theta_i + pi, the denominator derivative is the +-pi/2 difference of the
-    sampled term sums.  Streams are derived per (parameter, branch, term).
+    Every term estimate draws from a stream derived from its key (parameter,
+    branch, term); the base cost uses stream 0.
     """
-    theta = np.asarray(theta, dtype=float)
-    count = circuit.parameter_count
-    base, base_estimates = sample_cost_estimates(op, circuit, theta, f, shots_per_term,
-                                                 derive_seed(seed, 0))
+    base, _ = sample_cost_estimates(op, circuit, theta, f, shots_per_term, derive_seed(seed, 0))
     shots = _shots_per_term(shots_per_term, 1 + len(op.terms))
-    num, den = base.numerator, base.denominator
-    g_num = np.empty(count)
-    d_den = np.empty(count)
-    for i in range(count):
-        pi_shift = theta.copy()
-        pi_shift[i] += np.pi
-        psi_pi = prepare_ansatz_state(circuit, pi_shift)
-        sup = prepare_superposition_state(f, psi_pi)
-        est = sample_term(ancilla_x_term(psi_pi.n_qubits), sup, shots[0],
-                          derive_seed(seed, 1, i))
-        g_num[i] = est.mean
-        branch_sums = []
-        for branch, delta in ((2, np.pi / 2.0), (3, -np.pi / 2.0)):
-            shifted = theta.copy()
-            shifted[i] += delta
-            psi_s = prepare_ansatz_state(circuit, shifted)
-            total = 0.0
-            for k, term in enumerate(op.terms):
-                est = sample_term(term, psi_s, shots[k + 1],
-                                  derive_seed(seed, branch, i, k), axes=op.axes)
-                total += est.mean
-            branch_sums.append(total)
-        d_den[i] = 0.5 * (branch_sums[0] - branch_sums[1])
-    return -0.5 * num * g_num / den + 0.5 * num * num * d_den / (den * den)
+    return parameter_shift_gradient(
+        op, circuit, theta, f, base,
+        lambda slot, term, state, axes, key: sample_term(
+            term, state, shots[slot], derive_seed(seed, *key), axes).mean)

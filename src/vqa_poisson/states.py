@@ -1,9 +1,9 @@
 """Dense statevector simulation of the gate set used by the solver circuits.
 
 Index convention: basis state |i> stores qubit q in bit q of i, so qubit 0 is
-the least-significant bit.  All gates here (X, H, R_Y, CZ, CNOT, MCX) are real
-matrices; circuits built from them keep amplitudes real.  The layered ansatz
-is therefore simulated on real float64 arrays: a forward sweep for its state
+the least-significant bit.  All gates here (X, H, R_Y, CZ) are real matrices;
+circuits built from them keep amplitudes real.  The layered ansatz is therefore
+simulated on real float64 arrays: a forward sweep for its state
 and a reverse (adjoint) sweep for its gradients.
 """
 
@@ -85,16 +85,6 @@ def _cz_inplace(amps: np.ndarray, qubit_a: int, qubit_b: int) -> None:
     amps[both == 1] *= -1.0
 
 
-def _controlled_x_inplace(amps: np.ndarray, controls: Sequence[int], target: int) -> None:
-    idx = np.arange(amps.size)
-    control_mask = 0
-    for c in controls:
-        control_mask |= 1 << c
-    src = idx[((idx & control_mask) == control_mask) & (((idx >> target) & 1) == 0)]
-    dst = src | (1 << target)
-    amps[src], amps[dst] = amps[dst], amps[src]
-
-
 def apply_x(state: Statevector, qubit: int) -> Statevector:
     """Pauli X on one qubit."""
     _check_qubits(state.n_qubits, [qubit])
@@ -125,19 +115,6 @@ def apply_cz(state: Statevector, qubit_a: int, qubit_b: int) -> Statevector:
     _check_qubits(state.n_qubits, [qubit_a, qubit_b])
     amps = state.amplitudes.copy()
     _cz_inplace(amps, qubit_a, qubit_b)
-    return Statevector(amps)
-
-
-def apply_cnot(state: Statevector, control: int, target: int) -> Statevector:
-    """Controlled-X with one control."""
-    return apply_mcx(state, [control], target)
-
-
-def apply_mcx(state: Statevector, controls: Sequence[int], target: int) -> Statevector:
-    """Multi-controlled X (X on target where every control bit is 1)."""
-    _check_qubits(state.n_qubits, [*controls, target])
-    amps = state.amplitudes.copy()
-    _controlled_x_inplace(amps, controls, target)
     return Statevector(amps)
 
 

@@ -32,8 +32,22 @@ def test_residual_is_tiny(n):
 
 
 def test_singular_matrix_raises():
-    with pytest.raises(SolverError):
-        solve(build_matrix(2, BoundaryCondition.NEUMANN, 0.0), np.ones(4))
+    # unregularized periodic/Neumann matrices are singular at every n, whatever
+    # rounding does to the last Cholesky pivot
+    for bc in (BoundaryCondition.PERIODIC, BoundaryCondition.NEUMANN):
+        for n in range(1, 7):
+            with pytest.raises(SolverError):
+                solve(build_matrix(n, bc, 0.0), prepare_source_state(n))
+
+
+@pytest.mark.parametrize("bc", list(BoundaryCondition))
+def test_regularized_and_dirichlet_matrices_solve_up_to_ten_qubits(bc):
+    for n in range(1, 11):
+        epsilon = 0.0 if bc is DIRICHLET else 1e-3
+        matrix = build_matrix(n, bc, epsilon)
+        rhs = np.real(prepare_source_state(n).amplitudes)
+        solution = solve(matrix, rhs)
+        assert np.linalg.norm(matrix @ solution.u - rhs) < 1e-8 * np.linalg.norm(rhs)
 
 
 def test_norm_recovery_links_r_opt_to_classical_norm():

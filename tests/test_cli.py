@@ -105,6 +105,26 @@ def test_usage_errors_exit_two(tmp_path):
     assert main(["solve", "--n", "99", "--out", str(tmp_path)]) == 2
     assert main(["solve", "--config", str(tmp_path / "missing.cfg"),
                  "--out", str(tmp_path)]) == 2
+    bad_flags = [
+        ["shot-error-vs-s", "--shots", "abc"],
+        ["shot-error-vs-s", "--shots", "0:64"],
+        ["grad-similarity-vs-s", "--shots", "64:abc"],
+        ["solve", "--mode", "sampled", "--shots", "0"],
+        ["solve", "--shots", "-5"],
+        ["solve", "--layers", "-1"],
+        ["solve", "--max-iterations", "-1"],
+        ["iterations-vs-n", "--tol", "0"],
+        ["solve", "--grad-threshold=-1e-6"],
+        ["solve", "--grad-threshold", "nan"],
+        ["solve", "--epsilon=-1e-3"],
+        ["solve", "--bc", "periodic", "--epsilon", "0", "--n", "2"],
+        ["solve", "--bc", "neumann", "--epsilon", "0", "--n", "3"],
+    ]
+    for flags in bad_flags:
+        assert main([*flags, "--out", str(tmp_path)]) == 2, flags
+    bad_config = tmp_path / "bad.cfg"
+    bad_config.write_text("layers = two\n")
+    assert main(["solve", "--config", str(bad_config), "--out", str(tmp_path)]) == 2
     with pytest.raises(SystemExit):
         main(["not-an-experiment"])
 

@@ -7,6 +7,7 @@ from vqa_poisson import (AnsatzCircuit, BoundaryCondition, CustomSource, Mesh2D,
                          grad_cost_parameter_shift, grad_denominator, grad_numerator,
                          numerator_hadamard, prepare_ansatz_state, prepare_source_state,
                          reassemble_dense, shifted_state, term_gradient)
+from vqa_poisson.gradient import parameter_shift_gradient
 from vqa_poisson.operators import term_dense
 from vqa_poisson.states import ansatz_adjoint, ansatz_amplitudes
 
@@ -140,6 +141,26 @@ def test_parameter_shift_route_matches_pi_shift_route(rng):
     a = grad_cost(op, circuit, theta, f).grad
     b = grad_cost_parameter_shift(op, circuit, theta, f).grad
     np.testing.assert_allclose(a, b, atol=1e-10)
+
+
+def test_parameter_shift_estimator_slots_and_keys(rng):
+    op = decompose(2, BoundaryCondition.NEUMANN, 1e-3)
+    circuit = AnsatzCircuit(2, 1)
+    f = prepare_source_state(2)
+    theta = random_theta(rng, circuit)
+    calls = []
+
+    def estimate(slot, term, state, axes, key):
+        calls.append((slot, key))
+        return expectation(term, state, axes)
+
+    grad = parameter_shift_gradient(op, circuit, theta, f, cost(op, circuit, theta, f),
+                                    estimate)
+    terms = range(len(op.terms))
+    assert calls == [call for i in range(circuit.parameter_count)
+                     for call in [(0, (1, i))] + [(k + 1, (branch, i, k))
+                                                  for branch in (2, 3) for k in terms]]
+    np.testing.assert_allclose(grad, grad_cost(op, circuit, theta, f).grad, atol=1e-12)
 
 
 def test_descent_direction_decreases_cost(rng):

@@ -1,3 +1,4 @@
+import itertools
 import json
 
 import numpy as np
@@ -6,9 +7,9 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from vqa_poisson import (BoundaryCondition, Mesh2D, ObservableTerm, Statevector,
-                         apply_shift, assemble_fem_2d_dense, build_fdm_kron, build_fem_2d,
-                         build_matrix, decompose, fem_element_matrix, operator_from_json,
-                         operator_to_json, reassemble_dense)
+                         assemble_fem_2d_dense, build_fdm_kron, build_fem_2d, build_matrix,
+                         decompose, fem_element_matrix, operator_from_json, operator_to_json,
+                         reassemble_dense, shift_amplitudes)
 from vqa_poisson.operators import FACTOR_I, FACTOR_X, term_dense
 
 from conftest import random_real_state
@@ -68,17 +69,38 @@ def test_reassembly_matches_direct_matrix(bc, n):
 
 
 def test_shift_moves_basis_states():
-    out = apply_shift(Statevector.basis(2, 3), 1)
-    np.testing.assert_array_equal(out.amplitudes, Statevector.basis(2, 0).amplitudes)
-    out = apply_shift(Statevector.basis(2, 1), -1)
-    np.testing.assert_array_equal(out.amplitudes, Statevector.basis(2, 0).amplitudes)
+    out = shift_amplitudes(Statevector.basis(2, 3).amplitudes, (2,), (1,))
+    np.testing.assert_array_equal(out, Statevector.basis(2, 0).amplitudes)
+    out = shift_amplitudes(Statevector.basis(2, 1).amplitudes, (2,), (-1,))
+    np.testing.assert_array_equal(out, Statevector.basis(2, 0).amplitudes)
+    # two axes (1, 2): |x=1, y=3> (index 1 + 3*2) moves to |x=0, y=0>
+    out = shift_amplitudes(Statevector.basis(3, 7).amplitudes, (1, 2), (1, 1))
+    np.testing.assert_array_equal(out, Statevector.basis(3, 0).amplitudes)
 
 
 def test_shift_fixes_uniform_state():
-    uniform = Statevector(np.full(8, 1 / np.sqrt(8)))
+    uniform = np.full(8, 1 / np.sqrt(8))
     for power in (-3, 1, 5):
-        np.testing.assert_array_equal(apply_shift(uniform, power).amplitudes,
-                                      uniform.amplitudes)
+        np.testing.assert_array_equal(shift_amplitudes(uniform, (3,), (power,)), uniform)
+        np.testing.assert_array_equal(shift_amplitudes(uniform, (1, 2), (power, -power)),
+                                      uniform)
+
+
+@pytest.mark.parametrize("axes", [(1,), (3,), (5,), (2, 2), (1, 3), (2, 1, 2)])
+def test_shift_matches_per_axis_index_arithmetic(axes):
+    # amplitude at |i> moves to the index whose axis-k field is (field_k(i) + s_k) mod 2^a_k
+    size = 1 << sum(axes)
+    idx = np.arange(size)
+    amps = np.random.default_rng(len(axes)).normal(size=size)
+    for shifts in itertools.product(range(-2, 3), repeat=len(axes)):
+        target = np.zeros_like(idx)
+        low = 0
+        for a, s in zip(axes, shifts):
+            target |= ((((idx >> low) & ((1 << a) - 1)) + s) % (1 << a)) << low
+            low += a
+        expected = np.empty(size)
+        expected[target] = amps
+        np.testing.assert_array_equal(shift_amplitudes(amps, axes, shifts), expected)
 
 
 @settings(max_examples=40, deadline=None)
@@ -86,8 +108,9 @@ def test_shift_fixes_uniform_state():
 @given(st.integers(0, 2**32 - 1), st.integers(1, 5), st.integers(-10, 10))
 def test_shift_roundtrip_is_exact(entropy, n, power):
     state = random_real_state(np.random.default_rng(entropy), n)
-    back = apply_shift(apply_shift(state, power), -power)
-    np.testing.assert_array_equal(back.amplitudes, state.amplitudes)
+    shifted = shift_amplitudes(state.amplitudes, (n,), (power,))
+    back = shift_amplitudes(shifted, (n,), (-power,))
+    np.testing.assert_array_equal(back, state.amplitudes)
 
 
 def test_even_and_odd_pairings_interchange_under_shift():

@@ -59,14 +59,12 @@ def test_resource_report_fields():
     assert report.state_prep.ansatz_depth == ansatz_depth(5) == 11
     assert report.state_prep.encoding_depth == 6  # step-function gate count n+1
     assert report.state_prep.shift_depth_bound == 25
-    assert report.complexity.cost_circuits == report.t_c
-    assert "T_it" in report.complexity.formula
     custom = resource_report(5, 5, BoundaryCondition.DIRICHLET, encoding_depth=40)
     assert custom.state_prep.encoding_depth == 40
 
 
 @pytest.mark.parametrize("bc", list(BoundaryCondition))
-@pytest.mark.parametrize("n", [2, 4, 6])
+@pytest.mark.parametrize("n", [1, 2, 4, 6])
 def test_runtime_counts_match_static_counts(bc, n):
     op = decompose(n, bc, 1e-3)
     circuit = AnsatzCircuit(n, 2)
@@ -74,7 +72,17 @@ def test_runtime_counts_match_static_counts(bc, n):
     rng = np.random.default_rng(derive_seed(1, n))
     theta = rng.uniform(0, 4 * np.pi, circuit.parameter_count)
     _, estimates = sample_cost_estimates(op, circuit, theta, f, 64, derive_seed(1, n, 1))
-    assert len(estimates) == count_cost_circuits(bc)
+    report = resource_report(n, 2, bc)
+    assert len(estimates) == report.t_c
+    assert report.t_g == circuit.parameter_count * report.t_c
+    if n >= 2:
+        assert len(estimates) == count_cost_circuits(bc)
+
+
+def test_one_qubit_neumann_folds_a_term_into_the_offset():
+    # the n = 1 Neumann projector term is the identity, so one cost needs 4 circuits, not 5
+    assert resource_report(1, 3, BoundaryCondition.NEUMANN).t_c == 4
+    assert count_gradient_circuits(1, 3, BoundaryCondition.NEUMANN) == 4 * 4
 
 
 def test_baseline_counts_grow_linearly():

@@ -4,7 +4,7 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from vqa_poisson import (AnsatzCircuit, CustomSource, Statevector, StepFunctionSource,
-                         apply_cnot, apply_cz, apply_h, apply_mcx, apply_ry, apply_x,
+                         apply_cz, apply_h, apply_ry, apply_x,
                          prepare_ansatz_state, prepare_source_state,
                          prepare_superposition_state)
 
@@ -32,16 +32,6 @@ def test_cz_flips_sign_of_11():
     np.testing.assert_allclose(out.amplitudes, [0.5, 0.5, 0.5, -0.5])
 
 
-def test_cnot_and_mcx():
-    out = apply_cnot(Statevector.basis(2, 1), 0, 1)
-    np.testing.assert_allclose(out.amplitudes, [0, 0, 0, 1])
-    out = apply_mcx(Statevector.basis(3, 3), [0, 1], 2)
-    np.testing.assert_allclose(out.amplitudes, Statevector.basis(3, 7).amplitudes)
-    # controls not all set: no flip
-    out = apply_mcx(Statevector.basis(3, 1), [0, 1], 2)
-    np.testing.assert_allclose(out.amplitudes, Statevector.basis(3, 1).amplitudes)
-
-
 @pytest.mark.parametrize("qubits", [(-1,), (2,)])
 def test_out_of_range_qubit_rejected(qubits):
     with pytest.raises(ValueError):
@@ -52,7 +42,7 @@ def test_duplicate_qubits_rejected():
     with pytest.raises(ValueError):
         apply_cz(Statevector.zero(2), 1, 1)
     with pytest.raises(ValueError):
-        apply_mcx(Statevector.zero(3), [0, 0], 1)
+        apply_cz(Statevector.zero(3), 2, 2)
 
 
 def test_statevector_rejects_bad_lengths():
@@ -81,7 +71,7 @@ def test_norm_preservation_over_random_sequences(rng):
                 state = apply_cz(state, p, p + 1)
             elif n > 1:
                 p = int(rng.integers(0, n - 1))
-                state = apply_cnot(state, p, p + 1)
+                state = apply_cz(state, p, n - 1)
         assert abs(state.norm() - 1.0) < 1e-10
 
 
