@@ -16,7 +16,8 @@ from .optimize import (GradNorm, OptimizationConfig, OptimizationTrace, PoissonP
                        TraceDistance, TrialsResult, make_problem, minimize, run_trials)
 from .resources import (ResourceReport, ShiftResourceCounts, StatePrepDepth, ansatz_depth,
                         count_baseline_circuits, count_cost_circuits,
-                        count_gradient_circuits, count_shift_resources, resource_report)
+                        count_gradient_circuits, count_sampled_gradient_circuits,
+                        count_shift_resources, resource_report)
 from .sampling import (MsePrediction, ShotEstimate, UnstableEstimateError, derive_seed,
                        predict_mse, sample_cost, sample_cost_estimates, sample_term,
                        sampled_gradient, term_shot_moments)

@@ -30,8 +30,8 @@ from .operators import FACTOR_I, FACTOR_X
 from .optimize import (GradNorm, OptimizationConfig, TraceDistance, make_problem,
                        run_trials)
 from .resources import count_baseline_circuits, resource_report
-from .sampling import (UnstableEstimateError, derive_seed, sample_cost_estimates,
-                       sampled_gradient)
+from .sampling import (UnstableEstimateError, derive_seed, draw_counts,
+                       sample_cost_estimates, sampled_gradient)
 from .states import AnsatzCircuit, prepare_ansatz_state, prepare_source_state
 
 EXPERIMENTS = (
@@ -58,6 +58,9 @@ N_DEFAULTS = {
     "barren-plateau": "2:8",
     "fem2d-verify": "2",
 }
+
+METHODS = ("proposed", "baseline")
+MODES = ("statevector", "sampled")
 
 STATEVECTOR_QUBIT_CAP = 10
 
@@ -138,8 +141,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="trace-distance tolerance for iterations-vs-n")
     parser.add_argument("--grad-threshold", type=float, default=None)
     parser.add_argument("--max-iterations", type=int, default=None)
-    parser.add_argument("--method", choices=["proposed", "baseline"], default=None)
-    parser.add_argument("--mode", choices=["statevector", "sampled"], default=None)
+    parser.add_argument("--method", choices=METHODS, default=None)
+    parser.add_argument("--mode", choices=MODES, default=None)
     parser.add_argument("--out", type=Path, default=None)
     return parser
 
@@ -199,6 +202,8 @@ def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
 
     epsilon = config.resolved_epsilon
     for ok, message in (
+        (config.method in METHODS, f"method {config.method!r} is not one of {METHODS}"),
+        (config.mode in MODES, f"mode {config.mode!r} is not one of {MODES}"),
         (max(config.n_values) <= STATEVECTOR_QUBIT_CAP,
          f"n capped at {STATEVECTOR_QUBIT_CAP} qubits"),
         (config.trials >= 1 and config.repeats >= 1, "trials and repeats must be >= 1"),
@@ -401,17 +406,13 @@ def _sample_baseline_cost(eig_a2, eig_xa, sup: np.ndarray, psi: np.ndarray,
     Eigenbasis sampling of A^2 on |psi> and of X (x) A on the superposition
     state; unbiased for each expectation, plugged into <A^2> - <psi|A|f>^2.
     """
-    w_a, v_a = eig_a2
-    w_x, v_x = eig_xa
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    p_a = np.abs(v_a.T @ psi) ** 2
-    p_a = np.clip(p_a, 0.0, None)
-    p_a /= p_a.sum()
-    est_a2 = float((w_a ** 2)[rng.choice(p_a.size, size=shots, p=p_a)].mean())
-    p_x = np.abs(v_x.T @ sup) ** 2
-    p_x = np.clip(p_x, 0.0, None)
-    p_x /= p_x.sum()
-    est_af = float(w_x[rng.choice(p_x.size, size=shots, p=p_x)].mean())
+    def estimate(values: np.ndarray, vectors: np.ndarray, amps: np.ndarray, key: int) -> float:
+        probs = np.abs(vectors.T @ amps) ** 2
+        probs /= probs.sum()
+        return float(draw_counts(probs, shots, derive_seed(seed, key)) @ values / shots)
+
+    est_a2 = estimate(eig_a2[0] ** 2, eig_a2[1], psi, 0)
+    est_af = estimate(eig_xa[0], eig_xa[1], sup, 1)
     return est_a2 - est_af * est_af
 
 

@@ -6,10 +6,12 @@ all its components in one reverse sweep over the ansatz, about two state
 preparations of work.  The numerator takes lam = Re f, the denominator
 lam = 2 A psi, one term lam = 2 T psi, and the cost their quotient-rule
 combination.  For R_Y parameters d_i psi = (1/2) U(..., theta_i + pi, ...)|0...0>;
-:func:`shifted_state` builds that pi-shifted state.  :func:`parameter_shift_gradient`
-is the one shifted-circuit route: the numerator from pi shifts, the denominator
-terms from +-pi/2 shifts, each term value from a caller-supplied estimator
-(exact expectations here, shot estimates in the sampling mode).
+:func:`shifted_state` builds that pi-shifted state (the test oracle).
+:func:`parameter_shift_gradient` is the one shifted-circuit route: one batched
+forward sweep prepares all 3P shifted states, the numerator from pi shifts and
+the denominator terms from +-pi/2 shifts, and a caller-supplied estimator
+turns each term's P shifted states into P values at once (exact expectations
+here, shot estimates in the sampling mode).
 """
 
 from __future__ import annotations
@@ -22,8 +24,8 @@ import numpy as np
 from .cost import (CostReport, SingularOperatorError, ancilla_x_term, apply_operator,
                    apply_term, cost, expectation)
 from .operators import ObservableTerm, PoissonOperator
-from .states import (AnsatzCircuit, Statevector, ansatz_adjoint, ansatz_amplitudes,
-                     prepare_ansatz_state, prepare_superposition_state)
+from .states import (AnsatzCircuit, Statevector, _real_if_real, ansatz_adjoint,
+                     ansatz_amplitude_rows, ansatz_amplitudes, prepare_ansatz_state)
 
 
 @dataclass(frozen=True)
@@ -82,34 +84,37 @@ def grad_cost(op: PoissonOperator, circuit: AnsatzCircuit, theta: np.ndarray,
 
 def parameter_shift_gradient(op: PoissonOperator, circuit: AnsatzCircuit, theta: np.ndarray,
                              f: Statevector, base: CostReport,
-                             estimate: Callable[..., float]) -> np.ndarray:
-    """Cost gradient from shifted circuits, with each term's value from `estimate`.
+                             estimate: Callable[..., np.ndarray]) -> np.ndarray:
+    """Cost gradient from shifted circuits, with each term's values from `estimate`.
 
-    ``base`` is the cost report at theta.  ``estimate(slot, term, state, axes,
-    key)`` returns one term's expectation; slot 0 is the numerator's ancilla X
-    and slot k + 1 is ``op.terms[k]``.  Per parameter i, the numerator
+    ``base`` is the cost report at theta.  Per parameter i, the numerator
     derivative is half the numerator at theta_i + pi (key ``(1, i)``) and the
     denominator derivative is half the difference of the term sums at
     theta_i +- pi/2 (parameter-shift rule, Schuld et al., arXiv:1811.11184;
-    keys ``(2, i, k)`` and ``(3, i, k)``).  No circuit superposes a shifted
-    and an unshifted ansatz state.
+    keys ``(2, i, k)`` and ``(3, i, k)``).  One forward sweep prepares all 3P
+    shifted states.  ``estimate(slot, term, rows, axes, keys)`` returns one
+    expectation per row of the (P, 2^m) amplitude array ``rows``, row i
+    keyed ``keys[i]``; slot 0 is the numerator's ancilla X on the
+    superposition states and slot k + 1 is ``op.terms[k]``.  No circuit
+    superposes a shifted and an unshifted ansatz state.
     """
     theta = np.asarray(theta, dtype=float)
-    x_ancilla = ancilla_x_term(op.n_qubits)
     count = circuit.parameter_count
-    g_num = np.empty(count)
-    d_den = np.empty(count)
-    for i in range(count):
-        sup = prepare_superposition_state(f, shifted_state(circuit, theta, i))
-        g_num[i] = estimate(0, x_ancilla, sup, None, (1, i))
-        branch_sums = []
-        for branch, delta in ((2, np.pi / 2.0), (3, -np.pi / 2.0)):
-            shifted = theta.copy()
-            shifted[i] += delta
-            psi = prepare_ansatz_state(circuit, shifted)
-            branch_sums.append(sum(estimate(k + 1, term, psi, op.axes, (branch, i, k))
-                                   for k, term in enumerate(op.terms)))
-        d_den[i] = 0.5 * (branch_sums[0] - branch_sums[1])
+    params = range(count)
+    thetas = np.tile(theta, (3, count, 1))
+    thetas[:, params, params] += np.array([[np.pi], [np.pi / 2.0], [-np.pi / 2.0]])
+    pi_rows, *branch_rows = ansatz_amplitude_rows(circuit, thetas.reshape(-1, count)).reshape(
+        3, count, -1)
+    f_amps = np.broadcast_to(_real_if_real(f.amplitudes), pi_rows.shape)
+    sup = np.concatenate([f_amps, pi_rows], axis=1) / np.sqrt(2.0)
+    g_num = estimate(0, ancilla_x_term(op.n_qubits), sup, None, [(1, i) for i in params])
+    branch_sums = []
+    for branch, rows in zip((2, 3), branch_rows):
+        total = np.zeros(count)
+        for k, term in enumerate(op.terms):
+            total += estimate(k + 1, term, rows, op.axes, [(branch, i, k) for i in params])
+        branch_sums.append(total)
+    d_den = 0.5 * (branch_sums[0] - branch_sums[1])
     num, den = base.numerator, base.denominator
     return -0.5 * num * g_num / den + 0.5 * num * num * d_den / (den * den)
 
@@ -119,7 +124,8 @@ def grad_cost_parameter_shift(op: PoissonOperator, circuit: AnsatzCircuit,
     """Same gradient as :func:`grad_cost` through exact shifted-circuit expectations."""
     grad = parameter_shift_gradient(
         op, circuit, theta, f, cost(op, circuit, theta, f),
-        lambda slot, term, state, axes, key: expectation(term, state, axes))
+        lambda slot, term, rows, axes, keys: np.array(
+            [expectation(term, Statevector(row), axes) for row in rows]))
     return GradientReport(grad=grad, norm=float(np.linalg.norm(grad)))
 
 

@@ -149,20 +149,21 @@ def decompose(n: int, bc: BoundaryCondition, epsilon: float = 0.0) -> PoissonOpe
 
 def shift_amplitudes(amps: np.ndarray, axes: tuple[int, ...],
                      shifts: tuple[int, ...]) -> np.ndarray:
-    """Per-axis cyclic shifts P^s of a raw amplitude vector.
+    """Per-axis cyclic shifts P^s of raw amplitudes, on the last array axis.
 
     On axis k the amplitude at field value j moves to (j + shifts[k]) mod 2^axes[k].
+    A (rows, 2^n) array is shifted row by row.
     """
     if not any(shifts):
         return amps
     if len(axes) == 1:
-        return np.roll(amps, shifts[0])
-    shape = tuple(1 << a for a in reversed(axes))
+        return np.roll(amps, shifts[0], axis=-1)
+    shape = amps.shape[:-1] + tuple(1 << a for a in reversed(axes))
     arr = amps.reshape(shape)
     for k, s in enumerate(shifts):
         if s:
-            arr = np.roll(arr, s, axis=len(axes) - 1 - k)
-    return arr.reshape(-1)
+            arr = np.roll(arr, s, axis=-1 - k)
+    return arr.reshape(amps.shape)
 
 
 def build_fdm_kron(n_per_axis: int, d: int, bc: BoundaryCondition,

@@ -19,6 +19,7 @@ from .cost import (CostReport, SingularOperatorError, cost_from_state,
 from .gradient import grad_cost
 from .operators import (DEFAULT_EPSILON, BoundaryCondition, PoissonOperator,
                         build_matrix, decompose)
+from .resources import count_sampled_gradient_circuits
 from .sampling import UnstableEstimateError, derive_seed, sample_cost, sampled_gradient
 from .states import AnsatzCircuit, Statevector, prepare_ansatz_state, prepare_source_state
 
@@ -246,7 +247,7 @@ def minimize(problem: PoissonProblem, config: OptimizationConfig,
     def eval_grad(theta: np.ndarray) -> np.ndarray:
         if config.mode == "sampled":
             counters["evals"] += 1
-            counters["circuits"] += count * (1 + 2 * len(op.terms)) + t_c
+            counters["circuits"] += count_sampled_gradient_circuits(op, count)
             return sampled_gradient(op, circuit, theta, f, config.shots,
                                     derive_seed(trial_seed, 2, counters["evals"]))
         counters["circuits"] += count * t_c

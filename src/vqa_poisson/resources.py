@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .cost import measured_circuit_count
-from .operators import BoundaryCondition, decompose
+from .operators import BoundaryCondition, PoissonOperator, decompose
 
 
 @dataclass(frozen=True)
@@ -84,6 +84,12 @@ def ansatz_depth(n_layers: int) -> int:
 def count_gradient_circuits(n: int, n_layers: int, bc: BoundaryCondition) -> int:
     """parameter_count * cost circuits (one circuit set per shifted parameter)."""
     return n * (n_layers + 1) * measured_circuit_count(decompose(n, bc))
+
+
+def count_sampled_gradient_circuits(op: PoissonOperator, parameter_count: int) -> int:
+    """Circuits one sampled gradient measures: the base cost's 1 + T, then per
+    parameter the pi-shifted numerator and the T terms at each of +-pi/2."""
+    return measured_circuit_count(op) + parameter_count * (1 + 2 * len(op.terms))
 
 
 def resource_report(n: int, n_layers: int, bc: BoundaryCondition,

@@ -1,11 +1,11 @@
 """Shot-based (Monte Carlo) estimation of the measured terms and the MSE model.
 
 Measurement protocol per term: apply the register shifts, rotate every X
-factor into the computational basis with a Hadamard, sample bitstrings from
-the amplitudes, and score each shot as coefficient * (+-1 per X bit) * (0/1
-per projector bit).  Every term draws from an independently derived stream so
-term estimates are uncorrelated, and all estimates are deterministic in the
-seed.
+factor into the computational basis with a Hadamard, draw outcome counts for
+all shots at once from the squared amplitudes (one multinomial draw), and
+score each outcome as coefficient * (+-1 per X bit) * (0/1 per projector
+bit).  Every term draws from an independently derived stream so term
+estimates are uncorrelated, and all estimates are deterministic in the seed.
 """
 
 from __future__ import annotations
@@ -17,9 +17,9 @@ import numpy as np
 
 from .cost import CostReport, _factor_masks, ancilla_x_term
 from .gradient import parameter_shift_gradient
-from .operators import FACTOR_X, ObservableTerm, PoissonOperator, shift_amplitudes
-from .states import (AnsatzCircuit, Statevector, apply_h, prepare_ansatz_state,
-                     prepare_superposition_state)
+from .operators import ObservableTerm, PoissonOperator, shift_amplitudes
+from .states import (AnsatzCircuit, Statevector, _apply_single_qubit, _real_if_real,
+                     prepare_ansatz_state, prepare_superposition_state)
 
 
 class UnstableEstimateError(RuntimeError):
@@ -45,24 +45,28 @@ def derive_seed(seed: int, *key: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-def _measurement_distribution(term: ObservableTerm, state: Statevector,
-                              axes: tuple[int, ...] | None) -> tuple[np.ndarray, np.ndarray]:
-    """(outcome probabilities, per-outcome shot values) for one term."""
-    if term.n_qubits != state.n_qubits:
-        raise ValueError(
-            f"term acts on {term.n_qubits} qubits, state has {state.n_qubits}"
-        )
+def draw_counts(probs: np.ndarray, shots: int, seed: int) -> np.ndarray:
+    """Outcome counts of `shots` draws from `probs`, on the stream of `seed`."""
+    return np.random.default_rng(np.random.SeedSequence(seed)).multinomial(shots, probs)
+
+
+def _row_distributions(term: ObservableTerm, rows: np.ndarray,
+                       axes: tuple[int, ...] | None) -> tuple[np.ndarray, np.ndarray]:
+    """(outcome probabilities per row, per-outcome shot values) for one term
+    measured on every row of a (rows, 2^n) amplitude array."""
     if axes is None:
         axes = (term.n_qubits,)
-    rotated = Statevector(shift_amplitudes(state.amplitudes, axes, term.axis_shifts))
-    for q, f in enumerate(term.factors):
-        if f == FACTOR_X:
-            rotated = apply_h(rotated, q)
-    probs = rotated.probabilities()
-    probs = np.clip(probs, 0.0, None)
-    probs /= probs.sum()
+    rotated = shift_amplitudes(rows, axes, term.axis_shifts)
     xmask, pmask = _factor_masks(term.factors)
-    idx = np.arange(probs.size)
+    if xmask:
+        rotated = np.array(rotated)  # the Hadamards act in place; never on `rows` itself
+        h = 1.0 / np.sqrt(2.0)
+        for q in range(term.n_qubits):
+            if xmask >> q & 1:
+                _apply_single_qubit(rotated, q, h, h, h, -h)
+    probs = np.real(rotated.conj() * rotated)
+    probs /= probs.sum(axis=-1, keepdims=True)
+    idx = np.arange(probs.shape[-1])
     # Bit 0 of `parity` ends up as the parity of the X bits of each outcome.
     parity = idx & xmask
     step = 1
@@ -71,6 +75,17 @@ def _measurement_distribution(term: ObservableTerm, state: Statevector,
         step *= 2
     values = term.coefficient * (1.0 - 2.0 * (parity & 1)) * ((idx & pmask) == 0)
     return probs, values
+
+
+def _measurement_distribution(term: ObservableTerm, state: Statevector,
+                              axes: tuple[int, ...] | None) -> tuple[np.ndarray, np.ndarray]:
+    """(outcome probabilities, per-outcome shot values) for one term."""
+    if term.n_qubits != state.n_qubits:
+        raise ValueError(
+            f"term acts on {term.n_qubits} qubits, state has {state.n_qubits}"
+        )
+    probs, values = _row_distributions(term, _real_if_real(state.amplitudes)[None], axes)
+    return probs[0], values
 
 
 def term_shot_moments(term: ObservableTerm, state: Statevector,
@@ -84,16 +99,14 @@ def term_shot_moments(term: ObservableTerm, state: Statevector,
 
 def sample_term(term: ObservableTerm, state: Statevector, shots: int, seed: int,
                 axes: tuple[int, ...] | None = None) -> ShotEstimate:
-    """Monte Carlo estimate of one term expectation from `shots` samples."""
+    """Monte Carlo estimate of one term expectation from the counts of `shots` samples."""
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
     probs, values = _measurement_distribution(term, state, axes)
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    outcomes = rng.choice(probs.size, size=shots, p=probs)
-    samples = values[outcomes]
-    variance = float(samples.var(ddof=1)) if shots > 1 else 0.0
-    return ShotEstimate(mean=float(samples.mean()), sample_variance=variance,
-                        shots=shots, seed=seed)
+    counts = draw_counts(probs, shots, seed)
+    mean = float(counts @ values / shots)
+    variance = float(counts @ (values - mean) ** 2 / (shots - 1)) if shots > 1 else 0.0
+    return ShotEstimate(mean=mean, sample_variance=variance, shots=shots, seed=seed)
 
 
 def _shots_per_term(shots_per_term: int | Sequence[int], count: int) -> list[int]:
@@ -160,6 +173,15 @@ def predict_mse(r_opt: float, variances: Sequence[float],
     return MsePrediction(predicted_mse=r2 * (variances[0] / shot_list[0] + 0.25 * r2 * den_part))
 
 
+def _sample_rows(term: ObservableTerm, rows: np.ndarray, axes: tuple[int, ...] | None,
+                 shots: int, seed: int, keys: Sequence[tuple[int, ...]]) -> np.ndarray:
+    """Shot-estimated term mean of every row; row i draws on stream ``keys[i]``."""
+    probs, values = _row_distributions(term, rows, axes)
+    counts = np.array([draw_counts(p, shots, derive_seed(seed, *key))
+                       for p, key in zip(probs, keys)])
+    return counts @ values / shots
+
+
 def sampled_gradient(op: PoissonOperator, circuit: AnsatzCircuit, theta: np.ndarray,
                      f: Statevector, shots_per_term: int | Sequence[int],
                      seed: int) -> np.ndarray:
@@ -172,5 +194,5 @@ def sampled_gradient(op: PoissonOperator, circuit: AnsatzCircuit, theta: np.ndar
     shots = _shots_per_term(shots_per_term, 1 + len(op.terms))
     return parameter_shift_gradient(
         op, circuit, theta, f, base,
-        lambda slot, term, state, axes, key: sample_term(
-            term, state, shots[slot], derive_seed(seed, *key), axes).mean)
+        lambda slot, term, rows, axes, keys: _sample_rows(term, rows, axes, shots[slot],
+                                                          seed, keys))

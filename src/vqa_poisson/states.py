@@ -3,8 +3,9 @@
 Index convention: basis state |i> stores qubit q in bit q of i, so qubit 0 is
 the least-significant bit.  All gates here (X, H, R_Y, CZ) are real matrices;
 circuits built from them keep amplitudes real.  The layered ansatz is therefore
-simulated on real float64 arrays: a forward sweep for its state
-and a reverse (adjoint) sweep for its gradients.
+simulated on real float64 arrays: a forward sweep for its state (or, in one
+sweep, for a stack of parameter vectors) and a reverse (adjoint) sweep for its
+gradients.
 """
 
 from __future__ import annotations
@@ -56,8 +57,12 @@ class Statevector:
             raise ValueError("register sizes differ")
         return complex(np.vdot(self.amplitudes, other.amplitudes))
 
-    def probabilities(self) -> np.ndarray:
-        return np.abs(self.amplitudes) ** 2
+
+def _real_if_real(amps: np.ndarray) -> np.ndarray:
+    """``amps`` as a float64 copy when every imaginary part is zero, else unchanged."""
+    if np.iscomplexobj(amps) and not amps.imag.any():
+        return amps.real.copy()
+    return amps
 
 
 def _check_qubits(n_qubits: int, qubits: Sequence[int]) -> None:
@@ -169,10 +174,13 @@ def _ry_pi_tables(n_qubits: int) -> tuple[np.ndarray, np.ndarray]:
     return index, sign
 
 
-def _ry_column(amps: np.ndarray, angles: np.ndarray) -> None:
-    """R_Y(angles[q]) on every qubit q of a (rows, 2^n) array, in place."""
-    for q, angle in enumerate(angles):
-        c, s = np.cos(angle / 2.0), np.sin(angle / 2.0)
+def _ry_column(amps: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> None:
+    """R_Y on every qubit q of a (rows, 2^n) array, in place.
+
+    ``cos[q]``/``sin[q]`` are the cosine and sine of qubit q's half-angle:
+    scalars, or (rows, 1, 1) arrays for one angle per row.
+    """
+    for q, (c, s) in enumerate(zip(cos, sin)):
         _apply_single_qubit(amps, q, c, -s, s, c)
 
 
@@ -185,17 +193,35 @@ def _checked_theta(circuit: AnsatzCircuit, theta: np.ndarray) -> np.ndarray:
     return theta
 
 
+def _forward_sweep(circuit: AnsatzCircuit, half_angles: np.ndarray, rows: int) -> np.ndarray:
+    """(rows, 2^n) amplitudes of the ansatz; half_angles[i] is theta_i / 2,
+    a scalar or one value per row."""
+    n = circuit.n_qubits
+    cos, sin = np.cos(half_angles), np.sin(half_angles)
+    amps = np.zeros((rows, 1 << n))
+    amps[:, 0] = 1.0
+    _ry_column(amps, cos[:n], sin[:n])
+    for layer in range(circuit.n_layers):
+        amps *= _cz_brick_signs(n, layer % 2)
+        column = slice((layer + 1) * n, (layer + 2) * n)
+        _ry_column(amps, cos[column], sin[column])
+    return amps
+
+
 def ansatz_amplitudes(circuit: AnsatzCircuit, theta: np.ndarray) -> np.ndarray:
     """Real amplitudes of U(theta)|0...0> for the alternating layered ansatz."""
     theta = _checked_theta(circuit, theta)
-    n = circuit.n_qubits
-    amps = np.zeros((1, 1 << n))
-    amps[0, 0] = 1.0
-    _ry_column(amps, theta[:n])
-    for layer in range(circuit.n_layers):
-        amps *= _cz_brick_signs(n, layer % 2)
-        _ry_column(amps, theta[(layer + 1) * n:(layer + 2) * n])
-    return amps[0]
+    return _forward_sweep(circuit, theta / 2.0, 1)[0]
+
+
+def ansatz_amplitude_rows(circuit: AnsatzCircuit, thetas: np.ndarray) -> np.ndarray:
+    """Row r of the result is :func:`ansatz_amplitudes` at thetas[r], from one sweep."""
+    thetas = np.asarray(thetas, dtype=float)
+    if thetas.ndim != 2 or thetas.shape[1] != circuit.parameter_count:
+        raise ValueError(
+            f"thetas must have shape (rows, {circuit.parameter_count}), got {thetas.shape}"
+        )
+    return _forward_sweep(circuit, thetas.T[:, :, None, None] / 2.0, thetas.shape[0])
 
 
 def ansatz_adjoint(circuit: AnsatzCircuit, theta: np.ndarray, psi: np.ndarray,
@@ -212,12 +238,14 @@ def ansatz_adjoint(circuit: AnsatzCircuit, theta: np.ndarray, psi: np.ndarray,
     n = circuit.n_qubits
     index, sign = _ry_pi_tables(n)
     pair = np.stack([psi, lam])
+    half = -theta / 2.0
+    cos, sin = np.cos(half), np.sin(half)
     grad = np.empty(circuit.parameter_count)
     for column in range(circuit.n_layers, -1, -1):
         base = column * n
         grad[base:base + n] = 0.5 * ((pair[0][index] * sign) @ pair[1])
         if column:
-            _ry_column(pair, -theta[base:base + n])
+            _ry_column(pair, cos[base:base + n], sin[base:base + n])
             pair *= _cz_brick_signs(n, (column - 1) % 2)
     return grad
 

@@ -123,8 +123,10 @@ def test_usage_errors_exit_two(tmp_path):
     for flags in bad_flags:
         assert main([*flags, "--out", str(tmp_path)]) == 2, flags
     bad_config = tmp_path / "bad.cfg"
-    bad_config.write_text("layers = two\n")
-    assert main(["solve", "--config", str(bad_config), "--out", str(tmp_path)]) == 2
+    for text in ("layers = two\n", "mode = sampeld\n", "method = basline\n"):
+        bad_config.write_text(text)
+        assert main(["solve", "--config", str(bad_config), "--n", "2", "--trials", "1",
+                     "--out", str(tmp_path)]) == 2, text
     with pytest.raises(SystemExit):
         main(["not-an-experiment"])
 

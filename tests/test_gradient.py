@@ -150,16 +150,17 @@ def test_parameter_shift_estimator_slots_and_keys(rng):
     theta = random_theta(rng, circuit)
     calls = []
 
-    def estimate(slot, term, state, axes, key):
-        calls.append((slot, key))
-        return expectation(term, state, axes)
+    def estimate(slot, term, rows, axes, keys):
+        assert len(rows) == len(keys)
+        calls.extend((slot, key) for key in keys)
+        return np.array([expectation(term, Statevector(row), axes) for row in rows])
 
     grad = parameter_shift_gradient(op, circuit, theta, f, cost(op, circuit, theta, f),
                                     estimate)
-    terms = range(len(op.terms))
-    assert calls == [call for i in range(circuit.parameter_count)
-                     for call in [(0, (1, i))] + [(k + 1, (branch, i, k))
-                                                  for branch in (2, 3) for k in terms]]
+    params = range(circuit.parameter_count)
+    assert calls == ([(0, (1, i)) for i in params]
+                     + [(k + 1, (branch, i, k)) for branch in (2, 3)
+                        for k in range(len(op.terms)) for i in params])
     np.testing.assert_allclose(grad, grad_cost(op, circuit, theta, f).grad, atol=1e-12)
 
 
@@ -259,3 +260,15 @@ def test_grad_numerator_with_complex_source(phase, rng):
     oracle = [0.5 * numerator_hadamard(shifted_state(circuit, theta, i), f)
               for i in range(circuit.parameter_count)]
     np.testing.assert_allclose(grad, oracle, atol=1e-12)
+
+
+@pytest.mark.parametrize("phase", [1j, np.exp(0.3j)])
+def test_parameter_shift_route_with_complex_source(phase, rng):
+    step = StepFunctionSource()
+    source = CustomSource(lambda s: Statevector(phase * step.apply(s).amplitudes))
+    f = prepare_source_state(3, source)
+    op = decompose(3, BoundaryCondition.NEUMANN, 1e-3)
+    circuit = AnsatzCircuit(3, 2)
+    theta = random_theta(rng, circuit)
+    np.testing.assert_allclose(grad_cost_parameter_shift(op, circuit, theta, f).grad,
+                               grad_cost(op, circuit, theta, f).grad, atol=1e-12)

@@ -4,6 +4,7 @@ import pytest
 from vqa_poisson import (AnsatzCircuit, BoundaryCondition, GradNorm, OptimizationConfig,
                          PoissonProblem, TraceDistance, cost, make_problem, minimize,
                          prepare_source_state, run_trials)
+from vqa_poisson import sampling
 from vqa_poisson.optimize import bfgs
 from vqa_poisson.operators import PoissonOperator
 
@@ -118,11 +119,19 @@ def test_mean_iterations_grow_with_qubit_count():
     assert means[-1] > means[0]
 
 
-def test_sampled_mode_runs_and_counts_circuits():
+def test_sampled_mode_runs_and_counts_circuits(monkeypatch):
     problem = make_problem(2, DIRICHLET, n_layers=1)
     config = OptimizationConfig(max_iterations=3, n_trials=1, seed=5,
                                 mode="sampled", shots=512)
+    draws = []
+    draw_counts = sampling.draw_counts
+
+    def counted(*args):
+        draws.append(args)
+        return draw_counts(*args)
+
+    monkeypatch.setattr(sampling, "draw_counts", counted)
     trace = minimize(problem, config, trial_seed=9)
-    # 4 circuits per cost evaluation were actually sampled
-    assert trace.circuit_executions > 0
+    # every counted circuit is one outcome distribution the sampler drew
+    assert trace.circuit_executions == len(draws) > 0
     assert trace.iterations_used <= 3

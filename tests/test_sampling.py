@@ -1,13 +1,15 @@
 import numpy as np
 import pytest
 
-from vqa_poisson import (AnsatzCircuit, BoundaryCondition, ObservableTerm,
-                         PoissonOperator, Statevector, UnstableEstimateError,
-                         ancilla_x_term, cost, decompose, derive_seed, grad_cost,
+from vqa_poisson import (AnsatzCircuit, BoundaryCondition, CustomSource, ObservableTerm,
+                         PoissonOperator, Statevector, StepFunctionSource,
+                         UnstableEstimateError, ancilla_x_term, build_fdm_kron, cost,
+                         count_sampled_gradient_circuits, decompose, derive_seed, grad_cost,
                          numerator_hadamard, predict_mse, prepare_ansatz_state,
                          prepare_source_state, prepare_superposition_state, sample_cost,
                          sample_cost_estimates, sample_term, sampled_gradient,
                          term_shot_moments)
+from vqa_poisson import sampling
 from vqa_poisson.operators import FACTOR_I, FACTOR_P0, FACTOR_X
 
 from conftest import random_theta
@@ -196,16 +198,16 @@ def test_sampled_streams_are_pinned():
     report, estimates = sample_cost_estimates(op, circuit, theta, f,
                                               [64, 128, 256, 512, 1024], 2024)
     np.testing.assert_allclose([e.mean for e in estimates],
-                               [-0.5, 0.203125, -0.5703125, -0.2265625, -0.017578125],
+                               [-0.71875, 0.390625, -0.4609375, -0.234375, -0.0087890625],
                                rtol=0, atol=1e-15)
     np.testing.assert_allclose([e.sample_variance for e in estimates],
-                               [0.7619047619047619, 0.9662893700787402, 0.6773897058823529,
-                                0.17557485322896282, 0.22060957355816227], rtol=1e-12)
-    assert report.energy == pytest.approx(-0.08994929108714962, rel=1e-12)
+                               [0.49107142857142855, 0.8540846456692913, 0.790625,
+                                0.1797945205479452, 0.24527947061339198], rtol=1e-12)
+    assert report.energy == pytest.approx(-0.1530650037268001, rel=1e-12)
     np.testing.assert_allclose(
         sampled_gradient(op, circuit, theta, f, 256, 2024),
-        [-0.14402267627964635, -0.01262375434920211, 0.16441600964595177,
-         0.06230378789428322], rtol=1e-12)
+        [-0.14286670042226937, 0.017575328681217275, 0.15872253185272442,
+         0.05383162695272682], rtol=1e-12)
 
 
 def test_shot_values_match_per_qubit_reference():
@@ -224,3 +226,50 @@ def test_shot_values_match_per_qubit_reference():
                 elif f == FACTOR_P0:
                     expected = expected * (((idx >> q) & 1) == 0)
             np.testing.assert_array_equal(values, expected)
+
+
+def test_count_moments_match_per_shot_expansion():
+    psi = prepare_ansatz_state(AnsatzCircuit(3, 2), np.linspace(0.4, 2.9, 9))
+    term = decompose(3, BoundaryCondition.NEUMANN, 1e-3).terms[-1]
+    probs, values = sampling._measurement_distribution(term, psi, None)
+    for shots, seed in ((2, 1), (64, 2), (1000, 3), (16384, 4)):
+        est = sample_term(term, psi, shots, seed)
+        counts = sampling.draw_counts(probs, shots, seed)
+        assert counts.sum() == shots
+        samples = np.repeat(values, counts)
+        assert est.mean == pytest.approx(samples.mean(), abs=1e-12)
+        assert est.sample_variance == pytest.approx(samples.var(ddof=1), abs=1e-12)
+
+
+def test_sampled_gradient_draws_its_circuit_count(monkeypatch):
+    op = decompose(2, BoundaryCondition.NEUMANN, 1e-3)
+    circuit = AnsatzCircuit(2, 1)
+    f = prepare_source_state(2)
+    draws = []
+    draw = sampling.draw_counts
+    monkeypatch.setattr(sampling, "draw_counts",
+                        lambda *args: draws.append(args[1]) or draw(*args))
+    sampled_gradient(op, circuit, np.linspace(0.1, 1.0, 4), f, [8, 16, 32, 64, 128], 3)
+    assert len(draws) == count_sampled_gradient_circuits(op, circuit.parameter_count) == 41
+    # the base cost, then per slot one draw per parameter at that slot's shots
+    assert draws[:5] == [8, 16, 32, 64, 128]
+    assert draws[5:9] == [8] * 4
+
+
+def _step_source(phase):
+    step = StepFunctionSource()
+    return CustomSource(lambda s: Statevector(phase * step.apply(s).amplitudes))
+
+
+@pytest.mark.parametrize("phase", [1.0, np.exp(0.3j), 1j])
+def test_sampled_gradient_approaches_exact_on_two_axes(phase):
+    op = build_fdm_kron(2, 2, BoundaryCondition.NEUMANN, 1e-3)
+    circuit = AnsatzCircuit(op.n_qubits, 2)
+    f = prepare_source_state(op.n_qubits, _step_source(phase))
+    # a theta whose gradient norm (0.11 for the real source) is well above the shot noise
+    theta = random_theta(np.random.default_rng(0), circuit)
+    exact = grad_cost(op, circuit, theta, f).grad
+    sampled = sampled_gradient(op, circuit, theta, f, 100_000, seed=23)
+    # Re<psi|i f> = 0 for a real psi, so the i|f> gradient vanishes
+    scale = max(np.linalg.norm(exact), 1e-3)
+    assert np.linalg.norm(sampled - exact) < 0.05 * scale

@@ -7,6 +7,7 @@ from vqa_poisson import (AnsatzCircuit, CustomSource, Statevector, StepFunctionS
                          apply_cz, apply_h, apply_ry, apply_x,
                          prepare_ansatz_state, prepare_source_state,
                          prepare_superposition_state)
+from vqa_poisson.states import ansatz_amplitude_rows, ansatz_amplitudes
 
 from conftest import random_real_state
 
@@ -109,6 +110,25 @@ def test_ansatz_state_is_bit_identical_to_gate_by_gate_reference(n, rng):
                 reference = apply_ry(reference, theta[(layer + 1) * n + q], q)
         state = prepare_ansatz_state(circuit, theta)
         assert np.array_equal(state.amplitudes, reference.amplitudes)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_batched_sweep_matches_per_theta_states(n, rng):
+    for layers in range(4):
+        circuit = AnsatzCircuit(n, layers)
+        thetas = rng.uniform(0, 4 * np.pi, (5, circuit.parameter_count))
+        rows = ansatz_amplitude_rows(circuit, thetas)
+        assert rows.shape == (5, 1 << n)
+        for theta, row in zip(thetas, rows):
+            assert np.array_equal(row, ansatz_amplitudes(circuit, theta))
+
+
+def test_batched_sweep_rejects_wrong_shape():
+    circuit = AnsatzCircuit(2, 1)
+    with pytest.raises(ValueError):
+        ansatz_amplitude_rows(circuit, np.zeros(4))
+    with pytest.raises(ValueError):
+        ansatz_amplitude_rows(circuit, np.zeros((3, 5)))
 
 
 def test_ansatz_rejects_wrong_theta_length():
