@@ -357,8 +357,10 @@ def _run_circuit_count_vs_n(config: ExperimentConfig, out: Path) -> tuple[list[s
                 break
             except UnstableEstimateError:
                 shots *= 4
-        executed = len(estimates)
-        assert executed == measured_circuit_count(op)
+        executed, expected = len(estimates), measured_circuit_count(op)
+        if executed != expected:
+            raise RuntimeError(f"n={n}: one cost evaluation measured {executed} circuits, "
+                               f"the operator counts {expected}")
         rows.append([n, config.bc.value, executed, count_baseline_circuits(n)])
         report = resource_report(n, config.layers, config.bc)
         res_rows.append([n, report.t_c, report.t_g, report.shift_rel_phase_toffolis,

@@ -88,15 +88,15 @@ def parameter_shift_gradient(op: PoissonOperator, circuit: AnsatzCircuit, theta:
     """Cost gradient from shifted circuits, with each term's values from `estimate`.
 
     ``base`` is the cost report at theta.  Per parameter i, the numerator
-    derivative is half the numerator at theta_i + pi (key ``(1, i)``) and the
-    denominator derivative is half the difference of the term sums at
-    theta_i +- pi/2 (parameter-shift rule, Schuld et al., arXiv:1811.11184;
-    keys ``(2, i, k)`` and ``(3, i, k)``).  One forward sweep prepares all 3P
-    shifted states.  ``estimate(slot, term, rows, axes, keys)`` returns one
-    expectation per row of the (P, 2^m) amplitude array ``rows``, row i
-    keyed ``keys[i]``; slot 0 is the numerator's ancilla X on the
-    superposition states and slot k + 1 is ``op.terms[k]``.  No circuit
-    superposes a shifted and an unshifted ansatz state.
+    derivative is half the numerator at theta_i + pi and the denominator
+    derivative is half the difference of the term sums at theta_i +- pi/2
+    (parameter-shift rule, Schuld et al., arXiv:1811.11184).  One forward
+    sweep prepares all 3P shifted states.  ``estimate(slot, term, rows, axes,
+    key)`` returns one expectation per row of the (P, 2^m) amplitude array
+    ``rows``, the P shifted circuits of one measured group; slot 0 is the
+    numerator's ancilla X on the superposition states (key ``(1,)``) and slot
+    k + 1 is ``op.terms[k]`` at theta +- pi/2 (keys ``(2, k)`` and ``(3, k)``).
+    No circuit superposes a shifted and an unshifted ansatz state.
     """
     theta = np.asarray(theta, dtype=float)
     count = circuit.parameter_count
@@ -107,12 +107,12 @@ def parameter_shift_gradient(op: PoissonOperator, circuit: AnsatzCircuit, theta:
         3, count, -1)
     f_amps = np.broadcast_to(_real_if_real(f.amplitudes), pi_rows.shape)
     sup = np.concatenate([f_amps, pi_rows], axis=1) / np.sqrt(2.0)
-    g_num = estimate(0, ancilla_x_term(op.n_qubits), sup, None, [(1, i) for i in params])
+    g_num = estimate(0, ancilla_x_term(op.n_qubits), sup, None, (1,))
     branch_sums = []
     for branch, rows in zip((2, 3), branch_rows):
         total = np.zeros(count)
         for k, term in enumerate(op.terms):
-            total += estimate(k + 1, term, rows, op.axes, [(branch, i, k) for i in params])
+            total += estimate(k + 1, term, rows, op.axes, (branch, k))
         branch_sums.append(total)
     d_den = 0.5 * (branch_sums[0] - branch_sums[1])
     num, den = base.numerator, base.denominator
@@ -124,7 +124,7 @@ def grad_cost_parameter_shift(op: PoissonOperator, circuit: AnsatzCircuit,
     """Same gradient as :func:`grad_cost` through exact shifted-circuit expectations."""
     grad = parameter_shift_gradient(
         op, circuit, theta, f, cost(op, circuit, theta, f),
-        lambda slot, term, rows, axes, keys: np.array(
+        lambda slot, term, rows, axes, key: np.array(
             [expectation(term, Statevector(row), axes) for row in rows]))
     return GradientReport(grad=grad, norm=float(np.linalg.norm(grad)))
 

@@ -4,8 +4,10 @@ Measurement protocol per term: apply the register shifts, rotate every X
 factor into the computational basis with a Hadamard, draw outcome counts for
 all shots at once from the squared amplitudes (one multinomial draw), and
 score each outcome as coefficient * (+-1 per X bit) * (0/1 per projector
-bit).  Every term draws from an independently derived stream so term
-estimates are uncorrelated, and all estimates are deterministic in the seed.
+bit).  Every measured group draws from one independently derived stream:
+a term in a cost estimate, or the P shifted rows of one (slot, branch) in the
+gradient, whose rows are independent multinomial draws from that stream.
+Group estimates are uncorrelated, and all are deterministic in the seed.
 """
 
 from __future__ import annotations
@@ -46,7 +48,11 @@ def derive_seed(seed: int, *key: int) -> int:
 
 
 def draw_counts(probs: np.ndarray, shots: int, seed: int) -> np.ndarray:
-    """Outcome counts of `shots` draws from `probs`, on the stream of `seed`."""
+    """Outcome counts of `shots` draws from `probs`, on the stream of `seed`.
+
+    A (rows, outcomes) `probs` gives one independent count row per
+    probability row, all from the one stream.
+    """
     return np.random.default_rng(np.random.SeedSequence(seed)).multinomial(shots, probs)
 
 
@@ -174,12 +180,10 @@ def predict_mse(r_opt: float, variances: Sequence[float],
 
 
 def _sample_rows(term: ObservableTerm, rows: np.ndarray, axes: tuple[int, ...] | None,
-                 shots: int, seed: int, keys: Sequence[tuple[int, ...]]) -> np.ndarray:
-    """Shot-estimated term mean of every row; row i draws on stream ``keys[i]``."""
+                 shots: int, seed: int, key: tuple[int, ...]) -> np.ndarray:
+    """Shot-estimated term mean of every row, all rows drawn on the stream of ``key``."""
     probs, values = _row_distributions(term, rows, axes)
-    counts = np.array([draw_counts(p, shots, derive_seed(seed, *key))
-                       for p, key in zip(probs, keys)])
-    return counts @ values / shots
+    return draw_counts(probs, shots, derive_seed(seed, *key)) @ values / shots
 
 
 def sampled_gradient(op: PoissonOperator, circuit: AnsatzCircuit, theta: np.ndarray,
@@ -187,12 +191,14 @@ def sampled_gradient(op: PoissonOperator, circuit: AnsatzCircuit, theta: np.ndar
                      seed: int) -> np.ndarray:
     """Shot-based cost gradient via :func:`~vqa_poisson.gradient.parameter_shift_gradient`.
 
-    Every term estimate draws from a stream derived from its key (parameter,
-    branch, term); the base cost uses stream 0.
+    The base cost is :func:`sample_cost_estimates` at ``derive_seed(seed, 0)``.  Each
+    measured group of P shifted circuits draws its P count rows from one
+    stream keyed by the group: ``(1,)`` for the pi-shifted numerator and
+    ``(branch, k)`` for term k at theta +- pi/2 (branch 2 and 3).
     """
     base, _ = sample_cost_estimates(op, circuit, theta, f, shots_per_term, derive_seed(seed, 0))
     shots = _shots_per_term(shots_per_term, 1 + len(op.terms))
     return parameter_shift_gradient(
         op, circuit, theta, f, base,
-        lambda slot, term, rows, axes, keys: _sample_rows(term, rows, axes, shots[slot],
-                                                          seed, keys))
+        lambda slot, term, rows, axes, key: _sample_rows(term, rows, axes, shots[slot],
+                                                         seed, key))

@@ -133,3 +133,12 @@ def test_usage_errors_exit_two(tmp_path):
 
 def test_shot_range_rejected_for_single_shot_experiments(tmp_path):
     assert main(["solve", "--shots", "64:128", "--out", str(tmp_path)]) == 2
+
+
+def test_circuit_count_mismatch_exits_one(tmp_path, monkeypatch, capsys):
+    from vqa_poisson import cli
+    count = cli.measured_circuit_count
+    monkeypatch.setattr(cli, "measured_circuit_count", lambda op: count(op) + 1)
+    assert main(["circuit-count-vs-n", "--n", "2", "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert "measured 4 circuits" in err and "counts 5" in err

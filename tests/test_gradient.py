@@ -150,17 +150,17 @@ def test_parameter_shift_estimator_slots_and_keys(rng):
     theta = random_theta(rng, circuit)
     calls = []
 
-    def estimate(slot, term, rows, axes, keys):
-        assert len(rows) == len(keys)
-        calls.extend((slot, key) for key in keys)
+    def estimate(slot, term, rows, axes, key):
+        # one call per measured group, carrying all P shifted rows
+        assert len(rows) == circuit.parameter_count
+        calls.append((slot, key))
         return np.array([expectation(term, Statevector(row), axes) for row in rows])
 
     grad = parameter_shift_gradient(op, circuit, theta, f, cost(op, circuit, theta, f),
                                     estimate)
-    params = range(circuit.parameter_count)
-    assert calls == ([(0, (1, i)) for i in params]
-                     + [(k + 1, (branch, i, k)) for branch in (2, 3)
-                        for k in range(len(op.terms)) for i in params])
+    assert calls == ([(0, (1,))]
+                     + [(k + 1, (branch, k)) for branch in (2, 3)
+                        for k in range(len(op.terms))])
     np.testing.assert_allclose(grad, grad_cost(op, circuit, theta, f).grad, atol=1e-12)
 
 

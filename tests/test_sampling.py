@@ -206,8 +206,8 @@ def test_sampled_streams_are_pinned():
     assert report.energy == pytest.approx(-0.1530650037268001, rel=1e-12)
     np.testing.assert_allclose(
         sampled_gradient(op, circuit, theta, f, 256, 2024),
-        [-0.14286670042226937, 0.017575328681217275, 0.15872253185272442,
-         0.05383162695272682], rtol=1e-12)
+        [-0.14027662245319894, 0.004226843694758651, 0.1546887283831384,
+         0.07522014170333281], rtol=1e-12)
 
 
 def test_shot_values_match_per_qubit_reference():
@@ -245,15 +245,51 @@ def test_sampled_gradient_draws_its_circuit_count(monkeypatch):
     op = decompose(2, BoundaryCondition.NEUMANN, 1e-3)
     circuit = AnsatzCircuit(2, 1)
     f = prepare_source_state(2)
-    draws = []
+    draws = []  # (distributions drawn, shots) per draw_counts call
     draw = sampling.draw_counts
     monkeypatch.setattr(sampling, "draw_counts",
-                        lambda *args: draws.append(args[1]) or draw(*args))
+                        lambda probs, shots, seed: draws.append(
+                            (np.atleast_2d(probs).shape[0], shots)) or draw(probs, shots, seed))
     sampled_gradient(op, circuit, np.linspace(0.1, 1.0, 4), f, [8, 16, 32, 64, 128], 3)
-    assert len(draws) == count_sampled_gradient_circuits(op, circuit.parameter_count) == 41
-    # the base cost, then per slot one draw per parameter at that slot's shots
-    assert draws[:5] == [8, 16, 32, 64, 128]
-    assert draws[5:9] == [8] * 4
+    rows = [r for r, _ in draws]
+    assert sum(rows) == count_sampled_gradient_circuits(op, circuit.parameter_count) == 41
+    # one stream per measured group: (1 + T) single draws for the base cost,
+    # then (1 + 2T) draws of all P rows, each at its slot's shots
+    terms = len(op.terms)
+    assert len(draws) == (1 + terms) + (1 + 2 * terms) == 14
+    assert draws[:5] == [(1, 8), (1, 16), (1, 32), (1, 64), (1, 128)]
+    assert draws[5:] == [(4, 8)] + [(4, s) for s in (16, 32, 64, 128)] * 2
+
+
+def test_identical_rows_draw_independent_counts(monkeypatch):
+    # one stream per group must still give every row its own draw, not one
+    # draw broadcast to all rows
+    psi = prepare_ansatz_state(AnsatzCircuit(3, 2), np.linspace(0.4, 2.9, 9))
+    rows = np.tile(np.real(psi.amplitudes), (6, 1))
+    drawn = []
+    draw = sampling.draw_counts
+    monkeypatch.setattr(sampling, "draw_counts",
+                        lambda *args: drawn.append(draw(*args)) or drawn[-1])
+    means = sampling._sample_rows(x_term(3), rows, None, 1024, 17, (2, 0))
+    (counts,) = drawn
+    assert counts.shape == (6, 8)
+    assert len({tuple(row) for row in counts}) > 1
+    assert len(set(means)) > 1
+
+
+def test_row_counts_sum_to_shots():
+    rng = np.random.default_rng(3)
+    probs = rng.dirichlet(np.ones(16), size=5)
+    for shots in (1, 64, 1000):
+        np.testing.assert_array_equal(sampling.draw_counts(probs, shots, 9).sum(axis=1),
+                                      [shots] * 5)
+
+
+def test_single_distribution_stream_is_unchanged():
+    probs = np.random.default_rng(4).dirichlet(np.ones(8))
+    for shots, seed in ((64, 0), (1024, 2024), (16384, derive_seed(7, 1))):
+        expected = np.random.default_rng(np.random.SeedSequence(seed)).multinomial(shots, probs)
+        assert np.array_equal(sampling.draw_counts(probs, shots, seed), expected)
 
 
 def _step_source(phase):
