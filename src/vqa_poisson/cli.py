@@ -32,7 +32,7 @@ from .optimize import (GradNorm, OptimizationConfig, TraceDistance, make_problem
 from .resources import count_baseline_circuits, resource_report
 from .sampling import (UnstableEstimateError, derive_seed, draw_counts,
                        sample_cost_estimates, sampled_gradient)
-from .states import AnsatzCircuit, prepare_ansatz_state, prepare_source_state
+from .states import AnsatzCircuit, ansatz_amplitudes, prepare_ansatz_state, prepare_source_state
 
 EXPERIMENTS = (
     "solve",
@@ -107,13 +107,7 @@ def _parse_bounds(text: str) -> tuple[int, int]:
 
 
 def _powers_of_two(lo: int, hi: int) -> list[int]:
-    out = []
-    s = 1
-    while s < lo:
-        s *= 2
-    while s <= hi:
-        out.append(s)
-        s *= 2
+    out = [1 << k for k in range(hi.bit_length()) if 1 << k >= lo]
     if not out:
         raise UsageError(f"no powers of two inside shot range {lo}:{hi}")
     return out
@@ -265,8 +259,7 @@ def _write_manifest(path: Path, config: ExperimentConfig, summary: list[str]) ->
 
 
 def _loglog_slope(x: np.ndarray, y: np.ndarray) -> float:
-    coeffs = np.polyfit(np.log10(x), np.log10(y), 1)
-    return float(coeffs[0])
+    return float(np.polyfit(np.log10(x), np.log10(y), 1)[0])
 
 
 def _optimizer_config(config: ExperimentConfig, terminal) -> OptimizationConfig:
@@ -284,11 +277,9 @@ def _run_solve(config: ExperimentConfig, out: Path) -> tuple[list[str], int]:
     n = config.n_values[0]
     problem = make_problem(n, config.bc, config.layers, config.resolved_epsilon)
     result = run_trials(problem, _optimizer_config(config, GradNorm(config.grad_threshold)))
-    rows = []
-    for k, t in enumerate(result.traces):
-        rows.append([k, t.status, t.iterations_used, t.circuit_executions,
-                     t.final_report.energy, t.final_report.r_opt,
-                     t.trace_distance, t.final_gradient_norm])
+    rows = [[k, t.status, t.iterations_used, t.circuit_executions, t.final_report.energy,
+             t.final_report.r_opt, t.trace_distance, t.final_gradient_norm]
+            for k, t in enumerate(result.traces)]
     _write_csv(out / "results.csv",
                ["trial", "status", "iterations", "circuit_executions", "energy",
                 "r_opt", "trace_distance", "grad_norm"], rows)
@@ -306,14 +297,10 @@ def _run_solution_field(config: ExperimentConfig, out: Path) -> tuple[list[str],
     problem = make_problem(n, config.bc, config.layers, config.resolved_epsilon)
     result = run_trials(problem, _optimizer_config(config, GradNorm(config.grad_threshold)))
     classical = problem.classical().u
-    solutions = []
-    for t in result.traces:
-        psi = prepare_ansatz_state(problem.circuit, t.final_theta)
-        solutions.append(t.final_report.r_opt * np.real(psi.amplitudes))
+    solutions = [t.final_report.r_opt * ansatz_amplitudes(problem.circuit, t.final_theta)
+                 for t in result.traces]
     header = ["node", "classical"] + [f"trial_{k}" for k in range(len(solutions))]
-    rows = []
-    for node in range(1 << n):
-        rows.append([node, classical[node]] + [sol[node] for sol in solutions])
+    rows = [[node, classical[node]] + [sol[node] for sol in solutions] for node in range(1 << n)]
     _write_csv(out / "results.csv", header, rows)
     stacked = np.stack(solutions)
     fig_rows = [[node, classical[node], stacked[:, node].mean(), stacked[:, node].std()]
@@ -339,14 +326,18 @@ def _run_trace_distance_vs_n(config: ExperimentConfig, out: Path) -> tuple[list[
     return [], 0
 
 
+def _fixed_point(config: ExperimentConfig, n: int):
+    """Operator, ansatz, source and seeded evaluation point of a fixed-theta study."""
+    circuit = AnsatzCircuit(n, config.layers)
+    rng = np.random.default_rng(derive_seed(config.seed, n))
+    theta = rng.uniform(0.0, 4.0 * np.pi, circuit.parameter_count)
+    return decompose(n, config.bc, config.resolved_epsilon), circuit, prepare_source_state(n), theta
+
+
 def _run_circuit_count_vs_n(config: ExperimentConfig, out: Path) -> tuple[list[str], int]:
     rows, res_rows = [], []
     for n in config.n_values:
-        op = decompose(n, config.bc, config.resolved_epsilon)
-        circuit = AnsatzCircuit(n, config.layers)
-        f = prepare_source_state(n)
-        rng = np.random.default_rng(derive_seed(config.seed, n))
-        theta = rng.uniform(0.0, 4.0 * np.pi, circuit.parameter_count)
+        op, circuit, f, theta = _fixed_point(config, n)
         # runtime count: number of shot estimates one cost evaluation produces;
         # raise shots until the sampled denominator stabilizes
         shots = 8
@@ -380,8 +371,7 @@ def _run_circuit_count_vs_n(config: ExperimentConfig, out: Path) -> tuple[list[s
 
 
 def _run_iterations_vs_n(config: ExperimentConfig, out: Path) -> tuple[list[str], int]:
-    rows, fig_rows = [], []
-    means = []
+    rows, fig_rows, means = [], [], []
     for n in config.n_values:
         problem = make_problem(n, config.bc, config.layers, config.resolved_epsilon)
         result = run_trials(problem, _optimizer_config(config, TraceDistance(config.tol)))
@@ -421,12 +411,8 @@ def _sample_baseline_cost(eig_a2, eig_xa, sup: np.ndarray, psi: np.ndarray,
 def _run_shot_error_vs_s(config: ExperimentConfig, out: Path) -> tuple[list[str], int]:
     rows, summary = [], []
     for n in config.n_values:
-        op = decompose(n, config.bc, config.resolved_epsilon)
+        op, circuit, f, theta = _fixed_point(config, n)
         matrix = build_matrix(n, config.bc, config.resolved_epsilon)
-        circuit = AnsatzCircuit(n, config.layers)
-        f = prepare_source_state(n)
-        rng = np.random.default_rng(derive_seed(config.seed, n))
-        theta = rng.uniform(0.0, 4.0 * np.pi, circuit.parameter_count)
         psi = prepare_ansatz_state(circuit, theta)
         if config.method == "baseline":
             exact = baseline_cost(matrix, psi, f).cost
@@ -464,11 +450,7 @@ def _run_shot_error_vs_s(config: ExperimentConfig, out: Path) -> tuple[list[str]
 def _run_grad_similarity_vs_s(config: ExperimentConfig, out: Path) -> tuple[list[str], int]:
     rows, summary = [], []
     for n in config.n_values:
-        op = decompose(n, config.bc, config.resolved_epsilon)
-        circuit = AnsatzCircuit(n, config.layers)
-        f = prepare_source_state(n)
-        rng = np.random.default_rng(derive_seed(config.seed, n))
-        theta = rng.uniform(0.0, 4.0 * np.pi, circuit.parameter_count)
+        op, circuit, f, theta = _fixed_point(config, n)
         exact = grad_cost(op, circuit, theta, f).grad
         exact_norm = np.linalg.norm(exact)
         fig_rows = []
@@ -548,8 +530,7 @@ def _run_fem2d_verify(config: ExperimentConfig, out: Path) -> tuple[list[str], i
     _write_csv(out / "results.csv",
                ["n_x", "n_y", "terms", "constant_offset", "max_abs_error", "exact_match"],
                rows)
-    summary = [f"all_exact = {1 if all_exact else 0}"]
-    return summary, 0 if all_exact else 1
+    return [f"all_exact = {1 if all_exact else 0}"], 0 if all_exact else 1
 
 
 RUNNERS = {

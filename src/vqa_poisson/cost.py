@@ -2,9 +2,11 @@
 
 The cost is E = -(1/2) * numerator^2 / denominator with
 numerator = <f,psi| X (x) I |f,psi> (ancilla Hadamard test, equals Re<psi|f>)
-and denominator = <psi|A|psi> assembled from the operator's measured terms
-plus its constant offset.  :func:`apply_operator` gives A|phi> itself, which
-the adjoint gradient needs.
+and denominator = <psi|A|psi>, the operator's measured terms plus its
+constant offset.  Exact evaluation takes both from dot products with
+A|psi> = :func:`apply_operator` (psi), which the adjoint gradient reuses;
+:func:`numerator_hadamard`, :func:`denominator` and :func:`expectation` are
+the paper's term-by-term circuit estimators, kept as oracles.
 """
 
 from __future__ import annotations
@@ -15,7 +17,8 @@ import numpy as np
 
 from .operators import (FACTOR_I, FACTOR_P0, FACTOR_X, ObservableTerm, PoissonOperator,
                         shift_amplitudes)
-from .states import AnsatzCircuit, Statevector, prepare_ansatz_state, prepare_superposition_state
+from .states import (AnsatzCircuit, Statevector, _real_if_real, ansatz_amplitudes,
+                     prepare_superposition_state)
 
 
 class SingularOperatorError(RuntimeError):
@@ -66,10 +69,6 @@ def apply_factor_product(term: ObservableTerm, amps: np.ndarray) -> np.ndarray:
     return out
 
 
-def _default_axes(term: ObservableTerm, axes: tuple[int, ...] | None) -> tuple[int, ...]:
-    return (term.n_qubits,) if axes is None else axes
-
-
 def expectation(term: ObservableTerm, state: Statevector,
                 axes: tuple[int, ...] | None = None) -> float:
     """coefficient * <P^s phi | M | P^s phi> for the term's shifts s and factors M."""
@@ -77,7 +76,7 @@ def expectation(term: ObservableTerm, state: Statevector,
         raise ValueError(
             f"term acts on {term.n_qubits} qubits, state has {state.n_qubits}"
         )
-    axes = _default_axes(term, axes)
+    axes = (term.n_qubits,) if axes is None else axes
     shifted = shift_amplitudes(state.amplitudes, axes, term.axis_shifts)
     return float(term.coefficient * np.real(np.vdot(shifted, apply_factor_product(term, shifted))))
 
@@ -85,7 +84,7 @@ def expectation(term: ObservableTerm, state: Statevector,
 def apply_term(term: ObservableTerm, amps: np.ndarray,
                axes: tuple[int, ...] | None = None) -> np.ndarray:
     """coefficient * P^-s M P^s |phi>: the term as an operator on raw amplitudes."""
-    axes = _default_axes(term, axes)
+    axes = (term.n_qubits,) if axes is None else axes
     m_shifted = apply_factor_product(term, shift_amplitudes(amps, axes, term.axis_shifts))
     unshift = tuple(-s for s in term.axis_shifts)
     return term.coefficient * shift_amplitudes(m_shifted, axes, unshift)
@@ -125,26 +124,28 @@ def numerator_overlap(psi: Statevector, source) -> float:
     return float(np.sqrt(np.abs(inv.amplitudes[0]) ** 2))
 
 
-def cost_from_state(op: PoissonOperator, psi: Statevector, f: Statevector) -> CostReport:
-    num = numerator_hadamard(psi, f)
-    den = denominator(op, psi)
+def cost_and_a_psi(op: PoissonOperator, psi: np.ndarray,
+                   f: np.ndarray) -> tuple[CostReport, np.ndarray]:
+    """(report, A psi) of amplitude arrays, from num = Re<psi|f> and den = <psi|A psi>."""
+    if psi.size != 1 << op.n_qubits:
+        raise ValueError(f"operator acts on {op.n_qubits} qubits, state has {psi.size} amplitudes")
+    a_psi = apply_operator(op, psi)
+    num, den = float(np.real(np.vdot(psi, f))), float(np.real(np.vdot(psi, a_psi)))
     if den <= 0.0:
-        raise SingularOperatorError(
-            f"denominator {den} is not positive; add regularization epsilon"
-        )
-    return CostReport(
-        numerator=num,
-        denominator=den,
-        r_opt=num / den,
-        energy=-0.5 * num * num / den,
-    )
+        raise SingularOperatorError(f"denominator {den} is not positive; add regularization epsilon")
+    return CostReport(num, den, num / den, -0.5 * num * num / den), a_psi
+
+
+def cost_from_state(op: PoissonOperator, psi: Statevector, f: Statevector) -> CostReport:
+    """The cost of one state through A|psi>; equals the term-by-term circuit
+    estimators :func:`numerator_hadamard` and :func:`denominator` to rounding."""
+    return cost_and_a_psi(op, _real_if_real(psi.amplitudes), _real_if_real(f.amplitudes))[0]
 
 
 def cost(op: PoissonOperator, circuit: AnsatzCircuit, theta: np.ndarray,
          f: Statevector) -> CostReport:
     """Evaluate numerator, denominator, r_opt and the energy at one theta."""
-    psi = prepare_ansatz_state(circuit, theta)
-    return cost_from_state(op, psi, f)
+    return cost_and_a_psi(op, ansatz_amplitudes(circuit, theta), _real_if_real(f.amplitudes))[0]
 
 
 def measured_circuit_count(op: PoissonOperator) -> int:

@@ -21,8 +21,8 @@ from typing import Callable
 
 import numpy as np
 
-from .cost import (CostReport, SingularOperatorError, ancilla_x_term, apply_operator,
-                   apply_term, cost, expectation)
+from .cost import (CostReport, ancilla_x_term, apply_operator, apply_term, cost,
+                   cost_and_a_psi, expectation)
 from .operators import ObservableTerm, PoissonOperator
 from .states import (AnsatzCircuit, Statevector, _real_if_real, ansatz_adjoint,
                      ansatz_amplitude_rows, ansatz_amplitudes, prepare_ansatz_state)
@@ -64,21 +64,24 @@ def term_gradient(term: ObservableTerm, circuit: AnsatzCircuit, theta: np.ndarra
     return ansatz_adjoint(circuit, theta, psi, 2.0 * apply_term(term, psi, axes))
 
 
+def grad_from_state(circuit: AnsatzCircuit, theta: np.ndarray, psi: np.ndarray,
+                    report: CostReport, a_psi: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """Cost gradient from psi, its cost report and A psi at theta: one adjoint
+    sweep with lam = r^2 A psi - r Re f, r = num/den, and no forward sweep."""
+    ratio = report.r_opt
+    return ansatz_adjoint(circuit, theta, psi, ratio * ratio * a_psi - ratio * np.real(f))
+
+
 def grad_cost(op: PoissonOperator, circuit: AnsatzCircuit, theta: np.ndarray,
               f: Statevector) -> GradientReport:
     """dE/d theta_i = -(num/den) Re<d_i psi|f> + (num/den)^2 Re<d_i psi|A|psi>.
 
-    Both parts come from one adjoint sweep with the combined vector lam.
+    One forward sweep gives psi, :func:`~vqa_poisson.cost.cost_and_a_psi` the
+    cost and A psi, and :func:`grad_from_state` the gradient.
     """
     psi = ansatz_amplitudes(circuit, theta)
-    f_real = np.real(f.amplitudes)
-    a_psi = apply_operator(op, psi)
-    num = float(psi @ f_real)
-    den = float(psi @ a_psi)
-    if den <= 0.0:
-        raise SingularOperatorError(f"denominator {den} is not positive")
-    ratio = num / den
-    grad = ansatz_adjoint(circuit, theta, psi, ratio * ratio * a_psi - ratio * f_real)
+    f_amps = _real_if_real(f.amplitudes)
+    grad = grad_from_state(circuit, theta, psi, *cost_and_a_psi(op, psi, f_amps), f_amps)
     return GradientReport(grad=grad, norm=float(np.linalg.norm(grad)))
 
 

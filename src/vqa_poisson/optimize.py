@@ -14,14 +14,14 @@ from typing import Callable
 import numpy as np
 
 from .classical import ClassicalSolution, solve, trace_distance
-from .cost import (CostReport, SingularOperatorError, cost_from_state,
-                   measured_circuit_count)
-from .gradient import grad_cost
+from .cost import CostReport, SingularOperatorError, cost_and_a_psi, measured_circuit_count
+from .gradient import grad_from_state
 from .operators import (DEFAULT_EPSILON, BoundaryCondition, PoissonOperator,
                         build_matrix, decompose)
 from .resources import count_sampled_gradient_circuits
 from .sampling import UnstableEstimateError, derive_seed, sample_cost, sampled_gradient
-from .states import AnsatzCircuit, Statevector, prepare_ansatz_state, prepare_source_state
+from .states import (AnsatzCircuit, Statevector, _real_if_real, ansatz_amplitudes,
+                     prepare_ansatz_state, prepare_source_state)
 
 INIT_RANGE = (0.0, 4.0 * np.pi)
 
@@ -96,6 +96,8 @@ class BfgsResult:
     gradient_norms: list[float]
     xs: list[np.ndarray]
     final_gradient_norm: float
+    zero_decrease_steps: int = 0  # accepted steps with candidate >= value
+    skipped_updates: int = 0  # curvature updates skipped for sy <= 1e-12 |s| |y|
 
 
 def bfgs(fun: Callable[[np.ndarray], float], jac: Callable[[np.ndarray], np.ndarray],
@@ -107,12 +109,13 @@ def bfgs(fun: Callable[[np.ndarray], float], jac: Callable[[np.ndarray], np.ndar
     ``stop_when(x, value, gradient)`` is consulted once per iterate;
     evaluation errors from the error classes in this module abort cleanly.
     Statuses: converged, max_iterations, line_search_failed, aborted:<why>.
+    The result counts accepted steps that did not lower the value and
+    skipped inverse-Hessian updates.
     """
     x = np.asarray(x0, dtype=float)
     dim = x.size
-    values: list[float] = []
-    gnorms: list[float] = []
-    xs: list[np.ndarray] = []
+    values, gnorms, xs = [], [], []  # per iterate: value, |gradient|, x if recorded
+    zero_decrease = skipped = 0
 
     try:
         value = fun(x)
@@ -161,6 +164,7 @@ def bfgs(fun: Callable[[np.ndarray], float], jac: Callable[[np.ndarray], np.ndar
         if accepted is None:
             status = "line_search_failed"
             break
+        zero_decrease += int(accepted >= value)
 
         step = alpha * direction
         new_x = x + step
@@ -183,11 +187,13 @@ def bfgs(fun: Callable[[np.ndarray], float], jac: Callable[[np.ndarray], np.ndar
                 @ (np.eye(dim) - rho * outer_sy.T)
                 + rho * np.outer(step, step)
             )
+        else:
+            skipped += 1
         x, value, grad = new_x, accepted, new_grad
         k += 1
 
     final_gnorm = float(np.linalg.norm(grad)) if np.all(np.isfinite(grad)) else np.nan
-    return BfgsResult(x, k, status, values, gnorms, xs, final_gnorm)
+    return BfgsResult(x, k, status, values, gnorms, xs, final_gnorm, zero_decrease, skipped)
 
 
 @dataclass
@@ -202,6 +208,8 @@ class OptimizationTrace:
     circuit_executions: int
     status: str
     trace_distance: float | None = None
+    zero_decrease_steps: int = 0
+    skipped_updates: int = 0
 
 
 @dataclass
@@ -229,8 +237,19 @@ def minimize(problem: PoissonProblem, config: OptimizationConfig,
         theta0 = rng.uniform(config.init_low, config.init_high, count)
 
     t_c = measured_circuit_count(op)
+    f_amps = _real_if_real(f.amplitudes)
     counters = {"circuits": 0, "evals": 0}
-    last: tuple[bytes, CostReport] | None = None  # the latest cost evaluation
+    # The latest cost evaluation, (theta bytes, psi, report, A psi), with psi and
+    # A psi None in sampled mode.  BFGS asks for the gradient where it last
+    # evaluated the cost, so that point's psi and A psi feed the adjoint sweep.
+    last: tuple | None = None
+
+    def exact_at(theta: np.ndarray) -> tuple[np.ndarray, CostReport, np.ndarray]:
+        """(psi, report, A psi) at theta, from the latest evaluation when it was there."""
+        if last is not None and last[0] == theta.tobytes() and last[1] is not None:
+            return last[1:]
+        psi = ansatz_amplitudes(circuit, theta)
+        return (psi, *cost_and_a_psi(op, psi, f_amps))
 
     def eval_cost(theta: np.ndarray) -> float:
         nonlocal last
@@ -239,10 +258,10 @@ def minimize(problem: PoissonProblem, config: OptimizationConfig,
             counters["evals"] += 1
             report = sample_cost(op, circuit, theta, f, config.shots,
                                  derive_seed(trial_seed, 1, counters["evals"]))
+            last = (theta.tobytes(), None, report, None)
         else:
-            report = cost_from_state(op, prepare_ansatz_state(circuit, theta), f)
-        last = (theta.tobytes(), report)
-        return report.energy
+            last = (theta.tobytes(), *exact_at(theta))
+        return last[2].energy
 
     def eval_grad(theta: np.ndarray) -> np.ndarray:
         if config.mode == "sampled":
@@ -251,30 +270,28 @@ def minimize(problem: PoissonProblem, config: OptimizationConfig,
             return sampled_gradient(op, circuit, theta, f, config.shots,
                                     derive_seed(trial_seed, 2, counters["evals"]))
         counters["circuits"] += count * t_c
-        return grad_cost(op, circuit, theta, f).grad
+        return grad_from_state(circuit, theta, *exact_at(theta), f_amps)
 
     reference = problem.classical() if isinstance(config.terminal, TraceDistance) else None
 
     def stop_when(theta: np.ndarray, value: float, grad: np.ndarray) -> bool:
         if isinstance(config.terminal, GradNorm):
             return bool(np.linalg.norm(grad) < config.terminal.threshold)
-        eps_tr = trace_distance(prepare_ansatz_state(circuit, theta),
-                                reference.u_normalized)
+        eps_tr = trace_distance(exact_at(theta)[0], reference.u_normalized)
         return eps_tr < config.terminal.tolerance
 
     result = bfgs(eval_cost, eval_grad, theta0, config.max_iterations, stop_when,
                   record_x=config.record_theta)
 
-    final_report = last[1] if last is not None and last[0] == result.x.tobytes() else None
-    if final_report is None:
-        if result.status.startswith("aborted"):
-            final_report = CostReport(np.nan, np.nan, np.nan, np.nan)
-        else:
-            final_report = cost_from_state(op, prepare_ansatz_state(circuit, result.x), f)
+    if last is not None and last[0] == result.x.tobytes():
+        final_report = last[2]
+    elif result.status.startswith("aborted"):
+        final_report = CostReport(np.nan, np.nan, np.nan, np.nan)
+    else:
+        final_report = exact_at(result.x)[1]
     eps_tr = None
     if reference is not None:
-        eps_tr = trace_distance(prepare_ansatz_state(circuit, result.x),
-                                reference.u_normalized)
+        eps_tr = trace_distance(exact_at(result.x)[0], reference.u_normalized)
     return OptimizationTrace(
         costs=result.values,
         gradient_norms=result.gradient_norms,
@@ -286,6 +303,8 @@ def minimize(problem: PoissonProblem, config: OptimizationConfig,
         circuit_executions=counters["circuits"],
         status=result.status,
         trace_distance=eps_tr,
+        zero_decrease_steps=result.zero_decrease_steps,
+        skipped_updates=result.skipped_updates,
     )
 
 
@@ -305,9 +324,7 @@ def run_trials(problem: PoissonProblem, config: OptimizationConfig) -> TrialsRes
     energies = np.array([t.final_report.energy for t in completed], dtype=float)
 
     def stats(values: np.ndarray) -> tuple[float, float]:
-        if values.size == 0:
-            return np.nan, np.nan
-        return float(values.mean()), float(values.std())
+        return (float(values.mean()), float(values.std())) if values.size else (np.nan, np.nan)
 
     mean_it, std_it = stats(iterations)
     mean_tr, std_tr = stats(distances)

@@ -20,7 +20,7 @@ import numpy as np
 from .cost import CostReport, _factor_masks, ancilla_x_term
 from .gradient import parameter_shift_gradient
 from .operators import ObservableTerm, PoissonOperator, shift_amplitudes
-from .states import (AnsatzCircuit, Statevector, _apply_single_qubit, _real_if_real,
+from .states import (_HADAMARD, AnsatzCircuit, Statevector, _apply_single_qubit, _real_if_real,
                      prepare_ansatz_state, prepare_superposition_state)
 
 
@@ -60,16 +60,14 @@ def _row_distributions(term: ObservableTerm, rows: np.ndarray,
                        axes: tuple[int, ...] | None) -> tuple[np.ndarray, np.ndarray]:
     """(outcome probabilities per row, per-outcome shot values) for one term
     measured on every row of a (rows, 2^n) amplitude array."""
-    if axes is None:
-        axes = (term.n_qubits,)
+    axes = (term.n_qubits,) if axes is None else axes
     rotated = shift_amplitudes(rows, axes, term.axis_shifts)
     xmask, pmask = _factor_masks(term.factors)
     if xmask:
         rotated = np.array(rotated)  # the Hadamards act in place; never on `rows` itself
-        h = 1.0 / np.sqrt(2.0)
         for q in range(term.n_qubits):
             if xmask >> q & 1:
-                _apply_single_qubit(rotated, q, h, h, h, -h)
+                _apply_single_qubit(rotated, q, _HADAMARD)
     probs = np.real(rotated.conj() * rotated)
     probs /= probs.sum(axis=-1, keepdims=True)
     idx = np.arange(probs.shape[-1])

@@ -65,6 +65,9 @@ def _real_if_real(amps: np.ndarray) -> np.ndarray:
     return amps
 
 
+_HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
+
+
 def _check_qubits(n_qubits: int, qubits: Sequence[int]) -> None:
     for q in qubits:
         if not 0 <= q < n_qubits:
@@ -73,15 +76,15 @@ def _check_qubits(n_qubits: int, qubits: Sequence[int]) -> None:
         raise ValueError(f"qubit indices must be distinct, got {tuple(qubits)}")
 
 
-def _apply_single_qubit(amps: np.ndarray, qubit: int,
-                        m00: float, m01: float, m10: float, m11: float) -> None:
-    """2x2 gate on one qubit of every row of a (rows, 2^n) array, in place."""
-    # Stride view: axis 2 is the target qubit's bit.
+def _apply_single_qubit(amps: np.ndarray, qubit: int, gate: np.ndarray) -> None:
+    """2x2 gate on one qubit of every row of a contiguous (rows, 2^n) array, in place.
+
+    ``gate`` is one 2x2 matrix, or a (rows, 1, 2, 2) stack with one per row.
+    """
+    # Stride view: axis 2 is the target qubit's bit, so the gate acts on every
+    # (2, 2^qubit) block by one matrix product.
     view = amps.reshape(amps.shape[0], -1, 2, 1 << qubit)
-    top = view[:, :, 0, :].copy()
-    bot = view[:, :, 1, :]
-    view[:, :, 0, :] = m00 * top + m01 * bot
-    view[:, :, 1, :] = m10 * top + m11 * bot
+    view[...] = np.matmul(gate, view)
 
 
 def _cz_inplace(amps: np.ndarray, qubit_a: int, qubit_b: int) -> None:
@@ -97,22 +100,22 @@ def apply_x(state: Statevector, qubit: int) -> Statevector:
     return Statevector(state.amplitudes[idx ^ (1 << qubit)])
 
 
+def _apply_gate(state: Statevector, qubit: int, gate: np.ndarray) -> Statevector:
+    """2x2 real gate on one qubit: the float64 kernel on the stacked (real, imaginary) parts."""
+    _check_qubits(state.n_qubits, [qubit])
+    parts = np.stack([state.amplitudes.real, state.amplitudes.imag])
+    _apply_single_qubit(parts, qubit, gate)
+    return Statevector(parts[0] + 1j * parts[1])
+
+
 def apply_h(state: Statevector, qubit: int) -> Statevector:
     """Hadamard on one qubit."""
-    _check_qubits(state.n_qubits, [qubit])
-    amps = state.amplitudes.copy()
-    s = 1.0 / np.sqrt(2.0)
-    _apply_single_qubit(amps[None], qubit, s, s, s, -s)
-    return Statevector(amps)
+    return _apply_gate(state, qubit, _HADAMARD)
 
 
 def apply_ry(state: Statevector, angle: float, qubit: int) -> Statevector:
     """R_Y(angle) rotation on one qubit."""
-    _check_qubits(state.n_qubits, [qubit])
-    amps = state.amplitudes.copy()
-    c, s = np.cos(angle / 2.0), np.sin(angle / 2.0)
-    _apply_single_qubit(amps[None], qubit, c, -s, s, c)
-    return Statevector(amps)
+    return _apply_gate(state, qubit, _ry_gates(angle / 2.0))
 
 
 def apply_cz(state: Statevector, qubit_a: int, qubit_b: int) -> Statevector:
@@ -174,14 +177,10 @@ def _ry_pi_tables(n_qubits: int) -> tuple[np.ndarray, np.ndarray]:
     return index, sign
 
 
-def _ry_column(amps: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> None:
-    """R_Y on every qubit q of a (rows, 2^n) array, in place.
-
-    ``cos[q]``/``sin[q]`` are the cosine and sine of qubit q's half-angle:
-    scalars, or (rows, 1, 1) arrays for one angle per row.
-    """
-    for q, (c, s) in enumerate(zip(cos, sin)):
-        _apply_single_qubit(amps, q, c, -s, s, c)
+def _ry_gates(half_angles) -> np.ndarray:
+    """R_Y matrices [[c, -s], [s, c]] of the half-angles, stacked over their shape."""
+    cos, sin = np.cos(half_angles), np.sin(half_angles)
+    return np.stack([cos, -sin, sin, cos], axis=-1).reshape(*np.shape(half_angles), 2, 2)
 
 
 def _checked_theta(circuit: AnsatzCircuit, theta: np.ndarray) -> np.ndarray:
@@ -195,16 +194,16 @@ def _checked_theta(circuit: AnsatzCircuit, theta: np.ndarray) -> np.ndarray:
 
 def _forward_sweep(circuit: AnsatzCircuit, half_angles: np.ndarray, rows: int) -> np.ndarray:
     """(rows, 2^n) amplitudes of the ansatz; half_angles[i] is theta_i / 2,
-    a scalar or one value per row."""
+    of shape (P,), or (P, rows, 1) for one value per row."""
     n = circuit.n_qubits
-    cos, sin = np.cos(half_angles), np.sin(half_angles)
+    gates = _ry_gates(half_angles)
     amps = np.zeros((rows, 1 << n))
     amps[:, 0] = 1.0
-    _ry_column(amps, cos[:n], sin[:n])
-    for layer in range(circuit.n_layers):
-        amps *= _cz_brick_signs(n, layer % 2)
-        column = slice((layer + 1) * n, (layer + 2) * n)
-        _ry_column(amps, cos[column], sin[column])
+    for column in range(circuit.n_layers + 1):
+        if column:
+            amps *= _cz_brick_signs(n, (column - 1) % 2)
+        for q in range(n):
+            _apply_single_qubit(amps, q, gates[column * n + q])
     return amps
 
 
@@ -221,7 +220,7 @@ def ansatz_amplitude_rows(circuit: AnsatzCircuit, thetas: np.ndarray) -> np.ndar
         raise ValueError(
             f"thetas must have shape (rows, {circuit.parameter_count}), got {thetas.shape}"
         )
-    return _forward_sweep(circuit, thetas.T[:, :, None, None] / 2.0, thetas.shape[0])
+    return _forward_sweep(circuit, thetas.T[:, :, None] / 2.0, thetas.shape[0])
 
 
 def ansatz_adjoint(circuit: AnsatzCircuit, theta: np.ndarray, psi: np.ndarray,
@@ -238,14 +237,14 @@ def ansatz_adjoint(circuit: AnsatzCircuit, theta: np.ndarray, psi: np.ndarray,
     n = circuit.n_qubits
     index, sign = _ry_pi_tables(n)
     pair = np.stack([psi, lam])
-    half = -theta / 2.0
-    cos, sin = np.cos(half), np.sin(half)
+    gates = _ry_gates(-theta / 2.0)
     grad = np.empty(circuit.parameter_count)
     for column in range(circuit.n_layers, -1, -1):
         base = column * n
         grad[base:base + n] = 0.5 * ((pair[0][index] * sign) @ pair[1])
         if column:
-            _ry_column(pair, cos[base:base + n], sin[base:base + n])
+            for q in range(n):
+                _apply_single_qubit(pair, q, gates[base + q])
             pair *= _cz_brick_signs(n, (column - 1) % 2)
     return grad
 
@@ -319,5 +318,4 @@ def prepare_superposition_state(a: Statevector, b: Statevector) -> Statevector:
     """(|0>|a> + |1>|b>)/sqrt(2) with the ancilla as the new top qubit."""
     if a.n_qubits != b.n_qubits:
         raise ValueError("register sizes differ")
-    amps = np.concatenate([a.amplitudes, b.amplitudes]) / np.sqrt(2.0)
-    return Statevector(amps)
+    return Statevector(np.concatenate([a.amplitudes, b.amplitudes]) / np.sqrt(2.0))
