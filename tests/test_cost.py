@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from vqa_poisson import (AnsatzCircuit, BoundaryCondition, ObservableTerm,
-                         SingularOperatorError, Statevector, StepFunctionSource,
+from vqa_poisson import (DEFAULT_EPSILON, AnsatzCircuit, BoundaryCondition, CustomSource,
+                         ObservableTerm, SingularOperatorError, Statevector, StepFunctionSource,
                          baseline_cost, build_matrix, cost, cost_from_state, decompose,
                          denominator, expectation, measured_circuit_count,
                          numerator_hadamard, numerator_overlap, prepare_ansatz_state,
@@ -230,3 +230,28 @@ def test_baseline_cost_golden_value_for_step_state():
 @pytest.mark.parametrize("bc,count", [(PERIODIC, 3), (DIRICHLET, 4), (NEUMANN, 5)])
 def test_measured_circuit_count(bc, count):
     assert measured_circuit_count(decompose(4, bc)) == count
+
+
+PHASED_STEP = CustomSource(
+    forward=lambda state: Statevector(np.exp(0.3j) * StepFunctionSource().apply(state).amplitudes))
+
+
+@pytest.mark.parametrize("op,source", [
+    *((decompose(3, bc, DEFAULT_EPSILON[bc]), None) for bc in BoundaryCondition),
+    (build_fem_2d(Mesh2D(2, 1)), None),
+    (build_fdm_kron(2, 2, NEUMANN, 1e-3), None),
+    (decompose(3, DIRICHLET), PHASED_STEP),
+], ids=["periodic", "dirichlet", "neumann", "fem2d", "fdm_kron", "phased_source"])
+def test_cost_through_a_psi_matches_term_by_term_estimators(op, source, rng):
+    # cost_from_state takes num and den from A psi; the paper measures the
+    # ancilla Hadamard test and each term's expectation instead
+    f = prepare_source_state(op.n_qubits, source)
+    circuit = AnsatzCircuit(op.n_qubits, 3)
+    for _ in range(5):
+        psi = prepare_ansatz_state(circuit, random_theta(rng, circuit))
+        report = cost_from_state(op, psi, f)
+        num, den = numerator_hadamard(psi, f), denominator(op, psi)
+        assert abs(report.numerator - num) < 1e-12
+        assert abs(report.denominator - den) < 1e-12
+        assert abs(report.energy + 0.5 * num * num / den) < 1e-12
+        assert abs(report.r_opt - num / den) < 1e-12

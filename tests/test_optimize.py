@@ -3,8 +3,10 @@ import pytest
 
 from vqa_poisson import (AnsatzCircuit, BoundaryCondition, GradNorm, OptimizationConfig,
                          PoissonProblem, TraceDistance, cost, make_problem, minimize,
-                         prepare_source_state, run_trials)
-from vqa_poisson import optimize, sampling
+                         prepare_ansatz_state, prepare_source_state, run_trials)
+from vqa_poisson import gradient, optimize, sampling, states
+from vqa_poisson.classical import trace_distance
+from vqa_poisson.gradient import grad_cost
 from vqa_poisson.optimize import bfgs
 from vqa_poisson.operators import PoissonOperator
 
@@ -150,3 +152,92 @@ def test_sampled_mode_runs_and_counts_circuits(monkeypatch):
     assert gradients
     for rows in gradients:
         assert rows == [1] * (1 + terms) + [params] * (1 + 2 * terms)
+
+
+def test_bfgs_counts_zero_decrease_steps_and_skipped_updates():
+    # Quantized values: backtracking halves alpha until 1e-4 * alpha * slope
+    # rounds away and the Armijo test accepts an equal value.  Quantized
+    # gradients: the tiny step leaves the gradient unchanged, so y = 0 and the
+    # curvature update is skipped.
+    result = bfgs(lambda x: float(np.round(1.0 + x @ x, 3)),
+                  lambda x: np.round(2.0 * x, 3),
+                  np.full(2, 1e-3), max_iterations=4, stop_when=lambda x, v, g: False)
+    assert result.status == "max_iterations"
+    assert result.iterations == 4
+    assert result.zero_decrease_steps == 4
+    assert result.skipped_updates == 4
+    assert all(v == 1.0 for v in result.values)
+
+
+def test_bfgs_counts_nothing_on_a_strictly_decreasing_quadratic(rng):
+    q = np.diag([1.0, 3.0, 10.0])
+    result = bfgs(lambda x: float(x @ q @ x), lambda x: 2.0 * q @ x, rng.normal(size=3),
+                  max_iterations=50, stop_when=lambda x, v, g: np.linalg.norm(g) < 1e-8)
+    assert result.status == "converged"
+    assert result.zero_decrease_steps == 0
+    assert result.skipped_updates == 0
+
+
+def _count_sweeps_and_evaluations(monkeypatch) -> dict:
+    """Count forward sweeps, and the cost and gradient calls minimize's BFGS makes.
+
+    A gradient call that runs a forward sweep fails the test.
+    """
+    seen = {"sweeps": 0, "costs": 0, "gradients": [], "results": []}
+    ansatz_amplitudes, bfgs_run = states.ansatz_amplitudes, optimize.bfgs
+
+    def counted(*args):
+        seen["sweeps"] += 1
+        return ansatz_amplitudes(*args)
+
+    def instrumented_bfgs(fun, jac, *args, **kwargs):
+        def counted_fun(x):
+            seen["costs"] += 1
+            return fun(x)
+
+        def checked_jac(x):
+            before = seen["sweeps"]
+            grad = jac(x)
+            assert seen["sweeps"] == before  # the cost's psi and A psi feed the gradient
+            seen["gradients"].append((x.copy(), grad))
+            return grad
+
+        seen["results"].append(bfgs_run(counted_fun, checked_jac, *args, **kwargs))
+        return seen["results"][-1]
+
+    for module in (states, gradient, optimize):
+        monkeypatch.setattr(module, "ansatz_amplitudes", counted)
+    monkeypatch.setattr(optimize, "bfgs", instrumented_bfgs)
+    return seen
+
+
+def test_exact_minimize_sweeps_once_per_cost_evaluation(monkeypatch):
+    problem = make_problem(3, DIRICHLET)
+    seen = _count_sweeps_and_evaluations(monkeypatch)
+    trace = minimize(problem, OptimizationConfig(max_iterations=10), trial_seed=11)
+    assert trace.status == "max_iterations"
+    # one forward sweep per cost evaluation; none for the gradients or the final report
+    assert seen["sweeps"] == seen["costs"] > trace.iterations_used
+    assert len(seen["gradients"]) == trace.iterations_used + 1
+    monkeypatch.undo()
+    for theta, grad in seen["gradients"]:
+        reference = grad_cost(problem.operator, problem.circuit, theta, problem.source).grad
+        assert np.array_equal(grad, reference)
+    result, = seen["results"]
+    assert trace.zero_decrease_steps == result.zero_decrease_steps
+    assert trace.skipped_updates == result.skipped_updates
+
+
+def test_trace_distance_checks_reuse_the_cost_state(monkeypatch):
+    problem = make_problem(3, DIRICHLET)
+    problem.classical()
+    seen = _count_sweeps_and_evaluations(monkeypatch)
+    config = OptimizationConfig(max_iterations=500, terminal=TraceDistance(0.1))
+    trace = minimize(problem, config, trial_seed=4)
+    assert trace.status == "converged"
+    # the per-iterate stop check and the final trace distance add no sweep
+    assert seen["sweeps"] == seen["costs"]
+    monkeypatch.undo()
+    psi = prepare_ansatz_state(problem.circuit, trace.final_theta)
+    assert trace.trace_distance == pytest.approx(
+        trace_distance(psi, problem.classical().u_normalized), abs=1e-12)

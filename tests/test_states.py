@@ -7,7 +7,8 @@ from vqa_poisson import (AnsatzCircuit, CustomSource, Statevector, StepFunctionS
                          apply_cz, apply_h, apply_ry, apply_x,
                          prepare_ansatz_state, prepare_source_state,
                          prepare_superposition_state)
-from vqa_poisson.states import ansatz_amplitude_rows, ansatz_amplitudes
+from vqa_poisson.states import (_apply_single_qubit, _ry_gates, ansatz_amplitude_rows,
+                                ansatz_amplitudes)
 
 from conftest import random_real_state
 
@@ -205,3 +206,48 @@ def test_ancilla_x_expectation_equals_real_overlap(entropy, n):
     half = 1 << n
     x_expect = 2.0 * np.real(np.vdot(sup.amplitudes[:half], sup.amplitudes[half:]))
     assert abs(x_expect - np.real(a.inner(b))) < 1e-12
+
+
+def _dense_gate(n, qubit, gate):
+    """The 2^n x 2^n matrix of ``gate`` on ``qubit`` (qubit 0 least significant)."""
+    return np.kron(np.kron(np.eye(1 << (n - qubit - 1)), gate), np.eye(1 << qubit))
+
+
+def _ry_matrix(angle):
+    c, s = np.cos(angle / 2.0), np.sin(angle / 2.0)
+    return np.array([[c, -s], [s, c]])
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_gate_kernel_matches_dense_kronecker_oracle(n, rng):
+    rows = rng.normal(size=(4, 1 << n))
+    gate = rng.normal(size=(2, 2))
+    per_row = rng.normal(size=(4, 1, 2, 2))
+    angles = rng.uniform(0, 4 * np.pi, 4)
+    for q in range(n):
+        amps = rows.copy()
+        _apply_single_qubit(amps, q, gate)
+        np.testing.assert_allclose(amps, rows @ _dense_gate(n, q, gate).T, rtol=0, atol=1e-14)
+        amps = rows.copy()
+        _apply_single_qubit(amps, q, per_row)
+        expected = [_dense_gate(n, q, g[0]) @ row for g, row in zip(per_row, rows)]
+        np.testing.assert_allclose(amps, expected, rtol=0, atol=1e-14)
+        # one R_Y angle per row, as the batched sweep builds them
+        amps = rows.copy()
+        _apply_single_qubit(amps, q, _ry_gates(angles[:, None] / 2.0))
+        expected = [_dense_gate(n, q, _ry_matrix(a)) @ row for a, row in zip(angles, rows)]
+        np.testing.assert_allclose(amps, expected, rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_complex_gates_match_dense_kronecker_oracle(n, rng):
+    amps = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+    state = Statevector(amps)
+    hadamard = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
+    for q in range(n):
+        angle = rng.uniform(0, 4 * np.pi)
+        np.testing.assert_allclose(apply_ry(state, angle, q).amplitudes,
+                                   _dense_gate(n, q, _ry_matrix(angle)) @ amps,
+                                   rtol=0, atol=1e-14)
+        np.testing.assert_allclose(apply_h(state, q).amplitudes,
+                                   _dense_gate(n, q, hadamard) @ amps, rtol=0, atol=1e-14)
