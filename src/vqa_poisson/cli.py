@@ -328,10 +328,11 @@ def _run_trace_distance_vs_n(config: ExperimentConfig, out: Path) -> tuple[list[
 
 def _fixed_point(config: ExperimentConfig, n: int):
     """Operator, ansatz, source and seeded evaluation point of a fixed-theta study."""
+    op = decompose(n, config.bc, config.resolved_epsilon)
     circuit = AnsatzCircuit(n, config.layers)
     rng = np.random.default_rng(derive_seed(config.seed, n))
     theta = rng.uniform(0.0, 4.0 * np.pi, circuit.parameter_count)
-    return decompose(n, config.bc, config.resolved_epsilon), circuit, prepare_source_state(n), theta
+    return op, circuit, prepare_source_state(n), theta
 
 
 def _run_circuit_count_vs_n(config: ExperimentConfig, out: Path) -> tuple[list[str], int]:

@@ -4,9 +4,8 @@ The cost is E = -(1/2) * numerator^2 / denominator with
 numerator = <f,psi| X (x) I |f,psi> (ancilla Hadamard test, equals Re<psi|f>)
 and denominator = <psi|A|psi>, the operator's measured terms plus its
 constant offset.  Exact evaluation takes both from dot products with
-A|psi> = :func:`apply_operator` (psi), which the adjoint gradient reuses;
-:func:`numerator_hadamard`, :func:`denominator` and :func:`expectation` are
-the paper's term-by-term circuit estimators, kept as oracles.
+A|psi> (:func:`apply_operator`), which the adjoint gradient reuses; the
+paper's term-by-term circuit estimators stay as oracles.
 """
 
 from __future__ import annotations
@@ -132,7 +131,8 @@ def cost_and_a_psi(op: PoissonOperator, psi: np.ndarray,
     a_psi = apply_operator(op, psi)
     num, den = float(np.real(np.vdot(psi, f))), float(np.real(np.vdot(psi, a_psi)))
     if den <= 0.0:
-        raise SingularOperatorError(f"denominator {den} is not positive; add regularization epsilon")
+        raise SingularOperatorError(
+            f"denominator {den} is not positive; add regularization epsilon")
     return CostReport(num, den, num / den, -0.5 * num * num / den), a_psi
 
 

@@ -5,7 +5,8 @@ d_i psi = d|psi>/d theta_i; :func:`~vqa_poisson.states.ansatz_adjoint` gives
 all its components in one reverse sweep over the ansatz, about two state
 preparations of work.  The numerator takes lam = Re f, the denominator
 lam = 2 A psi, one term lam = 2 T psi, and the cost their quotient-rule
-combination.  For R_Y parameters d_i psi = (1/2) U(..., theta_i + pi, ...)|0...0>;
+combination (:func:`grad_from_state`, from the psi and A psi of a cost
+evaluation).  For R_Y parameters d_i psi = (1/2) U(..., theta_i + pi, ...)|0...0>;
 :func:`shifted_state` builds that pi-shifted state (the test oracle).
 :func:`parameter_shift_gradient` is the one shifted-circuit route: one batched
 forward sweep prepares all 3P shifted states, the numerator from pi shifts and

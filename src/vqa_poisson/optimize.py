@@ -1,9 +1,10 @@
 """BFGS minimization of the cost over theta with the experiment protocols.
 
 BFGS with backtracking Armijo line search, implemented here (no external
-solver), inverse-Hessian seeded with the identity and rescaled after the
-first accepted step.  Trials draw initial parameters uniformly from
-[0, 4*pi] and are embarrassingly parallel in their seeds.
+solver), inverse-Hessian seeded with the identity and rescaled after the first
+accepted step.  Exact trials sweep the ansatz once per cost evaluation and
+reuse that psi and A psi for the gradient.  Trials draw initial parameters
+uniformly from [0, 4*pi] and are embarrassingly parallel in their seeds.
 """
 
 from __future__ import annotations
@@ -114,7 +115,9 @@ def bfgs(fun: Callable[[np.ndarray], float], jac: Callable[[np.ndarray], np.ndar
     """
     x = np.asarray(x0, dtype=float)
     dim = x.size
-    values, gnorms, xs = [], [], []  # per iterate: value, |gradient|, x if recorded
+    values: list[float] = []
+    gnorms: list[float] = []
+    xs: list[np.ndarray] = []
     zero_decrease = skipped = 0
 
     try:
@@ -239,17 +242,20 @@ def minimize(problem: PoissonProblem, config: OptimizationConfig,
     t_c = measured_circuit_count(op)
     f_amps = _real_if_real(f.amplitudes)
     counters = {"circuits": 0, "evals": 0}
-    # The latest cost evaluation, (theta bytes, psi, report, A psi), with psi and
-    # A psi None in sampled mode.  BFGS asks for the gradient where it last
-    # evaluated the cost, so that point's psi and A psi feed the adjoint sweep.
+    # The latest cost evaluation, (theta bytes, psi, report, A psi); psi and A psi
+    # are None in sampled mode.  BFGS takes the gradient where it took the cost.
     last: tuple | None = None
 
+    def psi_at(theta: np.ndarray) -> np.ndarray:
+        """psi at theta, from the latest cost evaluation when it was an exact one there."""
+        hit = last is not None and last[0] == theta.tobytes() and last[1] is not None
+        return last[1] if hit else ansatz_amplitudes(circuit, theta)
+
     def exact_at(theta: np.ndarray) -> tuple[np.ndarray, CostReport, np.ndarray]:
-        """(psi, report, A psi) at theta, from the latest evaluation when it was there."""
-        if last is not None and last[0] == theta.tobytes() and last[1] is not None:
-            return last[1:]
-        psi = ansatz_amplitudes(circuit, theta)
-        return (psi, *cost_and_a_psi(op, psi, f_amps))
+        """(psi, report, A psi) at theta, likewise reused from the latest cost evaluation."""
+        psi = psi_at(theta)
+        hit = last is not None and psi is last[1]
+        return last[1:] if hit else (psi, *cost_and_a_psi(op, psi, f_amps))
 
     def eval_cost(theta: np.ndarray) -> float:
         nonlocal last
@@ -277,7 +283,7 @@ def minimize(problem: PoissonProblem, config: OptimizationConfig,
     def stop_when(theta: np.ndarray, value: float, grad: np.ndarray) -> bool:
         if isinstance(config.terminal, GradNorm):
             return bool(np.linalg.norm(grad) < config.terminal.threshold)
-        eps_tr = trace_distance(exact_at(theta)[0], reference.u_normalized)
+        eps_tr = trace_distance(psi_at(theta), reference.u_normalized)
         return eps_tr < config.terminal.tolerance
 
     result = bfgs(eval_cost, eval_grad, theta0, config.max_iterations, stop_when,
@@ -291,7 +297,7 @@ def minimize(problem: PoissonProblem, config: OptimizationConfig,
         final_report = exact_at(result.x)[1]
     eps_tr = None
     if reference is not None:
-        eps_tr = trace_distance(exact_at(result.x)[0], reference.u_normalized)
+        eps_tr = trace_distance(psi_at(result.x), reference.u_normalized)
     return OptimizationTrace(
         costs=result.values,
         gradient_norms=result.gradient_norms,

@@ -20,7 +20,7 @@ import numpy as np
 from .cost import CostReport, _factor_masks, ancilla_x_term
 from .gradient import parameter_shift_gradient
 from .operators import ObservableTerm, PoissonOperator, shift_amplitudes
-from .states import (_HADAMARD, AnsatzCircuit, Statevector, _apply_single_qubit, _real_if_real,
+from .states import (AnsatzCircuit, Statevector, _HADAMARD, _apply_single_qubit, _real_if_real,
                      prepare_ansatz_state, prepare_superposition_state)
 
 
@@ -135,13 +135,9 @@ def sample_cost_estimates(op: PoissonOperator, circuit: AnsatzCircuit,
     psi = prepare_ansatz_state(circuit, theta)
     sup = prepare_superposition_state(f, psi)
     shots = _shots_per_term(shots_per_term, 1 + len(op.terms))
-    estimates = [
-        sample_term(ancilla_x_term(psi.n_qubits), sup, shots[0], derive_seed(seed, 0))
-    ]
-    for k, term in enumerate(op.terms):
-        estimates.append(
-            sample_term(term, psi, shots[k + 1], derive_seed(seed, k + 1), axes=op.axes)
-        )
+    estimates = [sample_term(ancilla_x_term(psi.n_qubits), sup, shots[0], derive_seed(seed, 0))]
+    estimates += [sample_term(term, psi, shots[k + 1], derive_seed(seed, k + 1), axes=op.axes)
+                  for k, term in enumerate(op.terms)]
     num = estimates[0].mean
     den = op.constant_offset + sum(e.mean for e in estimates[1:])
     if den <= 0.0:

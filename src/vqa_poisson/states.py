@@ -1,11 +1,11 @@
 """Dense statevector simulation of the gate set used by the solver circuits.
 
 Index convention: basis state |i> stores qubit q in bit q of i, so qubit 0 is
-the least-significant bit.  All gates here (X, H, R_Y, CZ) are real matrices;
-circuits built from them keep amplitudes real.  The layered ansatz is therefore
-simulated on real float64 arrays: a forward sweep for its state (or, in one
-sweep, for a stack of parameter vectors) and a reverse (adjoint) sweep for its
-gradients.
+the least-significant bit.  All gates here (X, H, R_Y, CZ) are real; each
+single-qubit gate is one float64 matmul on a stride view (complex states pass
+their real and imaginary parts as two rows).  The layered ansatz is simulated
+on real float64 arrays: a forward sweep for its state (or, in one sweep, for a
+stack of parameter vectors) and a reverse (adjoint) sweep for its gradients.
 """
 
 from __future__ import annotations
@@ -77,12 +77,9 @@ def _check_qubits(n_qubits: int, qubits: Sequence[int]) -> None:
 
 
 def _apply_single_qubit(amps: np.ndarray, qubit: int, gate: np.ndarray) -> None:
-    """2x2 gate on one qubit of every row of a contiguous (rows, 2^n) array, in place.
-
-    ``gate`` is one 2x2 matrix, or a (rows, 1, 2, 2) stack with one per row.
-    """
-    # Stride view: axis 2 is the target qubit's bit, so the gate acts on every
-    # (2, 2^qubit) block by one matrix product.
+    """``gate`` (2x2, or a (rows, 1, 2, 2) stack of one per row) on one qubit of
+    every row of a contiguous (rows, 2^n) array, in place."""
+    # Stride view: axis 2 is the target qubit's bit; one matmul covers every block.
     view = amps.reshape(amps.shape[0], -1, 2, 1 << qubit)
     view[...] = np.matmul(gate, view)
 
