@@ -174,7 +174,7 @@ def _ry_pi_tables(n_qubits: int) -> tuple[np.ndarray, np.ndarray]:
     return index, sign
 
 
-def _ry_gates(half_angles) -> np.ndarray:
+def _ry_gates(half_angles: np.ndarray | float) -> np.ndarray:
     """R_Y matrices [[c, -s], [s, c]] of the half-angles, stacked over their shape."""
     cos, sin = np.cos(half_angles), np.sin(half_angles)
     return np.stack([cos, -sin, sin, cos], axis=-1).reshape(*np.shape(half_angles), 2, 2)

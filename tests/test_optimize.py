@@ -230,7 +230,6 @@ def test_exact_minimize_sweeps_once_per_cost_evaluation(monkeypatch):
 
 def test_trace_distance_checks_reuse_the_cost_state(monkeypatch):
     problem = make_problem(3, DIRICHLET)
-    problem.classical()
     seen = _count_sweeps_and_evaluations(monkeypatch)
     config = OptimizationConfig(max_iterations=500, terminal=TraceDistance(0.1))
     trace = minimize(problem, config, trial_seed=4)
