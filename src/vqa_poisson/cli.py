@@ -6,7 +6,7 @@ Every experiment writes ``results.csv`` (one row per measurement),
 the output directory.  All runs are deterministic given (config, seed).
 
 Usage: ``vqa-poisson <experiment> [--bc ...] [--n ...] [--layers ...]
-[--trials ...] [--shots ...] [--seed ...] [--epsilon ...] [--out DIR]``.
+[--trials ...] [--shots LO:HI, *-vs-s only] [--seed ...] [--epsilon ...] [--out DIR]``.
 Exit codes: 0 success, 2 usage error, 1 runtime failure.
 """
 
@@ -27,8 +27,8 @@ from .operators import (DEFAULT_EPSILON, BoundaryCondition, Mesh2D, ObservableTe
                         assemble_fem_2d_dense, build_fem_2d, build_matrix, decompose,
                         reassemble_dense)
 from .operators import FACTOR_I, FACTOR_X
-from .optimize import (GradNorm, OptimizationConfig, TraceDistance, make_problem,
-                       run_trials)
+from .optimize import (GradNorm, OptimizationConfig, TraceDistance, TrialsResult,
+                       make_problem, run_trials)
 from .resources import count_baseline_circuits, resource_report
 from .sampling import (UnstableEstimateError, derive_seed, draw_counts,
                        sample_cost_estimates, sampled_gradient)
@@ -60,7 +60,6 @@ N_DEFAULTS = {
 }
 
 METHODS = ("proposed", "baseline")
-MODES = ("statevector", "sampled")
 
 STATEVECTOR_QUBIT_CAP = 10
 
@@ -76,7 +75,6 @@ class ExperimentConfig:
     n_values: list[int] = field(default_factory=lambda: [5])
     layers: int = 5
     trials: int = 10
-    shots: int = 4096
     shot_values: list[int] = field(default_factory=list)
     repeats: int = 10
     seed: int = 1234
@@ -85,7 +83,6 @@ class ExperimentConfig:
     grad_threshold: float = 1e-6
     max_iterations: int = 2000
     method: str = "proposed"
-    mode: str = "statevector"
     out: Path = Path("out")
 
     @property
@@ -127,7 +124,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--layers", type=int, default=None)
     parser.add_argument("--trials", type=int, default=None)
     parser.add_argument("--shots", default=None,
-                        help="shot count, or LO:HI range of powers of two for *-vs-s experiments")
+                        help="LO:HI range of powers of two; shot-error-vs-s and "
+                             "grad-similarity-vs-s only")
     parser.add_argument("--repeats", type=int, default=None)
     parser.add_argument("--seed", type=int, default=None)
     parser.add_argument("--epsilon", type=float, default=None)
@@ -136,12 +134,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--grad-threshold", type=float, default=None)
     parser.add_argument("--max-iterations", type=int, default=None)
     parser.add_argument("--method", choices=METHODS, default=None)
-    parser.add_argument("--mode", choices=MODES, default=None)
     parser.add_argument("--out", type=Path, default=None)
     return parser
 
 
-def _read_config_file(path: Path) -> dict[str, str]:
+def _read_config_file(path: Path, keys: set[str]) -> dict[str, str]:
     if not path.exists():
         raise UsageError(f"config file {path} does not exist")
     values = {}
@@ -152,12 +149,16 @@ def _read_config_file(path: Path) -> dict[str, str]:
         if "=" not in line:
             raise UsageError(f"config line {line!r} is not key=value")
         key, value = line.split("=", 1)
-        values[key.strip().replace("-", "_")] = value.strip()
+        key = key.strip().replace("-", "_")
+        if key not in keys:
+            raise UsageError(f"config key {key!r} in {path} is not a flag name")
+        values[key] = value.strip()
     return values
 
 
 def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
-    file_values = _read_config_file(args.config) if args.config else {}
+    settable = set(vars(args)) - {"experiment", "config"}
+    file_values = _read_config_file(args.config, settable) if args.config else {}
 
     def pick(name: str, cast, default):
         value = getattr(args, name, None)
@@ -180,7 +181,6 @@ def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
     config.grad_threshold = pick("grad_threshold", float, config.grad_threshold)
     config.max_iterations = pick("max_iterations", int, config.max_iterations)
     config.method = pick("method", str, config.method)
-    config.mode = pick("mode", str, config.mode)
     config.out = Path(pick("out", str, str(config.out)))
     lo, hi = _parse_bounds(pick("n", str, N_DEFAULTS[experiment]))
     config.n_values = list(range(lo, hi + 1))
@@ -190,14 +190,11 @@ def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
         text = shots_text if shots_text is not None else "64:16384"
         config.shot_values = _powers_of_two(*_parse_bounds(text))
     elif shots_text is not None:
-        if ":" in shots_text:
-            raise UsageError(f"experiment {experiment} takes a single --shots value")
-        config.shots = _parse_bounds(shots_text)[0]
+        raise UsageError(f"experiment {experiment} draws no shots; --shots is for *-vs-s")
 
     epsilon = config.resolved_epsilon
     for ok, message in (
         (config.method in METHODS, f"method {config.method!r} is not one of {METHODS}"),
-        (config.mode in MODES, f"mode {config.mode!r} is not one of {MODES}"),
         (max(config.n_values) <= STATEVECTOR_QUBIT_CAP,
          f"n capped at {STATEVECTOR_QUBIT_CAP} qubits"),
         (config.trials >= 1 and config.repeats >= 1, "trials and repeats must be >= 1"),
@@ -243,7 +240,6 @@ def _write_manifest(path: Path, config: ExperimentConfig, summary: list[str]) ->
         f"n_values = {','.join(str(n) for n in config.n_values)}",
         f"layers = {config.layers}",
         f"trials = {config.trials}",
-        f"shots = {config.shots}",
         f"shot_values = {','.join(str(s) for s in config.shot_values)}",
         f"repeats = {config.repeats}",
         f"seed = {config.seed}",
@@ -252,7 +248,6 @@ def _write_manifest(path: Path, config: ExperimentConfig, summary: list[str]) ->
         f"grad_threshold = {_fmt(config.grad_threshold)}",
         f"max_iterations = {config.max_iterations}",
         f"method = {config.method}",
-        f"mode = {config.mode}",
     ]
     lines += summary
     path.write_text("\n".join(lines) + "\n")
@@ -268,9 +263,11 @@ def _optimizer_config(config: ExperimentConfig, terminal) -> OptimizationConfig:
         terminal=terminal,
         n_trials=config.trials,
         seed=config.seed,
-        mode=config.mode,
-        shots=config.shots,
     )
+
+
+def _statuses(result: TrialsResult) -> str:
+    return ",".join(f"{status}:{count}" for status, count in result.statuses.items())
 
 
 def _run_solve(config: ExperimentConfig, out: Path) -> tuple[list[str], int]:
@@ -284,6 +281,7 @@ def _run_solve(config: ExperimentConfig, out: Path) -> tuple[list[str], int]:
                ["trial", "status", "iterations", "circuit_executions", "energy",
                 "r_opt", "trace_distance", "grad_norm"], rows)
     summary = [
+        f"statuses = {_statuses(result)}",
         f"mean_iterations = {_fmt(result.mean_iterations)}",
         f"mean_trace_distance = {_fmt(result.mean_trace_distance)}",
         f"mean_energy = {_fmt(result.mean_energy)}",
@@ -306,14 +304,16 @@ def _run_solution_field(config: ExperimentConfig, out: Path) -> tuple[list[str],
     fig_rows = [[node, classical[node], stacked[:, node].mean(), stacked[:, node].std()]
                 for node in range(1 << n)]
     _write_fig(out / "fig_solution_field.dat", ["node", "classical", "mean", "std"], fig_rows)
-    return [f"mean_trace_distance = {_fmt(result.mean_trace_distance)}"], 0
+    return [f"statuses = {_statuses(result)}",
+            f"mean_trace_distance = {_fmt(result.mean_trace_distance)}"], 0
 
 
 def _run_trace_distance_vs_n(config: ExperimentConfig, out: Path) -> tuple[list[str], int]:
-    rows, fig_rows = [], []
+    rows, fig_rows, summary = [], [], []
     for n in config.n_values:
         problem = make_problem(n, config.bc, config.layers, config.resolved_epsilon)
         result = run_trials(problem, _optimizer_config(config, GradNorm(config.grad_threshold)))
+        summary.append(f"statuses_n{n} = {_statuses(result)}")
         rows.append([n, config.bc.value, config.trials,
                      result.mean_trace_distance, result.std_trace_distance,
                      result.mean_iterations, result.std_iterations,
@@ -323,7 +323,7 @@ def _run_trace_distance_vs_n(config: ExperimentConfig, out: Path) -> tuple[list[
                ["n", "bc", "trials", "mean_trace_distance", "std_trace_distance",
                 "mean_iterations", "std_iterations", "mean_energy", "std_energy"], rows)
     _write_fig(out / "fig_trace_distance.dat", ["n", "mean", "std"], fig_rows)
-    return [], 0
+    return summary, 0
 
 
 def _fixed_point(config: ExperimentConfig, n: int):
@@ -372,10 +372,11 @@ def _run_circuit_count_vs_n(config: ExperimentConfig, out: Path) -> tuple[list[s
 
 
 def _run_iterations_vs_n(config: ExperimentConfig, out: Path) -> tuple[list[str], int]:
-    rows, fig_rows, means = [], [], []
+    rows, fig_rows, means, summary = [], [], [], []
     for n in config.n_values:
         problem = make_problem(n, config.bc, config.layers, config.resolved_epsilon)
         result = run_trials(problem, _optimizer_config(config, TraceDistance(config.tol)))
+        summary.append(f"statuses_n{n} = {_statuses(result)}")
         rows.append([n, config.bc.value, config.tol, config.trials,
                      result.mean_iterations, result.std_iterations,
                      result.mean_trace_distance, result.std_trace_distance])
@@ -385,7 +386,6 @@ def _run_iterations_vs_n(config: ExperimentConfig, out: Path) -> tuple[list[str]
                ["n", "bc", "tolerance", "trials", "mean_iterations", "std_iterations",
                 "mean_trace_distance", "std_trace_distance"], rows)
     _write_fig(out / "fig_iterations.dat", ["n", "mean", "std"], fig_rows)
-    summary = []
     if len(config.n_values) > 1 and all(m > 0 for m in means):
         slope = _loglog_slope(np.array(config.n_values, float), np.array(means))
         summary.append(f"loglog_slope_iterations = {_fmt(slope)}")

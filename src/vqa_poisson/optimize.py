@@ -2,13 +2,14 @@
 
 BFGS with backtracking Armijo line search, implemented here (no external
 solver), inverse-Hessian seeded with the identity and rescaled after the first
-accepted step.  Exact trials sweep the ansatz once per cost evaluation and
-reuse that psi and A psi for the gradient.  Trials draw initial parameters
+accepted step.  Each trial sweeps the ansatz once per cost evaluation and
+reuses that psi and A psi for the gradient.  Trials draw initial parameters
 uniformly from [0, 4*pi] and are embarrassingly parallel in their seeds.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -19,14 +20,11 @@ from .cost import CostReport, SingularOperatorError, cost_and_a_psi, measured_ci
 from .gradient import grad_from_state
 from .operators import (DEFAULT_EPSILON, BoundaryCondition, PoissonOperator,
                         build_matrix, decompose)
-from .resources import count_sampled_gradient_circuits
-from .sampling import UnstableEstimateError, derive_seed, sample_cost, sampled_gradient
+from .sampling import derive_seed
 from .states import (AnsatzCircuit, Statevector, _real_if_real, ansatz_amplitudes,
                      prepare_ansatz_state, prepare_source_state)
 
 INIT_RANGE = (0.0, 4.0 * np.pi)
-
-_EVALUATION_ERRORS = (SingularOperatorError, UnstableEstimateError)
 
 
 @dataclass(frozen=True)
@@ -51,12 +49,7 @@ class OptimizationConfig:
     max_iterations: int = 1000
     terminal: GradNorm | TraceDistance = field(default_factory=GradNorm)
     n_trials: int = 10
-    init_low: float = INIT_RANGE[0]
-    init_high: float = INIT_RANGE[1]
     seed: int = 0
-    mode: str = "statevector"  # or "sampled"
-    shots: int = 1024
-    record_theta: bool = False
 
 
 @dataclass
@@ -95,7 +88,6 @@ class BfgsResult:
     status: str
     values: list[float]
     gradient_norms: list[float]
-    xs: list[np.ndarray]
     final_gradient_norm: float
     zero_decrease_steps: int = 0  # accepted steps with candidate >= value
     skipped_updates: int = 0  # curvature updates skipped for sy <= 1e-12 |s| |y|
@@ -103,12 +95,11 @@ class BfgsResult:
 
 def bfgs(fun: Callable[[np.ndarray], float], jac: Callable[[np.ndarray], np.ndarray],
          x0: np.ndarray, max_iterations: int,
-         stop_when: Callable[[np.ndarray, float, np.ndarray], bool],
-         record_x: bool = False) -> BfgsResult:
+         stop_when: Callable[[np.ndarray, float, np.ndarray], bool]) -> BfgsResult:
     """BFGS with backtracking Armijo line search.
 
-    ``stop_when(x, value, gradient)`` is consulted once per iterate;
-    evaluation errors from the error classes in this module abort cleanly.
+    ``stop_when(x, value, gradient)`` is consulted once per iterate; a
+    SingularOperatorError from ``fun`` or ``jac`` aborts cleanly.
     Statuses: converged, max_iterations, line_search_failed, aborted:<why>.
     The result counts accepted steps that did not lower the value and
     skipped inverse-Hessian updates.
@@ -117,14 +108,13 @@ def bfgs(fun: Callable[[np.ndarray], float], jac: Callable[[np.ndarray], np.ndar
     dim = x.size
     values: list[float] = []
     gnorms: list[float] = []
-    xs: list[np.ndarray] = []
     zero_decrease = skipped = 0
 
     try:
         value = fun(x)
         grad = jac(x)
-    except _EVALUATION_ERRORS as err:
-        return BfgsResult(x, 0, f"aborted:{err}", values, gnorms, xs, np.nan)
+    except SingularOperatorError as err:
+        return BfgsResult(x, 0, f"aborted:{err}", values, gnorms, np.nan)
 
     hessian_inv = np.eye(dim)
     status = "max_iterations"
@@ -133,8 +123,6 @@ def bfgs(fun: Callable[[np.ndarray], float], jac: Callable[[np.ndarray], np.ndar
         gnorm = float(np.linalg.norm(grad))
         values.append(value)
         gnorms.append(gnorm)
-        if record_x:
-            xs.append(x.copy())
         if not np.isfinite(value) or not np.isfinite(gnorm):
             status = "aborted:non-finite cost or gradient"
             break
@@ -157,7 +145,7 @@ def bfgs(fun: Callable[[np.ndarray], float], jac: Callable[[np.ndarray], np.ndar
         for _ in range(40):
             try:
                 candidate = fun(x + alpha * direction)
-            except _EVALUATION_ERRORS:
+            except SingularOperatorError:
                 alpha *= 0.5
                 continue
             if candidate <= value + 1e-4 * alpha * slope:
@@ -173,7 +161,7 @@ def bfgs(fun: Callable[[np.ndarray], float], jac: Callable[[np.ndarray], np.ndar
         new_x = x + step
         try:
             new_grad = jac(new_x)
-        except _EVALUATION_ERRORS as err:
+        except SingularOperatorError as err:
             status = f"aborted:{err}"
             x, value = new_x, accepted
             grad = np.full(dim, np.nan)
@@ -196,14 +184,13 @@ def bfgs(fun: Callable[[np.ndarray], float], jac: Callable[[np.ndarray], np.ndar
         k += 1
 
     final_gnorm = float(np.linalg.norm(grad)) if np.all(np.isfinite(grad)) else np.nan
-    return BfgsResult(x, k, status, values, gnorms, xs, final_gnorm, zero_decrease, skipped)
+    return BfgsResult(x, k, status, values, gnorms, final_gnorm, zero_decrease, skipped)
 
 
 @dataclass
 class OptimizationTrace:
     costs: list[float]
     gradient_norms: list[float]
-    thetas: list[np.ndarray]
     final_theta: np.ndarray
     final_report: CostReport
     final_gradient_norm: float
@@ -224,6 +211,7 @@ class TrialsResult:
     std_trace_distance: float
     mean_energy: float
     std_energy: float
+    statuses: dict[str, int]  # trials per status, aborted:<why> counted as aborted
     n_aborted: int
 
 
@@ -237,18 +225,18 @@ def minimize(problem: PoissonProblem, config: OptimizationConfig,
         trial_seed = config.seed
     if theta0 is None:
         rng = np.random.default_rng(np.random.SeedSequence(trial_seed))
-        theta0 = rng.uniform(config.init_low, config.init_high, count)
+        theta0 = rng.uniform(*INIT_RANGE, count)
 
     t_c = measured_circuit_count(op)
     f_amps = _real_if_real(f.amplitudes)
-    counters = {"circuits": 0, "evals": 0}
-    # The latest cost evaluation, (theta bytes, psi, report, A psi); psi and A psi
-    # are None in sampled mode.  BFGS takes the gradient where it took the cost.
+    counters = {"circuits": 0}
+    # The latest cost evaluation, (theta bytes, psi, report, A psi).  BFGS takes
+    # the gradient where it took the cost.
     last: tuple | None = None
 
     def psi_at(theta: np.ndarray) -> np.ndarray:
-        """psi at theta, from the latest cost evaluation when it was an exact one there."""
-        hit = last is not None and last[0] == theta.tobytes() and last[1] is not None
+        """psi at theta, from the latest cost evaluation when it was there."""
+        hit = last is not None and last[0] == theta.tobytes()
         return last[1] if hit else ansatz_amplitudes(circuit, theta)
 
     def exact_at(theta: np.ndarray) -> tuple[np.ndarray, CostReport, np.ndarray]:
@@ -260,21 +248,10 @@ def minimize(problem: PoissonProblem, config: OptimizationConfig,
     def eval_cost(theta: np.ndarray) -> float:
         nonlocal last
         counters["circuits"] += t_c
-        if config.mode == "sampled":
-            counters["evals"] += 1
-            report = sample_cost(op, circuit, theta, f, config.shots,
-                                 derive_seed(trial_seed, 1, counters["evals"]))
-            last = (theta.tobytes(), None, report, None)
-        else:
-            last = (theta.tobytes(), *exact_at(theta))
+        last = (theta.tobytes(), *exact_at(theta))
         return last[2].energy
 
     def eval_grad(theta: np.ndarray) -> np.ndarray:
-        if config.mode == "sampled":
-            counters["evals"] += 1
-            counters["circuits"] += count_sampled_gradient_circuits(op, count)
-            return sampled_gradient(op, circuit, theta, f, config.shots,
-                                    derive_seed(trial_seed, 2, counters["evals"]))
         counters["circuits"] += count * t_c
         return grad_from_state(circuit, theta, *exact_at(theta), f_amps)
 
@@ -286,12 +263,9 @@ def minimize(problem: PoissonProblem, config: OptimizationConfig,
         eps_tr = trace_distance(psi_at(theta), reference.u_normalized)
         return eps_tr < config.terminal.tolerance
 
-    result = bfgs(eval_cost, eval_grad, theta0, config.max_iterations, stop_when,
-                  record_x=config.record_theta)
+    result = bfgs(eval_cost, eval_grad, theta0, config.max_iterations, stop_when)
 
-    if last is not None and last[0] == result.x.tobytes():
-        final_report = last[2]
-    elif result.status.startswith("aborted"):
+    if result.status.startswith("aborted") and (last is None or last[0] != result.x.tobytes()):
         final_report = CostReport(np.nan, np.nan, np.nan, np.nan)
     else:
         final_report = exact_at(result.x)[1]
@@ -301,7 +275,6 @@ def minimize(problem: PoissonProblem, config: OptimizationConfig,
     return OptimizationTrace(
         costs=result.values,
         gradient_norms=result.gradient_norms,
-        thetas=result.xs,
         final_theta=result.x,
         final_report=final_report,
         final_gradient_norm=result.final_gradient_norm,
@@ -335,10 +308,12 @@ def run_trials(problem: PoissonProblem, config: OptimizationConfig) -> TrialsRes
     mean_it, std_it = stats(iterations)
     mean_tr, std_tr = stats(distances)
     mean_en, std_en = stats(energies)
+    statuses = Counter(t.status.split(":")[0] for t in traces)
     return TrialsResult(
         traces=traces,
         mean_iterations=mean_it, std_iterations=std_it,
         mean_trace_distance=mean_tr, std_trace_distance=std_tr,
         mean_energy=mean_en, std_energy=std_en,
-        n_aborted=len(traces) - len(completed),
+        statuses=dict(sorted(statuses.items())),
+        n_aborted=statuses["aborted"],
     )

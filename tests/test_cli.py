@@ -109,8 +109,8 @@ def test_usage_errors_exit_two(tmp_path):
         ["shot-error-vs-s", "--shots", "abc"],
         ["shot-error-vs-s", "--shots", "0:64"],
         ["grad-similarity-vs-s", "--shots", "64:abc"],
-        ["solve", "--mode", "sampled", "--shots", "0"],
         ["solve", "--shots", "-5"],
+        ["fem2d-verify", "--shots", "64"],
         ["solve", "--layers", "-1"],
         ["solve", "--max-iterations", "-1"],
         ["iterations-vs-n", "--tol", "0"],
@@ -123,12 +123,21 @@ def test_usage_errors_exit_two(tmp_path):
     for flags in bad_flags:
         assert main([*flags, "--out", str(tmp_path)]) == 2, flags
     bad_config = tmp_path / "bad.cfg"
-    for text in ("layers = two\n", "mode = sampeld\n", "method = basline\n"):
+    for text in ("layers = two\n", "mode = sampeld\n", "method = basline\n",
+                 "layer = 3\n", "trails = 1\n"):
         bad_config.write_text(text)
         assert main(["solve", "--config", str(bad_config), "--n", "2", "--trials", "1",
                      "--out", str(tmp_path)]) == 2, text
     with pytest.raises(SystemExit):
         main(["not-an-experiment"])
+    with pytest.raises(SystemExit):
+        main(["solve", "--mode", "sampled", "--shots", "0"])
+
+
+def test_solve_manifest_counts_trial_statuses(tmp_path):
+    assert main(["solve", "--n", "2", "--trials", "2", "--max-iterations", "1",
+                 "--out", str(tmp_path)]) == 0
+    assert "statuses = max_iterations:2" in (tmp_path / "manifest.txt").read_text().splitlines()
 
 
 def test_shot_range_rejected_for_single_shot_experiments(tmp_path):

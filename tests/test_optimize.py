@@ -4,7 +4,7 @@ import pytest
 from vqa_poisson import (AnsatzCircuit, BoundaryCondition, GradNorm, OptimizationConfig,
                          PoissonProblem, TraceDistance, cost, make_problem, minimize,
                          prepare_ansatz_state, prepare_source_state, run_trials)
-from vqa_poisson import gradient, optimize, sampling, states
+from vqa_poisson import gradient, optimize, states
 from vqa_poisson.classical import trace_distance
 from vqa_poisson.gradient import grad_cost
 from vqa_poisson.optimize import bfgs
@@ -119,39 +119,6 @@ def test_mean_iterations_grow_with_qubit_count():
     slope = np.polyfit(np.log10(ns), np.log10(means), 1)[0]
     assert slope > 0
     assert means[-1] > means[0]
-
-
-def test_sampled_mode_runs_and_counts_circuits(monkeypatch):
-    problem = make_problem(2, DIRICHLET, n_layers=1)
-    config = OptimizationConfig(max_iterations=3, n_trials=1, seed=5,
-                                mode="sampled", shots=512)
-    draws = []  # distributions drawn per draw_counts call
-    draw_counts = sampling.draw_counts
-    gradients = []  # the draws of each sampled gradient
-    sampled_gradient = optimize.sampled_gradient
-
-    def counted(probs, *args):
-        draws.append(np.atleast_2d(probs).shape[0])
-        return draw_counts(probs, *args)
-
-    def counted_gradient(*args):
-        start = len(draws)
-        grad = sampled_gradient(*args)
-        gradients.append(draws[start:])
-        return grad
-
-    monkeypatch.setattr(sampling, "draw_counts", counted)
-    monkeypatch.setattr(optimize, "sampled_gradient", counted_gradient)
-    trace = minimize(problem, config, trial_seed=9)
-    # every counted circuit is one outcome distribution the sampler drew
-    assert trace.circuit_executions == sum(draws) > 0
-    assert trace.iterations_used <= 3
-    # one stream per measured group: the base cost's 1 + T single draws, then
-    # 1 + 2T draws of all P shifted rows each
-    terms, params = len(problem.operator.terms), problem.circuit.parameter_count
-    assert gradients
-    for rows in gradients:
-        assert rows == [1] * (1 + terms) + [params] * (1 + 2 * terms)
 
 
 def test_bfgs_counts_zero_decrease_steps_and_skipped_updates():
