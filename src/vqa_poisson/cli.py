@@ -314,13 +314,13 @@ def _run_trace_distance_vs_n(config: ExperimentConfig, out: Path) -> tuple[list[
         problem = make_problem(n, config.bc, config.layers, config.resolved_epsilon)
         result = run_trials(problem, _optimizer_config(config, GradNorm(config.grad_threshold)))
         summary.append(f"statuses_n{n} = {_statuses(result)}")
-        rows.append([n, config.bc.value, config.trials,
+        rows.append([n, config.bc.value, config.trials, result.statuses.get("converged", 0),
                      result.mean_trace_distance, result.std_trace_distance,
                      result.mean_iterations, result.std_iterations,
                      result.mean_energy, result.std_energy])
         fig_rows.append([n, result.mean_trace_distance, result.std_trace_distance])
     _write_csv(out / "results.csv",
-               ["n", "bc", "trials", "mean_trace_distance", "std_trace_distance",
+               ["n", "bc", "trials", "converged", "mean_trace_distance", "std_trace_distance",
                 "mean_iterations", "std_iterations", "mean_energy", "std_energy"], rows)
     _write_fig(out / "fig_trace_distance.dat", ["n", "mean", "std"], fig_rows)
     return summary, 0
@@ -378,13 +378,14 @@ def _run_iterations_vs_n(config: ExperimentConfig, out: Path) -> tuple[list[str]
         result = run_trials(problem, _optimizer_config(config, TraceDistance(config.tol)))
         summary.append(f"statuses_n{n} = {_statuses(result)}")
         rows.append([n, config.bc.value, config.tol, config.trials,
+                     result.statuses.get("converged", 0),
                      result.mean_iterations, result.std_iterations,
                      result.mean_trace_distance, result.std_trace_distance])
         fig_rows.append([n, result.mean_iterations, result.std_iterations])
         means.append(result.mean_iterations)
     _write_csv(out / "results.csv",
-               ["n", "bc", "tolerance", "trials", "mean_iterations", "std_iterations",
-                "mean_trace_distance", "std_trace_distance"], rows)
+               ["n", "bc", "tolerance", "trials", "converged", "mean_iterations",
+                "std_iterations", "mean_trace_distance", "std_trace_distance"], rows)
     _write_fig(out / "fig_iterations.dat", ["n", "mean", "std"], fig_rows)
     if len(config.n_values) > 1 and all(m > 0 for m in means):
         slope = _loglog_slope(np.array(config.n_values, float), np.array(means))

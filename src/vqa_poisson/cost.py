@@ -4,8 +4,11 @@ The cost is E = -(1/2) * numerator^2 / denominator with
 numerator = <f,psi| X (x) I |f,psi> (ancilla Hadamard test, equals Re<psi|f>)
 and denominator = <psi|A|psi>, the operator's measured terms plus its
 constant offset.  Exact evaluation takes both from dot products with
-A|psi> (:func:`apply_operator`), which the adjoint gradient reuses; the
-paper's term-by-term circuit estimators stay as oracles.
+A|psi> (:func:`apply_operator`), which the adjoint gradient reuses.  A|psi>
+reads every term from its gather table (``PoissonOperator.gather_tables``,
+built once per operator): offset * psi + sum of weight * psi[index].  The
+paper's term-by-term circuit estimators (shift, measure the factor product)
+stay as oracles.
 """
 
 from __future__ import annotations
@@ -14,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import (FACTOR_I, FACTOR_P0, FACTOR_X, ObservableTerm, PoissonOperator,
-                        shift_amplitudes)
+from .operators import (FACTOR_I, FACTOR_X, ObservableTerm, PoissonOperator, _factor_masks,
+                        gather_table, shift_amplitudes)
 from .states import (AnsatzCircuit, Statevector, _real_if_real, ansatz_amplitudes,
                      prepare_superposition_state)
 
@@ -45,17 +48,6 @@ def ancilla_x_term(n_register: int) -> ObservableTerm:
     return ObservableTerm(1.0, (FACTOR_I,) * n_register + (FACTOR_X,), (0,))
 
 
-def _factor_masks(factors: tuple[str, ...]) -> tuple[int, int]:
-    xmask = 0
-    pmask = 0
-    for q, f in enumerate(factors):
-        if f == FACTOR_X:
-            xmask |= 1 << q
-        elif f == FACTOR_P0:
-            pmask |= 1 << q
-    return xmask, pmask
-
-
 def apply_factor_product(term: ObservableTerm, amps: np.ndarray) -> np.ndarray:
     """M|phi> for the term's factor product (no shifts, no coefficient)."""
     xmask, pmask = _factor_masks(term.factors)
@@ -83,17 +75,15 @@ def expectation(term: ObservableTerm, state: Statevector,
 def apply_term(term: ObservableTerm, amps: np.ndarray,
                axes: tuple[int, ...] | None = None) -> np.ndarray:
     """coefficient * P^-s M P^s |phi>: the term as an operator on raw amplitudes."""
-    axes = (term.n_qubits,) if axes is None else axes
-    m_shifted = apply_factor_product(term, shift_amplitudes(amps, axes, term.axis_shifts))
-    unshift = tuple(-s for s in term.axis_shifts)
-    return term.coefficient * shift_amplitudes(m_shifted, axes, unshift)
+    index, weight = gather_table(term, (term.n_qubits,) if axes is None else axes)
+    return weight * amps[index]
 
 
 def apply_operator(op: PoissonOperator, amps: np.ndarray) -> np.ndarray:
     """A|phi> = constant offset * |phi> + sum of the measured terms applied to |phi>."""
     out = op.constant_offset * amps
-    for term in op.terms:
-        out += apply_term(term, amps, op.axes)
+    for index, weight in op.gather_tables:
+        out += weight * amps[index]
     return out
 
 

@@ -9,6 +9,7 @@ verification path (:func:`reassemble_dense`).
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -87,6 +88,11 @@ class PoissonOperator:
     def n_qubits(self) -> int:
         return sum(self.axes)
 
+    @functools.cached_property
+    def gather_tables(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        """:func:`gather_table` of every term, built on first use."""
+        return tuple(gather_table(t, self.axes) for t in self.terms)
+
 
 def build_matrix(n: int, bc: BoundaryCondition, epsilon: float = 0.0) -> np.ndarray:
     """Dense 2^n x 2^n system matrix for one axis, plus epsilon * I.
@@ -164,6 +170,36 @@ def shift_amplitudes(amps: np.ndarray, axes: tuple[int, ...],
         if s:
             arr = np.roll(arr, s, axis=-1 - k)
     return arr.reshape(amps.shape)
+
+
+def _factor_masks(factors: tuple[str, ...]) -> tuple[int, int]:
+    """(X mask, |0><0| mask) of a factor product, one bit per qubit."""
+    xmask = 0
+    pmask = 0
+    for q, f in enumerate(factors):
+        if f == FACTOR_X:
+            xmask |= 1 << q
+        elif f == FACTOR_P0:
+            pmask |= 1 << q
+    return xmask, pmask
+
+
+@functools.lru_cache(maxsize=256)
+def gather_table(term: ObservableTerm, axes: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """(index, weight) with coefficient * P^-s M P^s phi = weight * phi[index].
+
+    With (P^s phi)[j] = phi[src[j]] and (P^-s chi)[i] = chi[back[i]], the term
+    reads phi at src[back[i] ^ X mask], zeroed where back[i] hits a projector.
+    """
+    idx = np.arange(1 << term.n_qubits)
+    src = shift_amplitudes(idx, axes, term.axis_shifts)
+    back = shift_amplitudes(idx, axes, tuple(-s for s in term.axis_shifts))
+    xmask, pmask = _factor_masks(term.factors)
+    index = src[back ^ xmask]
+    weight = np.where(back & pmask, 0.0, term.coefficient)
+    index.setflags(write=False)
+    weight.setflags(write=False)
+    return index, weight
 
 
 def build_fdm_kron(n_per_axis: int, d: int, bc: BoundaryCondition,

@@ -3,8 +3,9 @@
 BFGS with backtracking Armijo line search, implemented here (no external
 solver), inverse-Hessian seeded with the identity and rescaled after the first
 accepted step.  Each trial sweeps the ansatz once per cost evaluation and
-reuses that psi and A psi for the gradient.  Trials draw initial parameters
-uniformly from [0, 4*pi] and are embarrassingly parallel in their seeds.
+reuses that psi and A psi for the gradient and the final trace distance.
+Trials draw initial parameters uniformly from [0, 4*pi] and are
+embarrassingly parallel in their seeds.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from .operators import (DEFAULT_EPSILON, BoundaryCondition, PoissonOperator,
                         build_matrix, decompose)
 from .sampling import derive_seed
 from .states import (AnsatzCircuit, Statevector, _real_if_real, ansatz_amplitudes,
-                     prepare_ansatz_state, prepare_source_state)
+                     prepare_source_state)
 
 INIT_RANGE = (0.0, 4.0 * np.pi)
 
@@ -197,7 +198,7 @@ class OptimizationTrace:
     iterations_used: int
     circuit_executions: int
     status: str
-    trace_distance: float | None = None
+    trace_distance: float | None = None  # None for an aborted GradNorm trial
     zero_decrease_steps: int = 0
     skipped_updates: int = 0
 
@@ -218,7 +219,12 @@ class TrialsResult:
 def minimize(problem: PoissonProblem, config: OptimizationConfig,
              theta0: np.ndarray | None = None,
              trial_seed: int | None = None) -> OptimizationTrace:
-    """Run one BFGS trial on the potential-energy cost."""
+    """Run one BFGS trial on the potential-energy cost.
+
+    The trial's trace distance to the classical solution (None for an aborted
+    GradNorm trial) reads the cost's psi at the final theta; it solves the
+    classical system, so a singular operator raises SolverError here.
+    """
     op, circuit, f = problem.operator, problem.circuit, problem.source
     count = circuit.parameter_count
     if trial_seed is None:
@@ -270,8 +276,8 @@ def minimize(problem: PoissonProblem, config: OptimizationConfig,
     else:
         final_report = exact_at(result.x)[1]
     eps_tr = None
-    if reference is not None:
-        eps_tr = trace_distance(psi_at(result.x), reference.u_normalized)
+    if reference is not None or not result.status.startswith("aborted"):
+        eps_tr = trace_distance(psi_at(result.x), problem.classical().u_normalized)
     return OptimizationTrace(
         costs=result.values,
         gradient_norms=result.gradient_norms,
@@ -291,12 +297,7 @@ def run_trials(problem: PoissonProblem, config: OptimizationConfig) -> TrialsRes
     """n_trials independent seeds; summary statistics over completed trials."""
     traces = []
     for trial in range(config.n_trials):
-        trace = minimize(problem, config, trial_seed=derive_seed(config.seed, trial))
-        if trace.trace_distance is None and not trace.status.startswith("aborted"):
-            reference = problem.classical()
-            psi = prepare_ansatz_state(problem.circuit, trace.final_theta)
-            trace.trace_distance = trace_distance(psi, reference.u_normalized)
-        traces.append(trace)
+        traces.append(minimize(problem, config, trial_seed=derive_seed(config.seed, trial)))
     completed = [t for t in traces if not t.status.startswith("aborted")]
     iterations = np.array([t.iterations_used for t in completed], dtype=float)
     distances = np.array([t.trace_distance for t in completed], dtype=float)

@@ -17,9 +17,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .cost import CostReport, _factor_masks, ancilla_x_term
+from .cost import CostReport, ancilla_x_term
 from .gradient import parameter_shift_gradient
-from .operators import ObservableTerm, PoissonOperator, shift_amplitudes
+from .operators import ObservableTerm, PoissonOperator, _factor_masks, shift_amplitudes
 from .states import (AnsatzCircuit, Statevector, _HADAMARD, _apply_single_qubit, _real_if_real,
                      prepare_ansatz_state, prepare_superposition_state)
 

@@ -2,10 +2,13 @@
 
 Index convention: basis state |i> stores qubit q in bit q of i, so qubit 0 is
 the least-significant bit.  All gates here (X, H, R_Y, CZ) are real; each
-single-qubit gate is one float64 matmul on a stride view (complex states pass
-their real and imaginary parts as two rows).  The layered ansatz is simulated
-on real float64 arrays: a forward sweep for its state (or, in one sweep, for a
-stack of parameter vectors) and a reverse (adjoint) sweep for its gradients.
+single-qubit gate is one float64 kernel (complex states pass their real and
+imaginary parts through it one at a time).  On qubit 0 it is one
+(pairs, 2) @ gate^T product over the adjacent amplitude pairs; on a higher
+qubit, one matmul on a stride view with the target bit on its own axis.  The
+layered ansatz is simulated on real float64 arrays: a forward sweep for its
+state (or, in one sweep, for a stack of parameter vectors) and a reverse
+(adjoint) sweep for its gradients.
 """
 
 from __future__ import annotations
@@ -79,6 +82,16 @@ def _check_qubits(n_qubits: int, qubits: Sequence[int]) -> None:
 def _apply_single_qubit(amps: np.ndarray, qubit: int, gate: np.ndarray) -> None:
     """``gate`` (2x2, or a (rows, 1, 2, 2) stack of one per row) on one qubit of
     every row of a contiguous (rows, 2^n) array, in place."""
+    if qubit == 0:
+        # Amplitude pairs are adjacent: one (pairs, 2) @ gate^T product, per row
+        # for a stack, instead of one tiny product per pair.
+        if gate.ndim == 2:
+            pairs = amps.reshape(-1, 2)
+            pairs[...] = pairs @ gate.T
+        else:
+            pairs = amps.reshape(amps.shape[0], -1, 2)
+            pairs[...] = pairs @ np.swapaxes(gate[:, 0], -1, -2)
+        return
     # Stride view: axis 2 is the target qubit's bit; one matmul covers every block.
     view = amps.reshape(amps.shape[0], -1, 2, 1 << qubit)
     view[...] = np.matmul(gate, view)
@@ -98,10 +111,14 @@ def apply_x(state: Statevector, qubit: int) -> Statevector:
 
 
 def _apply_gate(state: Statevector, qubit: int, gate: np.ndarray) -> Statevector:
-    """2x2 real gate on one qubit: the float64 kernel on the stacked (real, imaginary) parts."""
+    """2x2 real gate on one qubit: the float64 kernel on the real and imaginary parts."""
     _check_qubits(state.n_qubits, [qubit])
     parts = np.stack([state.amplitudes.real, state.amplitudes.imag])
-    _apply_single_qubit(parts, qubit, gate)
+    # One part at a time: the products then have a one-row sweep's shapes (a
+    # (1, 2) @ (2, 2) product is a gemv, a (2, 2) @ (2, 2) one a gemm, and they
+    # round differently), so gate-by-gate states equal the sweep's bit for bit.
+    for part in parts:
+        _apply_single_qubit(part[None], qubit, gate)
     return Statevector(parts[0] + 1j * parts[1])
 
 

@@ -5,10 +5,10 @@ from vqa_poisson.cli import main
 EXPECTED_HEADERS = {
     "solve": "trial,status,iterations,circuit_executions,energy,r_opt,trace_distance,grad_norm",
     "solution-field": "node,classical,trial_0,trial_1",
-    "trace-distance-vs-n": ("n,bc,trials,mean_trace_distance,std_trace_distance,"
+    "trace-distance-vs-n": ("n,bc,trials,converged,mean_trace_distance,std_trace_distance,"
                             "mean_iterations,std_iterations,mean_energy,std_energy"),
     "circuit-count-vs-n": "n,bc,circuits_proposed,circuits_baseline",
-    "iterations-vs-n": ("n,bc,tolerance,trials,mean_iterations,std_iterations,"
+    "iterations-vs-n": ("n,bc,tolerance,trials,converged,mean_iterations,std_iterations,"
                         "mean_trace_distance,std_trace_distance"),
     "shot-error-vs-s": "n,shots,repeat,estimate,exact,squared_error",
     "grad-similarity-vs-s": "n,shots,repeat,one_minus_cosine",

@@ -9,9 +9,9 @@ from vqa_poisson import (DEFAULT_EPSILON, AnsatzCircuit, BoundaryCondition, Cust
                          denominator, expectation, measured_circuit_count,
                          numerator_hadamard, numerator_overlap, prepare_ansatz_state,
                          prepare_source_state, solve)
-from vqa_poisson.cost import apply_operator
+from vqa_poisson.cost import apply_factor_product, apply_operator, apply_term
 from vqa_poisson.operators import (FACTOR_I, FACTOR_P0, FACTOR_X, Mesh2D, build_fdm_kron,
-                                   build_fem_2d, reassemble_dense)
+                                   build_fem_2d, reassemble_dense, shift_amplitudes)
 
 from conftest import random_real_state, random_theta
 
@@ -94,6 +94,30 @@ def test_apply_operator_matches_dense_matrix(op, rng):
     for _ in range(3):
         amps = rng.normal(size=1 << op.n_qubits)
         np.testing.assert_allclose(apply_operator(op, amps), dense @ amps, atol=1e-12)
+
+
+def _shift_factor_unshift(term, amps, axes):
+    """coefficient * P^-s M P^s phi, computed as the circuit does: shift, factors, unshift."""
+    m_shifted = apply_factor_product(term, shift_amplitudes(amps, axes, term.axis_shifts))
+    unshift = tuple(-s for s in term.axis_shifts)
+    return term.coefficient * shift_amplitudes(m_shifted, axes, unshift)
+
+
+@pytest.mark.parametrize("op", [
+    *(decompose(n, bc, 1e-3) for bc in BoundaryCondition for n in range(1, 9)),
+    *(build_fdm_kron(n, d, bc, 1e-3)
+      for bc in BoundaryCondition for n, d in ((1, 2), (2, 2), (3, 2), (2, 3))),
+    *(build_fem_2d(Mesh2D(nx, ny), 1e-3) for nx, ny in ((1, 1), (2, 1), (1, 3), (3, 2))),
+])
+def test_gather_tables_equal_shift_factor_unshift_bit_for_bit(op, rng):
+    for amps in (rng.normal(size=1 << op.n_qubits),
+                 rng.normal(size=1 << op.n_qubits) + 1j * rng.normal(size=1 << op.n_qubits)):
+        expected = op.constant_offset * amps
+        for term in op.terms:
+            by_term = _shift_factor_unshift(term, amps, op.axes)
+            assert np.array_equal(apply_term(term, amps, op.axes), by_term)
+            expected += by_term
+        assert np.array_equal(apply_operator(op, amps), expected)
 
 
 def test_numerator_signs():

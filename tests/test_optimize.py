@@ -5,7 +5,7 @@ from vqa_poisson import (AnsatzCircuit, BoundaryCondition, GradNorm, Optimizatio
                          PoissonProblem, TraceDistance, cost, make_problem, minimize,
                          prepare_ansatz_state, prepare_source_state, run_trials)
 from vqa_poisson import gradient, optimize, states
-from vqa_poisson.classical import trace_distance
+from vqa_poisson.classical import SolverError, trace_distance
 from vqa_poisson.gradient import grad_cost
 from vqa_poisson.optimize import bfgs
 from vqa_poisson.operators import PoissonOperator
@@ -207,3 +207,21 @@ def test_trace_distance_checks_reuse_the_cost_state(monkeypatch):
     psi = prepare_ansatz_state(problem.circuit, trace.final_theta)
     assert trace.trace_distance == pytest.approx(
         trace_distance(psi, problem.classical().u_normalized), abs=1e-12)
+
+
+def test_run_trials_sweeps_once_per_cost_evaluation(monkeypatch):
+    problem = make_problem(3, DIRICHLET)
+    seen = _count_sweeps_and_evaluations(monkeypatch)
+    result = run_trials(problem, OptimizationConfig(max_iterations=40, n_trials=2, seed=3))
+    # a GradNorm trial's trace distance reads the cost's psi at the final theta
+    assert seen["sweeps"] == seen["costs"]
+    monkeypatch.undo()
+    for trace in result.traces:
+        psi = states.ansatz_amplitudes(problem.circuit, trace.final_theta)
+        assert trace.trace_distance == trace_distance(psi, problem.classical().u_normalized)
+
+
+def test_run_trials_on_a_singular_operator_raises_solver_error():
+    problem = make_problem(2, BoundaryCondition.PERIODIC, epsilon=0.0)
+    with pytest.raises(SolverError):
+        run_trials(problem, OptimizationConfig(max_iterations=5, n_trials=1))

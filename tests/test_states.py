@@ -218,25 +218,36 @@ def _ry_matrix(angle):
     return np.array([[c, -s], [s, c]])
 
 
-@pytest.mark.parametrize("n", range(1, 7))
+def _two_term_gate(rows, qubit, gates):
+    """Each amplitude as the two-term sum g[b, 0] x[bit q clear] + g[b, 1] x[bit q set],
+    b its own bit q; ``gates`` is one 2x2 gate or one per row."""
+    idx = np.arange(rows.shape[-1])
+    low = idx & ~(1 << qubit)
+    bit = (idx >> qubit) & 1
+    return gates[..., bit, 0] * rows[:, low] + gates[..., bit, 1] * rows[:, low | 1 << qubit]
+
+
+@pytest.mark.parametrize("n", [*range(1, 9), 10])
 def test_gate_kernel_matches_dense_kronecker_oracle(n, rng):
-    rows = rng.normal(size=(4, 1 << n))
-    gate = rng.normal(size=(2, 2))
-    per_row = rng.normal(size=(4, 1, 2, 2))
-    angles = rng.uniform(0, 4 * np.pi, 4)
-    for q in range(n):
-        amps = rows.copy()
-        _apply_single_qubit(amps, q, gate)
-        np.testing.assert_allclose(amps, rows @ _dense_gate(n, q, gate).T, rtol=0, atol=1e-14)
-        amps = rows.copy()
-        _apply_single_qubit(amps, q, per_row)
-        expected = [_dense_gate(n, q, g[0]) @ row for g, row in zip(per_row, rows)]
-        np.testing.assert_allclose(amps, expected, rtol=0, atol=1e-14)
+    """Every qubit, at the sweeps' row counts (1, the adjoint pair, the 3P of a
+    parameter-shift sweep); dense Kronecker oracle up to n = 8, the two-term
+    formula at n = 10."""
+    for count in (1, 2, 90):
+        rows = rng.normal(size=(count, 1 << n))
+        gate = rng.normal(size=(2, 2))
+        per_row = rng.normal(size=(count, 1, 2, 2))
         # one R_Y angle per row, as the batched sweep builds them
-        amps = rows.copy()
-        _apply_single_qubit(amps, q, _ry_gates(angles[:, None] / 2.0))
-        expected = [_dense_gate(n, q, _ry_matrix(a)) @ row for a, row in zip(angles, rows)]
-        np.testing.assert_allclose(amps, expected, rtol=0, atol=1e-14)
+        ry_rows = _ry_gates(rng.uniform(0, 4 * np.pi, count)[:, None] / 2.0)
+        for q in range(n):
+            for gates in (gate, per_row, ry_rows):
+                amps = rows.copy()
+                _apply_single_qubit(amps, q, gates)
+                if n <= 8:
+                    per_gate = np.broadcast_to(gates, (count, 1, 2, 2))[:, 0]
+                    expected = [_dense_gate(n, q, g) @ row for g, row in zip(per_gate, rows)]
+                else:
+                    expected = _two_term_gate(rows, q, gates[:, 0] if gates.ndim == 4 else gates)
+                np.testing.assert_allclose(amps, expected, rtol=0, atol=1e-14)
 
 
 @pytest.mark.parametrize("n", range(1, 7))
