@@ -220,11 +220,11 @@ def _ry_matrix(angle):
 
 def _two_term_gate(rows, qubit, gates):
     """Each amplitude as the two-term sum g[b, 0] x[bit q clear] + g[b, 1] x[bit q set],
-    b its own bit q; ``gates`` is one 2x2 gate or one per row."""
+    b its own bit q, with ``gates[r]`` the 2x2 gate of row r."""
     idx = np.arange(rows.shape[-1])
     low = idx & ~(1 << qubit)
     bit = (idx >> qubit) & 1
-    return gates[..., bit, 0] * rows[:, low] + gates[..., bit, 1] * rows[:, low | 1 << qubit]
+    return gates[:, bit, 0] * rows[:, low] + gates[:, bit, 1] * rows[:, low | 1 << qubit]
 
 
 @pytest.mark.parametrize("n", [*range(1, 9), 10])
@@ -236,17 +236,19 @@ def test_gate_kernel_matches_dense_kronecker_oracle(n, rng):
         rows = rng.normal(size=(count, 1 << n))
         gate = rng.normal(size=(2, 2))
         per_row = rng.normal(size=(count, 1, 2, 2))
-        # one R_Y angle per row, as the batched sweep builds them
-        ry_rows = _ry_gates(rng.uniform(0, 4 * np.pi, count)[:, None] / 2.0)
+        angles = rng.uniform(0, 4 * np.pi, count)
+        # (kernel argument, the 2x2 gate each row gets); the last is one R_Y
+        # angle per row, as the batched sweep builds them
+        cases = ((gate, np.array([gate] * count)), (per_row, per_row[:, 0]),
+                 (_ry_gates(angles[:, None] / 2.0), np.array([_ry_matrix(a) for a in angles])))
         for q in range(n):
-            for gates in (gate, per_row, ry_rows):
+            for gates, oracle in cases:
                 amps = rows.copy()
                 _apply_single_qubit(amps, q, gates)
                 if n <= 8:
-                    per_gate = np.broadcast_to(gates, (count, 1, 2, 2))[:, 0]
-                    expected = [_dense_gate(n, q, g) @ row for g, row in zip(per_gate, rows)]
+                    expected = [_dense_gate(n, q, g) @ row for g, row in zip(oracle, rows)]
                 else:
-                    expected = _two_term_gate(rows, q, gates[:, 0] if gates.ndim == 4 else gates)
+                    expected = _two_term_gate(rows, q, oracle)
                 np.testing.assert_allclose(amps, expected, rtol=0, atol=1e-14)
 
 
