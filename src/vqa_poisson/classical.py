@@ -56,5 +56,16 @@ def fidelity(psi, u_normalized) -> float:
 
 
 def trace_distance(psi, u_normalized) -> float:
-    """sqrt(1 - |<psi|u_bar>|^2), clipped into [0, 1]."""
-    return float(np.sqrt(np.clip(1.0 - fidelity(psi, u_normalized), 0.0, 1.0)))
+    """sqrt(1 - |<psi|u_bar>|^2) for unit vectors, clipped into [0, 1].
+
+    Evaluated as sqrt((1 - |o|)(1 + |o|)) for o = <psi|u_bar>, with
+    1 - |o| = |psi - e^{i phi} u_bar|^2 / 2 and e^{i phi} = conj(o) / |o|,
+    which does not cancel as |o| approaches 1.
+    """
+    psi, u = _as_vector(psi), _as_vector(u_normalized)
+    overlap = np.vdot(psi, u)
+    size = float(np.abs(overlap))
+    phase = np.conj(overlap) / size if size else 1.0
+    diff = psi - phase * u
+    gap = 0.5 * float(np.vdot(diff, diff).real)
+    return float(np.sqrt(np.clip(gap * (1.0 + size), 0.0, 1.0)))

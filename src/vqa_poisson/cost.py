@@ -120,10 +120,15 @@ def cost_and_a_psi(op: PoissonOperator, psi: np.ndarray,
         raise ValueError(f"operator acts on {op.n_qubits} qubits, state has {psi.size} amplitudes")
     a_psi = apply_operator(op, psi)
     num, den = float(np.real(np.vdot(psi, f))), float(np.real(np.vdot(psi, a_psi)))
+    return cost_report(num, den), a_psi
+
+
+def cost_report(num: float, den: float) -> CostReport:
+    """The report of one numerator and denominator; a non-positive denominator raises."""
     if den <= 0.0:
         raise SingularOperatorError(
             f"denominator {den} is not positive; add regularization epsilon")
-    return CostReport(num, den, num / den, -0.5 * num * num / den), a_psi
+    return CostReport(num, den, num / den, -0.5 * num * num / den)
 
 
 def cost_from_state(op: PoissonOperator, psi: Statevector, f: Statevector) -> CostReport:

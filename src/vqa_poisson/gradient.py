@@ -9,9 +9,10 @@ combination (:func:`grad_from_state`, from the psi and A psi of a cost
 evaluation).  For R_Y parameters d_i psi = (1/2) U(..., theta_i + pi, ...)|0...0>;
 :func:`shifted_state` builds that pi-shifted state (the test oracle).
 :func:`parameter_shift_gradient` is the one shifted-circuit route: one batched
-forward sweep prepares all 3P shifted states, the numerator from pi shifts and
-the denominator terms from +-pi/2 shifts, and a caller-supplied estimator
-turns each term's P shifted states into P values at once (exact expectations
+forward sweep prepares 3P + 1 rows, theta and its 3P shifts (the numerator from
+pi shifts, the denominator terms from +-pi/2 shifts), and a caller-supplied
+estimator measures each slot once over every row it needs, theta included,
+then reads the shifted groups from that one measurement (exact expectations
 here, shot estimates in the sampling mode).
 """
 
@@ -22,11 +23,12 @@ from typing import Callable
 
 import numpy as np
 
-from .cost import (CostReport, ancilla_x_term, apply_operator, apply_term, cost,
-                   cost_and_a_psi, expectation)
+from .cost import (CostReport, ancilla_x_term, apply_operator, apply_term, cost_and_a_psi,
+                   cost_report, expectation)
 from .operators import ObservableTerm, PoissonOperator
 from .states import (AnsatzCircuit, Statevector, _real_if_real, ansatz_adjoint,
-                     ansatz_amplitude_rows, ansatz_amplitudes, prepare_ansatz_state)
+                     ansatz_amplitude_rows, ansatz_amplitudes, prepare_ansatz_state,
+                     superposition_rows)
 
 
 @dataclass(frozen=True)
@@ -87,49 +89,55 @@ def grad_cost(op: PoissonOperator, circuit: AnsatzCircuit, theta: np.ndarray,
 
 
 def parameter_shift_gradient(op: PoissonOperator, circuit: AnsatzCircuit, theta: np.ndarray,
-                             f: Statevector, base: CostReport,
-                             estimate: Callable[..., np.ndarray]) -> np.ndarray:
-    """Cost gradient from shifted circuits, with each term's values from `estimate`.
+                             f: Statevector, measure: Callable[..., tuple],
+                             report: Callable[[float, float], CostReport]) -> np.ndarray:
+    """Cost gradient from the circuits at theta and its shifts, each term measured by `measure`.
 
-    ``base`` is the cost report at theta.  Per parameter i, the numerator
-    derivative is half the numerator at theta_i + pi and the denominator
-    derivative is half the difference of the term sums at theta_i +- pi/2
-    (parameter-shift rule, Schuld et al., arXiv:1811.11184).  One forward
-    sweep prepares all 3P shifted states.  ``estimate(slot, term, rows, axes,
-    key)`` returns one expectation per row of the (P, 2^m) amplitude array
-    ``rows``, the P shifted circuits of one measured group; slot 0 is the
-    numerator's ancilla X on the superposition states (key ``(1,)``) and slot
-    k + 1 is ``op.terms[k]`` at theta +- pi/2 (keys ``(2, k)`` and ``(3, k)``).
-    No circuit superposes a shifted and an unshifted ansatz state.
+    Per parameter i, the numerator derivative is half the numerator at theta_i + pi and the
+    denominator derivative is half the difference of the term sums at theta_i +- pi/2
+    (parameter-shift rule, Schuld et al., arXiv:1811.11184).  The quotient rule takes the
+    numerator and denominator at theta from ``report(num, den)``, which raises where they are
+    unusable.  One forward sweep prepares 3P + 1 rows: theta, then its P pi shifts, its
+    P +pi/2 shifts and its P -pi/2 shifts.
+
+    ``measure(slot, term, rows, axes)`` is called once per measured slot with every row the
+    slot measures, row 0 at theta, and returns ``(value at row 0, group)``;
+    ``group(index, key)`` returns one expectation per row of ``rows[index]``, measured as
+    one group keyed by ``key``.  Slot 0 is the numerator's ancilla X on the P + 1
+    superpositions of f with theta and its pi shifts (key ``(1,)``); slot k + 1 is
+    ``op.terms[k]`` on theta and its 2P +-pi/2 shifts (keys ``(2, k)`` and ``(3, k)``).
+    Every slot is measured, and ``report`` called, before the first group.  No circuit
+    superposes a shifted and an unshifted ansatz state.
     """
     theta = np.asarray(theta, dtype=float)
     count = circuit.parameter_count
     params = range(count)
-    thetas = np.tile(theta, (3, count, 1))
-    thetas[:, params, params] += np.array([[np.pi], [np.pi / 2.0], [-np.pi / 2.0]])
-    pi_rows, *branch_rows = ansatz_amplitude_rows(circuit, thetas.reshape(-1, count)).reshape(
-        3, count, -1)
-    f_amps = np.broadcast_to(_real_if_real(f.amplitudes), pi_rows.shape)
-    sup = np.concatenate([f_amps, pi_rows], axis=1) / np.sqrt(2.0)
-    g_num = estimate(0, ancilla_x_term(op.n_qubits), sup, None, (1,))
-    branch_sums = []
-    for branch, rows in zip((2, 3), branch_rows):
-        total = np.zeros(count)
-        for k, term in enumerate(op.terms):
-            total += estimate(k + 1, term, rows, op.axes, (branch, k))
-        branch_sums.append(total)
+    shifted = np.tile(theta, (3, count, 1))
+    shifted[:, params, params] += np.array([[np.pi], [np.pi / 2.0], [-np.pi / 2.0]])
+    rows = ansatz_amplitude_rows(circuit, np.vstack([theta, shifted.reshape(-1, count)]))
+    sup = superposition_rows(_real_if_real(f.amplitudes), rows[:count + 1])
+    num, num_group = measure(0, ancilla_x_term(op.n_qubits), sup, None)
+    term_rows = np.delete(rows, np.s_[1:count + 1], axis=0)
+    measured = [measure(k + 1, term, term_rows, op.axes) for k, term in enumerate(op.terms)]
+    base = report(num, op.constant_offset + sum(value for value, _ in measured))
+    g_num = num_group(np.s_[1:], (1,))
+    branch_sums = [sum(group(index, (branch, k)) for k, (_, group) in enumerate(measured))
+                   for branch, index in ((2, np.s_[1:count + 1]), (3, np.s_[count + 1:]))]
     d_den = 0.5 * (branch_sums[0] - branch_sums[1])
     num, den = base.numerator, base.denominator
     return -0.5 * num * g_num / den + 0.5 * num * num * d_den / (den * den)
 
 
+def _exact_measure(slot: int, term: ObservableTerm, rows: np.ndarray,
+                   axes: tuple[int, ...] | None) -> tuple:
+    values = np.array([expectation(term, Statevector(row), axes) for row in rows])
+    return values[0], lambda index, key: values[index]
+
+
 def grad_cost_parameter_shift(op: PoissonOperator, circuit: AnsatzCircuit,
                               theta: np.ndarray, f: Statevector) -> GradientReport:
     """Same gradient as :func:`grad_cost` through exact shifted-circuit expectations."""
-    grad = parameter_shift_gradient(
-        op, circuit, theta, f, cost(op, circuit, theta, f),
-        lambda slot, term, rows, axes, key: np.array(
-            [expectation(term, Statevector(row), axes) for row in rows]))
+    grad = parameter_shift_gradient(op, circuit, theta, f, _exact_measure, cost_report)
     return GradientReport(grad=grad, norm=float(np.linalg.norm(grad)))
 
 

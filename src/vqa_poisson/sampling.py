@@ -8,20 +8,24 @@ bit).  Every measured group draws from one independently derived stream:
 a term in a cost estimate, or the P shifted rows of one (slot, branch) in the
 gradient, whose rows are independent multinomial draws from that stream.
 Group estimates are uncorrelated, and all are deterministic in the seed.
+A sampled gradient simulates 3P + 1 rows (theta and its 3P shifts) in one
+forward sweep and builds each measured slot's outcome distributions once,
+over every row the slot measures: 1 + T builds for T terms.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .cost import CostReport, ancilla_x_term
+from .cost import CostReport, ancilla_x_term, cost_report
 from .gradient import parameter_shift_gradient
 from .operators import ObservableTerm, PoissonOperator, _factor_masks, shift_amplitudes
 from .states import (AnsatzCircuit, Statevector, _HADAMARD, _apply_single_qubit, _real_if_real,
-                     prepare_ansatz_state, prepare_superposition_state)
+                     ansatz_amplitudes, superposition_rows)
 
 
 class UnstableEstimateError(RuntimeError):
@@ -60,9 +64,13 @@ def _row_distributions(term: ObservableTerm, rows: np.ndarray,
                        axes: tuple[int, ...] | None) -> tuple[np.ndarray, np.ndarray]:
     """(outcome probabilities per row, per-outcome shot values) for one term
     measured on every row of a (rows, 2^n) amplitude array."""
+    if rows.shape[-1] != 1 << term.n_qubits:
+        raise ValueError(
+            f"term acts on {term.n_qubits} qubits, rows have {rows.shape[-1]} amplitudes"
+        )
     axes = (term.n_qubits,) if axes is None else axes
     rotated = shift_amplitudes(rows, axes, term.axis_shifts)
-    xmask, pmask = _factor_masks(term.factors)
+    xmask = _factor_masks(term.factors)[0]
     if xmask:
         rotated = np.array(rotated)  # the Hadamards act in place; never on `rows` itself
         for q in range(term.n_qubits):
@@ -70,7 +78,15 @@ def _row_distributions(term: ObservableTerm, rows: np.ndarray,
                 _apply_single_qubit(rotated, q, _HADAMARD)
     probs = np.real(rotated.conj() * rotated)
     probs /= probs.sum(axis=-1, keepdims=True)
-    idx = np.arange(probs.shape[-1])
+    return probs, _shot_values(term)
+
+
+@functools.lru_cache(maxsize=256)
+def _shot_values(term: ObservableTerm) -> np.ndarray:
+    """Per-outcome shot value of a term, built once per term like
+    :func:`~vqa_poisson.operators.gather_table`."""
+    xmask, pmask = _factor_masks(term.factors)
+    idx = np.arange(1 << term.n_qubits)
     # Bit 0 of `parity` ends up as the parity of the X bits of each outcome.
     parity = idx & xmask
     step = 1
@@ -78,16 +94,13 @@ def _row_distributions(term: ObservableTerm, rows: np.ndarray,
         parity ^= parity >> step
         step *= 2
     values = term.coefficient * (1.0 - 2.0 * (parity & 1)) * ((idx & pmask) == 0)
-    return probs, values
+    values.setflags(write=False)
+    return values
 
 
 def _measurement_distribution(term: ObservableTerm, state: Statevector,
                               axes: tuple[int, ...] | None) -> tuple[np.ndarray, np.ndarray]:
     """(outcome probabilities, per-outcome shot values) for one term."""
-    if term.n_qubits != state.n_qubits:
-        raise ValueError(
-            f"term acts on {term.n_qubits} qubits, state has {state.n_qubits}"
-        )
     probs, values = _row_distributions(term, _real_if_real(state.amplitudes)[None], axes)
     return probs[0], values
 
@@ -101,16 +114,27 @@ def term_shot_moments(term: ObservableTerm, state: Statevector,
     return mean, second - mean * mean
 
 
-def sample_term(term: ObservableTerm, state: Statevector, shots: int, seed: int,
-                axes: tuple[int, ...] | None = None) -> ShotEstimate:
-    """Monte Carlo estimate of one term expectation from the counts of `shots` samples."""
+def _shot_estimate(probs: np.ndarray, values: np.ndarray, shots: int,
+                   seed: int) -> ShotEstimate:
+    """Estimate from the counts of `shots` draws of one outcome distribution
+    (a row of :func:`_row_distributions`) on the stream of `seed`."""
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
-    probs, values = _measurement_distribution(term, state, axes)
     counts = draw_counts(probs, shots, seed)
     mean = float(counts @ values / shots)
     variance = float(counts @ (values - mean) ** 2 / (shots - 1)) if shots > 1 else 0.0
     return ShotEstimate(mean=mean, sample_variance=variance, shots=shots, seed=seed)
+
+
+def _row_means(probs: np.ndarray, values: np.ndarray, shots: int, seed: int) -> np.ndarray:
+    """Shot-estimated mean of every probability row, all rows drawn on the stream of `seed`."""
+    return draw_counts(probs, shots, seed) @ values / shots
+
+
+def sample_term(term: ObservableTerm, state: Statevector, shots: int, seed: int,
+                axes: tuple[int, ...] | None = None) -> ShotEstimate:
+    """Monte Carlo estimate of one term expectation from the counts of `shots` samples."""
+    return _shot_estimate(*_measurement_distribution(term, state, axes), shots, seed)
 
 
 def _shots_per_term(shots_per_term: int | Sequence[int], count: int) -> list[int]:
@@ -129,24 +153,29 @@ def sample_cost_estimates(op: PoissonOperator, circuit: AnsatzCircuit,
     """Plug-in cost estimate plus the per-term shot estimates.
 
     Estimate index 0 is the numerator (ancilla X on the superposition state);
-    the rest follow the operator's term order.  The returned tuple length is
-    the number of circuits executed for one cost evaluation.
+    the rest follow the operator's term order.  Estimate k draws on the stream
+    of ``derive_seed(seed, k)``.  The returned tuple length is the number of
+    circuits executed for one cost evaluation.
     """
-    psi = prepare_ansatz_state(circuit, theta)
-    sup = prepare_superposition_state(f, psi)
+    psi = ansatz_amplitudes(circuit, theta)[None]
+    sup = superposition_rows(_real_if_real(f.amplitudes), psi)
     shots = _shots_per_term(shots_per_term, 1 + len(op.terms))
-    estimates = [sample_term(ancilla_x_term(psi.n_qubits), sup, shots[0], derive_seed(seed, 0))]
-    estimates += [sample_term(term, psi, shots[k + 1], derive_seed(seed, k + 1), axes=op.axes)
-                  for k, term in enumerate(op.terms)]
-    num = estimates[0].mean
-    den = op.constant_offset + sum(e.mean for e in estimates[1:])
+    slots = [(ancilla_x_term(op.n_qubits), sup, None)] + [(t, psi, op.axes) for t in op.terms]
+    estimates = []
+    for slot, (term, rows, axes) in enumerate(slots):
+        probs, values = _row_distributions(term, rows, axes)
+        estimates.append(_shot_estimate(probs[0], values, shots[slot], derive_seed(seed, slot)))
+    report = _plug_in_report(
+        estimates[0].mean, op.constant_offset + sum(e.mean for e in estimates[1:]), shots)
+    return report, tuple(estimates)
+
+
+def _plug_in_report(num: float, den: float, shots: list[int]) -> CostReport:
     if den <= 0.0:
         raise UnstableEstimateError(
             f"sampled denominator {den} is not positive at {shots} shots"
         )
-    report = CostReport(numerator=num, denominator=den, r_opt=num / den,
-                        energy=-0.5 * num * num / den)
-    return report, tuple(estimates)
+    return cost_report(num, den)
 
 
 def sample_cost(op: PoissonOperator, circuit: AnsatzCircuit, theta: np.ndarray,
@@ -173,26 +202,27 @@ def predict_mse(r_opt: float, variances: Sequence[float],
     return MsePrediction(predicted_mse=r2 * (variances[0] / shot_list[0] + 0.25 * r2 * den_part))
 
 
-def _sample_rows(term: ObservableTerm, rows: np.ndarray, axes: tuple[int, ...] | None,
-                 shots: int, seed: int, key: tuple[int, ...]) -> np.ndarray:
-    """Shot-estimated term mean of every row, all rows drawn on the stream of ``key``."""
-    probs, values = _row_distributions(term, rows, axes)
-    return draw_counts(probs, shots, derive_seed(seed, *key)) @ values / shots
-
-
 def sampled_gradient(op: PoissonOperator, circuit: AnsatzCircuit, theta: np.ndarray,
                      f: Statevector, shots_per_term: int | Sequence[int],
                      seed: int) -> np.ndarray:
     """Shot-based cost gradient via :func:`~vqa_poisson.gradient.parameter_shift_gradient`.
 
-    The base cost is :func:`sample_cost_estimates` at ``derive_seed(seed, 0)``.  Each
-    measured group of P shifted circuits draws its P count rows from one
+    Each slot's outcome distributions are built once, over theta and every
+    shifted row the slot measures.  The base cost at theta draws the streams
+    of :func:`sample_cost_estimates` at ``derive_seed(seed, 0)``, and a
+    non-positive base denominator raises before any shifted circuit is drawn.
+    Each measured group of P shifted circuits draws its P count rows from one
     stream keyed by the group: ``(1,)`` for the pi-shifted numerator and
     ``(branch, k)`` for term k at theta +- pi/2 (branch 2 and 3).
     """
-    base, _ = sample_cost_estimates(op, circuit, theta, f, shots_per_term, derive_seed(seed, 0))
     shots = _shots_per_term(shots_per_term, 1 + len(op.terms))
-    return parameter_shift_gradient(
-        op, circuit, theta, f, base,
-        lambda slot, term, rows, axes, key: _sample_rows(term, rows, axes, shots[slot],
-                                                         seed, key))
+    base_seed = derive_seed(seed, 0)
+
+    def measure(slot, term, rows, axes):
+        probs, values = _row_distributions(term, rows, axes)
+        base = _shot_estimate(probs[0], values, shots[slot], derive_seed(base_seed, slot))
+        return base.mean, lambda index, key: _row_means(probs[index], values, shots[slot],
+                                                        derive_seed(seed, *key))
+
+    return parameter_shift_gradient(op, circuit, theta, f, measure,
+                                    lambda num, den: _plug_in_report(num, den, shots))

@@ -328,8 +328,13 @@ def prepare_source_state(n_qubits: int, source=None) -> Statevector:
     return source.apply(Statevector.zero(n_qubits))
 
 
+def superposition_rows(a: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """(|0>|a> + |1>|row>)/sqrt(2) of every row of ``rows``, the ancilla as the new top qubit."""
+    return np.concatenate([np.broadcast_to(a, rows.shape), rows], axis=-1) / np.sqrt(2.0)
+
+
 def prepare_superposition_state(a: Statevector, b: Statevector) -> Statevector:
     """(|0>|a> + |1>|b>)/sqrt(2) with the ancilla as the new top qubit."""
     if a.n_qubits != b.n_qubits:
         raise ValueError("register sizes differ")
-    return Statevector(np.concatenate([a.amplitudes, b.amplitudes]) / np.sqrt(2.0))
+    return Statevector(superposition_rows(a.amplitudes, b.amplitudes))

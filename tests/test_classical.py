@@ -69,6 +69,29 @@ def test_trace_distance_limits():
     assert trace_distance(np.array([0.0, 1.0]), u) == 1.0
 
 
+@pytest.mark.parametrize("phase", [1.0, np.exp(0.3j)], ids=["real", "complex"])
+@pytest.mark.parametrize("distance", [1e-9, 1e-8, 1e-7, 1e-6, 1e-5, 1e-4, 1e-3, 1e-2])
+def test_trace_distance_matches_extended_precision_reference(distance, phase):
+    # Near convergence 1 - |<psi|u>|^2 cancels in float64; the reference takes the
+    # part of psi orthogonal to u in extended precision, which does not.
+    rng = np.random.default_rng(17)
+    u = rng.normal(size=8)
+    u /= np.linalg.norm(u)
+    v = rng.normal(size=8)
+    v -= (v @ u) * u
+    v /= np.linalg.norm(v)
+    psi = phase * (np.sqrt(1.0 - distance**2) * u + distance * v)
+    p = psi.astype(np.clongdouble)
+    q = u.astype(np.longdouble)
+    p /= np.sqrt(np.sum(np.abs(p) ** 2))
+    q /= np.sqrt(np.sum(q * q))
+    residual = p - np.sum(q * p) * q
+    reference = float(np.sqrt(np.sum(np.abs(residual) ** 2)))
+    assert trace_distance(psi, u) == pytest.approx(reference, rel=1e-6)
+    if phase == 1.0:
+        assert trace_distance(psi.astype(complex), u) == pytest.approx(reference, rel=1e-6)
+
+
 def test_trace_distance_tolerance_matches_fidelity_bound():
     # |<psi|u>| = 0.99995 sits just inside the 0.01 trace-distance band
     overlap = 0.99995

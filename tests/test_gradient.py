@@ -7,6 +7,7 @@ from vqa_poisson import (AnsatzCircuit, BoundaryCondition, CustomSource, Mesh2D,
                          grad_cost_parameter_shift, grad_denominator, grad_numerator,
                          numerator_hadamard, prepare_ansatz_state, prepare_source_state,
                          reassemble_dense, shifted_state, term_gradient)
+from vqa_poisson.cost import cost_report
 from vqa_poisson.gradient import parameter_shift_gradient
 from vqa_poisson.operators import term_dense
 from vqa_poisson.states import ansatz_adjoint, ansatz_amplitudes
@@ -148,19 +149,31 @@ def test_parameter_shift_estimator_slots_and_keys(rng):
     circuit = AnsatzCircuit(2, 1)
     f = prepare_source_state(2)
     theta = random_theta(rng, circuit)
+    count = circuit.parameter_count
     calls = []
 
-    def estimate(slot, term, rows, axes, key):
-        # one call per measured group, carrying all P shifted rows
-        assert len(rows) == circuit.parameter_count
-        calls.append((slot, key))
-        return np.array([expectation(term, Statevector(row), axes) for row in rows])
+    def measure(slot, term, rows, axes):
+        # one call per measured slot, carrying theta (row 0) and every shifted row it measures
+        assert len(rows) == (count + 1 if slot == 0 else 2 * count + 1)
+        calls.append(("measure", slot))
+        values = np.array([expectation(term, Statevector(row), axes) for row in rows])
 
-    grad = parameter_shift_gradient(op, circuit, theta, f, cost(op, circuit, theta, f),
-                                    estimate)
-    assert calls == ([(0, (1,))]
-                     + [(k + 1, (branch, k)) for branch in (2, 3)
-                        for k in range(len(op.terms))])
+        def group(index, key):
+            # one call per measured group of P shifted rows
+            assert len(values[index]) == count
+            calls.append((slot, key))
+            return values[index]
+
+        return values[0], group
+
+    def report(num, den):
+        calls.append("report")
+        return cost_report(num, den)
+
+    grad = parameter_shift_gradient(op, circuit, theta, f, measure, report)
+    terms = len(op.terms)
+    assert calls == ([("measure", slot) for slot in range(1 + terms)] + ["report", (0, (1,))]
+                     + [(k + 1, (branch, k)) for branch in (2, 3) for k in range(terms)])
     np.testing.assert_allclose(grad, grad_cost(op, circuit, theta, f).grad, atol=1e-12)
 
 

@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -7,9 +9,9 @@ from vqa_poisson import (AnsatzCircuit, BoundaryCondition, CustomSource, Observa
                          count_sampled_gradient_circuits, decompose, derive_seed, grad_cost,
                          numerator_hadamard, predict_mse, prepare_ansatz_state,
                          prepare_source_state, prepare_superposition_state, sample_cost,
-                         sample_cost_estimates, sample_term, sampled_gradient,
+                         sample_cost_estimates, sample_term, sampled_gradient, shifted_state,
                          term_shot_moments)
-from vqa_poisson import sampling
+from vqa_poisson import sampling, states
 from vqa_poisson.operators import FACTOR_I, FACTOR_P0, FACTOR_X
 
 from conftest import random_theta
@@ -270,7 +272,8 @@ def test_identical_rows_draw_independent_counts(monkeypatch):
     draw = sampling.draw_counts
     monkeypatch.setattr(sampling, "draw_counts",
                         lambda *args: drawn.append(draw(*args)) or drawn[-1])
-    means = sampling._sample_rows(x_term(3), rows, None, 1024, 17, (2, 0))
+    means = sampling._row_means(*sampling._row_distributions(x_term(3), rows, None), 1024,
+                                derive_seed(17, 2, 0))
     (counts,) = drawn
     assert counts.shape == (6, 8)
     assert len({tuple(row) for row in counts}) > 1
@@ -309,3 +312,108 @@ def test_sampled_gradient_approaches_exact_on_two_axes(phase):
     # Re<psi|i f> = 0 for a real psi, so the i|f> gradient vanishes
     scale = max(np.linalg.norm(exact), 1e-3)
     assert np.linalg.norm(sampled - exact) < 0.05 * scale
+
+
+def _per_circuit_sampled_gradient(op, circuit, theta, f, shots_per_term, seed):
+    """The sampled gradient built circuit by circuit: the base cost from
+    :func:`sample_cost_estimates` at ``derive_seed(seed, 0)``, every shifted state
+    prepared on its own, and one distribution build per shifted circuit."""
+    base, _ = sample_cost_estimates(op, circuit, theta, f, shots_per_term, derive_seed(seed, 0))
+    shots = sampling._shots_per_term(shots_per_term, 1 + len(op.terms))
+    count = circuit.parameter_count
+
+    def half_pi_states(offset):
+        out = []
+        for i in range(count):
+            shifted = np.array(theta, dtype=float)
+            shifted[i] += offset
+            out.append(prepare_ansatz_state(circuit, shifted))
+        return out
+
+    def group_means(slot, term, group_states, axes, key):
+        dists = [sampling._measurement_distribution(term, s, axes) for s in group_states]
+        counts = sampling.draw_counts(np.array([p for p, _ in dists]), shots[slot],
+                                      derive_seed(seed, *key))
+        return counts @ dists[0][1] / shots[slot]
+
+    sups = [prepare_superposition_state(f, shifted_state(circuit, theta, i))
+            for i in range(count)]
+    g_num = group_means(0, ancilla_x_term(op.n_qubits), sups, None, (1,))
+    branch_sums = []
+    for branch, offset in ((2, np.pi / 2.0), (3, -np.pi / 2.0)):
+        total = np.zeros(count)
+        for k, term in enumerate(op.terms):
+            total += group_means(k + 1, term, half_pi_states(offset), op.axes, (branch, k))
+        branch_sums.append(total)
+    d_den = 0.5 * (branch_sums[0] - branch_sums[1])
+    num, den = base.numerator, base.denominator
+    return -0.5 * num * g_num / den + 0.5 * num * num * d_den / (den * den)
+
+
+@pytest.mark.parametrize("phase", [1.0, 1j, np.exp(0.3j)], ids=["real", "i", "phase"])
+@pytest.mark.parametrize("operator", [
+    decompose(3, DIRICHLET),
+    decompose(3, BoundaryCondition.NEUMANN, 1e-3),
+    decompose(3, BoundaryCondition.PERIODIC, 1e-3),
+    build_fdm_kron(2, 2, BoundaryCondition.NEUMANN, 1e-3),
+], ids=["dirichlet", "neumann", "periodic", "fdm2x2"])
+def test_sampled_gradient_equals_per_circuit_construction(operator, phase):
+    circuit = AnsatzCircuit(operator.n_qubits, 1)
+    f = prepare_source_state(operator.n_qubits, _step_source(phase))
+    slot_shots = [16 * (k + 1) for k in range(1 + len(operator.terms))]
+    for shots in (1, 64, 16384, slot_shots):
+        for seed in (0, 9):
+            theta = random_theta(np.random.default_rng(seed), circuit)
+            try:
+                expected = _per_circuit_sampled_gradient(operator, circuit, theta, f, shots, seed)
+            except UnstableEstimateError:
+                with pytest.raises(UnstableEstimateError):
+                    sampled_gradient(operator, circuit, theta, f, shots, seed)
+                continue
+            assert np.array_equal(sampled_gradient(operator, circuit, theta, f, shots, seed),
+                                  expected)
+
+
+def test_sampled_gradient_sweeps_once_and_builds_each_slot_once(monkeypatch):
+    op = decompose(3, DIRICHLET)
+    circuit = AnsatzCircuit(3, 5)
+    f = prepare_source_state(3)
+    sweeps, builds, prepared = [], [], []
+    sweep = states._forward_sweep
+    monkeypatch.setattr(states, "_forward_sweep",
+                        lambda circ, half, rows: sweeps.append(rows) or sweep(circ, half, rows))
+    build = sampling._row_distributions
+    monkeypatch.setattr(sampling, "_row_distributions",
+                        lambda term, rows, axes: builds.append(len(rows)) or build(term, rows, axes))
+    prepare = states.prepare_ansatz_state
+    for module in list(sys.modules.values()):
+        if module is not None and module.__name__.startswith("vqa_poisson"):
+            if getattr(module, "prepare_ansatz_state", None) is prepare:
+                monkeypatch.setattr(module, "prepare_ansatz_state",
+                                    lambda *args: prepared.append(args) or prepare(*args))
+    theta = random_theta(np.random.default_rng(1), circuit)
+    sampled_gradient(op, circuit, theta, f, 1024, 5)
+    count = circuit.parameter_count
+    # one forward sweep of theta and its 3P shifts
+    assert sweeps == [3 * count + 1] == [55]
+    # one distribution build per measured slot: the numerator on theta and the pi
+    # shifts, each term on theta and the +-pi/2 shifts
+    assert builds == [count + 1] + [2 * count + 1] * len(op.terms)
+    assert len(builds) == 1 + len(op.terms) == 4
+    assert prepared == []
+
+
+def test_unstable_gradient_base_raises_before_any_group_draw(monkeypatch):
+    base = decompose(2, BoundaryCondition.NEUMANN, 1e-3)
+    # a large negative offset forces every sampled denominator below zero
+    op = PoissonOperator(base.axes, base.bc, base.terms, -100.0)
+    circuit = AnsatzCircuit(2, 1)
+    draws = []
+    draw = sampling.draw_counts
+    monkeypatch.setattr(sampling, "draw_counts",
+                        lambda probs, shots, seed: draws.append(np.ndim(probs))
+                        or draw(probs, shots, seed))
+    with pytest.raises(UnstableEstimateError):
+        sampled_gradient(op, circuit, np.linspace(0.1, 1.0, 4), prepare_source_state(2), 64, 3)
+    # the 1 + T single-row base draws, and no draw of a shifted group
+    assert draws == [1] * (1 + len(op.terms))
