@@ -90,7 +90,7 @@ class BfgsResult:
     values: list[float]
     gradient_norms: list[float]
     final_gradient_norm: float
-    zero_decrease_steps: int = 0  # accepted steps with candidate >= value
+    zero_decrease_steps: int = 0  # accepted equal values at a lower |g|
     skipped_updates: int = 0  # curvature updates skipped for sy <= 1e-12 |s| |y|
 
 
@@ -99,6 +99,9 @@ def bfgs(fun: Callable[[np.ndarray], float], jac: Callable[[np.ndarray], np.ndar
          stop_when: Callable[[np.ndarray, float, np.ndarray], bool]) -> BfgsResult:
     """BFGS with backtracking Armijo line search.
 
+    A step must lower the value strictly, by the Armijo margin.  Where the
+    margin rounds away at the value's last bit, an equal value is taken only
+    if the gradient norm drops there, a zero-decrease step.
     ``stop_when(x, value, gradient)`` is consulted once per iterate; a
     SingularOperatorError from ``fun`` or ``jac`` aborts cleanly.
     Statuses: converged, max_iterations, line_search_failed, aborted:<why>.
@@ -142,16 +145,19 @@ def bfgs(fun: Callable[[np.ndarray], float], jac: Callable[[np.ndarray], np.ndar
             slope = float(grad @ direction)
 
         alpha = 1.0
-        accepted = None
+        accepted = new_grad = None
         for _ in range(40):
             try:
                 candidate = fun(x + alpha * direction)
+                bound = value + 1e-4 * alpha * slope
+                # Where the Armijo term rounds away, the value cannot show a
+                # decrease: an equal value is taken only where |g| drops.
+                new_grad = jac(x + alpha * direction) if candidate == bound == value else None
+                if candidate < bound or (new_grad is not None and np.linalg.norm(new_grad) < gnorm):
+                    accepted = candidate
+                    break
             except SingularOperatorError:
-                alpha *= 0.5
-                continue
-            if candidate <= value + 1e-4 * alpha * slope:
-                accepted = candidate
-                break
+                pass
             alpha *= 0.5
         if accepted is None:
             status = "line_search_failed"
@@ -161,7 +167,8 @@ def bfgs(fun: Callable[[np.ndarray], float], jac: Callable[[np.ndarray], np.ndar
         step = alpha * direction
         new_x = x + step
         try:
-            new_grad = jac(new_x)
+            if new_grad is None:
+                new_grad = jac(new_x)
         except SingularOperatorError as err:
             status = f"aborted:{err}"
             x, value = new_x, accepted

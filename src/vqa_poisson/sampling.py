@@ -24,7 +24,7 @@ import numpy as np
 from .cost import CostReport, ancilla_x_term, cost_report
 from .gradient import parameter_shift_gradient
 from .operators import ObservableTerm, PoissonOperator, _factor_masks, shift_amplitudes
-from .states import (AnsatzCircuit, Statevector, _HADAMARD, _apply_single_qubit, _real_if_real,
+from .states import (AnsatzCircuit, Statevector, _apply_column, _hadamard_factors, _real_if_real,
                      ansatz_amplitudes, superposition_rows)
 
 
@@ -72,10 +72,7 @@ def _row_distributions(term: ObservableTerm, rows: np.ndarray,
     rotated = shift_amplitudes(rows, axes, term.axis_shifts)
     xmask = _factor_masks(term.factors)[0]
     if xmask:
-        rotated = np.array(rotated)  # the Hadamards act in place; never on `rows` itself
-        for q in range(term.n_qubits):
-            if xmask >> q & 1:
-                _apply_single_qubit(rotated, q, _HADAMARD)
+        rotated = _apply_column(rotated, *_hadamard_factors(term.n_qubits, xmask))
     probs = np.real(rotated.conj() * rotated)
     probs /= probs.sum(axis=-1, keepdims=True)
     return probs, _shot_values(term)

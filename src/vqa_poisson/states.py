@@ -1,14 +1,15 @@
 """Dense statevector simulation of the gate set used by the solver circuits.
 
 Index convention: basis state |i> stores qubit q in bit q of i, so qubit 0 is
-the least-significant bit.  All gates here (X, H, R_Y, CZ) are real; each
-single-qubit gate is one float64 kernel (complex states pass their real and
-imaginary parts through it one at a time).  On qubit 0 it is one
-(pairs, 2) @ gate^T product over the adjacent amplitude pairs; on a higher
-qubit, one matmul on a stride view with the target bit on its own axis.  The
-layered ansatz is simulated on real float64 arrays: a forward sweep for its
-state (or, in one sweep, for a stack of parameter vectors) and a reverse
-(adjoint) sweep for its gradients.
+the least-significant bit.  All gates here (X, H, R_Y, CZ) are real.  Every
+single-qubit gate runs through one float64 column kernel (complex states pass
+their real and imaginary parts through it as two rows).  A column, one gate
+per qubit with identities where none acts, is K_hi (x) K_lo over the high
+a = n - n // 2 and low b = n // 2 qubits; on an amplitude row viewed as a
+2^a x 2^b matrix X it is the two small products K_hi X K_lo^T.  The layered
+ansatz is simulated on real float64 arrays: a forward sweep for its state (or,
+in one sweep, for a stack of parameter vectors) and a reverse (adjoint) sweep
+for its gradients, which reuses the factors of a forward sweep at the same theta.
 """
 
 from __future__ import annotations
@@ -79,22 +80,58 @@ def _check_qubits(n_qubits: int, qubits: Sequence[int]) -> None:
         raise ValueError(f"qubit indices must be distinct, got {tuple(qubits)}")
 
 
-def _apply_single_qubit(amps: np.ndarray, qubit: int, gate: np.ndarray) -> None:
-    """``gate`` (2x2, or a (rows, 1, 2, 2) stack of one per row) on one qubit of
-    every row of a contiguous (rows, 2^n) array, in place."""
-    if qubit == 0:
-        # Amplitude pairs are adjacent: one (pairs, 2) @ gate^T product, per row
-        # for a stack, instead of one tiny product per pair.
-        if gate.ndim == 2:
-            pairs = amps.reshape(-1, 2)
-            pairs[...] = pairs @ gate.T
-        else:
-            pairs = amps.reshape(amps.shape[0], -1, 2)
-            pairs[...] = pairs @ np.swapaxes(gate[:, 0], -1, -2)
-        return
-    # Stride view: axis 2 is the target qubit's bit; one matmul covers every block.
-    view = amps.reshape(amps.shape[0], -1, 2, 1 << qubit)
-    view[...] = np.matmul(gate, view)
+def _kron_chain(gates: np.ndarray) -> np.ndarray:
+    """Kronecker product g_{m-1} (x) ... (x) g_0 of a (..., m, 2, 2) gate stack:
+    (..., 2^m, 2^m), vectorized over the leading axes."""
+    out = gates[..., 0, :, :] if gates.shape[-3] else np.ones(gates.shape[:-3] + (1, 1))
+    for j in range(1, gates.shape[-3]):
+        # the next gate is the more significant factor, so the inner loops run
+        # over the product so far, not over a 2x2 gate
+        size = 2 * out.shape[-1]
+        out = (gates[..., j, :, None, :, None] * out[..., None, :, None, :]).reshape(
+            *out.shape[:-2], size, size)
+    return np.ascontiguousarray(out)
+
+
+def _column_factors(gates: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(K_hi, K_lo^T) of columns of single-qubit gates, gates[..., q, :, :] on qubit q.
+
+    The column's 2^n x 2^n matrix is K_hi (x) K_lo: K_hi over the high
+    a = n - n // 2 qubits, K_lo over the low b = n // 2.  Every leading index
+    of ``gates`` gets its own pair.  K_lo is kept transposed, as
+    :func:`_apply_column` multiplies by it.  The factors are read-only: the
+    Hadamard and theta caches hand them to every caller.
+    """
+    low = gates.shape[-3] // 2
+    # a transposed view would carry its strides into every product of the chain
+    low_t = np.ascontiguousarray(np.swapaxes(gates[..., :low, :, :], -1, -2))
+    factors = _kron_chain(gates[..., low:, :, :]), _kron_chain(low_t)
+    for factor in factors:
+        factor.setflags(write=False)
+    return factors
+
+
+def _ry_factors(half_angles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_column_factors` of R_Y columns, [[c, -s], [s, c]] of the half-angles
+    (..., n): one product pair per leading index, all built in one pass."""
+    cos, sin = np.cos(half_angles), np.sin(half_angles)
+    gates = np.stack([cos, -sin, sin, cos], axis=-1).reshape(*np.shape(half_angles), 2, 2)
+    return _column_factors(gates)
+
+
+@functools.lru_cache(maxsize=256)
+def _hadamard_factors(n_qubits: int, mask: int) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_column_factors` of a Hadamard on every qubit of ``mask``, built once."""
+    on = ((mask >> np.arange(n_qubits)) & 1).astype(bool)[:, None, None]
+    return _column_factors(np.where(on, _HADAMARD, np.eye(2)))
+
+
+def _apply_column(amps: np.ndarray, k_hi: np.ndarray, k_lo_t: np.ndarray) -> np.ndarray:
+    """The column K_hi (x) K_lo on every row of a (rows, 2^n) array, as
+    K_hi X K_lo^T with X the row as a 2^a x 2^b matrix (Van Loan, J. Comput.
+    Appl. Math. 123, 2000); per-row factors are stacks with a leading row axis."""
+    split = amps.reshape(len(amps), k_hi.shape[-1], k_lo_t.shape[-1])
+    return (k_hi @ split @ k_lo_t).reshape(amps.shape)
 
 
 def _cz_inplace(amps: np.ndarray, qubit_a: int, qubit_b: int) -> None:
@@ -110,26 +147,27 @@ def apply_x(state: Statevector, qubit: int) -> Statevector:
     return Statevector(state.amplitudes[idx ^ (1 << qubit)])
 
 
-def _apply_gate(state: Statevector, qubit: int, gate: np.ndarray) -> Statevector:
-    """2x2 real gate on one qubit: the float64 kernel on the real and imaginary parts."""
-    _check_qubits(state.n_qubits, [qubit])
+def _apply_gate(state: Statevector, factors: tuple[np.ndarray, np.ndarray]) -> Statevector:
+    """One real column on a state: the float64 kernel on its real and imaginary parts."""
     parts = np.stack([state.amplitudes.real, state.amplitudes.imag])
-    # One part at a time: the products then have a one-row sweep's shapes (a
-    # (1, 2) @ (2, 2) product is a gemv, a (2, 2) @ (2, 2) one a gemm, and they
-    # round differently), so gate-by-gate states equal the sweep's bit for bit.
-    for part in parts:
-        _apply_single_qubit(part[None], qubit, gate)
-    return Statevector(parts[0] + 1j * parts[1])
+    # The two parts are two rows of one kernel call; each row's products have
+    # the shapes of a one-row sweep, so they round as the sweep does.
+    out = _apply_column(parts, *factors)
+    return Statevector(out[0] + 1j * out[1])
 
 
 def apply_h(state: Statevector, qubit: int) -> Statevector:
     """Hadamard on one qubit."""
-    return _apply_gate(state, qubit, _HADAMARD)
+    _check_qubits(state.n_qubits, [qubit])
+    return _apply_gate(state, _hadamard_factors(state.n_qubits, 1 << qubit))
 
 
 def apply_ry(state: Statevector, angle: float, qubit: int) -> Statevector:
     """R_Y(angle) rotation on one qubit."""
-    return _apply_gate(state, qubit, _ry_gates(angle / 2.0))
+    _check_qubits(state.n_qubits, [qubit])
+    # R_Y(0) is the identity exactly
+    half_angles = np.where(np.arange(state.n_qubits) == qubit, angle / 2.0, 0.0)
+    return _apply_gate(state, _ry_factors(half_angles))
 
 
 def apply_cz(state: Statevector, qubit_a: int, qubit_b: int) -> Statevector:
@@ -191,12 +229,6 @@ def _ry_pi_tables(n_qubits: int) -> tuple[np.ndarray, np.ndarray]:
     return index, sign
 
 
-def _ry_gates(half_angles: np.ndarray | float) -> np.ndarray:
-    """R_Y matrices [[c, -s], [s, c]] of the half-angles, stacked over their shape."""
-    cos, sin = np.cos(half_angles), np.sin(half_angles)
-    return np.stack([cos, -sin, sin, cos], axis=-1).reshape(*np.shape(half_angles), 2, 2)
-
-
 def _checked_theta(circuit: AnsatzCircuit, theta: np.ndarray) -> np.ndarray:
     theta = np.asarray(theta, dtype=float)
     if theta.shape != (circuit.parameter_count,):
@@ -206,25 +238,33 @@ def _checked_theta(circuit: AnsatzCircuit, theta: np.ndarray) -> np.ndarray:
     return theta
 
 
-def _forward_sweep(circuit: AnsatzCircuit, half_angles: np.ndarray, rows: int) -> np.ndarray:
-    """(rows, 2^n) amplitudes of the ansatz; half_angles[i] is theta_i / 2,
-    of shape (P,), or (P, rows, 1) for one value per row."""
+@functools.lru_cache(maxsize=8)
+def _theta_factors(circuit: AnsatzCircuit, theta_bytes: bytes) -> tuple[np.ndarray, np.ndarray]:
+    """Every column's (K_hi, K_lo^T) at one theta, kept for the adjoint sweep
+    that follows a forward sweep at the same theta."""
+    theta = np.frombuffer(theta_bytes).reshape(circuit.n_layers + 1, circuit.n_qubits)
+    return _ry_factors(theta / 2.0)
+
+
+def _forward_sweep(circuit: AnsatzCircuit, factors: tuple[np.ndarray, np.ndarray],
+                   rows: int) -> np.ndarray:
+    """(rows, 2^n) amplitudes of the ansatz from its columns' (K_hi, K_lo^T):
+    (columns, 2^a, 2^a) and (columns, 2^b, 2^b), or with a row axis after the
+    column axis for one column per row."""
     n = circuit.n_qubits
-    gates = _ry_gates(half_angles)
     amps = np.zeros((rows, 1 << n))
     amps[:, 0] = 1.0
-    for column in range(circuit.n_layers + 1):
+    for column, (k_hi, k_lo_t) in enumerate(zip(*factors)):
         if column:
             amps *= _cz_brick_signs(n, (column - 1) % 2)
-        for q in range(n):
-            _apply_single_qubit(amps, q, gates[column * n + q])
+        amps = _apply_column(amps, k_hi, k_lo_t)
     return amps
 
 
 def ansatz_amplitudes(circuit: AnsatzCircuit, theta: np.ndarray) -> np.ndarray:
     """Real amplitudes of U(theta)|0...0> for the alternating layered ansatz."""
     theta = _checked_theta(circuit, theta)
-    return _forward_sweep(circuit, theta / 2.0, 1)[0]
+    return _forward_sweep(circuit, _theta_factors(circuit, theta.tobytes()), 1)[0]
 
 
 def ansatz_amplitude_rows(circuit: AnsatzCircuit, thetas: np.ndarray) -> np.ndarray:
@@ -234,7 +274,10 @@ def ansatz_amplitude_rows(circuit: AnsatzCircuit, thetas: np.ndarray) -> np.ndar
         raise ValueError(
             f"thetas must have shape (rows, {circuit.parameter_count}), got {thetas.shape}"
         )
-    return _forward_sweep(circuit, thetas.T[:, :, None] / 2.0, thetas.shape[0])
+    rows = thetas.shape[0]
+    columns = (thetas / 2.0).reshape(rows, circuit.n_layers + 1, circuit.n_qubits)
+    factors = _ry_factors(np.swapaxes(columns, 0, 1))
+    return _forward_sweep(circuit, factors, rows)
 
 
 def ansatz_adjoint(circuit: AnsatzCircuit, theta: np.ndarray, psi: np.ndarray,
@@ -242,23 +285,23 @@ def ansatz_adjoint(circuit: AnsatzCircuit, theta: np.ndarray, psi: np.ndarray,
     """Re<d psi/d theta_i|lam> for every parameter, by one reverse sweep.
 
     ``psi`` is :func:`ansatz_amplitudes` at ``theta`` and ``lam`` a real
-    vector.  The sweep un-applies the circuit gate by gate to the stacked
-    (psi, lam) pair (Jones & Gacon, arXiv:2009.02823).  The gates of an R_Y
+    vector.  The sweep un-applies the circuit column by column to the stacked
+    (psi, lam) pair (Jones & Gacon, arXiv:2009.02823), with the transposed
+    factors of the forward sweep: R_Y(-phi) = R_Y(phi)^T.  The gates of an R_Y
     column commute, so every gradient of a column is read at the point just
     after it: d psi/d theta_i = (1/2) R_Y(pi)_q applied there.
     """
     theta = _checked_theta(circuit, theta)
     n = circuit.n_qubits
     index, sign = _ry_pi_tables(n)
+    k_his, k_lo_ts = _theta_factors(circuit, theta.tobytes())
     pair = np.stack([psi, lam])
-    gates = _ry_gates(-theta / 2.0)
     grad = np.empty(circuit.parameter_count)
     for column in range(circuit.n_layers, -1, -1):
         base = column * n
         grad[base:base + n] = 0.5 * ((pair[0][index] * sign) @ pair[1])
         if column:
-            for q in range(n):
-                _apply_single_qubit(pair, q, gates[base + q])
+            pair = _apply_column(pair, k_his[column].T, k_lo_ts[column].T)
             pair *= _cz_brick_signs(n, (column - 1) % 2)
     return grad
 

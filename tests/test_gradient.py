@@ -7,8 +7,9 @@ from vqa_poisson import (AnsatzCircuit, BoundaryCondition, CustomSource, Mesh2D,
                          grad_cost_parameter_shift, grad_denominator, grad_numerator,
                          numerator_hadamard, prepare_ansatz_state, prepare_source_state,
                          reassemble_dense, shifted_state, term_gradient)
-from vqa_poisson.cost import cost_report
-from vqa_poisson.gradient import parameter_shift_gradient
+from vqa_poisson.cost import cost_and_a_psi, cost_report
+from vqa_poisson import states
+from vqa_poisson.gradient import grad_from_state, parameter_shift_gradient
 from vqa_poisson.operators import term_dense
 from vqa_poisson.states import ansatz_adjoint, ansatz_amplitudes
 
@@ -201,7 +202,7 @@ def pi_shift_rows(circuit, theta):
                      for i in range(circuit.parameter_count)])
 
 
-@pytest.mark.parametrize("n,layers", [(1, 0), (1, 2), (2, 1), (3, 0), (4, 3)])
+@pytest.mark.parametrize("n,layers", [(1, 0), (1, 2), (2, 1), (3, 0), (4, 3), (9, 2), (11, 1)])
 def test_adjoint_sweep_matches_pi_shift_oracle(n, layers, rng):
     circuit = AnsatzCircuit(n, layers)
     theta = random_theta(rng, circuit)
@@ -209,6 +210,25 @@ def test_adjoint_sweep_matches_pi_shift_oracle(n, layers, rng):
     psi = ansatz_amplitudes(circuit, theta)
     np.testing.assert_allclose(ansatz_adjoint(circuit, theta, psi, lam),
                                0.5 * pi_shift_rows(circuit, theta) @ lam, atol=1e-12)
+
+
+@pytest.mark.parametrize("n", [3, 5, 8])
+def test_gradient_from_reused_factors_equals_cold_call(n, rng):
+    """The adjoint sweep reuses the column factors of the forward sweep at the
+    same theta; built afresh, they give the same gradient bit for bit."""
+    op = decompose(n, DIRICHLET)
+    circuit = AnsatzCircuit(n, 3)
+    f = prepare_source_state(n)
+    f_amps = states._real_if_real(f.amplitudes)
+    theta = random_theta(rng, circuit)
+    states._theta_factors.cache_clear()
+    warm = grad_cost(op, circuit, theta, f).grad
+    assert states._theta_factors.cache_info().hits == 1
+    psi = ansatz_amplitudes(circuit, theta)
+    states._theta_factors.cache_clear()
+    cold = grad_from_state(circuit, theta, psi, *cost_and_a_psi(op, psi, f_amps), f_amps)
+    assert states._theta_factors.cache_info().misses == 1
+    assert np.array_equal(warm, cold)
 
 
 MULTI_AXIS_OPERATORS = {

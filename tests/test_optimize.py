@@ -123,17 +123,44 @@ def test_mean_iterations_grow_with_qubit_count():
 
 def test_bfgs_counts_zero_decrease_steps_and_skipped_updates():
     # Quantized values: backtracking halves alpha until 1e-4 * alpha * slope
-    # rounds away and the Armijo test accepts an equal value.  Quantized
-    # gradients: the tiny step leaves the gradient unchanged, so y = 0 and the
-    # curvature update is skipped.
-    result = bfgs(lambda x: float(np.round(1.0 + x @ x, 3)),
-                  lambda x: np.round(2.0 * x, 3),
-                  np.full(2, 1e-3), max_iterations=4, stop_when=lambda x, v, g: False)
+    # rounds away.  The equal value is then accepted only where the gradient
+    # norm drops: with the exact gradient every step is a zero-decrease step,
+    # with a quantized one the norm never drops and no step is accepted.
+    def value(x):
+        return float(np.round(1.0 + x @ x, 3))
+
+    result = bfgs(value, lambda x: 2.0 * x, np.full(2, 1e-3), max_iterations=4,
+                  stop_when=lambda x, v, g: False)
     assert result.status == "max_iterations"
     assert result.iterations == 4
     assert result.zero_decrease_steps == 4
-    assert result.skipped_updates == 4
     assert all(v == 1.0 for v in result.values)
+    assert np.all(np.diff(result.gradient_norms) < 0)
+    result = bfgs(value, lambda x: np.round(2.0 * x, 3), np.full(2, 1e-3), max_iterations=4,
+                  stop_when=lambda x, v, g: False)
+    assert result.status == "line_search_failed"
+    assert result.iterations == 0
+    assert result.zero_decrease_steps == 0
+    # A linear function: every step lowers the value, and the constant
+    # gradient gives y = 0, so every curvature update is skipped.
+    slope = np.array([1.0, -2.0])
+    result = bfgs(lambda x: float(slope @ x), lambda x: slope, np.zeros(2),
+                  max_iterations=4, stop_when=lambda x, v, g: False)
+    assert result.status == "max_iterations"
+    assert result.zero_decrease_steps == 0
+    assert result.skipped_updates == 4
+    assert result.values == [0.0, -5.0, -10.0, -15.0, -20.0]
+
+
+def test_bfgs_accepts_no_step_once_the_armijo_term_rounds_away():
+    # At alpha = 2^-27 the term 1e-4 * alpha * slope is 7.5e-13, and
+    # 1e4 - 7.5e-13 rounds to 1e4.  A non-strict test accepts the equal value;
+    # the constant gradient shows no progress either, so no step is taken.
+    result = bfgs(lambda x: 1e4, lambda x: np.array([1.0]), np.zeros(1), 5,
+                  lambda *args: False)
+    assert result.status == "line_search_failed"
+    assert result.iterations == 0
+    assert result.zero_decrease_steps == 0
 
 
 def test_bfgs_counts_nothing_on_a_strictly_decreasing_quadratic(rng):

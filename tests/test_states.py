@@ -7,7 +7,7 @@ from vqa_poisson import (AnsatzCircuit, CustomSource, Statevector, StepFunctionS
                          apply_cz, apply_h, apply_ry, apply_x,
                          prepare_ansatz_state, prepare_source_state,
                          prepare_superposition_state)
-from vqa_poisson.states import (_apply_single_qubit, _ry_gates, ansatz_amplitude_rows,
+from vqa_poisson.states import (_apply_column, _column_factors, _ry_factors, ansatz_amplitude_rows,
                                 ansatz_amplitudes)
 
 from conftest import random_real_state
@@ -96,8 +96,8 @@ def test_ansatz_parameter_count_and_pairs():
     assert circuit.entangler_pairs(1) == [(1, 2)]
 
 
-@pytest.mark.parametrize("n", range(1, 7))
-def test_ansatz_state_is_bit_identical_to_gate_by_gate_reference(n, rng):
+@pytest.mark.parametrize("n", range(1, 11))
+def test_ansatz_state_matches_single_qubit_gate_reference(n, rng):
     for layers in range(4):
         circuit = AnsatzCircuit(n, layers)
         theta = rng.uniform(0, 4 * np.pi, circuit.parameter_count)
@@ -110,7 +110,25 @@ def test_ansatz_state_is_bit_identical_to_gate_by_gate_reference(n, rng):
             for q in range(n):
                 reference = apply_ry(reference, theta[(layer + 1) * n + q], q)
         state = prepare_ansatz_state(circuit, theta)
-        assert np.array_equal(state.amplitudes, reference.amplitudes)
+        np.testing.assert_allclose(state.amplitudes, reference.amplitudes, rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_ansatz_state_is_bit_identical_to_gate_by_gate_reference(n, rng):
+    """The reference applies the circuit one gate at a time, where an R_Y column
+    is one gate of the column kernel, built from the test's own 2x2 matrices."""
+    for layers in range(4):
+        circuit = AnsatzCircuit(n, layers)
+        theta = rng.uniform(0, 4 * np.pi, circuit.parameter_count)
+        reference = np.zeros((1, 1 << n))
+        reference[0, 0] = 1.0
+        for column in range(layers + 1):
+            if column:
+                for a, b in circuit.entangler_pairs(column - 1):
+                    reference = reference * _cz_signs(n, a, b)
+            gates = np.array([_ry_matrix(angle) for angle in theta[column * n:(column + 1) * n]])
+            reference = _apply_column(reference, *_column_factors(gates))
+        assert np.array_equal(ansatz_amplitudes(circuit, theta), reference[0])
 
 
 @pytest.mark.parametrize("n", range(1, 7))
@@ -213,6 +231,12 @@ def _dense_gate(n, qubit, gate):
     return np.kron(np.kron(np.eye(1 << (n - qubit - 1)), gate), np.eye(1 << qubit))
 
 
+def _cz_signs(n, a, b):
+    """+-1 diagonal of one controlled-Z."""
+    idx = np.arange(1 << n)
+    return 1.0 - 2.0 * ((idx >> a) & (idx >> b) & 1)
+
+
 def _ry_matrix(angle):
     c, s = np.cos(angle / 2.0), np.sin(angle / 2.0)
     return np.array([[c, -s], [s, c]])
@@ -227,29 +251,47 @@ def _two_term_gate(rows, qubit, gates):
     return gates[:, bit, 0] * rows[:, low] + gates[:, bit, 1] * rows[:, low | 1 << qubit]
 
 
-@pytest.mark.parametrize("n", [*range(1, 9), 10])
+def _kernel(rows, gates):
+    """The column kernel on a (rows, 2^n) array, the column given as its
+    (..., n, 2, 2) gate stack."""
+    return _apply_column(rows, *_column_factors(gates))
+
+
+@pytest.mark.parametrize("n", range(1, 13))
 def test_gate_kernel_matches_dense_kronecker_oracle(n, rng):
-    """Every qubit, at the sweeps' row counts (1, the adjoint pair, the 3P of a
-    parameter-shift sweep); dense Kronecker oracle up to n = 8, the two-term
-    formula at n = 10."""
+    """The column kernel with one gate on a qubit and identities elsewhere, at
+    every qubit, at the sweeps' row counts (1, the adjoint pair, the 3P of a
+    parameter-shift sweep), and with a different gate on every qubit; dense
+    Kronecker oracle up to n = 8, the two-term formula from n = 9, where the
+    high and low halves of the register split unevenly at odd n."""
+    identities = np.broadcast_to(np.eye(2), (n, 2, 2))
     for count in (1, 2, 90):
         rows = rng.normal(size=(count, 1 << n))
         gate = rng.normal(size=(2, 2))
-        per_row = rng.normal(size=(count, 1, 2, 2))
+        per_row = rng.normal(size=(count, 2, 2))
         angles = rng.uniform(0, 4 * np.pi, count)
-        # (kernel argument, the 2x2 gate each row gets); the last is one R_Y
-        # angle per row, as the batched sweep builds them
-        cases = ((gate, np.array([gate] * count)), (per_row, per_row[:, 0]),
-                 (_ry_gates(angles[:, None] / 2.0), np.array([_ry_matrix(a) for a in angles])))
+        ry = np.array([_ry_matrix(a) for a in angles])
         for q in range(n):
-            for gates, oracle in cases:
-                amps = rows.copy()
-                _apply_single_qubit(amps, q, gates)
+            on_q = np.arange(n) == q
+            half_angles = np.where(on_q, angles[:, None] / 2.0, 0.0)
+            # (kernel result, the 2x2 gate each row gets); the last is one R_Y
+            # angle per row, as the batched sweep builds its factors
+            cases = ((_kernel(rows, np.where(on_q[:, None, None], gate, identities)),
+                      np.array([gate] * count)),
+                     (_kernel(rows, np.where(on_q[:, None, None], per_row[:, None], identities)),
+                      per_row),
+                     (_apply_column(rows, *_ry_factors(half_angles)), ry))
+            for amps, oracle in cases:
                 if n <= 8:
                     expected = [_dense_gate(n, q, g) @ row for g, row in zip(oracle, rows)]
                 else:
                     expected = _two_term_gate(rows, q, oracle)
                 np.testing.assert_allclose(amps, expected, rtol=0, atol=1e-14)
+        column = rng.normal(size=(count, n, 2, 2)) / 2.0
+        expected = rows
+        for q in range(n):
+            expected = _two_term_gate(expected, q, column[:, q])
+        np.testing.assert_allclose(_kernel(rows, column), expected, rtol=0, atol=1e-14)
 
 
 @pytest.mark.parametrize("n", range(1, 7))
