@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -198,6 +198,7 @@ def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
         (max(config.n_values) <= STATEVECTOR_QUBIT_CAP,
          f"n capped at {STATEVECTOR_QUBIT_CAP} qubits"),
         (config.trials >= 1 and config.repeats >= 1, "trials and repeats must be >= 1"),
+        (config.seed >= 0, f"seed must be >= 0, got {config.seed}"),
         (config.layers >= 0 and config.max_iterations >= 0,
          "layers and max-iterations must be >= 0"),
         (config.tol > 0 and config.grad_threshold > 0, "tol and grad-threshold must be > 0"),
@@ -355,11 +356,8 @@ def _run_circuit_count_vs_n(config: ExperimentConfig, out: Path) -> tuple[list[s
                                f"the operator counts {expected}")
         rows.append([n, config.bc.value, executed, count_baseline_circuits(n)])
         report = resource_report(n, config.layers, config.bc)
-        res_rows.append([n, report.t_c, report.t_g, report.shift_rel_phase_toffolis,
-                         report.shift_toffolis, report.shift_cnot, report.shift_x,
-                         report.total_qubits_with_ancilla,
-                         report.state_prep.ansatz_depth, report.state_prep.encoding_depth,
-                         report.state_prep.shift_depth_bound])
+        res_rows.append([n, report.t_c, report.t_g, *astuple(report.shift),
+                         *astuple(report.state_prep)])
     _write_csv(out / "results.csv",
                ["n", "bc", "circuits_proposed", "circuits_baseline"], rows)
     _write_csv(out / "resources.csv",

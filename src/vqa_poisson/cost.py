@@ -104,15 +104,6 @@ def numerator_hadamard(psi: Statevector, f: Statevector) -> float:
     return float(2.0 * np.real(np.vdot(amps[:half], amps[half:])))
 
 
-def numerator_overlap(psi: Statevector, source) -> float:
-    """|<psi|f>| from the all-zeros probability after the inverse source unitary.
-
-    Sign is not recovered; use the Hadamard-test route where the sign matters.
-    """
-    inv = source.apply_inverse(psi)
-    return float(np.sqrt(np.abs(inv.amplitudes[0]) ** 2))
-
-
 def cost_and_a_psi(op: PoissonOperator, psi: np.ndarray,
                    f: np.ndarray) -> tuple[CostReport, np.ndarray]:
     """(report, A psi) of amplitude arrays, from num = Re<psi|f> and den = <psi|A psi>."""

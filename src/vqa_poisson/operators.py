@@ -10,7 +10,6 @@ verification path (:func:`reassemble_dense`).
 from __future__ import annotations
 
 import functools
-import json
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -246,14 +245,6 @@ class Mesh2D:
         return 1 << self.n_y
 
 
-def fem_element_matrix() -> np.ndarray:
-    """Unit-square bilinear element stiffness matrix, node order (00, 10, 01, 11)."""
-    eye = _FACTOR_MATRICES[FACTOR_I]
-    x = _FACTOR_MATRICES[FACTOR_X]
-    return (4.0 * np.kron(eye, eye) - np.kron(eye, x)
-            - np.kron(x, eye) - 2.0 * np.kron(x, x)) / 6.0
-
-
 def build_fem_2d(mesh: Mesh2D, epsilon: float = 0.0,
                  bc: BoundaryCondition = BoundaryCondition.PERIODIC) -> PoissonOperator:
     """2D FEM stiffness operator from the four-tessellation cover.
@@ -332,43 +323,3 @@ def reassemble_dense(op: PoissonOperator) -> np.ndarray:
         for j in range(size):
             out[i, j] = math.fsum(r[j] for r in rows)
     return out
-
-
-def operator_to_json(op: PoissonOperator) -> str:
-    """Serialize the term list to the documented JSON schema.
-
-    Factor strings read left to right from the most-significant qubit, with
-    '0' standing for the |0><0| projector; shifts are per-axis powers.
-    """
-    payload = {
-        "axes": list(op.axes),
-        "boundary": op.bc.value,
-        "constant_offset": op.constant_offset,
-        "terms": [
-            {
-                "coefficient": t.coefficient,
-                "factors": "".join(reversed(t.factors)),
-                "shifts": list(t.axis_shifts),
-            }
-            for t in op.terms
-        ],
-    }
-    return json.dumps(payload, indent=2)
-
-
-def operator_from_json(text: str) -> PoissonOperator:
-    payload = json.loads(text)
-    terms = tuple(
-        ObservableTerm(
-            float(t["coefficient"]),
-            tuple(reversed(t["factors"])),
-            tuple(int(s) for s in t["shifts"]),
-        )
-        for t in payload["terms"]
-    )
-    return PoissonOperator(
-        tuple(int(a) for a in payload["axes"]),
-        BoundaryCondition(payload["boundary"]),
-        terms,
-        float(payload["constant_offset"]),
-    )

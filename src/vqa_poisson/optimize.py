@@ -70,16 +70,12 @@ class PoissonProblem:
 
 
 def make_problem(n: int, bc: BoundaryCondition, n_layers: int = 5,
-                 epsilon: float | None = None, source=None) -> PoissonProblem:
+                 epsilon: float | None = None) -> PoissonProblem:
     """Assemble the standard experiment problem for one (n, bc) pair."""
     if epsilon is None:
         epsilon = DEFAULT_EPSILON[bc]
-    return PoissonProblem(
-        operator=decompose(n, bc, epsilon),
-        circuit=AnsatzCircuit(n, n_layers),
-        source=prepare_source_state(n, source),
-        dense_matrix=build_matrix(n, bc, epsilon),
-    )
+    return PoissonProblem(decompose(n, bc, epsilon), AnsatzCircuit(n, n_layers),
+                          prepare_source_state(n), build_matrix(n, bc, epsilon))
 
 
 @dataclass

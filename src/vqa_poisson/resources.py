@@ -6,6 +6,7 @@ the numerator plus each term of ``decompose(n, bc)``
 counted as parameter_count copies of that set, the convention used throughout
 the harness.  The shift operator is never gate-decomposed in the simulator (it
 acts as a permutation on amplitudes); its gate counts are analytic bookkeeping.
+The encoding depth is that of the step source, the only source state.
 """
 
 from __future__ import annotations
@@ -38,11 +39,7 @@ class ShiftResourceCounts:
 class ResourceReport:
     t_c: int
     t_g: int
-    shift_rel_phase_toffolis: int
-    shift_toffolis: int
-    shift_cnot: int
-    shift_x: int
-    total_qubits_with_ancilla: int
+    shift: ShiftResourceCounts
     state_prep: StatePrepDepth
 
 
@@ -92,28 +89,12 @@ def count_sampled_gradient_circuits(op: PoissonOperator, parameter_count: int) -
     return measured_circuit_count(op) + parameter_count * (1 + 2 * len(op.terms))
 
 
-def resource_report(n: int, n_layers: int, bc: BoundaryCondition,
-                    encoding_depth: int | None = None) -> ResourceReport:
-    """Full static resource report for one configuration.
-
-    ``encoding_depth`` defaults to the step-function source gate count (n+1);
-    pass the declared count for custom source unitaries.
-    """
-    if encoding_depth is None:
-        encoding_depth = n + 1
-    shift = count_shift_resources(n)
-    prep = StatePrepDepth(
-        ansatz_depth=ansatz_depth(n_layers),
-        encoding_depth=encoding_depth,
-        shift_depth_bound=n * n,
-    )
+def resource_report(n: int, n_layers: int, bc: BoundaryCondition) -> ResourceReport:
+    """Full static resource report for one configuration."""
     return ResourceReport(
         t_c=measured_circuit_count(decompose(n, bc)),
         t_g=count_gradient_circuits(n, n_layers, bc),
-        shift_rel_phase_toffolis=shift.rel_phase_toffolis,
-        shift_toffolis=shift.toffolis,
-        shift_cnot=shift.cnot,
-        shift_x=shift.x,
-        total_qubits_with_ancilla=shift.total_qubits_with_ancilla,
-        state_prep=prep,
+        shift=count_shift_resources(n),
+        # encoding depth n + 1, the step source's gate count: one X, then one H per qubit
+        state_prep=StatePrepDepth(ansatz_depth(n_layers), n + 1, n * n),
     )

@@ -10,13 +10,15 @@ a = n - n // 2 and low b = n // 2 qubits; on an amplitude row viewed as a
 ansatz is simulated on real float64 arrays: a forward sweep for its state (or,
 in one sweep, for a stack of parameter vectors) and a reverse (adjoint) sweep
 for its gradients, which reuses the factors of a forward sweep at the same theta.
+The source state |f> is the paper's one, the +-2^{-n/2} step state; every
+entry point also takes any other f as a :class:`Statevector`.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -311,64 +313,16 @@ def prepare_ansatz_state(circuit: AnsatzCircuit, theta: np.ndarray) -> Statevect
     return Statevector(ansatz_amplitudes(circuit, theta))
 
 
-class StepFunctionSource:
-    """Source unitary that prepares the +-2^{-n/2} step state.
-
-    Applies X on the top qubit (n-1) and then H on every qubit, so amplitudes
-    are +2^{-n/2} on the lower half of indices and -2^{-n/2} on the upper half.
-    """
-
-    def apply(self, state: Statevector) -> Statevector:
-        state = apply_x(state, state.n_qubits - 1)
-        for q in range(state.n_qubits):
-            state = apply_h(state, q)
-        return state
-
-    def apply_inverse(self, state: Statevector) -> Statevector:
-        for q in range(state.n_qubits):
-            state = apply_h(state, q)
-        return apply_x(state, state.n_qubits - 1)
-
-    def gate_count(self, n_qubits: int) -> int:
-        return n_qubits + 1
-
-
-class CustomSource:
-    """Caller-supplied source unitary.
-
-    ``forward`` maps |0...0> to |f>; ``inverse`` (optional) is its adjoint and
-    is required only by the overlap numerator route.  ``declared_gate_count``
-    feeds the resource report (user-declared, not verified).
-    """
-
-    def __init__(self, forward: Callable[[Statevector], Statevector],
-                 inverse: Callable[[Statevector], Statevector] | None = None,
-                 declared_gate_count: int | None = None):
-        self._forward = forward
-        self._inverse = inverse
-        self._declared_gate_count = declared_gate_count
-
-    def apply(self, state: Statevector) -> Statevector:
-        return self._forward(state)
-
-    def apply_inverse(self, state: Statevector) -> Statevector:
-        if self._inverse is None:
-            raise ValueError("custom source unitary has no inverse; overlap route unavailable")
-        return self._inverse(state)
-
-    def gate_count(self, n_qubits: int) -> int:
-        if self._declared_gate_count is None:
-            raise ValueError("custom source unitary has no declared gate count")
-        return self._declared_gate_count
-
-
-def prepare_source_state(n_qubits: int, source=None) -> Statevector:
-    """Prepare |f> = U_f |0...0>; defaults to the step-function source."""
+def prepare_source_state(n_qubits: int) -> Statevector:
+    """The step state |f> = U_f |0...0>: X on the top qubit (n-1), then H on
+    every qubit, so amplitudes are +2^{-n/2} on the lower half of indices and
+    -2^{-n/2} on the upper half."""
     if n_qubits < 1:
         raise ValueError(f"n_qubits must be >= 1, got {n_qubits}")
-    if source is None:
-        source = StepFunctionSource()
-    return source.apply(Statevector.zero(n_qubits))
+    state = apply_x(Statevector.zero(n_qubits), n_qubits - 1)
+    for q in range(n_qubits):
+        state = apply_h(state, q)
+    return state
 
 
 def superposition_rows(a: np.ndarray, rows: np.ndarray) -> np.ndarray:

@@ -62,6 +62,17 @@ def test_circuit_count_column_is_constant(tmp_path):
     assert (out / "fig_circuit_count.dat").exists()
 
 
+def test_resources_csv_header_and_row(tmp_path):
+    out = tmp_path / "res"
+    assert main(["circuit-count-vs-n", "--n", "5", "--bc", "dirichlet",
+                 "--out", str(out)]) == 0
+    assert (out / "resources.csv").read_text().splitlines() == [
+        "n,t_c,t_g,shift_rel_phase_toffolis,shift_toffolis,shift_cnot,shift_x,"
+        "total_qubits_with_ancilla,ansatz_depth,encoding_depth,shift_depth_bound",
+        "5,4,120,6,2,1,1,7,11,6,25",
+    ]
+
+
 def test_fem2d_verify_emits_exact_matches(tmp_path):
     out = tmp_path / "fem"
     assert main(["fem2d-verify", "--n", "2", "--out", str(out)]) == 0
@@ -119,12 +130,13 @@ def test_usage_errors_exit_two(tmp_path):
         ["solve", "--epsilon=-1e-3"],
         ["solve", "--bc", "periodic", "--epsilon", "0", "--n", "2"],
         ["solve", "--bc", "neumann", "--epsilon", "0", "--n", "3"],
+        ["solve", "--seed", "-1"],
     ]
     for flags in bad_flags:
         assert main([*flags, "--out", str(tmp_path)]) == 2, flags
     bad_config = tmp_path / "bad.cfg"
     for text in ("layers = two\n", "mode = sampeld\n", "method = basline\n",
-                 "layer = 3\n", "trails = 1\n"):
+                 "layer = 3\n", "trails = 1\n", "seed = -1\n"):
         bad_config.write_text(text)
         assert main(["solve", "--config", str(bad_config), "--n", "2", "--trials", "1",
                      "--out", str(tmp_path)]) == 2, text

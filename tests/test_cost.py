@@ -1,13 +1,10 @@
 import numpy as np
 import pytest
-from hypothesis import given, seed, settings
-from hypothesis import strategies as st
 
-from vqa_poisson import (DEFAULT_EPSILON, AnsatzCircuit, BoundaryCondition, CustomSource,
-                         ObservableTerm, SingularOperatorError, Statevector, StepFunctionSource,
-                         baseline_cost, build_matrix, cost, cost_from_state, decompose,
-                         denominator, expectation, measured_circuit_count,
-                         numerator_hadamard, numerator_overlap, prepare_ansatz_state,
+from vqa_poisson import (DEFAULT_EPSILON, AnsatzCircuit, BoundaryCondition, ObservableTerm,
+                         SingularOperatorError, Statevector, baseline_cost, build_matrix, cost,
+                         cost_from_state, decompose, denominator, expectation,
+                         measured_circuit_count, numerator_hadamard, prepare_ansatz_state,
                          prepare_source_state, solve)
 from vqa_poisson.cost import apply_factor_product, apply_operator, apply_term
 from vqa_poisson.operators import (FACTOR_I, FACTOR_P0, FACTOR_X, Mesh2D, build_fdm_kron,
@@ -127,29 +124,9 @@ def test_numerator_signs():
     assert numerator_hadamard(minus, f) == pytest.approx(-1.0, abs=1e-12)
     perp = Statevector(np.array([0.5, -0.5, -0.5, 0.5]))
     assert numerator_hadamard(perp, f) == pytest.approx(0.0, abs=1e-12)
-
-
-def test_overlap_route_drops_the_sign():
-    source = StepFunctionSource()
-    f = prepare_source_state(2)
-    assert numerator_overlap(f, source) == pytest.approx(1.0, abs=1e-12)
-    perp = Statevector(np.array([0.5, -0.5, -0.5, 0.5]))
-    assert numerator_overlap(perp, source) == pytest.approx(0.0, abs=1e-12)
     # state with Re<psi|f> = -0.3 built in the 2-plane spanned by f and perp
     mix = Statevector(-0.3 * f.amplitudes + np.sqrt(1 - 0.09) * perp.amplitudes)
     assert numerator_hadamard(mix, f) == pytest.approx(-0.3, abs=1e-12)
-    assert numerator_overlap(mix, source) == pytest.approx(0.3, abs=1e-12)
-
-
-@settings(max_examples=30, deadline=None)
-@seed(20240817)
-@given(st.integers(0, 2**32 - 1), st.integers(1, 4))
-def test_overlap_equals_absolute_hadamard(entropy, n):
-    rng = np.random.default_rng(entropy)
-    psi = random_real_state(rng, n)
-    f = prepare_source_state(n)
-    overlap = numerator_overlap(psi, StepFunctionSource())
-    assert abs(overlap - abs(numerator_hadamard(psi, f))) < 1e-12
 
 
 def test_cost_report_for_step_state():
@@ -256,20 +233,16 @@ def test_measured_circuit_count(bc, count):
     assert measured_circuit_count(decompose(4, bc)) == count
 
 
-PHASED_STEP = CustomSource(
-    forward=lambda state: Statevector(np.exp(0.3j) * StepFunctionSource().apply(state).amplitudes))
-
-
-@pytest.mark.parametrize("op,source", [
-    *((decompose(3, bc, DEFAULT_EPSILON[bc]), None) for bc in BoundaryCondition),
-    (build_fem_2d(Mesh2D(2, 1)), None),
-    (build_fdm_kron(2, 2, NEUMANN, 1e-3), None),
-    (decompose(3, DIRICHLET), PHASED_STEP),
+@pytest.mark.parametrize("op,phase", [
+    *((decompose(3, bc, DEFAULT_EPSILON[bc]), 1.0) for bc in BoundaryCondition),
+    (build_fem_2d(Mesh2D(2, 1)), 1.0),
+    (build_fdm_kron(2, 2, NEUMANN, 1e-3), 1.0),
+    (decompose(3, DIRICHLET), np.exp(0.3j)),
 ], ids=["periodic", "dirichlet", "neumann", "fem2d", "fdm_kron", "phased_source"])
-def test_cost_through_a_psi_matches_term_by_term_estimators(op, source, rng):
+def test_cost_through_a_psi_matches_term_by_term_estimators(op, phase, rng):
     # cost_from_state takes num and den from A psi; the paper measures the
     # ancilla Hadamard test and each term's expectation instead
-    f = prepare_source_state(op.n_qubits, source)
+    f = Statevector(phase * prepare_source_state(op.n_qubits).amplitudes)
     circuit = AnsatzCircuit(op.n_qubits, 3)
     for _ in range(5):
         psi = prepare_ansatz_state(circuit, random_theta(rng, circuit))

@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 
-from vqa_poisson import (AnsatzCircuit, BoundaryCondition, CustomSource, Mesh2D, Statevector,
-                         StepFunctionSource, build_fdm_kron, build_fem_2d, cost, decompose,
-                         denominator, expectation, finite_difference_gradient, grad_cost,
-                         grad_cost_parameter_shift, grad_denominator, grad_numerator,
-                         numerator_hadamard, prepare_ansatz_state, prepare_source_state,
-                         reassemble_dense, shifted_state, term_gradient)
+from vqa_poisson import (AnsatzCircuit, BoundaryCondition, Mesh2D, Statevector, build_fdm_kron,
+                         build_fem_2d, cost, decompose, denominator, expectation,
+                         finite_difference_gradient, grad_cost, grad_cost_parameter_shift,
+                         grad_denominator, grad_numerator, numerator_hadamard,
+                         prepare_ansatz_state, prepare_source_state, reassemble_dense,
+                         shifted_state, term_gradient)
 from vqa_poisson.cost import cost_and_a_psi, cost_report
 from vqa_poisson import states
 from vqa_poisson.gradient import grad_from_state, parameter_shift_gradient
@@ -281,9 +281,7 @@ def test_multi_axis_grad_cost(multi_axis):
 
 @pytest.mark.parametrize("phase", [1j, np.exp(0.3j)])
 def test_grad_numerator_with_complex_source(phase, rng):
-    step = StepFunctionSource()
-    source = CustomSource(lambda s: Statevector(phase * step.apply(s).amplitudes))
-    f = prepare_source_state(3, source)
+    f = Statevector(phase * prepare_source_state(3).amplitudes)
     circuit = AnsatzCircuit(3, 2)
     theta = random_theta(rng, circuit)
     grad = grad_numerator(circuit, theta, f)
@@ -297,9 +295,7 @@ def test_grad_numerator_with_complex_source(phase, rng):
 
 @pytest.mark.parametrize("phase", [1j, np.exp(0.3j)])
 def test_parameter_shift_route_with_complex_source(phase, rng):
-    step = StepFunctionSource()
-    source = CustomSource(lambda s: Statevector(phase * step.apply(s).amplitudes))
-    f = prepare_source_state(3, source)
+    f = Statevector(phase * prepare_source_state(3).amplitudes)
     op = decompose(3, BoundaryCondition.NEUMANN, 1e-3)
     circuit = AnsatzCircuit(3, 2)
     theta = random_theta(rng, circuit)

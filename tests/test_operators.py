@@ -1,5 +1,4 @@
 import itertools
-import json
 
 import numpy as np
 import pytest
@@ -8,8 +7,7 @@ from hypothesis import strategies as st
 
 from vqa_poisson import (BoundaryCondition, Mesh2D, ObservableTerm, Statevector,
                          assemble_fem_2d_dense, build_fdm_kron, build_fem_2d, build_matrix,
-                         decompose, fem_element_matrix, operator_from_json, operator_to_json,
-                         reassemble_dense, shift_amplitudes)
+                         decompose, reassemble_dense, shift_amplitudes)
 from vqa_poisson.operators import FACTOR_I, FACTOR_X, term_dense
 
 from conftest import random_real_state
@@ -159,14 +157,6 @@ def test_fdm_kron_term_count_scales_with_dimension():
     assert len(op3.terms) == 3 * len(decompose(1, BoundaryCondition.NEUMANN).terms)
 
 
-def test_fem_element_matrix_entries():
-    expected = np.array([[4, -1, -1, -2],
-                         [-1, 4, -2, -1],
-                         [-1, -2, 4, -1],
-                         [-2, -1, -1, 4]]) / 6.0
-    np.testing.assert_array_equal(fem_element_matrix(), expected)
-
-
 @pytest.mark.parametrize("nx,ny", [(1, 1), (1, 2), (2, 1), (2, 2)])
 def test_fem_2d_matches_brute_force_assembly(nx, ny):
     mesh = Mesh2D(nx, ny)
@@ -184,28 +174,6 @@ def test_fem_2d_offset_and_term_count():
 def test_fem_2d_rejects_non_periodic():
     with pytest.raises(NotImplementedError):
         build_fem_2d(Mesh2D(1, 1), bc=BoundaryCondition.DIRICHLET)
-
-
-def test_json_roundtrip():
-    for op in (decompose(3, BoundaryCondition.NEUMANN, 1e-3),
-               build_fem_2d(Mesh2D(2, 1))):
-        back = operator_from_json(operator_to_json(op))
-        assert back == op
-
-
-def test_json_golden_schema():
-    op = decompose(2, BoundaryCondition.DIRICHLET)
-    payload = json.loads(operator_to_json(op))
-    assert payload == {
-        "axes": [2],
-        "boundary": "dirichlet",
-        "constant_offset": 2.0,
-        "terms": [
-            {"coefficient": -1.0, "factors": "IX", "shifts": [0]},
-            {"coefficient": -1.0, "factors": "IX", "shifts": [1]},
-            {"coefficient": 1.0, "factors": "0X", "shifts": [1]},
-        ],
-    }
 
 
 def test_dense_reassembly_cap():

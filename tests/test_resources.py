@@ -59,8 +59,7 @@ def test_resource_report_fields():
     assert report.state_prep.ansatz_depth == ansatz_depth(5) == 11
     assert report.state_prep.encoding_depth == 6  # step-function gate count n+1
     assert report.state_prep.shift_depth_bound == 25
-    custom = resource_report(5, 5, BoundaryCondition.DIRICHLET, encoding_depth=40)
-    assert custom.state_prep.encoding_depth == 40
+    assert report.shift == count_shift_resources(5)
 
 
 @pytest.mark.parametrize("bc", list(BoundaryCondition))

@@ -3,9 +3,8 @@ import sys
 import numpy as np
 import pytest
 
-from vqa_poisson import (AnsatzCircuit, BoundaryCondition, CustomSource, ObservableTerm,
-                         PoissonOperator, Statevector, StepFunctionSource,
-                         UnstableEstimateError, ancilla_x_term, build_fdm_kron, cost,
+from vqa_poisson import (AnsatzCircuit, BoundaryCondition, ObservableTerm, PoissonOperator,
+                         Statevector, UnstableEstimateError, ancilla_x_term, build_fdm_kron, cost,
                          count_sampled_gradient_circuits, decompose, derive_seed, grad_cost,
                          numerator_hadamard, predict_mse, prepare_ansatz_state,
                          prepare_source_state, prepare_superposition_state, sample_cost,
@@ -295,16 +294,15 @@ def test_single_distribution_stream_is_unchanged():
         assert np.array_equal(sampling.draw_counts(probs, shots, seed), expected)
 
 
-def _step_source(phase):
-    step = StepFunctionSource()
-    return CustomSource(lambda s: Statevector(phase * step.apply(s).amplitudes))
+def _step_source(n, phase):
+    return Statevector(phase * prepare_source_state(n).amplitudes)
 
 
 @pytest.mark.parametrize("phase", [1.0, np.exp(0.3j), 1j])
 def test_sampled_gradient_approaches_exact_on_two_axes(phase):
     op = build_fdm_kron(2, 2, BoundaryCondition.NEUMANN, 1e-3)
     circuit = AnsatzCircuit(op.n_qubits, 2)
-    f = prepare_source_state(op.n_qubits, _step_source(phase))
+    f = _step_source(op.n_qubits, phase)
     # a theta whose gradient norm (0.11 for the real source) is well above the shot noise
     theta = random_theta(np.random.default_rng(0), circuit)
     exact = grad_cost(op, circuit, theta, f).grad
@@ -359,7 +357,7 @@ def _per_circuit_sampled_gradient(op, circuit, theta, f, shots_per_term, seed):
 ], ids=["dirichlet", "neumann", "periodic", "fdm2x2"])
 def test_sampled_gradient_equals_per_circuit_construction(operator, phase):
     circuit = AnsatzCircuit(operator.n_qubits, 1)
-    f = prepare_source_state(operator.n_qubits, _step_source(phase))
+    f = _step_source(operator.n_qubits, phase)
     slot_shots = [16 * (k + 1) for k in range(1 + len(operator.terms))]
     for shots in (1, 64, 16384, slot_shots):
         for seed in (0, 9):

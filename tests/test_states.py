@@ -3,10 +3,8 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from vqa_poisson import (AnsatzCircuit, CustomSource, Statevector, StepFunctionSource,
-                         apply_cz, apply_h, apply_ry, apply_x,
-                         prepare_ansatz_state, prepare_source_state,
-                         prepare_superposition_state)
+from vqa_poisson import (AnsatzCircuit, Statevector, apply_cz, apply_h, apply_ry, apply_x,
+                         prepare_ansatz_state, prepare_source_state, prepare_superposition_state)
 from vqa_poisson.states import (_apply_column, _column_factors, _ry_factors, ansatz_amplitude_rows,
                                 ansatz_amplitudes)
 
@@ -178,21 +176,6 @@ def test_step_source_three_qubits_is_step():
     state = prepare_source_state(3)
     expected = np.concatenate([np.full(4, 1 / np.sqrt(8)), np.full(4, -1 / np.sqrt(8))])
     np.testing.assert_allclose(state.amplitudes, expected, atol=1e-15)
-
-
-def test_step_source_inverse_roundtrip(rng):
-    source = StepFunctionSource()
-    state = random_real_state(rng, 3)
-    back = source.apply_inverse(source.apply(state))
-    np.testing.assert_allclose(back.amplitudes, state.amplitudes, atol=1e-12)
-
-
-def test_custom_source_without_inverse_rejects():
-    source = CustomSource(forward=lambda s: s)
-    with pytest.raises(ValueError):
-        source.apply_inverse(Statevector.zero(1))
-    with pytest.raises(ValueError):
-        source.gate_count(1)
 
 
 def test_superposition_of_equal_states():
