@@ -1,11 +1,14 @@
-"""Classical ground truth: dense Cholesky solve and state-comparison metrics."""
+"""Classical ground truth: dense Cholesky solve and state-comparison metrics.
+
+numpy only: the factor is ``np.linalg.cholesky`` and the two triangular solves
+are blocked substitutions, so importing the package never loads scipy.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
 from .states import Statevector
 
@@ -27,22 +30,56 @@ def _as_vector(state) -> np.ndarray:
     return np.asarray(state)
 
 
+_BLOCK = 128  # rows per diagonal block of the triangular substitutions
+
+
+def _cholesky_substitute(factor: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """u = (L L^H)^{-1} rhs for the lower Cholesky factor L.
+
+    Forward then back substitution by blocks of ``_BLOCK`` rows: one dense
+    solve on each diagonal block, with the rows already solved entering as
+    one GEMV.  O(N^2) work beyond the O(N * _BLOCK^2) block solves.
+    """
+    x = rhs.astype(factor.dtype)
+    starts = range(0, len(x), _BLOCK)
+    for lo in starts:
+        hi = lo + _BLOCK
+        x[lo:hi] = np.linalg.solve(factor[lo:hi, lo:hi], x[lo:hi] - factor[lo:hi, :lo] @ x[:lo])
+    upper = factor.conj().T
+    for lo in reversed(starts):
+        hi = lo + _BLOCK
+        x[lo:hi] = np.linalg.solve(upper[lo:hi, lo:hi], x[lo:hi] - upper[lo:hi, hi:] @ x[hi:])
+    return x
+
+
 def solve(matrix: np.ndarray, rhs) -> ClassicalSolution:
     """Solve A u = f by dense Cholesky (oracle path, small systems only).
 
-    A matrix whose smallest Cholesky pivot is below 1e-12 of its largest is
-    singular to working precision (periodic or Neumann without regularization)
-    and raises instead of returning an arbitrary particular solution.
+    A must be a finite, non-empty square matrix and f a finite vector of
+    matching length (``ValueError`` otherwise); the factor reads A's upper
+    triangle.  A matrix whose smallest Cholesky pivot is below 1e-12 of its
+    largest is singular to working precision (periodic or Neumann without
+    regularization) and raises instead of returning an arbitrary particular
+    solution.
     """
+    matrix = np.asarray(matrix)
     rhs = np.real(_as_vector(rhs)).astype(float)
+    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1] or matrix.size == 0:
+        raise ValueError(f"matrix must be non-empty and square, got shape {matrix.shape}")
+    if rhs.shape[:1] != matrix.shape[:1]:
+        raise ValueError(f"rhs shape {rhs.shape} does not match matrix shape {matrix.shape}")
+    if not (np.isfinite(matrix).all() and np.isfinite(rhs).all()):
+        raise ValueError("matrix and rhs must not contain infs or NaNs")
     try:
-        factor = cho_factor(matrix)
-    except LinAlgError as err:
+        # A^H's lower triangle is A's upper one; the F-ordered view also spares
+        # numpy a transposing copy
+        factor = np.linalg.cholesky(matrix.conj().T)
+    except np.linalg.LinAlgError as err:
         raise SolverError(f"matrix is not positive definite: {err}") from err
-    pivots = np.diag(factor[0]) ** 2
+    pivots = np.abs(np.diag(factor)) ** 2
     if pivots.min() < 1e-12 * pivots.max():
         raise SolverError("matrix is singular to working precision; add regularization epsilon")
-    u = cho_solve(factor, rhs)
+    u = _cholesky_substitute(factor, rhs)
     norm = float(np.linalg.norm(u))
     if norm == 0.0:
         raise SolverError("solution vector vanished")

@@ -6,7 +6,8 @@ the numerator plus each term of ``decompose(n, bc)``
 counted as parameter_count copies of that set, the convention used throughout
 the harness.  The shift operator is never gate-decomposed in the simulator (it
 acts as a permutation on amplitudes); its gate counts are analytic bookkeeping.
-The encoding depth is that of the step source, the only source state.
+The encoding depth is that of the step source, the only source state: 2 at
+every n, since X on qubit n-1 runs beside the H gates on the other qubits.
 """
 
 from __future__ import annotations
@@ -58,10 +59,12 @@ def count_shift_resources(n: int) -> ShiftResourceCounts:
 
     For n >= 3: (n-2)(n-3) relative-phase Toffolis, n-3 Toffolis, one CNOT,
     one X, and 2n-3 qubits including auxiliaries.  For n < 3 the circuit is
-    CNOT/X only and needs no auxiliary qubits.
+    CNOT/X only and needs no auxiliary qubits; on one qubit it is a single X.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
+    if n == 1:
+        return ShiftResourceCounts(0, 0, 0, 1, 1)
     if n < 3:
         return ShiftResourceCounts(0, 0, 1, 1, n)
     return ShiftResourceCounts(
@@ -95,6 +98,5 @@ def resource_report(n: int, n_layers: int, bc: BoundaryCondition) -> ResourceRep
         t_c=measured_circuit_count(decompose(n, bc)),
         t_g=count_gradient_circuits(n, n_layers, bc),
         shift=count_shift_resources(n),
-        # encoding depth n + 1, the step source's gate count: one X, then one H per qubit
-        state_prep=StatePrepDepth(ansatz_depth(n_layers), n + 1, n * n),
+        state_prep=StatePrepDepth(ansatz_depth(n_layers), 2, n * n),
     )

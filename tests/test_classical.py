@@ -1,6 +1,13 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import vqa_poisson
+from vqa_poisson.classical import _BLOCK
 from vqa_poisson import (BoundaryCondition, Statevector, SolverError, baseline_cost,
                          build_matrix, cost_from_state, decompose, fidelity,
                          prepare_source_state, solve, trace_distance)
@@ -112,3 +119,39 @@ def test_trace_distance_bounds_and_symmetry(rng):
         d_ab = trace_distance(a, b)
         assert 0.0 <= d_ab <= 1.0
         assert d_ab == pytest.approx(trace_distance(b, a), abs=1e-15)
+
+
+def _inf_above_diagonal(n):
+    matrix = build_matrix(n, DIRICHLET)
+    matrix[0, -1] = np.inf
+    return matrix
+
+
+@pytest.mark.parametrize("matrix,rhs", [
+    (build_matrix(3, DIRICHLET), np.r_[np.nan, np.ones(7)]),
+    (np.full((8, 8), np.nan), np.ones(8)),
+    (_inf_above_diagonal(3), np.ones(8)),
+    (build_matrix(3, DIRICHLET)[:, :7], np.ones(8)),
+], ids=["nan-rhs", "nan-matrix", "inf-above-diagonal", "8x7-matrix"])
+def test_invalid_input_raises_value_error(matrix, rhs):
+    with pytest.raises(ValueError):
+        solve(matrix, rhs)
+
+
+@pytest.mark.parametrize("size", [1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 44])
+def test_blocked_substitution_matches_dense_solve(size):
+    rng = np.random.default_rng(size)
+    m = rng.normal(size=(size, size))
+    matrix = m @ m.T + size * np.eye(size)
+    rhs = rng.normal(size=size)
+    np.testing.assert_allclose(solve(matrix, rhs).u, np.linalg.solve(matrix, rhs), rtol=1e-10)
+
+
+def test_import_loads_no_scipy():
+    # a fresh interpreter: the package must start on numpy alone
+    src = str(Path(vqa_poisson.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = "import sys, vqa_poisson.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                            text=True, check=True)
+    assert result.stdout.strip() == "[]"

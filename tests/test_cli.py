@@ -69,7 +69,7 @@ def test_resources_csv_header_and_row(tmp_path):
     assert (out / "resources.csv").read_text().splitlines() == [
         "n,t_c,t_g,shift_rel_phase_toffolis,shift_toffolis,shift_cnot,shift_x,"
         "total_qubits_with_ancilla,ansatz_depth,encoding_depth,shift_depth_bound",
-        "5,4,120,6,2,1,1,7,11,6,25",
+        "5,4,120,6,2,1,1,7,11,2,25",
     ]
 
 

@@ -37,6 +37,17 @@ def test_shift_resources_boundary_cases():
         count_shift_resources(0)
 
 
+def test_shift_on_one_qubit_is_a_single_x():
+    one = count_shift_resources(1)
+    assert (one.rel_phase_toffolis, one.toffolis, one.cnot, one.x,
+            one.total_qubits_with_ancilla) == (0, 0, 0, 1, 1)
+
+
+@pytest.mark.parametrize("n", [1, 2, 7])
+def test_encoding_depth_is_two_at_every_n(n):
+    assert resource_report(n, 1, BoundaryCondition.DIRICHLET).state_prep.encoding_depth == 2
+
+
 @pytest.mark.parametrize("n", range(3, 21))
 def test_shift_resource_formulas(n):
     counts = count_shift_resources(n)
@@ -57,7 +68,7 @@ def test_resource_report_fields():
     assert report.t_c == 4
     assert report.t_g == 5 * 6 * 4
     assert report.state_prep.ansatz_depth == ansatz_depth(5) == 11
-    assert report.state_prep.encoding_depth == 6  # step-function gate count n+1
+    assert report.state_prep.encoding_depth == 2  # X beside n-1 H gates, then one H
     assert report.state_prep.shift_depth_bound == 25
     assert report.shift == count_shift_resources(5)
 
