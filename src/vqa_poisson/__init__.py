@@ -7,8 +7,8 @@ from .cost import (BaselineCostReport, CostReport, SingularOperatorError, ancill
 from .gradient import (GradientReport, finite_difference_gradient, grad_cost,
                        grad_cost_parameter_shift, grad_denominator, grad_numerator,
                        shifted_state, term_gradient)
-from .operators import (DEFAULT_EPSILON, BoundaryCondition, Mesh2D, ObservableTerm,
-                        PoissonOperator, assemble_fem_2d_dense, build_fdm_kron,
+from .operators import (DEFAULT_EPSILON, Bands, BoundaryCondition, Mesh2D, ObservableTerm,
+                        PoissonOperator, assemble_fem_2d_dense, build_bands, build_fdm_kron,
                         build_fem_2d, build_matrix, decompose, reassemble_dense,
                         shift_amplitudes)
 from .optimize import (GradNorm, OptimizationConfig, OptimizationTrace, PoissonProblem,

@@ -1,15 +1,19 @@
-"""Classical ground truth: dense Cholesky solve and state-comparison metrics.
+"""Classical ground truth: cyclic tridiagonal Cholesky solve and state metrics.
 
-numpy only: the factor is ``np.linalg.cholesky`` and the two triangular solves
-are blocked substitutions, so importing the package never loads scipy.
+Every system matrix the package solves is tridiagonal, plus two corners when
+periodic, so the reference factor is O(N) in time and memory: A = L L^T with
+L lower bidiagonal plus a dense last row, the only fill the corner produces.
+numpy only, so importing the package never loads scipy.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .operators import Bands
 from .states import Statevector
 
 
@@ -30,56 +34,104 @@ def _as_vector(state) -> np.ndarray:
     return np.asarray(state)
 
 
-_BLOCK = 128  # rows per diagonal block of the triangular substitutions
+def _bands_of(matrix: np.ndarray) -> Bands:
+    """Bands of a dense real square matrix, read from its upper triangle.
 
-
-def _cholesky_substitute(factor: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """u = (L L^H)^{-1} rhs for the lower Cholesky factor L.
-
-    Forward then back substitution by blocks of ``_BLOCK`` rows: one dense
-    solve on each diagonal block, with the rows already solved entering as
-    one GEMV.  O(N^2) work beyond the O(N * _BLOCK^2) block solves.
+    ``ValueError`` if any entry off the three bands and the two corners is
+    non-zero (or NaN): the solver factors cyclic tridiagonal matrices only.
     """
-    x = rhs.astype(factor.dtype)
-    starts = range(0, len(x), _BLOCK)
-    for lo in starts:
-        hi = lo + _BLOCK
-        x[lo:hi] = np.linalg.solve(factor[lo:hi, lo:hi], x[lo:hi] - factor[lo:hi, :lo] @ x[:lo])
-    upper = factor.conj().T
-    for lo in reversed(starts):
-        hi = lo + _BLOCK
-        x[lo:hi] = np.linalg.solve(upper[lo:hi, lo:hi], x[lo:hi] - upper[lo:hi, hi:] @ x[hi:])
-    return x
+    if (matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1] or matrix.size == 0
+            or not np.isrealobj(matrix)):
+        raise ValueError(f"matrix must be real, non-empty and square, got {matrix.dtype} "
+                         f"{matrix.shape}")
+    rest = np.triu(matrix, 2) + np.tril(matrix, -2)
+    corner = 0.0
+    if len(matrix) > 2:
+        corner = matrix[0, -1]
+        rest[0, -1] = rest[-1, 0] = 0.0
+    if rest.any():
+        raise ValueError("matrix has non-zero entries off its bands and corners")
+    return Bands(np.diagonal(matrix), np.diagonal(matrix, 1), corner)
 
 
-def solve(matrix: np.ndarray, rhs) -> ClassicalSolution:
-    """Solve A u = f by dense Cholesky (oracle path, small systems only).
+def _factor(diagonal: list[float], off: list[float],
+            corner: float) -> tuple[list[float], list[float], list[float]]:
+    """Cholesky factor A = L L^T of a cyclic tridiagonal matrix.
 
-    A must be a finite, non-empty square matrix and f a finite vector of
-    matching length (``ValueError`` otherwise); the factor reads A's upper
-    triangle.  A matrix whose smallest Cholesky pivot is below 1e-12 of its
-    largest is singular to working precision (periodic or Neumann without
-    regularization) and raises instead of returning an arbitrary particular
-    solution.
+    Returns diag(L), L[i, i - 1] (0 in rows 0 and N - 1) and L's last row left
+    of its diagonal, which holds L[N - 1, N - 2].  ``SolverError`` for a
+    pivot diag(L)^2 that is not positive, or below 1e-12 of the largest.
     """
-    matrix = np.asarray(matrix)
-    rhs = np.real(_as_vector(rhs)).astype(float)
-    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1] or matrix.size == 0:
-        raise ValueError(f"matrix must be non-empty and square, got shape {matrix.shape}")
-    if rhs.shape[:1] != matrix.shape[:1]:
-        raise ValueError(f"rhs shape {rhs.shape} does not match matrix shape {matrix.shape}")
-    if not (np.isfinite(matrix).all() and np.isfinite(rhs).all()):
-        raise ValueError("matrix and rhs must not contain infs or NaNs")
-    try:
-        # A^H's lower triangle is A's upper one; the F-ordered view also spares
-        # numpy a transposing copy
-        factor = np.linalg.cholesky(matrix.conj().T)
-    except np.linalg.LinAlgError as err:
-        raise SolverError(f"matrix is not positive definite: {err}") from err
-    pivots = np.abs(np.diag(factor)) ** 2
-    if pivots.min() < 1e-12 * pivots.max():
+    last_row_of_a = [0.0] * (len(diagonal) - 1)
+    if last_row_of_a:
+        last_row_of_a[0] += corner
+        last_row_of_a[-1] += off[-1]
+    pivots, sub, last = [], [0.0], []
+    below = row = 0.0
+    for d, e, a in zip(diagonal, off, last_row_of_a):
+        pivot = d - below * below
+        if not pivot > 0.0:
+            raise SolverError("matrix is not positive definite")
+        root = math.sqrt(pivot)
+        row = (a - row * below) / root
+        below = e / root
+        pivots.append(pivot)
+        sub.append(below)
+        last.append(row)
+    pivot = diagonal[-1] - sum(r * r for r in last)
+    if not pivot > 0.0:
+        raise SolverError("matrix is not positive definite")
+    pivots.append(pivot)
+    if min(pivots) < 1e-12 * max(pivots):
         raise SolverError("matrix is singular to working precision; add regularization epsilon")
-    u = _cholesky_substitute(factor, rhs)
+    sub[-1] = 0.0  # L[N - 1, N - 2] lives in the last row
+    return [math.sqrt(p) for p in pivots], sub, last
+
+
+def _substitute(roots: list[float], sub: list[float], last: list[float],
+                rhs: np.ndarray) -> np.ndarray:
+    """u = (L L^T)^{-1} rhs for :func:`_factor`'s L: forward, then back substitution."""
+    y, prev = [], 0.0
+    for f, s, r in zip(rhs.tolist(), sub, roots):
+        prev = (f - s * prev) / r
+        y.append(prev)
+    # L's dense last row
+    y[-1] = (float(rhs[-1]) - float(np.dot(last, y[:-1]))) / roots[-1]
+    u = [0.0] * len(y)
+    tail = u[-1] = y[-1] / roots[-1]
+    nxt = tail
+    for i in range(len(y) - 2, -1, -1):
+        nxt = u[i] = (y[i] - sub[i + 1] * nxt - last[i] * tail) / roots[i]
+    return np.array(u)
+
+
+def solve(matrix: Bands | np.ndarray, rhs) -> ClassicalSolution:
+    """Solve A u = f for a symmetric positive definite cyclic tridiagonal A.
+
+    A is given by its :class:`~vqa_poisson.operators.Bands` or as a dense
+    square matrix, whose bands are read from its upper triangle.  ``ValueError``
+    for an empty or wrongly shaped A or f, for non-finite entries, and for a
+    dense A with a non-zero entry off its bands and corners.  A matrix whose
+    smallest Cholesky pivot is below 1e-12 of its largest is singular to
+    working precision (periodic or Neumann without regularization) and raises
+    ``SolverError`` instead of returning an arbitrary particular solution.
+    O(N) time and memory in the band form.
+    """
+    rhs = np.real(_as_vector(rhs)).astype(float)
+    bands = matrix if isinstance(matrix, Bands) else _bands_of(np.asarray(matrix))
+    diagonal = np.asarray(bands.diagonal, dtype=float)
+    off = np.asarray(bands.off_diagonal, dtype=float)
+    corner = float(bands.corner)
+    size = diagonal.size
+    if (diagonal.shape != (size,) or size == 0 or off.shape != (size - 1,)
+            or (size == 1 and corner != 0.0)):
+        raise ValueError("bands must be N >= 1 diagonal entries, N - 1 off-diagonal ones, "
+                         "and no corner at N = 1")
+    if rhs.shape != (size,):
+        raise ValueError(f"rhs shape {rhs.shape} does not match matrix size {size}")
+    if not np.isfinite(np.concatenate([diagonal, off, [corner], rhs])).all():
+        raise ValueError("matrix and rhs must not contain infs or NaNs")
+    u = _substitute(*_factor(diagonal.tolist(), off.tolist(), corner), rhs)
     norm = float(np.linalg.norm(u))
     if norm == 0.0:
         raise SolverError("solution vector vanished")

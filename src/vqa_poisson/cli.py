@@ -202,7 +202,7 @@ def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
         (config.layers >= 0 and config.max_iterations >= 0,
          "layers and max-iterations must be >= 0"),
         (config.tol > 0 and config.grad_threshold > 0, "tol and grad-threshold must be > 0"),
-        (epsilon >= 0, "epsilon must be >= 0"),
+        (0 <= epsilon < np.inf, "epsilon must be finite and >= 0"),
         (epsilon > 0 or config.bc is BoundaryCondition.DIRICHLET,
          f"{config.bc.value} boundaries need epsilon > 0: the operator is singular without it"),
     ):
@@ -412,9 +412,9 @@ def _run_shot_error_vs_s(config: ExperimentConfig, out: Path) -> tuple[list[str]
     rows, summary = [], []
     for n in config.n_values:
         op, circuit, f, theta = _fixed_point(config, n)
-        matrix = build_matrix(n, config.bc, config.resolved_epsilon)
         psi = prepare_ansatz_state(circuit, theta)
         if config.method == "baseline":
+            matrix = build_matrix(n, config.bc, config.resolved_epsilon)
             exact = baseline_cost(matrix, psi, f).cost
             eig_a2 = np.linalg.eigh(matrix)
             x_matrix = np.array([[0.0, 1.0], [1.0, 0.0]])

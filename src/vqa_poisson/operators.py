@@ -1,10 +1,14 @@
 """Discretized Poisson system matrices and their O(1) observable decompositions.
 
+A 1D system matrix is defined once, by its bands (:func:`build_bands`): the
+classical reference solves it in that form, and :func:`build_matrix` is its
+dense assembly for verification and the baseline method.
+
 The measured parts of every operator are coefficient-weighted products of
 single-qubit factors from {I, X, |0><0|}, optionally conjugated by cyclic
 shifts of the node register.  Shift conjugation is always represented as a
 state transformation, never as a dense matrix; dense forms exist only on the
-verification path (:func:`reassemble_dense`).
+verification path (:func:`reassemble_dense`, capped at ``DENSE_QUBIT_CAP``).
 """
 
 from __future__ import annotations
@@ -13,6 +17,7 @@ import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -93,8 +98,21 @@ class PoissonOperator:
         return tuple(gather_table(t, self.axes) for t in self.terms)
 
 
-def build_matrix(n: int, bc: BoundaryCondition, epsilon: float = 0.0) -> np.ndarray:
-    """Dense 2^n x 2^n system matrix for one axis, plus epsilon * I.
+class Bands(NamedTuple):
+    """Symmetric cyclic tridiagonal matrix by its bands.
+
+    A[i, i] = diagonal[i], A[i, i + 1] = A[i + 1, i] = off_diagonal[i], and
+    ``corner`` adds onto A[0, N - 1] and A[N - 1, 0]: the periodic wrap, which
+    at N = 2 lands on the off-diagonal entry.
+    """
+
+    diagonal: np.ndarray
+    off_diagonal: np.ndarray
+    corner: float
+
+
+def build_bands(n: int, bc: BoundaryCondition, epsilon: float = 0.0) -> Bands:
+    """Bands of the 2^n x 2^n system matrix for one axis, plus epsilon * I.
 
     Summation order mirrors the decomposition (periodic base, then boundary
     corrections) so that reassembly of :func:`decompose` matches bit-exactly.
@@ -102,21 +120,28 @@ def build_matrix(n: int, bc: BoundaryCondition, epsilon: float = 0.0) -> np.ndar
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     size = 1 << n
-    mat = np.zeros((size, size))
-    np.fill_diagonal(mat, 2.0 + epsilon)
-    for i in range(size - 1):
-        mat[i, i + 1] -= 1.0
-        mat[i + 1, i] -= 1.0
-    mat[0, size - 1] -= 1.0
-    mat[size - 1, 0] -= 1.0
+    diagonal = np.full(size, 2.0 + epsilon)
+    corner = -1.0
     if bc is BoundaryCondition.DIRICHLET:
-        mat[0, size - 1] += 1.0
-        mat[size - 1, 0] += 1.0
+        corner += 1.0
     elif bc is BoundaryCondition.NEUMANN:
-        mat[0, 0] -= 1.0
-        mat[size - 1, size - 1] -= 1.0
-        mat[0, size - 1] += 1.0
-        mat[size - 1, 0] += 1.0
+        diagonal[0] -= 1.0
+        diagonal[-1] -= 1.0
+        corner += 1.0
+    return Bands(diagonal, np.full(size - 1, -1.0), corner)
+
+
+def build_matrix(n: int, bc: BoundaryCondition, epsilon: float = 0.0) -> np.ndarray:
+    """Dense assembly of :func:`build_bands` (verification and baseline paths, n <= 12)."""
+    if n > DENSE_QUBIT_CAP:
+        raise ValueError(f"dense matrices capped at {DENSE_QUBIT_CAP} qubits, got {n}")
+    diagonal, off, corner = build_bands(n, bc, epsilon)
+    rows = np.arange(len(diagonal))
+    mat = np.zeros((len(rows), len(rows)))
+    mat[rows, rows] = diagonal
+    mat[rows[:-1], rows[1:]] = mat[rows[1:], rows[:-1]] = off
+    mat[0, -1] += corner
+    mat[-1, 0] += corner
     return mat
 
 

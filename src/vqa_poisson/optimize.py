@@ -5,7 +5,9 @@ solver), inverse-Hessian seeded with the identity and rescaled after the first
 accepted step.  Each trial sweeps the ansatz once per cost evaluation and
 reuses that psi and A psi for the gradient and the final trace distance.
 Trials draw initial parameters uniformly from [0, 4*pi] and are
-embarrassingly parallel in their seeds.
+embarrassingly parallel in their seeds.  A problem holds its system matrix by
+its bands and caches the classical reference solved from them, so set-up
+builds no dense matrix.
 """
 
 from __future__ import annotations
@@ -19,8 +21,8 @@ import numpy as np
 from .classical import ClassicalSolution, solve, trace_distance
 from .cost import CostReport, SingularOperatorError, cost_and_a_psi, measured_circuit_count
 from .gradient import grad_from_state
-from .operators import (DEFAULT_EPSILON, BoundaryCondition, PoissonOperator,
-                        build_matrix, decompose)
+from .operators import (DEFAULT_EPSILON, Bands, BoundaryCondition, PoissonOperator,
+                        build_bands, decompose)
 from .sampling import derive_seed
 from .states import (AnsatzCircuit, Statevector, _real_if_real, ansatz_amplitudes,
                      prepare_source_state)
@@ -55,17 +57,17 @@ class OptimizationConfig:
 
 @dataclass
 class PoissonProblem:
-    """Operator, ansatz and source bundle; caches the classical reference."""
+    """Operator, ansatz, source and system-matrix bands; caches the classical reference."""
 
     operator: PoissonOperator
     circuit: AnsatzCircuit
     source: Statevector
-    dense_matrix: np.ndarray
+    bands: Bands
     _classical: ClassicalSolution | None = field(default=None, repr=False)
 
     def classical(self) -> ClassicalSolution:
         if self._classical is None:
-            self._classical = solve(self.dense_matrix, np.real(self.source.amplitudes))
+            self._classical = solve(self.bands, np.real(self.source.amplitudes))
         return self._classical
 
 
@@ -75,7 +77,7 @@ def make_problem(n: int, bc: BoundaryCondition, n_layers: int = 5,
     if epsilon is None:
         epsilon = DEFAULT_EPSILON[bc]
     return PoissonProblem(decompose(n, bc, epsilon), AnsatzCircuit(n, n_layers),
-                          prepare_source_state(n), build_matrix(n, bc, epsilon))
+                          prepare_source_state(n), build_bands(n, bc, epsilon))
 
 
 @dataclass

@@ -7,9 +7,8 @@ import numpy as np
 import pytest
 
 import vqa_poisson
-from vqa_poisson.classical import _BLOCK
-from vqa_poisson import (BoundaryCondition, Statevector, SolverError, baseline_cost,
-                         build_matrix, cost_from_state, decompose, fidelity,
+from vqa_poisson import (Bands, BoundaryCondition, Statevector, SolverError, baseline_cost,
+                         build_bands, build_matrix, cost_from_state, decompose, fidelity,
                          prepare_source_state, solve, trace_distance)
 
 DIRICHLET = BoundaryCondition.DIRICHLET
@@ -55,6 +54,9 @@ def test_regularized_and_dirichlet_matrices_solve_up_to_ten_qubits(bc):
         rhs = np.real(prepare_source_state(n).amplitudes)
         solution = solve(matrix, rhs)
         assert np.linalg.norm(matrix @ solution.u - rhs) < 1e-8 * np.linalg.norm(rhs)
+        assert np.array_equal(solve(build_bands(n, bc, epsilon), rhs).u, solution.u)
+        reference = np.linalg.solve(matrix, rhs)
+        assert np.linalg.norm(solution.u - reference) <= 1e-11 * np.linalg.norm(reference)
 
 
 def test_norm_recovery_links_r_opt_to_classical_norm():
@@ -132,19 +134,16 @@ def _inf_above_diagonal(n):
     (np.full((8, 8), np.nan), np.ones(8)),
     (_inf_above_diagonal(3), np.ones(8)),
     (build_matrix(3, DIRICHLET)[:, :7], np.ones(8)),
-], ids=["nan-rhs", "nan-matrix", "inf-above-diagonal", "8x7-matrix"])
+    (build_matrix(3, DIRICHLET) + np.full((8, 8), 0.5), np.ones(8)),
+    (build_matrix(3, DIRICHLET).astype(complex), np.ones(8)),
+    (Bands(np.full(4, 2.0), np.full(2, -1.0), 0.0), np.ones(4)),
+    (Bands(np.full(4, 2.0), np.full(3, -1.0), np.nan), np.ones(4)),
+    (Bands(np.full(1, 2.0), np.zeros(0), -1.0), np.ones(1)),
+], ids=["nan-rhs", "nan-matrix", "inf-above-diagonal", "8x7-matrix", "spd-not-tridiagonal",
+        "complex-matrix", "short-off-diagonal", "nan-corner", "corner-at-one-node"])
 def test_invalid_input_raises_value_error(matrix, rhs):
     with pytest.raises(ValueError):
         solve(matrix, rhs)
-
-
-@pytest.mark.parametrize("size", [1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 44])
-def test_blocked_substitution_matches_dense_solve(size):
-    rng = np.random.default_rng(size)
-    m = rng.normal(size=(size, size))
-    matrix = m @ m.T + size * np.eye(size)
-    rhs = rng.normal(size=size)
-    np.testing.assert_allclose(solve(matrix, rhs).u, np.linalg.solve(matrix, rhs), rtol=1e-10)
 
 
 def test_import_loads_no_scipy():

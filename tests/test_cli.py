@@ -128,6 +128,9 @@ def test_usage_errors_exit_two(tmp_path):
         ["solve", "--grad-threshold=-1e-6"],
         ["solve", "--grad-threshold", "nan"],
         ["solve", "--epsilon=-1e-3"],
+        ["solve", "--n", "2", "--epsilon", "inf"],
+        ["trace-distance-vs-n", "--n", "2", "--bc", "periodic", "--epsilon", "inf",
+         "--trials", "1"],
         ["solve", "--bc", "periodic", "--epsilon", "0", "--n", "2"],
         ["solve", "--bc", "neumann", "--epsilon", "0", "--n", "3"],
         ["solve", "--seed", "-1"],
@@ -136,7 +139,7 @@ def test_usage_errors_exit_two(tmp_path):
         assert main([*flags, "--out", str(tmp_path)]) == 2, flags
     bad_config = tmp_path / "bad.cfg"
     for text in ("layers = two\n", "mode = sampeld\n", "method = basline\n",
-                 "layer = 3\n", "trails = 1\n", "seed = -1\n"):
+                 "layer = 3\n", "trails = 1\n", "seed = -1\n", "epsilon = inf\n"):
         bad_config.write_text(text)
         assert main(["solve", "--config", str(bad_config), "--n", "2", "--trials", "1",
                      "--out", str(tmp_path)]) == 2, text

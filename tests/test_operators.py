@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from vqa_poisson import (BoundaryCondition, Mesh2D, ObservableTerm, Statevector,
                          assemble_fem_2d_dense, build_fdm_kron, build_fem_2d, build_matrix,
                          decompose, reassemble_dense, shift_amplitudes)
-from vqa_poisson.operators import FACTOR_I, FACTOR_X, term_dense
+from vqa_poisson.operators import DENSE_QUBIT_CAP, FACTOR_I, FACTOR_X, term_dense
 
 from conftest import random_real_state
 
@@ -23,6 +23,13 @@ def test_dirichlet_two_nodes():
 def test_neumann_two_nodes():
     np.testing.assert_array_equal(build_matrix(1, BoundaryCondition.NEUMANN),
                                   [[1.0, -1.0], [-1.0, 1.0]])
+
+
+@pytest.mark.parametrize("bc", ALL_BCS)
+def test_dense_matrix_is_capped_like_reassembly(bc):
+    # raised before allocating: 13 qubits would be 512 MiB, 15 qubits 8 GiB
+    with pytest.raises(ValueError, match=f"capped at {DENSE_QUBIT_CAP} qubits"):
+        build_matrix(DENSE_QUBIT_CAP + 1, bc)
 
 
 def test_periodic_regularized_four_nodes():

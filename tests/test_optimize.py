@@ -1,11 +1,14 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from vqa_poisson import (AnsatzCircuit, BoundaryCondition, GradNorm, OptimizationConfig,
+from vqa_poisson import (AnsatzCircuit, Bands, BoundaryCondition, GradNorm, OptimizationConfig,
                          PoissonProblem, TraceDistance, cost, make_problem, minimize,
                          prepare_ansatz_state, prepare_source_state, run_trials)
-from vqa_poisson import gradient, optimize, states
+from vqa_poisson import gradient, operators, optimize, states
 from vqa_poisson.classical import SolverError, trace_distance
+from vqa_poisson.cost import apply_operator
 from vqa_poisson.gradient import grad_cost
 from vqa_poisson.optimize import bfgs
 from vqa_poisson.operators import PoissonOperator
@@ -81,10 +84,40 @@ def test_final_report_is_the_cost_at_the_final_theta(max_iterations, status):
 def test_aborted_trial_reports_diagnostic():
     op = PoissonOperator((1,), DIRICHLET, (), -1.0)  # always-singular denominator
     problem = PoissonProblem(op, AnsatzCircuit(1, 0), prepare_source_state(1),
-                             np.array([[1.0, 0.0], [0.0, 1.0]]))
+                             Bands(np.ones(2), np.zeros(1), 0.0))  # the 2 x 2 identity
     trace = minimize(problem, OptimizationConfig(max_iterations=10), trial_seed=0)
     assert trace.status.startswith("aborted")
     assert trace.iterations_used == 0
+
+
+@pytest.mark.parametrize("bc", [BoundaryCondition.PERIODIC, BoundaryCondition.NEUMANN])
+def test_unregularized_reference_is_singular_up_to_fourteen_qubits(bc):
+    for n in range(1, 15):
+        with pytest.raises(SolverError):
+            make_problem(n, bc, 5, 0.0).classical()
+
+
+@pytest.mark.parametrize("bc", list(BoundaryCondition))
+def test_fourteen_qubit_reference_builds_no_dense_matrix(bc, monkeypatch):
+    def no_dense(*args):
+        raise AssertionError("make_problem built a dense matrix")
+
+    monkeypatch.setattr(operators, "build_matrix", no_dense)
+    tracemalloc.start()
+    try:
+        problem = make_problem(14, bc)
+        u = problem.classical().u
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20  # the dense matrix alone is 2 GiB
+    # A u from the gather tables, independent of the bands.  The bound is
+    # backward stability, |A u - f| <= c eps |A| |u| with |A| <= 4: at 14
+    # qubits Dirichlet |u| / |f| is 6e6, so |A u - f| / |f| sits near 1e-9
+    # for any float64 u
+    f = np.real(problem.source.amplitudes)
+    residual = np.linalg.norm(apply_operator(problem.operator, u) - f)
+    assert residual < 1e-15 * (4.0 * np.linalg.norm(u) + np.linalg.norm(f))
 
 
 def test_trace_distance_terminal_converges_quickly():
