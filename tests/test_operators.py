@@ -25,11 +25,10 @@ def test_neumann_two_nodes():
                                   [[1.0, -1.0], [-1.0, 1.0]])
 
 
-@pytest.mark.parametrize("bc", ALL_BCS)
-def test_dense_matrix_is_capped_like_reassembly(bc):
+def test_dense_matrix_is_capped_like_reassembly():
     # raised before allocating: 13 qubits would be 512 MiB, 15 qubits 8 GiB
     with pytest.raises(ValueError, match=f"capped at {DENSE_QUBIT_CAP} qubits"):
-        build_matrix(DENSE_QUBIT_CAP + 1, bc)
+        build_matrix(DENSE_QUBIT_CAP + 1, BoundaryCondition.PERIODIC)
 
 
 def test_periodic_regularized_four_nodes():
