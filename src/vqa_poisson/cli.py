@@ -201,7 +201,8 @@ def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
         (config.seed >= 0, f"seed must be >= 0, got {config.seed}"),
         (config.layers >= 0 and config.max_iterations >= 0,
          "layers and max-iterations must be >= 0"),
-        (config.tol > 0 and config.grad_threshold > 0, "tol and grad-threshold must be > 0"),
+        (0 < config.tol < np.inf and 0 < config.grad_threshold < np.inf,
+         "tol and grad-threshold must be finite and > 0"),
         (0 <= epsilon < np.inf, "epsilon must be finite and >= 0"),
         (epsilon > 0 or config.bc is BoundaryCondition.DIRICHLET,
          f"{config.bc.value} boundaries need epsilon > 0: the operator is singular without it"),

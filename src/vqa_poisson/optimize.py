@@ -118,11 +118,12 @@ def bfgs(fun: Callable[[np.ndarray], float], jac: Callable[[np.ndarray], np.ndar
     except SingularOperatorError as err:
         return BfgsResult(x, 0, f"aborted:{err}", values, gnorms, np.nan)
 
-    hessian_inv = np.eye(dim)
+    eye = np.eye(dim)
+    hessian_inv = eye.copy()  # a copy: the first update scales it in place
     status = "max_iterations"
     k = 0
     while True:
-        gnorm = float(np.linalg.norm(grad))
+        gnorm = float(np.sqrt(grad @ grad))
         values.append(value)
         gnorms.append(gnorm)
         if not np.isfinite(value) or not np.isfinite(gnorm):
@@ -138,7 +139,7 @@ def bfgs(fun: Callable[[np.ndarray], float], jac: Callable[[np.ndarray], np.ndar
         direction = -hessian_inv @ grad
         slope = float(grad @ direction)
         if slope >= 0.0:  # not a descent direction; reset curvature estimate
-            hessian_inv = np.eye(dim)
+            hessian_inv = eye.copy()
             direction = -grad
             slope = float(grad @ direction)
 
@@ -151,7 +152,8 @@ def bfgs(fun: Callable[[np.ndarray], float], jac: Callable[[np.ndarray], np.ndar
                 # Where the Armijo term rounds away, the value cannot show a
                 # decrease: an equal value is taken only where |g| drops.
                 new_grad = jac(x + alpha * direction) if candidate == bound == value else None
-                if candidate < bound or (new_grad is not None and np.linalg.norm(new_grad) < gnorm):
+                if candidate < bound or (new_grad is not None
+                                         and np.sqrt(new_grad @ new_grad) < gnorm):
                     accepted = candidate
                     break
             except SingularOperatorError:
@@ -176,20 +178,18 @@ def bfgs(fun: Callable[[np.ndarray], float], jac: Callable[[np.ndarray], np.ndar
         sy = float(step @ y)
         if k == 0 and sy > 0.0:
             hessian_inv *= sy / float(y @ y)
-        if sy > 1e-12 * np.linalg.norm(step) * np.linalg.norm(y):
+        if sy > 1e-12 * np.sqrt(step @ step) * np.sqrt(y @ y):
             rho = 1.0 / sy
-            outer_sy = np.outer(step, y)
-            hessian_inv = (
-                (np.eye(dim) - rho * outer_sy) @ hessian_inv
-                @ (np.eye(dim) - rho * outer_sy.T)
-                + rho * np.outer(step, step)
-            )
+            left = eye - rho * np.outer(step, y)
+            # a contiguous right factor: a transposed view changes the product's rounding
+            hessian_inv = (left @ hessian_inv @ np.ascontiguousarray(left.T)
+                           + rho * np.outer(step, step))
         else:
             skipped += 1
         x, value, grad = new_x, accepted, new_grad
         k += 1
 
-    final_gnorm = float(np.linalg.norm(grad)) if np.all(np.isfinite(grad)) else np.nan
+    final_gnorm = float(np.sqrt(grad @ grad)) if np.all(np.isfinite(grad)) else np.nan
     return BfgsResult(x, k, status, values, gnorms, final_gnorm, zero_decrease, skipped)
 
 

@@ -9,7 +9,9 @@ a = n - n // 2 and low b = n // 2 qubits; on an amplitude row viewed as a
 2^a x 2^b matrix X it is the two small products K_hi X K_lo^T.  The layered
 ansatz is simulated on real float64 arrays: a forward sweep for its state (or,
 in one sweep, for a stack of parameter vectors) and a reverse (adjoint) sweep
-for its gradients, which reuses the factors of a forward sweep at the same theta.
+for its gradients.  The last 8 thetas each keep a record: the column factors,
+psi, and psi's readout tables from the first adjoint sweep there, so repeated
+gradients at one theta sweep only their own vector, bit for bit as before.
 The source state |f> is the paper's one, the +-2^{-n/2} step state; every
 entry point also takes any other f as a :class:`Statevector`.
 """
@@ -240,14 +242,6 @@ def _checked_theta(circuit: AnsatzCircuit, theta: np.ndarray) -> np.ndarray:
     return theta
 
 
-@functools.lru_cache(maxsize=8)
-def _theta_factors(circuit: AnsatzCircuit, theta_bytes: bytes) -> tuple[np.ndarray, np.ndarray]:
-    """Every column's (K_hi, K_lo^T) at one theta, kept for the adjoint sweep
-    that follows a forward sweep at the same theta."""
-    theta = np.frombuffer(theta_bytes).reshape(circuit.n_layers + 1, circuit.n_qubits)
-    return _ry_factors(theta / 2.0)
-
-
 def _forward_sweep(circuit: AnsatzCircuit, factors: tuple[np.ndarray, np.ndarray],
                    rows: int) -> np.ndarray:
     """(rows, 2^n) amplitudes of the ansatz from its columns' (K_hi, K_lo^T):
@@ -263,10 +257,28 @@ def _forward_sweep(circuit: AnsatzCircuit, factors: tuple[np.ndarray, np.ndarray
     return amps
 
 
+@functools.lru_cache(maxsize=8)
+def _theta_factors(circuit: AnsatzCircuit, theta_bytes: bytes) -> tuple:
+    """The record of one theta: every column's (K_hi, K_lo^T), psi from one
+    forward sweep (read-only), and a list that the first :func:`ansatz_adjoint`
+    given this psi fills with each column's readout table sign * psi_c[index]."""
+    theta = np.frombuffer(theta_bytes).reshape(circuit.n_layers + 1, circuit.n_qubits)
+    factors = _ry_factors(theta / 2.0)
+    psi = _forward_sweep(circuit, factors, 1)[0]
+    psi.setflags(write=False)
+    return factors, psi, []
+
+
 def ansatz_amplitudes(circuit: AnsatzCircuit, theta: np.ndarray) -> np.ndarray:
-    """Real amplitudes of U(theta)|0...0> for the alternating layered ansatz."""
+    """Real amplitudes of U(theta)|0...0> for the alternating layered ansatz.
+
+    The result is read-only: it is the psi of theta's record, which the last
+    8 thetas keep with their column factors and, once an adjoint sweep has
+    run from this psi, its (L + 1) n 2^n float64 readout tables (0.49 MB at
+    n = 10, L = 5; 11 MB at n = 14).
+    """
     theta = _checked_theta(circuit, theta)
-    return _forward_sweep(circuit, _theta_factors(circuit, theta.tobytes()), 1)[0]
+    return _theta_factors(circuit, theta.tobytes())[1]
 
 
 def ansatz_amplitude_rows(circuit: AnsatzCircuit, thetas: np.ndarray) -> np.ndarray:
@@ -291,20 +303,30 @@ def ansatz_adjoint(circuit: AnsatzCircuit, theta: np.ndarray, psi: np.ndarray,
     (psi, lam) pair (Jones & Gacon, arXiv:2009.02823), with the transposed
     factors of the forward sweep: R_Y(-phi) = R_Y(phi)^T.  The gates of an R_Y
     column commute, so every gradient of a column is read at the point just
-    after it: d psi/d theta_i = (1/2) R_Y(pi)_q applied there.
+    after it: d psi/d theta_i = (1/2) R_Y(pi)_q applied there.  Given the
+    record's own psi (:func:`ansatz_amplitudes`), the sweep keeps psi's readout
+    tables there, and later sweeps at that theta un-apply lam alone.
     """
     theta = _checked_theta(circuit, theta)
     n = circuit.n_qubits
     index, sign = _ry_pi_tables(n)
-    k_his, k_lo_ts = _theta_factors(circuit, theta.tobytes())
-    pair = np.stack([psi, lam])
+    (k_his, k_lo_ts), record_psi, tables = _theta_factors(circuit, theta.tobytes())
+    # Where psi is the record's and its tables are filled, un-apply lam alone:
+    # each row is its own product, so lam rounds as it does beside psi.
+    reuse = psi is record_psi and bool(tables)
+    rows = np.array(lam, dtype=float, ndmin=2) if reuse else np.stack([psi, lam])
+    readouts = tables if reuse else []
     grad = np.empty(circuit.parameter_count)
-    for column in range(circuit.n_layers, -1, -1):
+    for step, column in enumerate(range(circuit.n_layers, -1, -1)):
+        if not reuse:
+            readouts.append(rows[0][index] * sign)
         base = column * n
-        grad[base:base + n] = 0.5 * ((pair[0][index] * sign) @ pair[1])
+        grad[base:base + n] = 0.5 * (readouts[step] @ rows[-1])
         if column:
-            pair = _apply_column(pair, k_his[column].T, k_lo_ts[column].T)
-            pair *= _cz_brick_signs(n, (column - 1) % 2)
+            rows = _apply_column(rows, k_his[column].T, k_lo_ts[column].T)
+            rows *= _cz_brick_signs(n, (column - 1) % 2)
+    if psi is record_psi and not reuse:
+        tables[:] = readouts
     return grad
 
 

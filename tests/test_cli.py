@@ -127,6 +127,8 @@ def test_usage_errors_exit_two(tmp_path):
         ["iterations-vs-n", "--tol", "0"],
         ["solve", "--grad-threshold=-1e-6"],
         ["solve", "--grad-threshold", "nan"],
+        ["solve", "--n", "2", "--trials", "2", "--grad-threshold", "inf"],
+        ["iterations-vs-n", "--n", "2", "--trials", "1", "--tol", "inf"],
         ["solve", "--epsilon=-1e-3"],
         ["solve", "--n", "2", "--epsilon", "inf"],
         ["trace-distance-vs-n", "--n", "2", "--bc", "periodic", "--epsilon", "inf",
@@ -139,7 +141,8 @@ def test_usage_errors_exit_two(tmp_path):
         assert main([*flags, "--out", str(tmp_path)]) == 2, flags
     bad_config = tmp_path / "bad.cfg"
     for text in ("layers = two\n", "mode = sampeld\n", "method = basline\n",
-                 "layer = 3\n", "trails = 1\n", "seed = -1\n", "epsilon = inf\n"):
+                 "layer = 3\n", "trails = 1\n", "seed = -1\n", "epsilon = inf\n",
+                 "tol = inf\n", "grad_threshold = inf\n"):
         bad_config.write_text(text)
         assert main(["solve", "--config", str(bad_config), "--n", "2", "--trials", "1",
                      "--out", str(tmp_path)]) == 2, text

@@ -10,7 +10,7 @@ from vqa_poisson import (AnsatzCircuit, BoundaryCondition, Mesh2D, Statevector, 
 from vqa_poisson.cost import cost_and_a_psi, cost_report
 from vqa_poisson import states
 from vqa_poisson.gradient import grad_from_state, parameter_shift_gradient
-from vqa_poisson.operators import term_dense
+from vqa_poisson.operators import FACTOR_I, FACTOR_X, ObservableTerm, term_dense
 from vqa_poisson.states import ansatz_adjoint, ansatz_amplitudes
 
 from conftest import random_theta
@@ -229,6 +229,71 @@ def test_gradient_from_reused_factors_equals_cold_call(n, rng):
     cold = grad_from_state(circuit, theta, psi, *cost_and_a_psi(op, psi, f_amps), f_amps)
     assert states._theta_factors.cache_info().misses == 1
     assert np.array_equal(warm, cold)
+
+
+def barren_plateau_gradients(n, theta, before_each=lambda: None):
+    """The barren-plateau protocol's four gradients at one theta (cli.barren_plateau_norms)."""
+    op = decompose(n, BoundaryCondition.PERIODIC, 1e-3)
+    circuit = AnsatzCircuit(n, 5)
+    f = prepare_source_state(n)
+    even = ObservableTerm(-1.0, (FACTOR_X,) + (FACTOR_I,) * (n - 1), (0,))
+    odd = ObservableTerm(-1.0, even.factors, (1,))
+    calls = [lambda: grad_cost(op, circuit, theta, f).grad,
+             lambda: term_gradient(even, circuit, theta),
+             lambda: term_gradient(odd, circuit, theta),
+             lambda: grad_numerator(circuit, theta, f)]
+    grads = []
+    for call in calls:
+        before_each()
+        grads.append(call())
+    return grads
+
+
+@pytest.mark.parametrize("n", [1, 3, 5, 8, 10])
+def test_barren_plateau_gradients_from_one_record_equal_cold_calls(n, rng):
+    """Three of the four gradients un-apply lam alone and read psi's stored
+    readout tables; each equals the same call made with no record, bit for bit."""
+    theta = random_theta(rng, AnsatzCircuit(n, 5))
+    states._theta_factors.cache_clear()
+    warm = barren_plateau_gradients(n, theta)
+    cold = barren_plateau_gradients(n, theta, states._theta_factors.cache_clear)
+    for w, c in zip(warm, cold):
+        assert np.array_equal(w, c)
+
+
+@pytest.mark.parametrize("n", [1, 3, 5, 8, 10])
+def test_barren_plateau_gradients_share_one_forward_sweep(n, rng, monkeypatch):
+    sweeps = []
+    forward_sweep = states._forward_sweep
+
+    def counted(*args):
+        sweeps.append(args[2])
+        return forward_sweep(*args)
+
+    monkeypatch.setattr(states, "_forward_sweep", counted)
+    states._theta_factors.cache_clear()
+    barren_plateau_gradients(n, random_theta(rng, AnsatzCircuit(n, 5)))
+    assert sweeps == [1]
+
+
+def test_adjoint_stores_tables_only_for_the_records_psi(rng):
+    circuit = AnsatzCircuit(5, 3)
+    theta = random_theta(rng, circuit)
+    lam = rng.normal(size=32)
+    states._theta_factors.cache_clear()
+    psi = ansatz_amplitudes(circuit, theta)
+    tables = states._theta_factors(circuit, theta.tobytes())[2]
+    from_copy = ansatz_adjoint(circuit, theta, psi.copy(), lam)
+    assert tables == []
+    pair = ansatz_adjoint(circuit, theta, psi, lam)
+    assert len(tables) == circuit.n_layers + 1
+    assert np.array_equal(from_copy, pair)
+    assert np.array_equal(ansatz_adjoint(circuit, theta, psi, lam), pair)
+    perturbed = psi + 1e-3 * rng.normal(size=32)
+    moved = ansatz_adjoint(circuit, theta, perturbed, lam)
+    states._theta_factors.cache_clear()
+    assert np.array_equal(moved, ansatz_adjoint(circuit, theta, perturbed, lam))
+    assert not np.array_equal(moved, pair)
 
 
 MULTI_AXIS_OPERATORS = {

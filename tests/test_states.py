@@ -5,8 +5,9 @@ from hypothesis import strategies as st
 
 from vqa_poisson import (AnsatzCircuit, Statevector, apply_cz, apply_h, apply_ry, apply_x,
                          prepare_ansatz_state, prepare_source_state, prepare_superposition_state)
-from vqa_poisson.states import (_apply_column, _column_factors, _ry_factors, ansatz_amplitude_rows,
-                                ansatz_amplitudes)
+from vqa_poisson import states
+from vqa_poisson.states import (_apply_column, _column_factors, _ry_factors, ansatz_adjoint,
+                                ansatz_amplitude_rows, ansatz_amplitudes)
 
 from conftest import random_real_state
 
@@ -138,6 +139,22 @@ def test_batched_sweep_matches_per_theta_states(n, rng):
         assert rows.shape == (5, 1 << n)
         for theta, row in zip(thetas, rows):
             assert np.array_equal(row, ansatz_amplitudes(circuit, theta))
+
+
+def test_ansatz_amplitudes_are_read_only(rng):
+    circuit = AnsatzCircuit(3, 2)
+    psi = ansatz_amplitudes(circuit, rng.uniform(0, 4 * np.pi, circuit.parameter_count))
+    with pytest.raises(ValueError):
+        psi[0] = 1.0
+
+
+def test_theta_records_stay_bounded(rng):
+    circuit = AnsatzCircuit(10, 5)
+    lam = rng.normal(size=1 << 10)
+    for _ in range(100):
+        theta = rng.uniform(0, 4 * np.pi, circuit.parameter_count)
+        ansatz_adjoint(circuit, theta, ansatz_amplitudes(circuit, theta), lam)
+    assert states._theta_factors.cache_info().currsize <= 8
 
 
 def test_batched_sweep_rejects_wrong_shape():
