@@ -138,12 +138,6 @@ def solve(matrix: Bands | np.ndarray, rhs) -> ClassicalSolution:
     return ClassicalSolution(u=u, norm=norm, u_normalized=u / norm)
 
 
-def fidelity(psi, u_normalized) -> float:
-    """|<psi|u_bar>|^2 for unit vectors."""
-    overlap = np.vdot(_as_vector(psi), _as_vector(u_normalized))
-    return float(np.abs(overlap) ** 2)
-
-
 def trace_distance(psi, u_normalized) -> float:
     """sqrt(1 - |<psi|u_bar>|^2) for unit vectors, clipped into [0, 1].
 

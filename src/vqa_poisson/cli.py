@@ -23,9 +23,9 @@ from . import __version__
 from .classical import trace_distance
 from .cost import baseline_cost, cost, measured_circuit_count
 from .gradient import grad_cost, grad_numerator, term_gradient
-from .operators import (DEFAULT_EPSILON, BoundaryCondition, Mesh2D, ObservableTerm,
-                        assemble_fem_2d_dense, build_fem_2d, build_matrix, decompose,
-                        reassemble_dense)
+from .operators import (DEFAULT_EPSILON, DENSE_QUBIT_CAP, BoundaryCondition, Mesh2D,
+                        ObservableTerm, assemble_fem_2d_dense, build_fem_2d, build_matrix,
+                        decompose, reassemble_dense)
 from .operators import FACTOR_I, FACTOR_X
 from .optimize import (GradNorm, OptimizationConfig, TraceDistance, TrialsResult,
                        make_problem, run_trials)
@@ -197,6 +197,8 @@ def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
         (config.method in METHODS, f"method {config.method!r} is not one of {METHODS}"),
         (max(config.n_values) <= STATEVECTOR_QUBIT_CAP,
          f"n capped at {STATEVECTOR_QUBIT_CAP} qubits"),
+        (experiment != "fem2d-verify" or 2 * max(config.n_values) <= DENSE_QUBIT_CAP,
+         f"fem2d-verify reassembles meshes of up to 2n qubits, capped at {DENSE_QUBIT_CAP}"),
         (config.trials >= 1 and config.repeats >= 1, "trials and repeats must be >= 1"),
         (config.seed >= 0, f"seed must be >= 0, got {config.seed}"),
         (config.layers >= 0 and config.max_iterations >= 0,

@@ -3,17 +3,17 @@
 Each gradient here is Re<d_i psi|lam> for one real vector lam, with
 d_i psi = d|psi>/d theta_i; :func:`~vqa_poisson.states.ansatz_adjoint` gives
 all its components in one reverse sweep over the ansatz, about two state
-preparations of work.  The numerator takes lam = Re f, the denominator
-lam = 2 A psi, one term lam = 2 T psi, and the cost their quotient-rule
-combination (:func:`grad_from_state`, from the psi and A psi of a cost
-evaluation).  For R_Y parameters d_i psi = (1/2) U(..., theta_i + pi, ...)|0...0>;
+preparations of work.  The numerator takes lam = Re f, one term lam = 2 T psi,
+and the cost the quotient-rule combination lam = r^2 A psi - r Re f
+(:func:`grad_from_state`, from the psi and A psi of a cost evaluation).  For
+R_Y parameters d_i psi = (1/2) U(..., theta_i + pi, ...)|0...0>;
 :func:`shifted_state` builds that pi-shifted state (the test oracle).
 :func:`parameter_shift_gradient` is the one shifted-circuit route: one batched
 forward sweep prepares 3P + 1 rows, theta and its 3P shifts (the numerator from
 pi shifts, the denominator terms from +-pi/2 shifts), and a caller-supplied
 estimator measures each slot once over every row it needs, theta included,
-then reads the shifted groups from that one measurement (exact expectations
-here, shot estimates in the sampling mode).
+then reads the shifted groups from that one measurement (shot estimates in
+the sampling mode).
 """
 
 from __future__ import annotations
@@ -23,8 +23,7 @@ from typing import Callable
 
 import numpy as np
 
-from .cost import (CostReport, ancilla_x_term, apply_operator, apply_term, cost_and_a_psi,
-                   cost_report, expectation)
+from .cost import CostReport, ancilla_x_term, apply_term, cost_and_a_psi
 from .operators import ObservableTerm, PoissonOperator
 from .states import (AnsatzCircuit, Statevector, _real_if_real, ansatz_adjoint,
                      ansatz_amplitude_rows, ansatz_amplitudes, prepare_ansatz_state,
@@ -51,13 +50,6 @@ def grad_numerator(circuit: AnsatzCircuit, theta: np.ndarray, f: Statevector) ->
     """Components Re<d_i psi|f> of the numerator gradient."""
     psi = ansatz_amplitudes(circuit, theta)
     return ansatz_adjoint(circuit, theta, psi, np.real(f.amplitudes))
-
-
-def grad_denominator(op: PoissonOperator, circuit: AnsatzCircuit,
-                     theta: np.ndarray) -> np.ndarray:
-    """Components 2 Re<d_i psi|A|psi> of the denominator gradient."""
-    psi = ansatz_amplitudes(circuit, theta)
-    return ansatz_adjoint(circuit, theta, psi, 2.0 * apply_operator(op, psi))
 
 
 def term_gradient(term: ObservableTerm, circuit: AnsatzCircuit, theta: np.ndarray,
@@ -126,19 +118,6 @@ def parameter_shift_gradient(op: PoissonOperator, circuit: AnsatzCircuit, theta:
     d_den = 0.5 * (branch_sums[0] - branch_sums[1])
     num, den = base.numerator, base.denominator
     return -0.5 * num * g_num / den + 0.5 * num * num * d_den / (den * den)
-
-
-def _exact_measure(slot: int, term: ObservableTerm, rows: np.ndarray,
-                   axes: tuple[int, ...] | None) -> tuple:
-    values = np.array([expectation(term, Statevector(row), axes) for row in rows])
-    return values[0], lambda index, key: values[index]
-
-
-def grad_cost_parameter_shift(op: PoissonOperator, circuit: AnsatzCircuit,
-                              theta: np.ndarray, f: Statevector) -> GradientReport:
-    """Same gradient as :func:`grad_cost` through exact shifted-circuit expectations."""
-    grad = parameter_shift_gradient(op, circuit, theta, f, _exact_measure, cost_report)
-    return GradientReport(grad=grad, norm=float(np.linalg.norm(grad)))
 
 
 def finite_difference_gradient(fn: Callable[[np.ndarray], float], theta: np.ndarray,

@@ -226,30 +226,6 @@ def gather_table(term: ObservableTerm, axes: tuple[int, ...]) -> tuple[np.ndarra
     return index, weight
 
 
-def build_fdm_kron(n_per_axis: int, d: int, bc: BoundaryCondition,
-                   epsilon: float = 0.0) -> PoissonOperator:
-    """d-dimensional finite-difference operator as a Kronecker sum of 1D terms.
-
-    The term list is the union of the 1D lists embedded on each axis register,
-    so the measured-term count is d times the 1D count.
-    """
-    if d < 1:
-        raise ValueError(f"d must be >= 1, got {d}")
-    base = decompose(n_per_axis, bc, 0.0)
-    total = d * n_per_axis
-    terms = []
-    for axis in range(d):
-        low = axis * n_per_axis
-        for t in base.terms:
-            factors = [FACTOR_I] * total
-            factors[low:low + n_per_axis] = t.factors
-            shifts = [0] * d
-            shifts[axis] = t.shift_power
-            terms.append(ObservableTerm(t.coefficient, tuple(factors), tuple(shifts)))
-    offset = base.constant_offset * d + epsilon
-    return PoissonOperator((n_per_axis,) * d, bc, tuple(terms), offset)
-
-
 @dataclass(frozen=True)
 class Mesh2D:
     """Periodic 2^{n_x} x 2^{n_y} quadrilateral mesh; node i = i_x + i_y * N_x."""

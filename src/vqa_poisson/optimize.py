@@ -82,10 +82,10 @@ def make_problem(n: int, bc: BoundaryCondition, n_layers: int = 5,
 
 @dataclass
 class BfgsResult:
-    x: np.ndarray
-    iterations: int
+    final_theta: np.ndarray
+    iterations_used: int
     status: str
-    values: list[float]
+    costs: list[float]
     gradient_norms: list[float]
     final_gradient_norm: float
     zero_decrease_steps: int = 0  # accepted equal values at a lower |g|
@@ -193,19 +193,13 @@ def bfgs(fun: Callable[[np.ndarray], float], jac: Callable[[np.ndarray], np.ndar
     return BfgsResult(x, k, status, values, gnorms, final_gnorm, zero_decrease, skipped)
 
 
-@dataclass
-class OptimizationTrace:
-    costs: list[float]
-    gradient_norms: list[float]
-    final_theta: np.ndarray
+@dataclass(kw_only=True)
+class OptimizationTrace(BfgsResult):
+    """One minimize trial: its BFGS result plus the final report, circuits and trace distance."""
+
     final_report: CostReport
-    final_gradient_norm: float
-    iterations_used: int
     circuit_executions: int
-    status: str
     trace_distance: float | None = None  # None for an aborted GradNorm trial
-    zero_decrease_steps: int = 0
-    skipped_updates: int = 0
 
 
 @dataclass
@@ -241,26 +235,21 @@ def minimize(problem: PoissonProblem, config: OptimizationConfig,
     t_c = measured_circuit_count(op)
     f_amps = _real_if_real(f.amplitudes)
     counters = {"circuits": 0}
-    # The latest cost evaluation, (theta bytes, psi, report, A psi).  BFGS takes
-    # the gradient where it took the cost.
+    # The latest cost evaluation, (psi, report, A psi).  BFGS takes the gradient
+    # where it took the cost, and theta's record hands back that same psi.
     last: tuple | None = None
 
-    def psi_at(theta: np.ndarray) -> np.ndarray:
-        """psi at theta, from the latest cost evaluation when it was there."""
-        hit = last is not None and last[0] == theta.tobytes()
-        return last[1] if hit else ansatz_amplitudes(circuit, theta)
-
     def exact_at(theta: np.ndarray) -> tuple[np.ndarray, CostReport, np.ndarray]:
-        """(psi, report, A psi) at theta, likewise reused from the latest cost evaluation."""
-        psi = psi_at(theta)
-        hit = last is not None and psi is last[1]
-        return last[1:] if hit else (psi, *cost_and_a_psi(op, psi, f_amps))
+        """(psi, report, A psi) at theta, reused from the latest cost evaluation there."""
+        psi = ansatz_amplitudes(circuit, theta)
+        return last if last is not None and last[0] is psi else (
+            psi, *cost_and_a_psi(op, psi, f_amps))
 
     def eval_cost(theta: np.ndarray) -> float:
         nonlocal last
         counters["circuits"] += t_c
-        last = (theta.tobytes(), *exact_at(theta))
-        return last[2].energy
+        last = exact_at(theta)
+        return last[1].energy
 
     def eval_grad(theta: np.ndarray) -> np.ndarray:
         counters["circuits"] += count * t_c
@@ -271,31 +260,23 @@ def minimize(problem: PoissonProblem, config: OptimizationConfig,
     def stop_when(theta: np.ndarray, value: float, grad: np.ndarray) -> bool:
         if isinstance(config.terminal, GradNorm):
             return bool(np.linalg.norm(grad) < config.terminal.threshold)
-        eps_tr = trace_distance(psi_at(theta), reference.u_normalized)
+        eps_tr = trace_distance(ansatz_amplitudes(circuit, theta), reference.u_normalized)
         return eps_tr < config.terminal.tolerance
 
     result = bfgs(eval_cost, eval_grad, theta0, config.max_iterations, stop_when)
 
-    if result.status.startswith("aborted") and (last is None or last[0] != result.x.tobytes()):
+    theta = result.final_theta
+    aborted = result.status.startswith("aborted")
+    if aborted and (last is None or last[0] is not ansatz_amplitudes(circuit, theta)):
         final_report = CostReport(np.nan, np.nan, np.nan, np.nan)
     else:
-        final_report = exact_at(result.x)[1]
+        final_report = exact_at(theta)[1]
     eps_tr = None
-    if reference is not None or not result.status.startswith("aborted"):
-        eps_tr = trace_distance(psi_at(result.x), problem.classical().u_normalized)
-    return OptimizationTrace(
-        costs=result.values,
-        gradient_norms=result.gradient_norms,
-        final_theta=result.x,
-        final_report=final_report,
-        final_gradient_norm=result.final_gradient_norm,
-        iterations_used=result.iterations,
-        circuit_executions=counters["circuits"],
-        status=result.status,
-        trace_distance=eps_tr,
-        zero_decrease_steps=result.zero_decrease_steps,
-        skipped_updates=result.skipped_updates,
-    )
+    if reference is not None or not aborted:
+        eps_tr = trace_distance(ansatz_amplitudes(circuit, theta),
+                                problem.classical().u_normalized)
+    return OptimizationTrace(**vars(result), final_report=final_report,
+                             circuit_executions=counters["circuits"], trace_distance=eps_tr)
 
 
 def run_trials(problem: PoissonProblem, config: OptimizationConfig) -> TrialsResult:

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -34,8 +33,9 @@ class Statevector:
     def __post_init__(self):
         amps = np.asarray(self.amplitudes, dtype=np.complex128)
         size = amps.size
-        if size < 2 or size & (size - 1):
-            raise ValueError(f"amplitude vector length must be a power of two >= 2, got {size}")
+        if amps.ndim != 1 or size < 2 or size & (size - 1):
+            raise ValueError("amplitudes must be a vector whose length is a power of two >= 2, "
+                             f"got shape {amps.shape}")
         object.__setattr__(self, "amplitudes", amps)
 
     @property
@@ -56,15 +56,6 @@ class Statevector:
         amps[index] = 1.0
         return cls(amps)
 
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
-
-    def inner(self, other: "Statevector") -> complex:
-        """<self|other>."""
-        if self.n_qubits != other.n_qubits:
-            raise ValueError("register sizes differ")
-        return complex(np.vdot(self.amplitudes, other.amplitudes))
-
 
 def _real_if_real(amps: np.ndarray) -> np.ndarray:
     """``amps`` as a float64 copy when every imaginary part is zero, else unchanged."""
@@ -76,12 +67,9 @@ def _real_if_real(amps: np.ndarray) -> np.ndarray:
 _HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
 
 
-def _check_qubits(n_qubits: int, qubits: Sequence[int]) -> None:
-    for q in qubits:
-        if not 0 <= q < n_qubits:
-            raise ValueError(f"qubit index {q} out of range for {n_qubits} qubits")
-    if len(set(qubits)) != len(qubits):
-        raise ValueError(f"qubit indices must be distinct, got {tuple(qubits)}")
+def _check_qubit(n_qubits: int, qubit: int) -> None:
+    if not 0 <= qubit < n_qubits:
+        raise ValueError(f"qubit index {qubit} out of range for {n_qubits} qubits")
 
 
 def _kron_chain(gates: np.ndarray) -> np.ndarray:
@@ -146,7 +134,7 @@ def _cz_inplace(amps: np.ndarray, qubit_a: int, qubit_b: int) -> None:
 
 def apply_x(state: Statevector, qubit: int) -> Statevector:
     """Pauli X on one qubit."""
-    _check_qubits(state.n_qubits, [qubit])
+    _check_qubit(state.n_qubits, qubit)
     idx = np.arange(state.amplitudes.size)
     return Statevector(state.amplitudes[idx ^ (1 << qubit)])
 
@@ -162,24 +150,8 @@ def _apply_gate(state: Statevector, factors: tuple[np.ndarray, np.ndarray]) -> S
 
 def apply_h(state: Statevector, qubit: int) -> Statevector:
     """Hadamard on one qubit."""
-    _check_qubits(state.n_qubits, [qubit])
+    _check_qubit(state.n_qubits, qubit)
     return _apply_gate(state, _hadamard_factors(state.n_qubits, 1 << qubit))
-
-
-def apply_ry(state: Statevector, angle: float, qubit: int) -> Statevector:
-    """R_Y(angle) rotation on one qubit."""
-    _check_qubits(state.n_qubits, [qubit])
-    # R_Y(0) is the identity exactly
-    half_angles = np.where(np.arange(state.n_qubits) == qubit, angle / 2.0, 0.0)
-    return _apply_gate(state, _ry_factors(half_angles))
-
-
-def apply_cz(state: Statevector, qubit_a: int, qubit_b: int) -> Statevector:
-    """Controlled-Z between two qubits (symmetric)."""
-    _check_qubits(state.n_qubits, [qubit_a, qubit_b])
-    amps = state.amplitudes.copy()
-    _cz_inplace(amps, qubit_a, qubit_b)
-    return Statevector(amps)
 
 
 @dataclass(frozen=True)

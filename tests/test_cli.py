@@ -136,6 +136,7 @@ def test_usage_errors_exit_two(tmp_path):
         ["solve", "--bc", "periodic", "--epsilon", "0", "--n", "2"],
         ["solve", "--bc", "neumann", "--epsilon", "0", "--n", "3"],
         ["solve", "--seed", "-1"],
+        ["fem2d-verify", "--n", "7"],
     ]
     for flags in bad_flags:
         assert main([*flags, "--out", str(tmp_path)]) == 2, flags

@@ -2,15 +2,15 @@ import numpy as np
 import pytest
 
 from vqa_poisson import (DEFAULT_EPSILON, AnsatzCircuit, BoundaryCondition, ObservableTerm,
-                         SingularOperatorError, Statevector, baseline_cost, build_matrix, cost,
-                         cost_from_state, decompose, denominator, expectation,
-                         measured_circuit_count, numerator_hadamard, prepare_ansatz_state,
-                         prepare_source_state, solve)
+                         PoissonOperator, SingularOperatorError, Statevector, baseline_cost,
+                         build_matrix, cost, cost_from_state, decompose, denominator,
+                         expectation, measured_circuit_count, numerator_hadamard,
+                         prepare_ansatz_state, prepare_source_state, solve)
 from vqa_poisson.cost import apply_factor_product, apply_operator, apply_term
-from vqa_poisson.operators import (FACTOR_I, FACTOR_P0, FACTOR_X, Mesh2D, build_fdm_kron,
-                                   build_fem_2d, reassemble_dense, shift_amplitudes)
+from vqa_poisson.operators import (FACTOR_I, FACTOR_P0, FACTOR_X, Mesh2D, build_fem_2d,
+                                   reassemble_dense, shift_amplitudes)
 
-from conftest import random_real_state, random_theta
+from conftest import fdm_two_axes, random_real_state, random_theta
 
 DIRICHLET = BoundaryCondition.DIRICHLET
 NEUMANN = BoundaryCondition.NEUMANN
@@ -84,7 +84,7 @@ def test_denominator_matches_dense_quadratic_form(bc, n, rng):
 @pytest.mark.parametrize("op", [
     *(decompose(3, bc, 1e-3) for bc in BoundaryCondition),
     build_fem_2d(Mesh2D(2, 1), 1e-3),
-    build_fdm_kron(2, 2, NEUMANN, 1e-3),
+    fdm_two_axes(),
 ], ids=["periodic", "dirichlet", "neumann", "fem2d", "fdm_kron"])
 def test_apply_operator_matches_dense_matrix(op, rng):
     dense = reassemble_dense(op)
@@ -100,11 +100,21 @@ def _shift_factor_unshift(term, amps, axes):
     return term.coefficient * shift_amplitudes(m_shifted, axes, unshift)
 
 
+# Three axis registers (2, 1, 2) with X and |0><0| factors and shifts on every
+# axis: shift_amplitudes' per-axis loop is what needs a third axis.
+THREE_AXIS = PoissonOperator((2, 1, 2), NEUMANN, (
+    ObservableTerm(-1.0, (FACTOR_X, FACTOR_I, FACTOR_I, FACTOR_I, FACTOR_I), (1, 0, 0)),
+    ObservableTerm(-1.0, (FACTOR_I, FACTOR_I, FACTOR_X, FACTOR_I, FACTOR_I), (0, 1, 0)),
+    ObservableTerm(1.0, (FACTOR_I, FACTOR_I, FACTOR_I, FACTOR_X, FACTOR_P0), (0, 0, 1)),
+    ObservableTerm(-0.5, (FACTOR_X, FACTOR_P0, FACTOR_X, FACTOR_X, FACTOR_I), (1, -1, 1)),
+), 6.001)
+
+
 @pytest.mark.parametrize("op", [
     *(decompose(n, bc, 1e-3) for bc in BoundaryCondition for n in range(1, 9)),
-    *(build_fdm_kron(n, d, bc, 1e-3)
-      for bc in BoundaryCondition for n, d in ((1, 2), (2, 2), (3, 2), (2, 3))),
-    *(build_fem_2d(Mesh2D(nx, ny), 1e-3) for nx, ny in ((1, 1), (2, 1), (1, 3), (3, 2))),
+    THREE_AXIS,
+    *(build_fem_2d(Mesh2D(nx, ny), 1e-3)
+      for nx in range(1, 5) for ny in range(1, 5) if (nx, ny) != (4, 4)),
 ])
 def test_gather_tables_equal_shift_factor_unshift_bit_for_bit(op, rng):
     for amps in (rng.normal(size=1 << op.n_qubits),
@@ -236,7 +246,7 @@ def test_measured_circuit_count(bc, count):
 @pytest.mark.parametrize("op,phase", [
     *((decompose(3, bc, DEFAULT_EPSILON[bc]), 1.0) for bc in BoundaryCondition),
     (build_fem_2d(Mesh2D(2, 1)), 1.0),
-    (build_fdm_kron(2, 2, NEUMANN, 1e-3), 1.0),
+    (fdm_two_axes(), 1.0),
     (decompose(3, DIRICHLET), np.exp(0.3j)),
 ], ids=["periodic", "dirichlet", "neumann", "fem2d", "fdm_kron", "phased_source"])
 def test_cost_through_a_psi_matches_term_by_term_estimators(op, phase, rng):

@@ -1,19 +1,17 @@
 import numpy as np
 import pytest
 
-from vqa_poisson import (AnsatzCircuit, BoundaryCondition, Mesh2D, Statevector, build_fdm_kron,
-                         build_fem_2d, cost, decompose, denominator, expectation,
-                         finite_difference_gradient, grad_cost, grad_cost_parameter_shift,
-                         grad_denominator, grad_numerator, numerator_hadamard,
-                         prepare_ansatz_state, prepare_source_state, reassemble_dense,
-                         shifted_state, term_gradient)
+from vqa_poisson import (AnsatzCircuit, BoundaryCondition, Mesh2D, Statevector, build_fem_2d,
+                         cost, decompose, denominator, expectation, finite_difference_gradient,
+                         grad_cost, grad_numerator, numerator_hadamard, prepare_ansatz_state,
+                         prepare_source_state, reassemble_dense, shifted_state, term_gradient)
 from vqa_poisson.cost import cost_and_a_psi, cost_report
 from vqa_poisson import states
 from vqa_poisson.gradient import grad_from_state, parameter_shift_gradient
 from vqa_poisson.operators import FACTOR_I, FACTOR_X, ObservableTerm, term_dense
 from vqa_poisson.states import ansatz_adjoint, ansatz_amplitudes
 
-from conftest import random_theta
+from conftest import fdm_two_axes, random_theta
 
 DIRICHLET = BoundaryCondition.DIRICHLET
 ALL_BCS = list(BoundaryCondition)
@@ -77,23 +75,27 @@ def test_grad_numerator_matches_finite_differences():
     np.testing.assert_allclose(grad_numerator(circuit, theta, f), fd, atol=1e-7)
 
 
+def _grad_denominator(op, circuit, theta):
+    """Components 2 Re<d_i psi|A|psi>, the sum of the terms' gradients."""
+    return sum(term_gradient(term, circuit, theta, op.axes) for term in op.terms)
+
+
 def test_grad_denominator_closed_form_single_qubit():
     # psi = (cos t/2, sin t/2), Dirichlet 2x2: <A> = 2 - sin t, d<A>/dt = -cos t
     circuit = AnsatzCircuit(1, 0)
     op = decompose(1, DIRICHLET)
     for theta_val in (0.0, 0.7, 2.5):
-        grad = grad_denominator(op, circuit, np.array([theta_val]))
+        grad = _grad_denominator(op, circuit, np.array([theta_val]))
         assert grad[0] == pytest.approx(-np.cos(theta_val), abs=1e-12)
 
 
 def test_grad_denominator_matches_finite_differences(rng):
-    from vqa_poisson import denominator
     circuit = AnsatzCircuit(3, 3)
     op = decompose(3, BoundaryCondition.NEUMANN, 1e-3)
     theta = random_theta(rng, circuit)
     fd = finite_difference_gradient(
         lambda t: denominator(op, prepare_ansatz_state(circuit, t)), theta)
-    np.testing.assert_allclose(grad_denominator(op, circuit, theta), fd, atol=1e-7)
+    np.testing.assert_allclose(_grad_denominator(op, circuit, theta), fd, atol=1e-7)
 
 
 def test_grad_cost_vanishes_at_orthogonal_state():
@@ -135,20 +137,9 @@ def test_grad_cost_matches_finite_differences(bc, rng):
         assert rel < 1e-5
 
 
-def test_parameter_shift_route_matches_pi_shift_route(rng):
-    op = decompose(3, BoundaryCondition.PERIODIC, 1e-3)
-    circuit = AnsatzCircuit(3, 4)
-    f = prepare_source_state(3)
-    theta = random_theta(rng, circuit)
-    a = grad_cost(op, circuit, theta, f).grad
-    b = grad_cost_parameter_shift(op, circuit, theta, f).grad
-    np.testing.assert_allclose(a, b, atol=1e-10)
-
-
-def test_parameter_shift_estimator_slots_and_keys(rng):
-    op = decompose(2, BoundaryCondition.NEUMANN, 1e-3)
-    circuit = AnsatzCircuit(2, 1)
-    f = prepare_source_state(2)
+def _check_parameter_shift_route(op, circuit, f, rng, atol):
+    """parameter_shift_gradient with exact expectations: each slot measured once, the
+    report before the first group, and the gradient equal to grad_cost's within atol."""
     theta = random_theta(rng, circuit)
     count = circuit.parameter_count
     calls = []
@@ -175,7 +166,24 @@ def test_parameter_shift_estimator_slots_and_keys(rng):
     terms = len(op.terms)
     assert calls == ([("measure", slot) for slot in range(1 + terms)] + ["report", (0, (1,))]
                      + [(k + 1, (branch, k)) for branch in (2, 3) for k in range(terms)])
-    np.testing.assert_allclose(grad, grad_cost(op, circuit, theta, f).grad, atol=1e-12)
+    np.testing.assert_allclose(grad, grad_cost(op, circuit, theta, f).grad, atol=atol)
+
+
+def test_parameter_shift_estimator_slots_and_keys(rng):
+    _check_parameter_shift_route(decompose(2, BoundaryCondition.NEUMANN, 1e-3),
+                                 AnsatzCircuit(2, 1), prepare_source_state(2), rng, 1e-12)
+
+
+def test_parameter_shift_route_matches_pi_shift_route(rng):
+    _check_parameter_shift_route(decompose(3, BoundaryCondition.PERIODIC, 1e-3),
+                                 AnsatzCircuit(3, 4), prepare_source_state(3), rng, 1e-10)
+
+
+@pytest.mark.parametrize("phase", [1j, np.exp(0.3j)])
+def test_parameter_shift_route_with_complex_source(phase, rng):
+    f = Statevector(phase * prepare_source_state(3).amplitudes)
+    _check_parameter_shift_route(decompose(3, BoundaryCondition.NEUMANN, 1e-3),
+                                 AnsatzCircuit(3, 2), f, rng, 1e-12)
 
 
 def test_descent_direction_decreases_cost(rng):
@@ -298,7 +306,7 @@ def test_adjoint_stores_tables_only_for_the_records_psi(rng):
 
 MULTI_AXIS_OPERATORS = {
     "fem2d": build_fem_2d(Mesh2D(2, 1)),
-    "fdm_kron": build_fdm_kron(2, 2, BoundaryCondition.NEUMANN, 1e-3),
+    "fdm_kron": fdm_two_axes(),
 }
 
 
@@ -314,7 +322,7 @@ def multi_axis(request, rng):
 
 def test_multi_axis_grad_denominator(multi_axis):
     op, circuit, theta, psi, rows = multi_axis
-    grad = grad_denominator(op, circuit, theta)
+    grad = _grad_denominator(op, circuit, theta)
     np.testing.assert_allclose(grad, rows @ reassemble_dense(op) @ psi, atol=1e-12)
     fd = finite_difference_gradient(
         lambda t: denominator(op, prepare_ansatz_state(circuit, t)), theta)
@@ -356,13 +364,3 @@ def test_grad_numerator_with_complex_source(phase, rng):
     oracle = [0.5 * numerator_hadamard(shifted_state(circuit, theta, i), f)
               for i in range(circuit.parameter_count)]
     np.testing.assert_allclose(grad, oracle, atol=1e-12)
-
-
-@pytest.mark.parametrize("phase", [1j, np.exp(0.3j)])
-def test_parameter_shift_route_with_complex_source(phase, rng):
-    f = Statevector(phase * prepare_source_state(3).amplitudes)
-    op = decompose(3, BoundaryCondition.NEUMANN, 1e-3)
-    circuit = AnsatzCircuit(3, 2)
-    theta = random_theta(rng, circuit)
-    np.testing.assert_allclose(grad_cost_parameter_shift(op, circuit, theta, f).grad,
-                               grad_cost(op, circuit, theta, f).grad, atol=1e-12)

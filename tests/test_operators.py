@@ -6,7 +6,7 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from vqa_poisson import (BoundaryCondition, Mesh2D, ObservableTerm, Statevector,
-                         assemble_fem_2d_dense, build_fdm_kron, build_fem_2d, build_matrix,
+                         assemble_fem_2d_dense, build_fem_2d, build_matrix,
                          decompose, reassemble_dense, shift_amplitudes)
 from vqa_poisson.operators import DENSE_QUBIT_CAP, FACTOR_I, FACTOR_X, term_dense
 
@@ -139,28 +139,6 @@ def test_dirichlet_spectrum(n):
     expected = 4.0 * np.sin(k * np.pi / (2 * (size + 1))) ** 2
     np.testing.assert_allclose(np.sort(eigs), np.sort(expected), atol=1e-9)
     assert eigs.min() > 0
-
-
-def test_fdm_kron_single_axis_matches_decompose():
-    a = build_fdm_kron(3, 1, BoundaryCondition.DIRICHLET)
-    b = decompose(3, BoundaryCondition.DIRICHLET)
-    assert a.terms == b.terms
-    assert a.constant_offset == b.constant_offset
-
-
-def test_fdm_kron_two_axes_dirichlet():
-    op = build_fdm_kron(1, 2, BoundaryCondition.DIRICHLET)
-    a1 = build_matrix(1, BoundaryCondition.DIRICHLET)
-    expected = np.kron(a1, np.eye(2)) + np.kron(np.eye(2), a1)
-    np.testing.assert_array_equal(reassemble_dense(op), expected)
-    np.testing.assert_array_equal(np.diag(reassemble_dense(op)), np.full(4, 4.0))
-
-
-def test_fdm_kron_term_count_scales_with_dimension():
-    op = build_fdm_kron(2, 2, BoundaryCondition.PERIODIC)
-    assert len(op.terms) == 4  # 2 per axis
-    op3 = build_fdm_kron(1, 3, BoundaryCondition.NEUMANN)
-    assert len(op3.terms) == 3 * len(decompose(1, BoundaryCondition.NEUMANN).terms)
 
 
 @pytest.mark.parametrize("nx,ny", [(1, 1), (1, 2), (2, 1), (2, 2)])

@@ -6,7 +6,7 @@ import pytest
 from vqa_poisson import (AnsatzCircuit, Bands, BoundaryCondition, GradNorm, OptimizationConfig,
                          PoissonProblem, TraceDistance, cost, make_problem, minimize,
                          prepare_ansatz_state, prepare_source_state, run_trials)
-from vqa_poisson import gradient, operators, optimize, states
+from vqa_poisson import operators, optimize, states
 from vqa_poisson.classical import SolverError, trace_distance
 from vqa_poisson.cost import apply_operator
 from vqa_poisson.gradient import grad_cost
@@ -29,8 +29,8 @@ def test_bfgs_solves_spd_quadratics(dim, rng):
         stop_when=lambda x, v, g: np.linalg.norm(g) < 1e-8,
     )
     assert result.status == "converged"
-    assert result.iterations <= 3 * dim
-    np.testing.assert_allclose(result.x, np.linalg.solve(2.0 * q, b), atol=1e-6)
+    assert result.iterations_used <= 3 * dim
+    np.testing.assert_allclose(result.final_theta, np.linalg.solve(2.0 * q, b), atol=1e-6)
 
 
 def test_minimize_reaches_classical_optimum():
@@ -81,13 +81,17 @@ def test_final_report_is_the_cost_at_the_final_theta(max_iterations, status):
     assert trace.final_report.energy == exact.energy
 
 
-def test_aborted_trial_reports_diagnostic():
+def test_aborted_trial_reports_diagnostic(monkeypatch):
     op = PoissonOperator((1,), DIRICHLET, (), -1.0)  # always-singular denominator
     problem = PoissonProblem(op, AnsatzCircuit(1, 0), prepare_source_state(1),
                              Bands(np.ones(2), np.zeros(1), 0.0))  # the 2 x 2 identity
+    seen = _count_sweeps_and_evaluations(monkeypatch)
     trace = minimize(problem, OptimizationConfig(max_iterations=10), trial_seed=0)
     assert trace.status.startswith("aborted")
     assert trace.iterations_used == 0
+    # the failed first cost took the only sweep; no cost, so no final report
+    assert seen["sweeps"] == seen["costs"] == 1
+    assert np.isnan(trace.final_report.energy) and trace.trace_distance is None
 
 
 @pytest.mark.parametrize("bc", [BoundaryCondition.PERIODIC, BoundaryCondition.NEUMANN])
@@ -165,14 +169,14 @@ def test_bfgs_counts_zero_decrease_steps_and_skipped_updates():
     result = bfgs(value, lambda x: 2.0 * x, np.full(2, 1e-3), max_iterations=4,
                   stop_when=lambda x, v, g: False)
     assert result.status == "max_iterations"
-    assert result.iterations == 4
+    assert result.iterations_used == 4
     assert result.zero_decrease_steps == 4
-    assert all(v == 1.0 for v in result.values)
+    assert all(v == 1.0 for v in result.costs)
     assert np.all(np.diff(result.gradient_norms) < 0)
     result = bfgs(value, lambda x: np.round(2.0 * x, 3), np.full(2, 1e-3), max_iterations=4,
                   stop_when=lambda x, v, g: False)
     assert result.status == "line_search_failed"
-    assert result.iterations == 0
+    assert result.iterations_used == 0
     assert result.zero_decrease_steps == 0
     # A linear function: every step lowers the value, and the constant
     # gradient gives y = 0, so every curvature update is skipped.
@@ -182,7 +186,7 @@ def test_bfgs_counts_zero_decrease_steps_and_skipped_updates():
     assert result.status == "max_iterations"
     assert result.zero_decrease_steps == 0
     assert result.skipped_updates == 4
-    assert result.values == [0.0, -5.0, -10.0, -15.0, -20.0]
+    assert result.costs == [0.0, -5.0, -10.0, -15.0, -20.0]
 
 
 def test_bfgs_accepts_no_step_once_the_armijo_term_rounds_away():
@@ -192,7 +196,7 @@ def test_bfgs_accepts_no_step_once_the_armijo_term_rounds_away():
     result = bfgs(lambda x: 1e4, lambda x: np.array([1.0]), np.zeros(1), 5,
                   lambda *args: False)
     assert result.status == "line_search_failed"
-    assert result.iterations == 0
+    assert result.iterations_used == 0
     assert result.zero_decrease_steps == 0
 
 
@@ -208,14 +212,15 @@ def test_bfgs_counts_nothing_on_a_strictly_decreasing_quadratic(rng):
 def _count_sweeps_and_evaluations(monkeypatch) -> dict:
     """Count forward sweeps, and the cost and gradient calls minimize's BFGS makes.
 
+    The per-theta records start empty, so every theta's first psi is a sweep.
     A gradient call that runs a forward sweep fails the test.
     """
     seen = {"sweeps": 0, "costs": 0, "gradients": [], "results": []}
-    ansatz_amplitudes, bfgs_run = states.ansatz_amplitudes, optimize.bfgs
+    forward_sweep, bfgs_run = states._forward_sweep, optimize.bfgs
 
     def counted(*args):
         seen["sweeps"] += 1
-        return ansatz_amplitudes(*args)
+        return forward_sweep(*args)
 
     def instrumented_bfgs(fun, jac, *args, **kwargs):
         def counted_fun(x):
@@ -232,8 +237,8 @@ def _count_sweeps_and_evaluations(monkeypatch) -> dict:
         seen["results"].append(bfgs_run(counted_fun, checked_jac, *args, **kwargs))
         return seen["results"][-1]
 
-    for module in (states, gradient, optimize):
-        monkeypatch.setattr(module, "ansatz_amplitudes", counted)
+    states._theta_factors.cache_clear()
+    monkeypatch.setattr(states, "_forward_sweep", counted)
     monkeypatch.setattr(optimize, "bfgs", instrumented_bfgs)
     return seen
 

@@ -6,8 +6,11 @@ This test reads the benchmark's sources without importing or editing them.
 """
 
 import ast
+import dataclasses
 import importlib
 from pathlib import Path
+
+from vqa_poisson.optimize import OptimizationTrace
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 MODULES = {"classical", "cost", "gradient", "operators", "optimize", "sampling", "states"}
@@ -29,6 +32,14 @@ def _workload_attributes() -> set[tuple[str, str]]:
             and node.value.id in MODULES}
 
 
+def _trial_attributes() -> set[str]:
+    """Attributes the workloads read from minimize's results, bound to ``trace`` or ``best``."""
+    tree = ast.parse((PERFBENCH / "workloads.py").read_text())
+    return {node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and node.value.id in ("trace", "best")}
+
+
 def test_trace_targets_resolve_to_callables():
     targets = _trace_targets()
     assert targets
@@ -43,3 +54,10 @@ def test_workload_attributes_resolve():
     for module, name in sorted(used):
         assert hasattr(importlib.import_module(f"vqa_poisson.{module}"), name), \
             f"perfbench/workloads.py uses vqa_poisson.{module}.{name}, which is missing"
+
+
+def test_trial_attributes_are_trace_fields():
+    used = _trial_attributes()
+    assert {"final_theta", "iterations_used", "final_report"} <= used
+    fields = {field.name for field in dataclasses.fields(OptimizationTrace)}
+    assert used <= fields, f"perfbench/workloads.py reads missing trial fields {used - fields}"

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from vqa_poisson import (AnsatzCircuit, BoundaryCondition, ObservableTerm, PoissonOperator,
-                         Statevector, UnstableEstimateError, ancilla_x_term, build_fdm_kron, cost,
+                         Statevector, UnstableEstimateError, ancilla_x_term, cost,
                          count_sampled_gradient_circuits, decompose, derive_seed, grad_cost,
                          numerator_hadamard, predict_mse, prepare_ansatz_state,
                          prepare_source_state, prepare_superposition_state, sample_cost,
@@ -13,7 +13,7 @@ from vqa_poisson import (AnsatzCircuit, BoundaryCondition, ObservableTerm, Poiss
 from vqa_poisson import sampling, states
 from vqa_poisson.operators import FACTOR_I, FACTOR_P0, FACTOR_X
 
-from conftest import random_theta
+from conftest import fdm_two_axes, random_theta
 
 DIRICHLET = BoundaryCondition.DIRICHLET
 
@@ -300,7 +300,7 @@ def _step_source(n, phase):
 
 @pytest.mark.parametrize("phase", [1.0, np.exp(0.3j), 1j])
 def test_sampled_gradient_approaches_exact_on_two_axes(phase):
-    op = build_fdm_kron(2, 2, BoundaryCondition.NEUMANN, 1e-3)
+    op = fdm_two_axes()
     circuit = AnsatzCircuit(op.n_qubits, 2)
     f = _step_source(op.n_qubits, phase)
     # a theta whose gradient norm (0.11 for the real source) is well above the shot noise
@@ -353,7 +353,7 @@ def _per_circuit_sampled_gradient(op, circuit, theta, f, shots_per_term, seed):
     decompose(3, DIRICHLET),
     decompose(3, BoundaryCondition.NEUMANN, 1e-3),
     decompose(3, BoundaryCondition.PERIODIC, 1e-3),
-    build_fdm_kron(2, 2, BoundaryCondition.NEUMANN, 1e-3),
+    fdm_two_axes(),
 ], ids=["dirichlet", "neumann", "periodic", "fdm2x2"])
 def test_sampled_gradient_equals_per_circuit_construction(operator, phase):
     circuit = AnsatzCircuit(operator.n_qubits, 1)
