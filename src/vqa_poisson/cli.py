@@ -442,9 +442,10 @@ def _run_shot_error_vs_s(config: ExperimentConfig, out: Path) -> tuple[list[str]
             fig_rows.append([shots, np.mean(sq_errors), np.std(sq_errors)])
         _write_fig(out / f"fig_shot_error_n{n}.dat",
                    ["shots", "mean_sq_error", "std_sq_error"], fig_rows)
-        slope = _loglog_slope(np.array([r[0] for r in fig_rows], float),
-                              np.array([r[1] for r in fig_rows]))
-        summary.append(f"slope_n{n} = {_fmt(slope)}")
+        if len(fig_rows) > 1:  # a line through one shot count has no slope
+            slope = _loglog_slope(np.array([r[0] for r in fig_rows], float),
+                                  np.array([r[1] for r in fig_rows]))
+            summary.append(f"slope_n{n} = {_fmt(slope)}")
     _write_csv(out / "results.csv",
                ["n", "shots", "repeat", "estimate", "exact", "squared_error"], rows)
     return summary, 0
@@ -469,9 +470,10 @@ def _run_grad_similarity_vs_s(config: ExperimentConfig, out: Path) -> tuple[list
             fig_rows.append([shots, np.mean(dissims), np.std(dissims)])
         _write_fig(out / f"fig_grad_similarity_n{n}.dat",
                    ["shots", "mean_dissimilarity", "std_dissimilarity"], fig_rows)
-        slope = _loglog_slope(np.array([r[0] for r in fig_rows], float),
-                              np.array([max(r[1], 1e-300) for r in fig_rows]))
-        summary.append(f"slope_n{n} = {_fmt(slope)}")
+        if len(fig_rows) > 1:
+            slope = _loglog_slope(np.array([r[0] for r in fig_rows], float),
+                                  np.array([max(r[1], 1e-300) for r in fig_rows]))
+            summary.append(f"slope_n{n} = {_fmt(slope)}")
     _write_csv(out / "results.csv", ["n", "shots", "repeat", "one_minus_cosine"], rows)
     return summary, 0
 

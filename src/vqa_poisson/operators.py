@@ -310,17 +310,25 @@ def reassemble_dense(op: PoissonOperator) -> np.ndarray:
     """Sum of dense term matrices plus the offset (verification path, n <= 12).
 
     Per-entry sums use math.fsum so that reassembly is correctly rounded and
-    matches the directly assembled matrices bit-exactly.
+    matches the directly assembled matrices bit-exactly.  One term matrix is
+    built at a time and only its nonzeros are kept (at most one per row), so
+    each entry sums just its contributions; an entry with none stays 0.
     """
     n = op.n_qubits
     if n > DENSE_QUBIT_CAP:
         raise ValueError(f"dense reassembly capped at {DENSE_QUBIT_CAP} qubits, got {n}")
     size = 1 << n
-    stack = [term_dense(t, op.axes) for t in op.terms]
-    stack.append(op.constant_offset * np.eye(size))
-    out = np.empty((size, size))
-    for i in range(size):
-        rows = [m[i] for m in stack]
-        for j in range(size):
-            out[i, j] = math.fsum(r[j] for r in rows)
-    return out
+    positions, values = [np.arange(size) * (size + 1)], [np.full(size, op.constant_offset)]
+    for term in op.terms:
+        dense = term_dense(term, op.axes).ravel()
+        nonzero = np.flatnonzero(dense)
+        positions.append(nonzero)
+        values.append(dense[nonzero])
+    position = np.concatenate(positions)
+    order = np.argsort(position, kind="stable")
+    position, value = position[order], np.concatenate(values)[order].tolist()
+    starts = np.flatnonzero(np.diff(position, prepend=-1))
+    bounds = zip(starts.tolist(), starts[1:].tolist() + [len(value)])
+    out = np.zeros(size * size)
+    out[position[starts]] = [math.fsum(value[a:b]) for a, b in bounds]
+    return out.reshape(size, size)

@@ -10,22 +10,28 @@ gradient, whose rows are independent multinomial draws from that stream.
 Group estimates are uncorrelated, and all are deterministic in the seed.
 A sampled gradient simulates 3P + 1 rows (theta and its 3P shifts) in one
 forward sweep and builds each measured slot's outcome distributions once,
-over every row the slot measures: 1 + T builds for T terms.
+over every row the slot measures: 1 + T builds for T terms.  Distributions
+depend on the operator, the circuit, theta and f, not on the shots or the
+seed, so one 4-entry cache keyed on those four (theta and f by their bytes)
+keeps them read-only for both estimators.  Repeated estimates at one theta,
+as in a shot-count study, sweep and build once and then only draw.  A
+gradient entry holds 8 [(P + 1) 2^(n+1) + T (2P + 1) 2^n] bytes: 25 KB at
+n = 4 and about 4 MB at n = 10 (L = 5, Dirichlet).
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .cost import CostReport, ancilla_x_term, cost_report
-from .gradient import parameter_shift_gradient
+from .gradient import _shift_slots, parameter_shift_gradient
 from .operators import ObservableTerm, PoissonOperator, _factor_masks, shift_amplitudes
-from .states import (AnsatzCircuit, Statevector, _apply_column, _hadamard_factors, _real_if_real,
-                     ansatz_amplitudes, superposition_rows)
+from .states import (AnsatzCircuit, Statevector, _apply_column, _checked_theta,
+                     _hadamard_factors, _real_if_real, ansatz_amplitudes, superposition_rows)
 
 
 class UnstableEstimateError(RuntimeError):
@@ -134,6 +140,36 @@ def sample_term(term: ObservableTerm, state: Statevector, shots: int, seed: int,
     return _shot_estimate(*_measurement_distribution(term, state, axes), shots, seed)
 
 
+def _cost_slots(op: PoissonOperator, circuit: AnsatzCircuit, theta: np.ndarray,
+               f: Statevector) -> list[tuple[ObservableTerm, np.ndarray, tuple[int, ...] | None]]:
+    """The 1 + T one-row slots of a cost estimate: the numerator's ancilla X on the
+    superposition of f with psi, then every term on psi."""
+    psi = ansatz_amplitudes(circuit, theta)[None]
+    sup = superposition_rows(_real_if_real(f.amplitudes), psi)
+    return [(ancilla_x_term(op.n_qubits), sup, None)] + [(t, psi, op.axes) for t in op.terms]
+
+
+@functools.lru_cache(maxsize=4)
+def _slot_distributions(slots: Callable[..., list], op: PoissonOperator, circuit: AnsatzCircuit,
+                        theta_bytes: bytes,
+                        f_bytes: bytes) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """Read-only (probs, values) of every slot that ``slots`` (:func:`_cost_slots` or
+    :func:`~vqa_poisson.gradient._shift_slots`) measures at one theta and f, built once."""
+    f = Statevector(np.frombuffer(f_bytes, dtype=np.complex128))
+    dists = tuple(_row_distributions(*slot)
+                  for slot in slots(op, circuit, np.frombuffer(theta_bytes), f))
+    for probs, _ in dists:
+        probs.setflags(write=False)
+    return dists
+
+
+def _distributions(slots: Callable[..., list], op: PoissonOperator, circuit: AnsatzCircuit,
+                   theta: np.ndarray, f: Statevector) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """:func:`_slot_distributions` keyed on a checked theta's bytes and f's amplitude bytes."""
+    theta = _checked_theta(circuit, theta)
+    return _slot_distributions(slots, op, circuit, theta.tobytes(), f.amplitudes.tobytes())
+
+
 def _shots_per_term(shots_per_term: int | Sequence[int], count: int) -> list[int]:
     if isinstance(shots_per_term, (int, np.integer)):
         return [int(shots_per_term)] * count
@@ -154,14 +190,10 @@ def sample_cost_estimates(op: PoissonOperator, circuit: AnsatzCircuit,
     of ``derive_seed(seed, k)``.  The returned tuple length is the number of
     circuits executed for one cost evaluation.
     """
-    psi = ansatz_amplitudes(circuit, theta)[None]
-    sup = superposition_rows(_real_if_real(f.amplitudes), psi)
-    shots = _shots_per_term(shots_per_term, 1 + len(op.terms))
-    slots = [(ancilla_x_term(op.n_qubits), sup, None)] + [(t, psi, op.axes) for t in op.terms]
-    estimates = []
-    for slot, (term, rows, axes) in enumerate(slots):
-        probs, values = _row_distributions(term, rows, axes)
-        estimates.append(_shot_estimate(probs[0], values, shots[slot], derive_seed(seed, slot)))
+    dists = _distributions(_cost_slots, op, circuit, theta, f)
+    shots = _shots_per_term(shots_per_term, len(dists))
+    estimates = [_shot_estimate(probs[0], values, shots[slot], derive_seed(seed, slot))
+                 for slot, (probs, values) in enumerate(dists)]
     report = _plug_in_report(
         estimates[0].mean, op.constant_offset + sum(e.mean for e in estimates[1:]), shots)
     return report, tuple(estimates)
@@ -204,10 +236,11 @@ def sampled_gradient(op: PoissonOperator, circuit: AnsatzCircuit, theta: np.ndar
                      seed: int) -> np.ndarray:
     """Shot-based cost gradient via :func:`~vqa_poisson.gradient.parameter_shift_gradient`.
 
-    Each slot's outcome distributions are built once, over theta and every
-    shifted row the slot measures.  The base cost at theta draws the streams
-    of :func:`sample_cost_estimates` at ``derive_seed(seed, 0)``, and a
-    non-positive base denominator raises before any shifted circuit is drawn.
+    Only the first call at a theta sweeps its 3P shifts and builds the slots'
+    distributions; later calls read them from the cache and only draw.  The
+    base cost at theta draws the streams of :func:`sample_cost_estimates` at
+    ``derive_seed(seed, 0)``, and a non-positive base denominator raises
+    before any shifted circuit is drawn.
     Each measured group of P shifted circuits draws its P count rows from one
     stream keyed by the group: ``(1,)`` for the pi-shifted numerator and
     ``(branch, k)`` for term k at theta +- pi/2 (branch 2 and 3).
@@ -215,11 +248,11 @@ def sampled_gradient(op: PoissonOperator, circuit: AnsatzCircuit, theta: np.ndar
     shots = _shots_per_term(shots_per_term, 1 + len(op.terms))
     base_seed = derive_seed(seed, 0)
 
-    def measure(slot, term, rows, axes):
-        probs, values = _row_distributions(term, rows, axes)
+    def measure(slot, probs, values):
         base = _shot_estimate(probs[0], values, shots[slot], derive_seed(base_seed, slot))
         return base.mean, lambda index, key: _row_means(probs[index], values, shots[slot],
                                                         derive_seed(seed, *key))
 
-    return parameter_shift_gradient(op, circuit, theta, f, measure,
+    return parameter_shift_gradient(op, circuit.parameter_count,
+                                    _distributions(_shift_slots, op, circuit, theta, f), measure,
                                     lambda num, den: _plug_in_report(num, den, shots))

@@ -1,3 +1,5 @@
+import warnings
+
 import pytest
 
 from vqa_poisson.cli import main
@@ -98,6 +100,20 @@ def test_manifest_records_config(tmp_path):
     assert "seed = 99" in manifest
     assert "experiment = shot-error-vs-s" in manifest
     assert "slope_n2 = " in manifest
+
+
+@pytest.mark.parametrize("experiment", ["shot-error-vs-s", "grad-similarity-vs-s"])
+@pytest.mark.parametrize("shots", ["64:64", "64:127"])
+def test_one_point_shot_grid_writes_no_slope(experiment, shots, tmp_path):
+    # both grids keep only 64 shots: no line to fit, so no slope and no fit warning
+    out = tmp_path / "one"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([experiment, "--n", "2", "--shots", shots, "--repeats", "1",
+                     "--out", str(out)]) == 0
+    manifest = (out / "manifest.txt").read_text()
+    assert "shot_values = 64\n" in manifest
+    assert "slope_" not in manifest
 
 
 def test_config_file_with_cli_override(tmp_path):

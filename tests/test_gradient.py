@@ -7,7 +7,7 @@ from vqa_poisson import (AnsatzCircuit, BoundaryCondition, Mesh2D, Statevector, 
                          prepare_source_state, reassemble_dense, shifted_state, term_gradient)
 from vqa_poisson.cost import cost_and_a_psi, cost_report
 from vqa_poisson import states
-from vqa_poisson.gradient import grad_from_state, parameter_shift_gradient
+from vqa_poisson.gradient import _shift_slots, grad_from_state, parameter_shift_gradient
 from vqa_poisson.operators import FACTOR_I, FACTOR_X, ObservableTerm, term_dense
 from vqa_poisson.states import ansatz_adjoint, ansatz_amplitudes
 
@@ -138,8 +138,9 @@ def test_grad_cost_matches_finite_differences(bc, rng):
 
 
 def _check_parameter_shift_route(op, circuit, f, rng, atol):
-    """parameter_shift_gradient with exact expectations: each slot measured once, the
-    report before the first group, and the gradient equal to grad_cost's within atol."""
+    """parameter_shift_gradient on the slots of one sweep, with exact expectations: each
+    slot measured once, the report before the first group, and the gradient equal to
+    grad_cost's within atol."""
     theta = random_theta(rng, circuit)
     count = circuit.parameter_count
     calls = []
@@ -162,7 +163,8 @@ def _check_parameter_shift_route(op, circuit, f, rng, atol):
         calls.append("report")
         return cost_report(num, den)
 
-    grad = parameter_shift_gradient(op, circuit, theta, f, measure, report)
+    grad = parameter_shift_gradient(op, count, _shift_slots(op, circuit, theta, f), measure,
+                                    report)
     terms = len(op.terms)
     assert calls == ([("measure", slot) for slot in range(1 + terms)] + ["report", (0, (1,))]
                      + [(k + 1, (branch, k)) for branch in (2, 3) for k in range(terms)])

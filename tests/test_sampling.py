@@ -372,17 +372,27 @@ def test_sampled_gradient_equals_per_circuit_construction(operator, phase):
                                   expected)
 
 
-def test_sampled_gradient_sweeps_once_and_builds_each_slot_once(monkeypatch):
-    op = decompose(3, DIRICHLET)
-    circuit = AnsatzCircuit(3, 5)
-    f = prepare_source_state(3)
-    sweeps, builds, prepared = [], [], []
+def _count_sweeps_and_builds(monkeypatch):
+    """Lists that record the rows of every forward sweep and distribution build."""
+    sweeps, builds = [], []
     sweep = states._forward_sweep
     monkeypatch.setattr(states, "_forward_sweep",
                         lambda circ, half, rows: sweeps.append(rows) or sweep(circ, half, rows))
     build = sampling._row_distributions
     monkeypatch.setattr(sampling, "_row_distributions",
-                        lambda term, rows, axes: builds.append(len(rows)) or build(term, rows, axes))
+                        lambda term, rows, axes: builds.append(len(rows))
+                        or build(term, rows, axes))
+    return sweeps, builds
+
+
+def test_sampled_gradient_sweeps_once_and_builds_each_slot_once(monkeypatch):
+    op = decompose(3, DIRICHLET)
+    circuit = AnsatzCircuit(3, 5)
+    f = prepare_source_state(3)
+    # an earlier test at this theta would leave its distributions cached
+    sampling._slot_distributions.cache_clear()
+    sweeps, builds = _count_sweeps_and_builds(monkeypatch)
+    prepared = []
     prepare = states.prepare_ansatz_state
     for module in list(sys.modules.values()):
         if module is not None and module.__name__.startswith("vqa_poisson"):
@@ -399,6 +409,108 @@ def test_sampled_gradient_sweeps_once_and_builds_each_slot_once(monkeypatch):
     assert builds == [count + 1] + [2 * count + 1] * len(op.terms)
     assert len(builds) == 1 + len(op.terms) == 4
     assert prepared == []
+    # later calls at this theta, at any shots and seed, sweep and build nothing
+    for shots in (64, 16384, [16, 32, 48, 64]):
+        for seed in (5, 6):
+            sampled_gradient(op, circuit, theta, f, shots, seed)
+    assert len(sweeps) == 1 and len(builds) == 4
+
+
+def test_repeated_cost_estimates_at_one_theta_build_once(monkeypatch):
+    op = decompose(3, BoundaryCondition.NEUMANN, 1e-3)
+    circuit = AnsatzCircuit(3, 2)
+    f = prepare_source_state(3)
+    theta = random_theta(np.random.default_rng(12), circuit)
+    sampling._slot_distributions.cache_clear()
+    states._theta_factors.cache_clear()
+    sweeps, builds = _count_sweeps_and_builds(monkeypatch)
+    for shots in (64, 1024, 16384):
+        for seed in (0, 5):
+            sample_cost_estimates(op, circuit, theta, f, shots, seed)
+    # theta's one-row sweep, then the 1 + T one-row slots built once
+    assert sweeps == [1]
+    assert builds == [1] * (1 + len(op.terms))
+
+
+@pytest.mark.parametrize("bc", list(BoundaryCondition))
+def test_warm_cache_outputs_equal_cold_outputs(bc):
+    n = 3
+    op = decompose(n, bc, 0.0 if bc is DIRICHLET else 1e-3)
+    circuit = AnsatzCircuit(n, 2)
+    f = _step_source(n, np.exp(0.3j))
+    theta = random_theta(np.random.default_rng(4), circuit)
+    slot_shots = [16 * (k + 1) for k in range(1 + len(op.terms))]
+
+    def outputs(shots, seed):
+        try:
+            report, estimates = sample_cost_estimates(op, circuit, theta, f, shots, seed)
+            cost_out = [report.energy] + [v for e in estimates
+                                          for v in (e.mean, e.sample_variance)]
+        except UnstableEstimateError as err:
+            cost_out = [str(err)]
+        try:
+            grad = sampled_gradient(op, circuit, theta, f, shots, seed)
+        except UnstableEstimateError as err:
+            grad = str(err)
+        return cost_out, grad
+
+    for shots in (2, 64, 16384, slot_shots):
+        for seed in (0, 5):
+            sampling._slot_distributions.cache_clear()
+            cold = outputs(shots, seed)
+            warm = outputs(shots, seed)
+            assert sampling._slot_distributions.cache_info().hits == 2
+            assert np.array_equal(cold[0], warm[0])
+            assert np.array_equal(cold[1], warm[1])
+
+
+def test_cached_distributions_are_read_only():
+    op = decompose(2, BoundaryCondition.PERIODIC, 1e-3)
+    circuit = AnsatzCircuit(2, 1)
+    f = prepare_source_state(2)
+    theta = np.linspace(0.3, 1.2, circuit.parameter_count)
+    for slots in (sampling._cost_slots, sampling._shift_slots):
+        dists = sampling._distributions(slots, op, circuit, theta, f)
+        assert len(dists) == 1 + len(op.terms)
+        for probs, values in dists:
+            assert not probs.flags.writeable
+            assert not values.flags.writeable
+            with pytest.raises(ValueError):
+                probs[0, 0] = 0.5
+
+
+def test_other_source_operator_or_theta_misses_the_cache():
+    op = decompose(2, BoundaryCondition.NEUMANN, 1e-3)
+    circuit = AnsatzCircuit(2, 1)
+    f = prepare_source_state(2)
+    theta = np.linspace(0.1, 1.0, circuit.parameter_count)
+    sampling._slot_distributions.cache_clear()
+    sampled_gradient(op, circuit, theta, f, 64, 1)
+    others = [(op, theta, _step_source(2, 1j)),
+              (decompose(2, BoundaryCondition.NEUMANN, 2e-3), theta, f),
+              (op, theta + 1e-9, f)]
+    for k, (other_op, other_theta, other_f) in enumerate(others):
+        sampled_gradient(other_op, circuit, other_theta, other_f, 64, 1)
+        info = sampling._slot_distributions.cache_info()
+        assert (info.misses, info.hits) == (2 + k, 0)
+    # the first point is still cached, and the cost estimate keys apart from the gradient
+    sampled_gradient(op, circuit, theta, f, 64, 2)
+    sample_cost_estimates(op, circuit, theta, f, 64, 2)
+    info = sampling._slot_distributions.cache_info()
+    assert (info.misses, info.hits) == (5, 1)
+
+
+def test_theta_with_a_row_axis_raises_with_a_warm_cache():
+    op = decompose(2, DIRICHLET)
+    circuit = AnsatzCircuit(2, 1)
+    f = prepare_source_state(2)
+    theta = np.linspace(0.1, 1.0, circuit.parameter_count)
+    # theta[None] has the bytes of theta, so it would hit theta's entries
+    sampled_gradient(op, circuit, theta, f, 64, 1)
+    sample_cost_estimates(op, circuit, theta, f, 64, 1)
+    for estimator in (sampled_gradient, sample_cost_estimates):
+        with pytest.raises(ValueError, match="theta must have length"):
+            estimator(op, circuit, theta[None], f, 64, 1)
 
 
 def test_unstable_gradient_base_raises_before_any_group_draw(monkeypatch):
