@@ -8,14 +8,9 @@ and the cost the quotient-rule combination lam = r^2 A psi - r Re f
 (:func:`grad_from_state`, from the psi and A psi of a cost evaluation).  For
 R_Y parameters d_i psi = (1/2) U(..., theta_i + pi, ...)|0...0>;
 :func:`shifted_state` builds that pi-shifted state (the test oracle).
-The shifted-circuit route has two steps.  :func:`_shift_slots` is the one
-batched forward sweep: it prepares 3P + 1 rows, theta and its 3P shifts (the
-numerator from pi shifts, the denominator terms from +-pi/2 shifts), and
-returns the 1 + T measured slots.  :func:`parameter_shift_gradient` is the
-quotient-rule combination: a caller-supplied estimator measures each slot once
-over every row it needs, theta included, then reads the shifted groups from
-that one measurement.  The sampling mode keeps the shot distributions it
-builds from the slots, so its later gradients at that theta skip the sweep.
+The shifted-circuit route measures theta, its P pi shifts and its 2P +-pi/2
+shifts; :func:`parameter_shift_gradient` combines those measured values by the
+quotient rule.  :mod:`~vqa_poisson.sampling` prepares and measures the shifts.
 """
 
 from __future__ import annotations
@@ -25,11 +20,10 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .cost import CostReport, ancilla_x_term, apply_term, cost_and_a_psi
+from .cost import CostReport, apply_term, cost_and_a_psi
 from .operators import ObservableTerm, PoissonOperator
-from .states import (AnsatzCircuit, Statevector, _checked_theta, _real_if_real,
-                     ansatz_adjoint, ansatz_amplitude_rows, ansatz_amplitudes,
-                     prepare_ansatz_state, superposition_rows)
+from .states import (AnsatzCircuit, Statevector, _real_if_real, ansatz_adjoint,
+                     ansatz_amplitudes, prepare_ansatz_state)
 
 
 @dataclass(frozen=True)
@@ -82,53 +76,17 @@ def grad_cost(op: PoissonOperator, circuit: AnsatzCircuit, theta: np.ndarray,
     return GradientReport(grad=grad, norm=float(np.linalg.norm(grad)))
 
 
-def _shift_slots(op: PoissonOperator, circuit: AnsatzCircuit, theta: np.ndarray,
-                 f: Statevector) -> list[tuple[ObservableTerm, np.ndarray, tuple[int, ...] | None]]:
-    """The 1 + T measured slots of :func:`parameter_shift_gradient`, from one forward sweep.
+def parameter_shift_gradient(base: CostReport, g_num: np.ndarray, plus: Sequence[np.ndarray],
+                             minus: Sequence[np.ndarray]) -> np.ndarray:
+    """Cost gradient from measured values at theta and its shifts (quotient rule).
 
-    The sweep prepares 3P + 1 rows: theta, then its P pi shifts, its P +pi/2 shifts and its
-    P -pi/2 shifts.  Each slot is ``(term, rows, axes)`` with row 0 at theta.  Slot 0 is the
-    numerator's ancilla X on the P + 1 superpositions of f with theta and its pi shifts;
-    slot k + 1 is ``op.terms[k]`` on theta and its 2P +-pi/2 shifts.  No circuit superposes
-    a shifted and an unshifted ansatz state.
+    ``base`` is theta's cost report, ``g_num`` the P numerator values at theta_i + pi, and
+    ``plus[k]`` and ``minus[k]`` term k's P values at theta_i +- pi/2.  Per parameter i the
+    numerator derivative is half the numerator at theta_i + pi, and the denominator
+    derivative half the difference of the term sums at theta_i +- pi/2 (parameter-shift
+    rule, Schuld et al., arXiv:1811.11184).
     """
-    theta = _checked_theta(circuit, theta)
-    count = circuit.parameter_count
-    params = range(count)
-    shifted = np.tile(theta, (3, count, 1))
-    shifted[:, params, params] += np.array([[np.pi], [np.pi / 2.0], [-np.pi / 2.0]])
-    rows = ansatz_amplitude_rows(circuit, np.vstack([theta, shifted.reshape(-1, count)]))
-    sup = superposition_rows(_real_if_real(f.amplitudes), rows[:count + 1])
-    term_rows = np.delete(rows, np.s_[1:count + 1], axis=0)
-    return ([(ancilla_x_term(op.n_qubits), sup, None)]
-            + [(term, term_rows, op.axes) for term in op.terms])
-
-
-def parameter_shift_gradient(op: PoissonOperator, count: int, slots: Sequence[tuple],
-                             measure: Callable[..., tuple],
-                             report: Callable[[float, float], CostReport]) -> np.ndarray:
-    """Cost gradient over ``count`` parameters from the measured slots of theta and its shifts.
-
-    Per parameter i, the numerator derivative is half the numerator at theta_i + pi and the
-    denominator derivative is half the difference of the term sums at theta_i +- pi/2
-    (parameter-shift rule, Schuld et al., arXiv:1811.11184).  The quotient rule takes the
-    numerator and denominator at theta from ``report(num, den)``, which raises where they are
-    unusable.
-
-    ``slots`` holds one entry per measured slot in the order of :func:`_shift_slots`: its
-    ``(term, rows, axes)``, or what the caller built from them.  ``measure(slot, *entry)`` is
-    called once per slot and returns ``(value at row 0, group)``; ``group(index, key)``
-    returns one expectation per row of ``rows[index]``, measured as one group keyed by
-    ``key``: ``(1,)`` for slot 0's pi shifts, ``(2, k)`` and ``(3, k)`` for slot k + 1's
-    +pi/2 and -pi/2 shifts.  Every slot is measured, and ``report`` called, before the
-    first group.
-    """
-    (num, num_group), *measured = [measure(slot, *entry) for slot, entry in enumerate(slots)]
-    base = report(num, op.constant_offset + sum(value for value, _ in measured))
-    g_num = num_group(np.s_[1:], (1,))
-    branch_sums = [sum(group(index, (branch, k)) for k, (_, group) in enumerate(measured))
-                   for branch, index in ((2, np.s_[1:count + 1]), (3, np.s_[count + 1:]))]
-    d_den = 0.5 * (branch_sums[0] - branch_sums[1])
+    d_den = 0.5 * (sum(plus) - sum(minus))
     num, den = base.numerator, base.denominator
     return -0.5 * num * g_num / den + 0.5 * num * num * d_den / (den * den)
 

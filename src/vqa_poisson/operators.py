@@ -69,10 +69,6 @@ class ObservableTerm:
     def n_qubits(self) -> int:
         return len(self.factors)
 
-    @property
-    def shift_power(self) -> int:
-        return self.axis_shifts[0]
-
 
 @dataclass(frozen=True)
 class PoissonOperator:

@@ -9,8 +9,10 @@ a term in a cost estimate, or the P shifted rows of one (slot, branch) in the
 gradient, whose rows are independent multinomial draws from that stream.
 Group estimates are uncorrelated, and all are deterministic in the seed.
 A sampled gradient simulates 3P + 1 rows (theta and its 3P shifts) in one
-forward sweep and builds each measured slot's outcome distributions once,
-over every row the slot measures: 1 + T builds for T terms.  Distributions
+forward sweep (:func:`_shift_slots`), builds each measured slot's outcome
+distributions once, over every row the slot measures (1 + T builds for
+T terms), and hands the measured arrays to
+:func:`~vqa_poisson.gradient.parameter_shift_gradient`.  Distributions
 depend on the operator, the circuit, theta and f, not on the shots or the
 seed, so one 4-entry cache keyed on those four (theta and f by their bytes)
 keeps them read-only for both estimators.  Repeated estimates at one theta,
@@ -28,10 +30,11 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .cost import CostReport, ancilla_x_term, cost_report
-from .gradient import _shift_slots, parameter_shift_gradient
+from .gradient import parameter_shift_gradient
 from .operators import ObservableTerm, PoissonOperator, _factor_masks, shift_amplitudes
 from .states import (AnsatzCircuit, Statevector, _apply_column, _checked_theta,
-                     _hadamard_factors, _real_if_real, ansatz_amplitudes, superposition_rows)
+                     _hadamard_factors, _real_if_real, ansatz_amplitude_rows, ansatz_amplitudes,
+                     superposition_rows)
 
 
 class UnstableEstimateError(RuntimeError):
@@ -63,7 +66,7 @@ def draw_counts(probs: np.ndarray, shots: int, seed: int) -> np.ndarray:
     A (rows, outcomes) `probs` gives one independent count row per
     probability row, all from the one stream.
     """
-    return np.random.default_rng(np.random.SeedSequence(seed)).multinomial(shots, probs)
+    return np.random.default_rng(seed).multinomial(shots, probs)
 
 
 def _row_distributions(term: ObservableTerm, rows: np.ndarray,
@@ -149,12 +152,33 @@ def _cost_slots(op: PoissonOperator, circuit: AnsatzCircuit, theta: np.ndarray,
     return [(ancilla_x_term(op.n_qubits), sup, None)] + [(t, psi, op.axes) for t in op.terms]
 
 
+def _shift_slots(op: PoissonOperator, circuit: AnsatzCircuit, theta: np.ndarray,
+                 f: Statevector) -> list[tuple[ObservableTerm, np.ndarray, tuple[int, ...] | None]]:
+    """The 1 + T measured slots of a sampled gradient, from one forward sweep.
+
+    The sweep prepares 3P + 1 rows: theta, then its P pi shifts, its P +pi/2 shifts and its
+    P -pi/2 shifts.  Each slot is ``(term, rows, axes)`` with row 0 at theta.  Slot 0 is the
+    numerator's ancilla X on the P + 1 superpositions of f with theta and its pi shifts;
+    slot k + 1 is ``op.terms[k]`` on theta and its 2P +-pi/2 shifts.  No circuit superposes
+    a shifted and an unshifted ansatz state.
+    """
+    count = circuit.parameter_count
+    params = range(count)
+    shifted = np.tile(theta, (3, count, 1))
+    shifted[:, params, params] += np.array([[np.pi], [np.pi / 2.0], [-np.pi / 2.0]])
+    rows = ansatz_amplitude_rows(circuit, np.vstack([theta, shifted.reshape(-1, count)]))
+    sup = superposition_rows(_real_if_real(f.amplitudes), rows[:count + 1])
+    term_rows = np.delete(rows, np.s_[1:count + 1], axis=0)
+    return ([(ancilla_x_term(op.n_qubits), sup, None)]
+            + [(term, term_rows, op.axes) for term in op.terms])
+
+
 @functools.lru_cache(maxsize=4)
 def _slot_distributions(slots: Callable[..., list], op: PoissonOperator, circuit: AnsatzCircuit,
                         theta_bytes: bytes,
                         f_bytes: bytes) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
     """Read-only (probs, values) of every slot that ``slots`` (:func:`_cost_slots` or
-    :func:`~vqa_poisson.gradient._shift_slots`) measures at one theta and f, built once."""
+    :func:`_shift_slots`) measures at one theta and f, built once."""
     f = Statevector(np.frombuffer(f_bytes, dtype=np.complex128))
     dists = tuple(_row_distributions(*slot)
                   for slot in slots(op, circuit, np.frombuffer(theta_bytes), f))
@@ -192,19 +216,19 @@ def sample_cost_estimates(op: PoissonOperator, circuit: AnsatzCircuit,
     """
     dists = _distributions(_cost_slots, op, circuit, theta, f)
     shots = _shots_per_term(shots_per_term, len(dists))
-    estimates = [_shot_estimate(probs[0], values, shots[slot], derive_seed(seed, slot))
-                 for slot, (probs, values) in enumerate(dists)]
-    report = _plug_in_report(
-        estimates[0].mean, op.constant_offset + sum(e.mean for e in estimates[1:]), shots)
-    return report, tuple(estimates)
+    return _base_estimate(op, dists, shots, seed)
 
 
-def _plug_in_report(num: float, den: float, shots: list[int]) -> CostReport:
+def _base_estimate(op: PoissonOperator, dists: Sequence[tuple[np.ndarray, np.ndarray]],
+                   shots: list[int], seed: int) -> tuple[CostReport, tuple[ShotEstimate, ...]]:
+    """Plug-in cost from row 0 of every slot, slot k drawn on ``derive_seed(seed, k)``;
+    a non-positive sampled denominator raises :class:`UnstableEstimateError`."""
+    estimates = tuple(_shot_estimate(probs[0], values, shots[slot], derive_seed(seed, slot))
+                      for slot, (probs, values) in enumerate(dists))
+    den = op.constant_offset + sum(e.mean for e in estimates[1:])
     if den <= 0.0:
-        raise UnstableEstimateError(
-            f"sampled denominator {den} is not positive at {shots} shots"
-        )
-    return cost_report(num, den)
+        raise UnstableEstimateError(f"sampled denominator {den} is not positive at {shots} shots")
+    return cost_report(estimates[0].mean, den), estimates
 
 
 def sample_cost(op: PoissonOperator, circuit: AnsatzCircuit, theta: np.ndarray,
@@ -238,21 +262,23 @@ def sampled_gradient(op: PoissonOperator, circuit: AnsatzCircuit, theta: np.ndar
 
     Only the first call at a theta sweeps its 3P shifts and builds the slots'
     distributions; later calls read them from the cache and only draw.  The
-    base cost at theta draws the streams of :func:`sample_cost_estimates` at
-    ``derive_seed(seed, 0)``, and a non-positive base denominator raises
-    before any shifted circuit is drawn.
+    base cost at theta is :func:`sample_cost_estimates`' estimate at
+    ``derive_seed(seed, 0)``, drawn before any shifted circuit, so a
+    non-positive base denominator raises before any group is drawn.
     Each measured group of P shifted circuits draws its P count rows from one
-    stream keyed by the group: ``(1,)`` for the pi-shifted numerator and
-    ``(branch, k)`` for term k at theta +- pi/2 (branch 2 and 3).
+    stream keyed by the group: ``(1,)`` for the pi-shifted numerator, then
+    ``(2, k)`` for term k at theta + pi/2 and ``(3, k)`` at theta - pi/2.
     """
     shots = _shots_per_term(shots_per_term, 1 + len(op.terms))
-    base_seed = derive_seed(seed, 0)
+    dists = _distributions(_shift_slots, op, circuit, theta, f)
+    base, _ = _base_estimate(op, dists, shots, derive_seed(seed, 0))
+    count = circuit.parameter_count
 
-    def measure(slot, probs, values):
-        base = _shot_estimate(probs[0], values, shots[slot], derive_seed(base_seed, slot))
-        return base.mean, lambda index, key: _row_means(probs[index], values, shots[slot],
-                                                        derive_seed(seed, *key))
+    def shifted(slot: int, rows: slice, *key: int) -> np.ndarray:
+        probs, values = dists[slot]
+        return _row_means(probs[rows], values, shots[slot], derive_seed(seed, *key))
 
-    return parameter_shift_gradient(op, circuit.parameter_count,
-                                    _distributions(_shift_slots, op, circuit, theta, f), measure,
-                                    lambda num, den: _plug_in_report(num, den, shots))
+    terms = range(len(op.terms))
+    return parameter_shift_gradient(
+        base, shifted(0, np.s_[1:], 1), [shifted(k + 1, np.s_[1:count + 1], 2, k) for k in terms],
+        [shifted(k + 1, np.s_[count + 1:], 3, k) for k in terms])

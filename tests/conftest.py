@@ -24,9 +24,9 @@ def fdm_two_axes() -> PoissonOperator:
     """Neumann finite differences on two 2-qubit axis registers, epsilon 1e-3: the
     Kronecker sum of the 1D terms, each embedded on one axis, |0><0| factors included."""
     base = decompose(2, BoundaryCondition.NEUMANN)
-    terms = [ObservableTerm(t.coefficient, t.factors + (FACTOR_I, FACTOR_I), (t.shift_power, 0))
-             for t in base.terms]
-    terms += [ObservableTerm(t.coefficient, (FACTOR_I, FACTOR_I) + t.factors, (0, t.shift_power))
-              for t in base.terms]
+    terms = [ObservableTerm(t.coefficient, t.factors + (FACTOR_I, FACTOR_I),
+                            (t.axis_shifts[0], 0)) for t in base.terms]
+    terms += [ObservableTerm(t.coefficient, (FACTOR_I, FACTOR_I) + t.factors,
+                             (0, t.axis_shifts[0])) for t in base.terms]
     return PoissonOperator((2, 2), BoundaryCondition.NEUMANN, tuple(terms),
                            2.0 * base.constant_offset + 1e-3)

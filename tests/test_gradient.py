@@ -7,8 +7,9 @@ from vqa_poisson import (AnsatzCircuit, BoundaryCondition, Mesh2D, Statevector, 
                          prepare_source_state, reassemble_dense, shifted_state, term_gradient)
 from vqa_poisson.cost import cost_and_a_psi, cost_report
 from vqa_poisson import states
-from vqa_poisson.gradient import _shift_slots, grad_from_state, parameter_shift_gradient
+from vqa_poisson.gradient import grad_from_state, parameter_shift_gradient
 from vqa_poisson.operators import FACTOR_I, FACTOR_X, ObservableTerm, term_dense
+from vqa_poisson.sampling import _shift_slots
 from vqa_poisson.states import ansatz_adjoint, ansatz_amplitudes
 
 from conftest import fdm_two_axes, random_theta
@@ -138,36 +139,19 @@ def test_grad_cost_matches_finite_differences(bc, rng):
 
 
 def _check_parameter_shift_route(op, circuit, f, rng, atol):
-    """parameter_shift_gradient on the slots of one sweep, with exact expectations: each
-    slot measured once, the report before the first group, and the gradient equal to
-    grad_cost's within atol."""
+    """parameter_shift_gradient on exact expectations over the rows of one sweep's slots
+    equals grad_cost's gradient within atol."""
     theta = random_theta(rng, circuit)
     count = circuit.parameter_count
-    calls = []
-
-    def measure(slot, term, rows, axes):
-        # one call per measured slot, carrying theta (row 0) and every shifted row it measures
-        assert len(rows) == (count + 1 if slot == 0 else 2 * count + 1)
-        calls.append(("measure", slot))
-        values = np.array([expectation(term, Statevector(row), axes) for row in rows])
-
-        def group(index, key):
-            # one call per measured group of P shifted rows
-            assert len(values[index]) == count
-            calls.append((slot, key))
-            return values[index]
-
-        return values[0], group
-
-    def report(num, den):
-        calls.append("report")
-        return cost_report(num, den)
-
-    grad = parameter_shift_gradient(op, count, _shift_slots(op, circuit, theta, f), measure,
-                                    report)
-    terms = len(op.terms)
-    assert calls == ([("measure", slot) for slot in range(1 + terms)] + ["report", (0, (1,))]
-                     + [(k + 1, (branch, k)) for branch in (2, 3) for k in range(terms)])
+    slots = _shift_slots(op, circuit, theta, f)
+    # the numerator slot carries theta and its P pi shifts, each term slot theta and its
+    # 2P +-pi/2 shifts
+    assert [len(rows) for _, rows, _ in slots] == [count + 1] + [2 * count + 1] * len(op.terms)
+    num, *terms = [np.array([expectation(term, Statevector(row), axes) for row in rows])
+                   for term, rows, axes in slots]
+    base = cost_report(num[0], op.constant_offset + sum(values[0] for values in terms))
+    grad = parameter_shift_gradient(base, num[1:], [values[1:count + 1] for values in terms],
+                                    [values[count + 1:] for values in terms])
     np.testing.assert_allclose(grad, grad_cost(op, circuit, theta, f).grad, atol=atol)
 
 
@@ -186,6 +170,11 @@ def test_parameter_shift_route_with_complex_source(phase, rng):
     f = Statevector(phase * prepare_source_state(3).amplitudes)
     _check_parameter_shift_route(decompose(3, BoundaryCondition.NEUMANN, 1e-3),
                                  AnsatzCircuit(3, 2), f, rng, 1e-12)
+
+
+def test_parameter_shift_route_on_two_axes(rng):
+    _check_parameter_shift_route(fdm_two_axes(), AnsatzCircuit(4, 2), prepare_source_state(4),
+                                 rng, 1e-12)
 
 
 def test_descent_direction_decreases_cost(rng):
