@@ -5,34 +5,33 @@ Every experiment writes ``results.csv`` (one row per measurement),
 ``fig_*.dat`` plot-data files (whitespace-separated x, y, yerr columns) into
 the output directory.  All runs are deterministic given (config, seed).
 
-Usage: ``vqa-poisson <experiment> [--bc ...] [--n ...] [--layers ...]
-[--trials ...] [--shots LO:HI, *-vs-s only] [--seed ...] [--epsilon ...] [--out DIR]``.
-Exit codes: 0 success, 2 usage error, 1 runtime failure.
+Usage: ``vqa-poisson <experiment> [--config FILE] [--bc ...] [--n ...] [--layers ...]
+[--trials ...] [--shots LO:HI, *-vs-s only] [--method M, shot-error-vs-s only]
+[--seed ...] [--epsilon ...] [--out DIR]``.  The manifest's keys are the
+config's fields.  Exit codes: 0 success, 2 usage error (a bad flag or value,
+or an unreadable config file), 1 runtime failure.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import astuple, dataclass, field
+from dataclasses import astuple, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .classical import trace_distance
 from .cost import baseline_cost, cost, measured_circuit_count
 from .gradient import grad_cost, grad_numerator, term_gradient
 from .operators import (DEFAULT_EPSILON, DENSE_QUBIT_CAP, BoundaryCondition, Mesh2D,
-                        ObservableTerm, assemble_fem_2d_dense, build_fem_2d, build_matrix,
-                        decompose, reassemble_dense)
-from .operators import FACTOR_I, FACTOR_X
-from .optimize import (GradNorm, OptimizationConfig, TraceDistance, TrialsResult,
+                        assemble_fem_2d_dense, build_fem_2d, build_matrix, reassemble_dense)
+from .optimize import (GradNorm, OptimizationConfig, TraceDistance, TrialsResult, draw_theta,
                        make_problem, run_trials)
 from .resources import count_baseline_circuits, resource_report
 from .sampling import (UnstableEstimateError, derive_seed, draw_counts,
                        sample_cost_estimates, sampled_gradient)
-from .states import AnsatzCircuit, ansatz_amplitudes, prepare_ansatz_state, prepare_source_state
+from .states import ansatz_amplitudes, prepare_ansatz_state
 
 EXPERIMENTS = (
     "solve",
@@ -78,18 +77,12 @@ class ExperimentConfig:
     shot_values: list[int] = field(default_factory=list)
     repeats: int = 10
     seed: int = 1234
-    epsilon: float | None = None
+    epsilon: float | None = None  # None: the boundary condition's default
     tol: float = 0.1
     grad_threshold: float = 1e-6
     max_iterations: int = 2000
     method: str = "proposed"
     out: Path = Path("out")
-
-    @property
-    def resolved_epsilon(self) -> float:
-        if self.epsilon is not None:
-            return self.epsilon
-        return DEFAULT_EPSILON[self.bc]
 
 
 def _parse_bounds(text: str) -> tuple[int, int]:
@@ -139,10 +132,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _read_config_file(path: Path, keys: set[str]) -> dict[str, str]:
-    if not path.exists():
-        raise UsageError(f"config file {path} does not exist")
+    try:
+        text = path.read_text()
+    except (OSError, UnicodeDecodeError) as err:
+        raise UsageError(f"cannot read config file {path}: {err}") from err
     values = {}
-    for line in path.read_text().splitlines():
+    for line in text.splitlines():
         line = line.strip()
         if not line or line.startswith("#"):
             continue
@@ -176,7 +171,7 @@ def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
     config.trials = pick("trials", int, config.trials)
     config.repeats = pick("repeats", int, config.repeats)
     config.seed = pick("seed", int, config.seed)
-    config.epsilon = pick("epsilon", float, None)
+    config.epsilon = pick("epsilon", float, DEFAULT_EPSILON[config.bc])
     config.tol = pick("tol", float, config.tol)
     config.grad_threshold = pick("grad_threshold", float, config.grad_threshold)
     config.max_iterations = pick("max_iterations", int, config.max_iterations)
@@ -192,9 +187,10 @@ def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
     elif shots_text is not None:
         raise UsageError(f"experiment {experiment} draws no shots; --shots is for *-vs-s")
 
-    epsilon = config.resolved_epsilon
     for ok, message in (
         (config.method in METHODS, f"method {config.method!r} is not one of {METHODS}"),
+        (config.method == "proposed" or experiment == "shot-error-vs-s",
+         f"method {config.method!r} is for shot-error-vs-s; {experiment} runs the proposed one"),
         (max(config.n_values) <= STATEVECTOR_QUBIT_CAP,
          f"n capped at {STATEVECTOR_QUBIT_CAP} qubits"),
         (experiment != "fem2d-verify" or 2 * max(config.n_values) <= DENSE_QUBIT_CAP,
@@ -205,8 +201,8 @@ def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
          "layers and max-iterations must be >= 0"),
         (0 < config.tol < np.inf and 0 < config.grad_threshold < np.inf,
          "tol and grad-threshold must be finite and > 0"),
-        (0 <= epsilon < np.inf, "epsilon must be finite and >= 0"),
-        (epsilon > 0 or config.bc is BoundaryCondition.DIRICHLET,
+        (0 <= config.epsilon < np.inf, "epsilon must be finite and >= 0"),
+        (config.epsilon > 0 or config.bc is BoundaryCondition.DIRICHLET,
          f"{config.bc.value} boundaries need epsilon > 0: the operator is singular without it"),
     ):
         if not ok:
@@ -215,6 +211,10 @@ def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
 
 
 def _fmt(value) -> str:
+    if isinstance(value, list):
+        return ",".join(_fmt(v) for v in value)
+    if isinstance(value, BoundaryCondition):
+        return value.value
     if isinstance(value, (bool, np.bool_)):
         return "1" if value else "0"
     if isinstance(value, (int, np.integer)):
@@ -237,22 +237,9 @@ def _write_fig(path: Path, columns: list[str], rows: list[list]) -> None:
 
 
 def _write_manifest(path: Path, config: ExperimentConfig, summary: list[str]) -> None:
-    lines = [
-        f"package = vqa-poisson {__version__}",
-        f"experiment = {config.experiment}",
-        f"bc = {config.bc.value}",
-        f"n_values = {','.join(str(n) for n in config.n_values)}",
-        f"layers = {config.layers}",
-        f"trials = {config.trials}",
-        f"shot_values = {','.join(str(s) for s in config.shot_values)}",
-        f"repeats = {config.repeats}",
-        f"seed = {config.seed}",
-        f"epsilon = {_fmt(config.resolved_epsilon)}",
-        f"tol = {_fmt(config.tol)}",
-        f"grad_threshold = {_fmt(config.grad_threshold)}",
-        f"max_iterations = {config.max_iterations}",
-        f"method = {config.method}",
-    ]
+    lines = [f"package = vqa-poisson {__version__}"]
+    lines += [f"{f.name} = {_fmt(getattr(config, f.name))}" for f in fields(config)
+              if f.name != "out"]
     lines += summary
     path.write_text("\n".join(lines) + "\n")
 
@@ -261,13 +248,11 @@ def _loglog_slope(x: np.ndarray, y: np.ndarray) -> float:
     return float(np.polyfit(np.log10(x), np.log10(y), 1)[0])
 
 
-def _optimizer_config(config: ExperimentConfig, terminal) -> OptimizationConfig:
-    return OptimizationConfig(
-        max_iterations=config.max_iterations,
-        terminal=terminal,
-        n_trials=config.trials,
-        seed=config.seed,
-    )
+def _trials(config: ExperimentConfig, n: int, terminal):
+    """The seeded problem at n and its config.trials BFGS trials."""
+    problem = make_problem(n, config.bc, config.layers, config.epsilon)
+    return problem, run_trials(problem, OptimizationConfig(
+        config.max_iterations, terminal, config.trials, config.seed))
 
 
 def _statuses(result: TrialsResult) -> str:
@@ -275,9 +260,7 @@ def _statuses(result: TrialsResult) -> str:
 
 
 def _run_solve(config: ExperimentConfig, out: Path) -> tuple[list[str], int]:
-    n = config.n_values[0]
-    problem = make_problem(n, config.bc, config.layers, config.resolved_epsilon)
-    result = run_trials(problem, _optimizer_config(config, GradNorm(config.grad_threshold)))
+    problem, result = _trials(config, config.n_values[0], GradNorm(config.grad_threshold))
     rows = [[k, t.status, t.iterations_used, t.circuit_executions, t.final_report.energy,
              t.final_report.r_opt, t.trace_distance, t.final_gradient_norm]
             for k, t in enumerate(result.traces)]
@@ -296,8 +279,7 @@ def _run_solve(config: ExperimentConfig, out: Path) -> tuple[list[str], int]:
 
 def _run_solution_field(config: ExperimentConfig, out: Path) -> tuple[list[str], int]:
     n = config.n_values[0]
-    problem = make_problem(n, config.bc, config.layers, config.resolved_epsilon)
-    result = run_trials(problem, _optimizer_config(config, GradNorm(config.grad_threshold)))
+    problem, result = _trials(config, n, GradNorm(config.grad_threshold))
     classical = problem.classical().u
     solutions = [t.final_report.r_opt * ansatz_amplitudes(problem.circuit, t.final_theta)
                  for t in result.traces]
@@ -315,8 +297,7 @@ def _run_solution_field(config: ExperimentConfig, out: Path) -> tuple[list[str],
 def _run_trace_distance_vs_n(config: ExperimentConfig, out: Path) -> tuple[list[str], int]:
     rows, fig_rows, summary = [], [], []
     for n in config.n_values:
-        problem = make_problem(n, config.bc, config.layers, config.resolved_epsilon)
-        result = run_trials(problem, _optimizer_config(config, GradNorm(config.grad_threshold)))
+        _, result = _trials(config, n, GradNorm(config.grad_threshold))
         summary.append(f"statuses_n{n} = {_statuses(result)}")
         rows.append([n, config.bc.value, config.trials, result.statuses.get("converged", 0),
                      result.mean_trace_distance, result.std_trace_distance,
@@ -332,11 +313,9 @@ def _run_trace_distance_vs_n(config: ExperimentConfig, out: Path) -> tuple[list[
 
 def _fixed_point(config: ExperimentConfig, n: int):
     """Operator, ansatz, source and seeded evaluation point of a fixed-theta study."""
-    op = decompose(n, config.bc, config.resolved_epsilon)
-    circuit = AnsatzCircuit(n, config.layers)
-    rng = np.random.default_rng(derive_seed(config.seed, n))
-    theta = rng.uniform(0.0, 4.0 * np.pi, circuit.parameter_count)
-    return op, circuit, prepare_source_state(n), theta
+    problem = make_problem(n, config.bc, config.layers, config.epsilon)
+    return (problem.operator, problem.circuit, problem.source,
+            draw_theta(problem.circuit, derive_seed(config.seed, n)))
 
 
 def _run_circuit_count_vs_n(config: ExperimentConfig, out: Path) -> tuple[list[str], int]:
@@ -375,8 +354,7 @@ def _run_circuit_count_vs_n(config: ExperimentConfig, out: Path) -> tuple[list[s
 def _run_iterations_vs_n(config: ExperimentConfig, out: Path) -> tuple[list[str], int]:
     rows, fig_rows, means, summary = [], [], [], []
     for n in config.n_values:
-        problem = make_problem(n, config.bc, config.layers, config.resolved_epsilon)
-        result = run_trials(problem, _optimizer_config(config, TraceDistance(config.tol)))
+        _, result = _trials(config, n, TraceDistance(config.tol))
         summary.append(f"statuses_n{n} = {_statuses(result)}")
         rows.append([n, config.bc.value, config.tol, config.trials,
                      result.statuses.get("converged", 0),
@@ -411,85 +389,82 @@ def _sample_baseline_cost(eig_a2, eig_xa, sup: np.ndarray, psi: np.ndarray,
     return est_a2 - est_af * est_af
 
 
-def _run_shot_error_vs_s(config: ExperimentConfig, out: Path) -> tuple[list[str], int]:
+def _shot_grid(config: ExperimentConfig, out: Path, fig: str, statistic: str,
+               columns: list[str], measure_at) -> tuple[list[str], int]:
+    """Repeat ``measure_at(n)(shots, seed)`` over each n's shot grid; its cells
+    follow (n, shots, repeat) in a results row, and the fig plots the last one."""
     rows, summary = [], []
     for n in config.n_values:
-        op, circuit, f, theta = _fixed_point(config, n)
-        psi = prepare_ansatz_state(circuit, theta)
-        if config.method == "baseline":
-            matrix = build_matrix(n, config.bc, config.resolved_epsilon)
-            exact = baseline_cost(matrix, psi, f).cost
-            eig_a2 = np.linalg.eigh(matrix)
-            x_matrix = np.array([[0.0, 1.0], [1.0, 0.0]])
-            eig_xa = np.linalg.eigh(np.kron(x_matrix, matrix))
-            sup = np.concatenate([f.amplitudes, psi.amplitudes]) / np.sqrt(2.0)
-        else:
-            exact = cost(op, circuit, theta, f).energy
+        measure = measure_at(n)
         fig_rows = []
         for shots in config.shot_values:
-            sq_errors = []
+            values = []
             for repeat in range(config.repeats):
-                seed = derive_seed(config.seed, n, shots, repeat)
-                if config.method == "baseline":
-                    estimate = _sample_baseline_cost(
-                        eig_a2, eig_xa, sup, np.real(psi.amplitudes), shots, seed)
-                else:
-                    report, _ = sample_cost_estimates(op, circuit, theta, f, shots, seed)
-                    estimate = report.energy
-                sq = (estimate - exact) ** 2
-                sq_errors.append(sq)
-                rows.append([n, shots, repeat, estimate, exact, sq])
-            fig_rows.append([shots, np.mean(sq_errors), np.std(sq_errors)])
-        _write_fig(out / f"fig_shot_error_n{n}.dat",
-                   ["shots", "mean_sq_error", "std_sq_error"], fig_rows)
+                cells = measure(shots, derive_seed(config.seed, n, shots, repeat))
+                values.append(cells[-1])
+                rows.append([n, shots, repeat, *cells])
+            fig_rows.append([shots, np.mean(values), np.std(values)])
+        _write_fig(out / f"fig_{fig}_n{n}.dat",
+                   ["shots", f"mean_{statistic}", f"std_{statistic}"], fig_rows)
         if len(fig_rows) > 1:  # a line through one shot count has no slope
-            slope = _loglog_slope(np.array([r[0] for r in fig_rows], float),
-                                  np.array([r[1] for r in fig_rows]))
-            summary.append(f"slope_n{n} = {_fmt(slope)}")
-    _write_csv(out / "results.csv",
-               ["n", "shots", "repeat", "estimate", "exact", "squared_error"], rows)
-    return summary, 0
-
-
-def _run_grad_similarity_vs_s(config: ExperimentConfig, out: Path) -> tuple[list[str], int]:
-    rows, summary = [], []
-    for n in config.n_values:
-        op, circuit, f, theta = _fixed_point(config, n)
-        exact = grad_cost(op, circuit, theta, f).grad
-        exact_norm = np.linalg.norm(exact)
-        fig_rows = []
-        for shots in config.shot_values:
-            dissims = []
-            for repeat in range(config.repeats):
-                seed = derive_seed(config.seed, n, shots, repeat)
-                sampled = sampled_gradient(op, circuit, theta, f, shots, seed)
-                denom = exact_norm * np.linalg.norm(sampled)
-                cosine = float(exact @ sampled / denom) if denom > 0 else 0.0
-                dissims.append(1.0 - cosine)
-                rows.append([n, shots, repeat, 1.0 - cosine])
-            fig_rows.append([shots, np.mean(dissims), np.std(dissims)])
-        _write_fig(out / f"fig_grad_similarity_n{n}.dat",
-                   ["shots", "mean_dissimilarity", "std_dissimilarity"], fig_rows)
-        if len(fig_rows) > 1:
             slope = _loglog_slope(np.array([r[0] for r in fig_rows], float),
                                   np.array([max(r[1], 1e-300) for r in fig_rows]))
             summary.append(f"slope_n{n} = {_fmt(slope)}")
-    _write_csv(out / "results.csv", ["n", "shots", "repeat", "one_minus_cosine"], rows)
+    _write_csv(out / "results.csv", ["n", "shots", "repeat", *columns], rows)
     return summary, 0
+
+
+def _run_shot_error_vs_s(config: ExperimentConfig, out: Path) -> tuple[list[str], int]:
+    def measure_at(n: int):
+        op, circuit, f, theta = _fixed_point(config, n)
+        if config.method == "baseline":
+            psi = prepare_ansatz_state(circuit, theta)
+            matrix = build_matrix(n, config.bc, config.epsilon)
+            exact = baseline_cost(matrix, psi, f).cost
+            eig_a2 = np.linalg.eigh(matrix)
+            eig_xa = np.linalg.eigh(np.kron([[0.0, 1.0], [1.0, 0.0]], matrix))
+            sup = np.concatenate([f.amplitudes, psi.amplitudes]) / np.sqrt(2.0)
+        else:
+            exact = cost(op, circuit, theta, f).energy
+
+        def measure(shots: int, seed: int) -> list[float]:
+            if config.method == "baseline":
+                value = _sample_baseline_cost(eig_a2, eig_xa, sup, np.real(psi.amplitudes),
+                                              shots, seed)
+            else:
+                value = sample_cost_estimates(op, circuit, theta, f, shots, seed)[0].energy
+            return [value, exact, (value - exact) ** 2]
+        return measure
+
+    return _shot_grid(config, out, "shot_error", "sq_error",
+                      ["estimate", "exact", "squared_error"], measure_at)
+
+
+def _run_grad_similarity_vs_s(config: ExperimentConfig, out: Path) -> tuple[list[str], int]:
+    def measure_at(n: int):
+        op, circuit, f, theta = _fixed_point(config, n)
+        exact = grad_cost(op, circuit, theta, f).grad
+        exact_norm = np.linalg.norm(exact)
+
+        def measure(shots: int, seed: int) -> list[float]:
+            sampled = sampled_gradient(op, circuit, theta, f, shots, seed)
+            denom = exact_norm * np.linalg.norm(sampled)
+            return [1.0 - (float(exact @ sampled / denom) if denom > 0 else 0.0)]
+        return measure
+
+    return _shot_grid(config, out, "grad_similarity", "dissimilarity",
+                      ["one_minus_cosine"], measure_at)
 
 
 def barren_plateau_norms(n: int, layers: int, bc: BoundaryCondition, epsilon: float,
                          seed: int, trials: int) -> list[list[float]]:
     """Per-seed gradient norms of the cost and its three observable groups."""
-    op = decompose(n, bc, epsilon)
-    circuit = AnsatzCircuit(n, layers)
-    f = prepare_source_state(n)
-    even = ObservableTerm(-1.0, tuple(FACTOR_X if q == 0 else FACTOR_I for q in range(n)), (0,))
-    odd = ObservableTerm(-1.0, even.factors, (1,))
+    problem = make_problem(n, bc, layers, epsilon)
+    op, circuit, f = problem.operator, problem.circuit, problem.source
+    even, odd = op.terms[:2]  # X on qubit 0, unshifted and shifted by one
     rows = []
     for k in range(trials):
-        rng = np.random.default_rng(derive_seed(seed, n, k))
-        theta = rng.uniform(0.0, 4.0 * np.pi, circuit.parameter_count)
+        theta = draw_theta(circuit, derive_seed(seed, n, k))
         rows.append([
             float(grad_cost(op, circuit, theta, f).norm),
             float(np.linalg.norm(term_gradient(even, circuit, theta))),
@@ -504,7 +479,7 @@ def _run_barren_plateau(config: ExperimentConfig, out: Path) -> tuple[list[str],
     series = {name: [] for name in ("cost", "even", "odd", "numerator")}
     for n in config.n_values:
         norms = barren_plateau_norms(n, config.layers, config.bc,
-                                     config.resolved_epsilon, config.seed, config.trials)
+                                     config.epsilon, config.seed, config.trials)
         for k, (g_cost, g_even, g_odd, g_num) in enumerate(norms):
             rows.append([n, k, g_cost, g_even, g_odd, g_num])
         arr = np.array(norms)

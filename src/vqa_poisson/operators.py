@@ -242,16 +242,13 @@ class Mesh2D:
         return 1 << self.n_y
 
 
-def build_fem_2d(mesh: Mesh2D, epsilon: float = 0.0,
-                 bc: BoundaryCondition = BoundaryCondition.PERIODIC) -> PoissonOperator:
+def build_fem_2d(mesh: Mesh2D, epsilon: float = 0.0) -> PoissonOperator:
     """2D FEM stiffness operator from the four-tessellation cover.
 
     Each tessellation contributes one copy of the single-element tensor form,
     conjugated by per-axis shifts (0,0), (1,0), (0,1) and (1,1).  Only periodic
     boundaries are supported (boundary-adjusted tessellations are out of scope).
     """
-    if bc is not BoundaryCondition.PERIODIC:
-        raise NotImplementedError("2D FEM operator supports periodic boundaries only")
     n = mesh.n_x + mesh.n_y
     x_axis = _single_factor(n, 0, FACTOR_X)              # X on x-register low qubit
     y_axis = _single_factor(n, mesh.n_x, FACTOR_X)       # X on y-register low qubit
@@ -263,7 +260,7 @@ def build_fem_2d(mesh: Mesh2D, epsilon: float = 0.0,
         for coeff, factors in base:
             terms.append(ObservableTerm(coeff, factors, (sx, sy)))
     offset = 4.0 * (4.0 / 6.0) + epsilon
-    return PoissonOperator((mesh.n_x, mesh.n_y), bc, tuple(terms), offset)
+    return PoissonOperator((mesh.n_x, mesh.n_y), BoundaryCondition.PERIODIC, tuple(terms), offset)
 
 
 def assemble_fem_2d_dense(mesh: Mesh2D) -> np.ndarray:

@@ -30,6 +30,11 @@ from .states import (AnsatzCircuit, Statevector, _real_if_real, ansatz_amplitude
 INIT_RANGE = (0.0, 4.0 * np.pi)
 
 
+def draw_theta(circuit: AnsatzCircuit, seed: int) -> np.ndarray:
+    """The circuit's parameters drawn uniformly from INIT_RANGE on the stream of `seed`."""
+    return np.random.default_rng(seed).uniform(*INIT_RANGE, circuit.parameter_count)
+
+
 @dataclass(frozen=True)
 class GradNorm:
     """Stop when the gradient norm drops below the threshold."""
@@ -226,11 +231,8 @@ def minimize(problem: PoissonProblem, config: OptimizationConfig,
     """
     op, circuit, f = problem.operator, problem.circuit, problem.source
     count = circuit.parameter_count
-    if trial_seed is None:
-        trial_seed = config.seed
     if theta0 is None:
-        rng = np.random.default_rng(np.random.SeedSequence(trial_seed))
-        theta0 = rng.uniform(*INIT_RANGE, count)
+        theta0 = draw_theta(circuit, config.seed if trial_seed is None else trial_seed)
 
     t_c = measured_circuit_count(op)
     f_amps = _real_if_real(f.amplitudes)

@@ -1,8 +1,14 @@
 import warnings
 
+import numpy as np
 import pytest
 
-from vqa_poisson.cli import main
+from vqa_poisson import (AnsatzCircuit, BoundaryCondition, DEFAULT_EPSILON, ObservableTerm,
+                         decompose, prepare_source_state)
+from vqa_poisson.cli import barren_plateau_norms, main
+from vqa_poisson.gradient import grad_cost, grad_numerator, term_gradient
+from vqa_poisson.operators import FACTOR_I, FACTOR_X
+from vqa_poisson.sampling import derive_seed
 
 EXPECTED_HEADERS = {
     "solve": "trial,status,iterations,circuit_executions,energy,r_opt,trace_distance,grad_norm",
@@ -116,6 +122,46 @@ def test_one_point_shot_grid_writes_no_slope(experiment, shots, tmp_path):
     assert "slope_" not in manifest
 
 
+def test_manifest_configuration_lines_are_pinned(tmp_path):
+    assert main(["shot-error-vs-s", "--bc", "periodic", "--n", "2:3", "--shots", "64:256",
+                 "--repeats", "1", "--seed", "9", "--out", str(tmp_path)]) == 0
+    assert (tmp_path / "manifest.txt").read_text().splitlines()[:14] == [
+        "package = vqa-poisson 0.1.0",
+        "experiment = shot-error-vs-s",
+        "bc = periodic",
+        "n_values = 2,3",
+        "layers = 5",
+        "trials = 10",
+        "shot_values = 64,128,256",
+        "repeats = 1",
+        "seed = 9",
+        "epsilon = 0.001",
+        "tol = 0.1",
+        "grad_threshold = 1e-06",
+        "max_iterations = 2000",
+        "method = proposed",
+    ]
+
+
+@pytest.mark.parametrize("bc", list(BoundaryCondition))
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_barren_plateau_norms_match_the_inline_protocol(bc, n):
+    """Hand-built even/odd terms and a [0, 4 pi] draw per seed, bit for bit."""
+    epsilon, seed, trials = DEFAULT_EPSILON[bc], 21, 2
+    op, circuit, f = decompose(n, bc, epsilon), AnsatzCircuit(n, 3), prepare_source_state(n)
+    even = ObservableTerm(-1.0, tuple(FACTOR_X if q == 0 else FACTOR_I for q in range(n)), (0,))
+    odd = ObservableTerm(-1.0, even.factors, (1,))
+    expected = []
+    for k in range(trials):
+        rng = np.random.default_rng(np.random.SeedSequence(derive_seed(seed, n, k)))
+        theta = rng.uniform(0.0, 4.0 * np.pi, circuit.parameter_count)
+        expected.append([float(grad_cost(op, circuit, theta, f).norm),
+                         float(np.linalg.norm(term_gradient(even, circuit, theta))),
+                         float(np.linalg.norm(term_gradient(odd, circuit, theta))),
+                         float(np.linalg.norm(grad_numerator(circuit, theta, f)))])
+    assert np.array_equal(barren_plateau_norms(n, 3, bc, epsilon, seed, trials), expected)
+
+
 def test_config_file_with_cli_override(tmp_path):
     config = tmp_path / "run.cfg"
     config.write_text("n = 1\nseed = 5\n# comment\ntrials = 2\n")
@@ -130,8 +176,10 @@ def test_config_file_with_cli_override(tmp_path):
 def test_usage_errors_exit_two(tmp_path):
     assert main(["solve", "--n", "abc", "--out", str(tmp_path)]) == 2
     assert main(["solve", "--n", "99", "--out", str(tmp_path)]) == 2
-    assert main(["solve", "--config", str(tmp_path / "missing.cfg"),
-                 "--out", str(tmp_path)]) == 2
+    undecodable = tmp_path / "binary.cfg"
+    undecodable.write_bytes(b"seed = 5\n\xff\n")
+    for unreadable in (tmp_path / "missing.cfg", tmp_path, undecodable):
+        assert main(["solve", "--config", str(unreadable), "--out", str(tmp_path)]) == 2
     bad_flags = [
         ["shot-error-vs-s", "--shots", "abc"],
         ["shot-error-vs-s", "--shots", "0:64"],
@@ -153,13 +201,16 @@ def test_usage_errors_exit_two(tmp_path):
         ["solve", "--bc", "neumann", "--epsilon", "0", "--n", "3"],
         ["solve", "--seed", "-1"],
         ["fem2d-verify", "--n", "7"],
+        ["solve", "--n", "2", "--trials", "1", "--method", "baseline"],
+        ["grad-similarity-vs-s", "--n", "2", "--method", "baseline"],
+        ["barren-plateau", "--n", "2", "--method", "baseline"],
     ]
     for flags in bad_flags:
         assert main([*flags, "--out", str(tmp_path)]) == 2, flags
     bad_config = tmp_path / "bad.cfg"
     for text in ("layers = two\n", "mode = sampeld\n", "method = basline\n",
                  "layer = 3\n", "trails = 1\n", "seed = -1\n", "epsilon = inf\n",
-                 "tol = inf\n", "grad_threshold = inf\n"):
+                 "tol = inf\n", "grad_threshold = inf\n", "method = baseline\n"):
         bad_config.write_text(text)
         assert main(["solve", "--config", str(bad_config), "--n", "2", "--trials", "1",
                      "--out", str(tmp_path)]) == 2, text
@@ -167,6 +218,17 @@ def test_usage_errors_exit_two(tmp_path):
         main(["not-an-experiment"])
     with pytest.raises(SystemExit):
         main(["solve", "--mode", "sampled", "--shots", "0"])
+
+
+@pytest.mark.parametrize("flags", [["fem2d-verify", "--n", "1"],
+                                   ["barren-plateau", "--n", "1", "--trials", "1"],
+                                   ["shot-error-vs-s", "--n", "1", "--shots", "64",
+                                    "--repeats", "1"]])
+def test_proposed_method_is_accepted_everywhere(flags, tmp_path):
+    config = tmp_path / "run.cfg"
+    config.write_text("method = proposed\n")
+    assert main([*flags, "--method", "proposed", "--out", str(tmp_path / "flag")]) == 0
+    assert main([*flags, "--config", str(config), "--out", str(tmp_path / "file")]) == 0
 
 
 def test_solve_manifest_counts_trial_statuses(tmp_path):

@@ -155,11 +155,6 @@ def test_fem_2d_offset_and_term_count():
     assert {t.axis_shifts for t in op.terms} == {(0, 0), (1, 0), (0, 1), (1, 1)}
 
 
-def test_fem_2d_rejects_non_periodic():
-    with pytest.raises(NotImplementedError):
-        build_fem_2d(Mesh2D(1, 1), bc=BoundaryCondition.DIRICHLET)
-
-
 def test_dense_reassembly_cap():
     op = decompose(13, BoundaryCondition.DIRICHLET)
     with pytest.raises(ValueError):

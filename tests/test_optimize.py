@@ -52,6 +52,17 @@ def test_minimize_accepts_stationary_start():
     assert trace.iterations_used == 0
 
 
+@pytest.mark.parametrize("bc", list(BoundaryCondition))
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_minimize_draws_theta0_uniform_in_four_pi(bc, n):
+    """With no step taken, the final theta is the seed's [0, 4 pi] draw, bit for bit."""
+    problem = make_problem(n, bc, n_layers=2)
+    trace = minimize(problem, OptimizationConfig(max_iterations=0), trial_seed=2**63 + 5)
+    rng = np.random.default_rng(np.random.SeedSequence(2**63 + 5))
+    expected = rng.uniform(0.0, 4.0 * np.pi, problem.circuit.parameter_count)
+    assert np.array_equal(trace.final_theta, expected)
+
+
 def test_minimize_is_deterministic():
     problem = make_problem(3, DIRICHLET)
     config = OptimizationConfig(max_iterations=300)
