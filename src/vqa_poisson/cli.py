@@ -7,7 +7,8 @@ the output directory.  All runs are deterministic given (config, seed).
 
 Usage: ``vqa-poisson <experiment> [--config FILE] [--bc ...] [--n ...] [--layers ...]
 [--trials ...] [--shots LO:HI, *-vs-s only] [--method M, shot-error-vs-s only]
-[--seed ...] [--epsilon ...] [--out DIR]``.  The manifest's keys are the
+[--seed ...] [--epsilon ...] [--out DIR]``; an experiment rejects the study
+flags it does not read (:data:`STUDY_FLAGS`).  The manifest's keys are the
 config's fields.  Exit codes: 0 success, 2 usage error (a bad flag or value,
 or an unreadable config file), 1 runtime failure.
 """
@@ -59,6 +60,22 @@ N_DEFAULTS = {
 }
 
 METHODS = ("proposed", "baseline")
+
+# The study flags each experiment reads; setting any other one, by flag or in a
+# config file, is a usage error.  fem2d-verify runs no trials but keeps taking a
+# `trials` key, so that one config file can drive it and the trial studies.
+_BFGS_FLAGS = {"trials", "max_iterations"}
+STUDY_FLAGS = {
+    "solve": _BFGS_FLAGS | {"grad_threshold"},
+    "solution-field": _BFGS_FLAGS | {"grad_threshold"},
+    "trace-distance-vs-n": _BFGS_FLAGS | {"grad_threshold"},
+    "circuit-count-vs-n": set(),
+    "iterations-vs-n": _BFGS_FLAGS | {"tol"},
+    "shot-error-vs-s": {"shots", "repeats"},
+    "grad-similarity-vs-s": {"shots", "repeats"},
+    "barren-plateau": {"trials"},
+    "fem2d-verify": {"trials"},
+}
 
 STATEVECTOR_QUBIT_CAP = 10
 
@@ -165,6 +182,11 @@ def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
             raise UsageError(f"invalid {name} value {value!r}") from err
 
     experiment = args.experiment
+    for name in sorted(set().union(*STUDY_FLAGS.values()) - STUDY_FLAGS[experiment]):
+        if getattr(args, name, None) is not None or name in file_values:
+            takers = ", ".join(e for e, reads in STUDY_FLAGS.items() if name in reads)
+            raise UsageError(f"{experiment} does not read --{name.replace('_', '-')}; "
+                             f"only {takers} take it")
     config = ExperimentConfig(experiment=experiment)
     config.bc = pick("bc", BoundaryCondition, config.bc.value)
     config.layers = pick("layers", int, config.layers)
@@ -180,12 +202,8 @@ def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
     lo, hi = _parse_bounds(pick("n", str, N_DEFAULTS[experiment]))
     config.n_values = list(range(lo, hi + 1))
 
-    shots_text = pick("shots", str, None)
-    if experiment in ("shot-error-vs-s", "grad-similarity-vs-s"):
-        text = shots_text if shots_text is not None else "64:16384"
-        config.shot_values = _powers_of_two(*_parse_bounds(text))
-    elif shots_text is not None:
-        raise UsageError(f"experiment {experiment} draws no shots; --shots is for *-vs-s")
+    if "shots" in STUDY_FLAGS[experiment]:
+        config.shot_values = _powers_of_two(*_parse_bounds(pick("shots", str, "64:16384")))
 
     for ok, message in (
         (config.method in METHODS, f"method {config.method!r} is not one of {METHODS}"),

@@ -23,7 +23,7 @@ from .cost import CostReport, SingularOperatorError, cost_and_a_psi, measured_ci
 from .gradient import grad_from_state
 from .operators import (DEFAULT_EPSILON, Bands, BoundaryCondition, PoissonOperator,
                         build_bands, decompose)
-from .sampling import derive_seed
+from .sampling import _generator, derive_seed
 from .states import (AnsatzCircuit, Statevector, _real_if_real, ansatz_amplitudes,
                      prepare_source_state)
 
@@ -32,7 +32,7 @@ INIT_RANGE = (0.0, 4.0 * np.pi)
 
 def draw_theta(circuit: AnsatzCircuit, seed: int) -> np.ndarray:
     """The circuit's parameters drawn uniformly from INIT_RANGE on the stream of `seed`."""
-    return np.random.default_rng(seed).uniform(*INIT_RANGE, circuit.parameter_count)
+    return _generator(seed).uniform(*INIT_RANGE, circuit.parameter_count)
 
 
 @dataclass(frozen=True)

@@ -19,11 +19,23 @@ keeps them read-only for both estimators.  Repeated estimates at one theta,
 as in a shot-count study, sweep and build once and then only draw.  A
 gradient entry holds 8 [(P + 1) 2^(n+1) + T (2P + 1) 2^n] bytes: 25 KB at
 n = 4 and about 4 MB at n = 10 (L = 5, Dirichlet).
+
+A stream is ``SeedSequence(entropy=seed, spawn_key=key)`` -> its 64-bit child
+seed (:func:`derive_seed`) -> PCG64 seeded by ``SeedSequence(child)``, which is
+``np.random.default_rng(child)`` (:func:`draw_counts`).  The package assembles
+numpy's entropy words itself (the seed's little-endian uint32 words, zero-padded
+to the pool size of 4 when there is a key, then each key element's words), lets
+``SeedSequence`` mix them in C and hashes the pool as ``generate_state`` does:
+numpy's streams bit for bit, without numpy's Python-level coercion and
+``generate_state`` glue.  On a 2-core Xeon (timeit medians) a keyed
+``derive_seed`` takes about 10 us against numpy's 21 us, and a stream's
+generator about 15 us against 18 us.
 """
 
 from __future__ import annotations
 
 import functools
+import operator
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -54,10 +66,92 @@ class MsePrediction:
     predicted_mse: float
 
 
+_MASK32 = 0xFFFFFFFF
+# numpy's SeedSequence pool size and the INIT_B and MULT_B of its generate_state hash
+_POOL_SIZE, _INIT_B, _MULT_B = 4, 0x8B51F9DD, 0x58F38DED
+
+
+def _hash_multipliers(count: int) -> tuple[tuple[int, int], ...]:
+    """(xor, multiplier) pair of each output word of SeedSequence.generate_state:
+    the hash constant starts at INIT_B and is multiplied by MULT_B once per word."""
+    pairs, const = [], _INIT_B
+    for _ in range(count):
+        nxt = const * _MULT_B & _MASK32
+        pairs.append((const, nxt))
+        const = nxt
+    return tuple(pairs)
+
+
+_HASH = _hash_multipliers(2 * _POOL_SIZE)
+
+
+def _int_words(value: int) -> list[int]:
+    """Little-endian uint32 words of a non-negative integer, as numpy coerces entropy."""
+    value = operator.index(value)
+    if value < 0:
+        raise ValueError(f"expected non-negative integer, got {value}")
+    words = [value & _MASK32]
+    value >>= 32
+    while value:
+        words.append(value & _MASK32)
+        value >>= 32
+    return words
+
+
+def _state_words(seed: int, key: tuple[int, ...], count: int) -> list[int]:
+    """The first `count` uint32 words of
+    ``SeedSequence(entropy=seed, spawn_key=key).generate_state(count)``.
+
+    Assembles the entropy words as numpy does (the seed's words, zero-padded to
+    the pool size when there is a key, then each key element's words), lets
+    ``SeedSequence`` mix them into its pool in C and hashes the pool here.
+    """
+    words = _int_words(seed)
+    if key:
+        words += [0] * (_POOL_SIZE - len(words))
+        for element in key:
+            words += _int_words(element)
+    pool = np.random.SeedSequence(np.array(words, dtype=np.uint32)).pool.tolist()
+    out = []
+    for i in range(count):
+        xor, mult = _HASH[i]
+        word = (pool[i % _POOL_SIZE] ^ xor) * mult & _MASK32
+        out.append(word ^ word >> 16)
+    return out
+
+
 def derive_seed(seed: int, *key: int) -> int:
-    """Stable 64-bit child seed for (seed, key...); keys partition streams."""
-    ss = np.random.SeedSequence(entropy=seed, spawn_key=tuple(key))
-    return int(ss.generate_state(1, np.uint64)[0])
+    """Stable 64-bit child seed for (seed, key...); keys partition streams.
+
+    Equals ``int(SeedSequence(entropy=seed, spawn_key=key).generate_state(1, np.uint64)[0])``.
+    """
+    low, high = _state_words(seed, key, 2)
+    return low | high << 32
+
+
+@functools.cache
+def _fixed_state_class() -> type:
+    """An ISeedSequence that hands PCG64 precomputed state words.  Built on first
+    use, so that importing the package does not load ``numpy.random``."""
+    from numpy.random.bit_generator import ISeedSequence
+
+    class FixedState(ISeedSequence):
+        def __init__(self, state: np.ndarray):
+            self.state = state
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            if n_words != len(self.state) or np.dtype(dtype) != np.uint64:
+                raise ValueError(f"holds {len(self.state)} uint64 words only")
+            return self.state
+
+    return FixedState
+
+
+def _generator(seed: int) -> np.random.Generator:
+    """``np.random.default_rng(seed)``: PCG64 seeded by ``SeedSequence(seed)``."""
+    words = np.array(_state_words(seed, (), 2 * _POOL_SIZE), dtype="<u4")
+    state = words.view("<u8").astype(np.uint64, copy=False)  # as numpy pairs the words
+    return np.random.Generator(np.random.PCG64(_fixed_state_class()(state)))
 
 
 def draw_counts(probs: np.ndarray, shots: int, seed: int) -> np.ndarray:
@@ -66,7 +160,7 @@ def draw_counts(probs: np.ndarray, shots: int, seed: int) -> np.ndarray:
     A (rows, outcomes) `probs` gives one independent count row per
     probability row, all from the one stream.
     """
-    return np.random.default_rng(seed).multinomial(shots, probs)
+    return _generator(seed).multinomial(shots, probs)
 
 
 def _row_distributions(term: ObservableTerm, rows: np.ndarray,

@@ -5,7 +5,8 @@ import pytest
 
 from vqa_poisson import (AnsatzCircuit, BoundaryCondition, DEFAULT_EPSILON, ObservableTerm,
                          decompose, prepare_source_state)
-from vqa_poisson.cli import barren_plateau_norms, main
+from vqa_poisson.cli import (STUDY_FLAGS, UsageError, barren_plateau_norms, build_parser, main,
+                             resolve_config)
 from vqa_poisson.gradient import grad_cost, grad_numerator, term_gradient
 from vqa_poisson.operators import FACTOR_I, FACTOR_X
 from vqa_poisson.sampling import derive_seed
@@ -229,6 +230,37 @@ def test_proposed_method_is_accepted_everywhere(flags, tmp_path):
     config.write_text("method = proposed\n")
     assert main([*flags, "--method", "proposed", "--out", str(tmp_path / "flag")]) == 0
     assert main([*flags, "--config", str(config), "--out", str(tmp_path / "file")]) == 0
+
+
+@pytest.mark.parametrize("flags, unread", [
+    (["solve", "--n", "2", "--trials", "1", "--repeats", "7", "--tol", "0.5"], "repeats = 7\n"),
+    (["circuit-count-vs-n", "--n", "2", "--trials", "4", "--max-iterations", "9"],
+     "max_iterations = 9\n"),
+])
+def test_study_flags_the_experiment_does_not_read_exit_two(flags, unread, tmp_path, capsys):
+    out = tmp_path / "run"
+    assert main([*flags, "--out", str(out)]) == 2
+    assert "does not read" in capsys.readouterr().err
+    config = tmp_path / "run.cfg"
+    config.write_text(unread)
+    assert main([*flags[:3], "--config", str(config), "--out", str(out)]) == 2
+    assert "does not read" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_each_experiment_takes_exactly_its_study_flags():
+    values = {"trials": "2", "max_iterations": "5", "grad_threshold": "1e-5", "tol": "0.2",
+              "shots": "64:128", "repeats": "2"}
+    assert set().union(*STUDY_FLAGS.values()) == set(values)
+    for experiment, reads in STUDY_FLAGS.items():
+        for name, value in values.items():
+            args = build_parser().parse_args(
+                [experiment, "--n", "2", f"--{name.replace('_', '-')}", value])
+            if name in reads:
+                resolve_config(args)
+            else:
+                with pytest.raises(UsageError, match="does not read"):
+                    resolve_config(args)
 
 
 def test_solve_manifest_counts_trial_statuses(tmp_path):

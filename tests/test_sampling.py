@@ -1,3 +1,5 @@
+import os
+import subprocess
 import sys
 
 import numpy as np
@@ -292,6 +294,40 @@ def test_single_distribution_stream_is_unchanged():
     for shots, seed in ((64, 0), (1024, 2024), (16384, derive_seed(7, 1))):
         expected = np.random.default_rng(np.random.SeedSequence(seed)).multinomial(shots, probs)
         assert np.array_equal(sampling.draw_counts(probs, shots, seed), expected)
+
+
+STREAM_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**64 + 5, 2**130 + 7, np.int64(42), True]
+
+
+@pytest.mark.parametrize("seed", STREAM_SEEDS, ids=repr)
+def test_streams_match_numpy_seed_sequence(seed):
+    keys = [(), (0,), (5,), (3, 64, 9), (2**32 + 1,), (7, 2**40 + 3), (np.int64(2), False)]
+    for key in keys:
+        expected = np.random.SeedSequence(entropy=seed, spawn_key=key).generate_state(1, np.uint64)
+        assert derive_seed(seed, *key) == int(expected[0]), key
+    probs = np.random.default_rng(8).dirichlet(np.ones(6), size=3)
+    expected = np.random.default_rng(np.random.SeedSequence(seed)).multinomial(500, probs)
+    np.testing.assert_array_equal(sampling.draw_counts(probs, 500, seed), expected)
+
+
+@pytest.mark.parametrize("bad, error", [(-1, ValueError), (2.0, TypeError)])
+def test_stream_seeds_are_checked_as_numpy_checks_them(bad, error):
+    with pytest.raises(error):
+        np.random.SeedSequence(entropy=bad)
+    for call in (lambda: derive_seed(bad), lambda: derive_seed(3, 1, bad),
+                 lambda: sampling.draw_counts(np.ones(2) / 2, 8, bad)):
+        with pytest.raises(error):
+            call()
+
+
+def test_importing_the_package_leaves_numpy_random_unloaded():
+    # the seeded generators load numpy.random on first use, not at import
+    code = ("import sys, numpy; eager = 'numpy.random' in sys.modules; import vqa_poisson; "
+            "print(eager, 'numpy.random' in sys.modules)")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True).stdout.split()
+    assert out[1] == out[0]  # a numpy that imports numpy.random itself leaves nothing to test
 
 
 def _step_source(n, phase):
