@@ -5,12 +5,12 @@ Every experiment writes ``results.csv`` (one row per measurement),
 ``fig_*.dat`` plot-data files (whitespace-separated x, y, yerr columns) into
 the output directory.  All runs are deterministic given (config, seed).
 
-Usage: ``vqa-poisson <experiment> [--config FILE] [--bc ...] [--n ...] [--layers ...]
-[--trials ...] [--shots LO:HI, *-vs-s only] [--method M, shot-error-vs-s only]
-[--seed ...] [--epsilon ...] [--out DIR]``; an experiment rejects the study
-flags it does not read (:data:`STUDY_FLAGS`).  The manifest's keys are the
-config's fields.  Exit codes: 0 success, 2 usage error (a bad flag or value,
-or an unreadable config file), 1 runtime failure.
+Usage: ``vqa-poisson <experiment> [--config FILE] [--FLAG VALUE ...]`` with one
+flag per :data:`FLAGS` entry (a config file takes the same names as keys); an
+experiment rejects the flags it does not read.  :data:`STUDIES` holds each
+experiment's default ``--n`` and runner.  The manifest's keys are the config's
+fields.  Exit codes: 0 success, 2 usage error (a bad flag or value, or an
+unreadable config file), 1 runtime failure.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ import argparse
 import sys
 from dataclasses import astuple, dataclass, field, fields
 from pathlib import Path
+from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
@@ -34,61 +35,20 @@ from .sampling import (UnstableEstimateError, derive_seed, draw_counts,
                        sample_cost_estimates, sampled_gradient)
 from .states import ansatz_amplitudes, prepare_ansatz_state
 
-EXPERIMENTS = (
-    "solve",
-    "solution-field",
-    "trace-distance-vs-n",
-    "circuit-count-vs-n",
-    "iterations-vs-n",
-    "shot-error-vs-s",
-    "grad-similarity-vs-s",
-    "barren-plateau",
-    "fem2d-verify",
-)
-
-# per-experiment default qubit count or range
-N_DEFAULTS = {
-    "solve": "5",
-    "solution-field": "5",
-    "trace-distance-vs-n": "2:5",
-    "circuit-count-vs-n": "2:10",
-    "iterations-vs-n": "2:5",
-    "shot-error-vs-s": "2:4",
-    "grad-similarity-vs-s": "3",
-    "barren-plateau": "2:8",
-    "fem2d-verify": "2",
-}
-
 METHODS = ("proposed", "baseline")
-
-# The study flags each experiment reads; setting any other one, by flag or in a
-# config file, is a usage error.  fem2d-verify runs no trials but keeps taking a
-# `trials` key, so that one config file can drive it and the trial studies.
-_BFGS_FLAGS = {"trials", "max_iterations"}
-STUDY_FLAGS = {
-    "solve": _BFGS_FLAGS | {"grad_threshold"},
-    "solution-field": _BFGS_FLAGS | {"grad_threshold"},
-    "trace-distance-vs-n": _BFGS_FLAGS | {"grad_threshold"},
-    "circuit-count-vs-n": set(),
-    "iterations-vs-n": _BFGS_FLAGS | {"tol"},
-    "shot-error-vs-s": {"shots", "repeats"},
-    "grad-similarity-vs-s": {"shots", "repeats"},
-    "barren-plateau": {"trials"},
-    "fem2d-verify": {"trials"},
-}
-
+SHOT_RANGE = "64:16384"  # the shot-grid studies' default --shots
 STATEVECTOR_QUBIT_CAP = 10
 
 
 class UsageError(Exception):
-    pass
+    """A bad flag, value or config file: exit 2."""
 
 
 @dataclass
 class ExperimentConfig:
     experiment: str
     bc: BoundaryCondition = BoundaryCondition.DIRICHLET
-    n_values: list[int] = field(default_factory=lambda: [5])
+    n_values: range = range(5, 6)
     layers: int = 5
     trials: int = 10
     shot_values: list[int] = field(default_factory=list)
@@ -102,22 +62,60 @@ class ExperimentConfig:
     out: Path = Path("out")
 
 
-def _parse_bounds(text: str) -> tuple[int, int]:
-    """(LO, HI) from an integer or an inclusive LO:HI range, 1 <= LO <= HI."""
+def _parse_range(text: str) -> range:
+    """LO..HI from an integer or an inclusive LO:HI range, 1 <= LO <= HI."""
     try:
         lo, hi = (int(x) for x in text.split(":")) if ":" in text else (int(text),) * 2
     except ValueError as err:
         raise UsageError(f"cannot parse integer or LO:HI range from {text!r}") from err
     if lo < 1 or hi < lo:
         raise UsageError(f"invalid value or range {text!r}: need 1 <= LO <= HI")
-    return lo, hi
+    return range(lo, hi + 1)
 
 
-def _powers_of_two(lo: int, hi: int) -> list[int]:
-    out = [1 << k for k in range(hi.bit_length()) if 1 << k >= lo]
+def _powers_of_two(text: str) -> list[int]:
+    counts = _parse_range(text)
+    out = [1 << k for k in range(counts[-1].bit_length()) if 1 << k in counts]
     if not out:
-        raise UsageError(f"no powers of two inside shot range {lo}:{hi}")
+        raise UsageError(f"no powers of two inside shot range {text}")
     return out
+
+
+class Flag(NamedTuple):
+    """A flag and config key: its cast, --help, readers, and (test, rule) on its value."""
+    cast: Callable[[str], Any]
+    help: str
+    readers: frozenset[str]
+    check: tuple[Callable[[Any], bool], str] = (lambda value: True, "")
+    field: str = ""  # its ExperimentConfig field, when that is not the flag's name
+
+
+_OPTIMIZING = frozenset({"solve", "solution-field", "trace-distance-vs-n", "iterations-vs-n"})
+_SHOT_GRID = frozenset({"shot-error-vs-s", "grad-similarity-vs-s"})
+_SIMULATED = _OPTIMIZING | _SHOT_GRID | {"circuit-count-vs-n", "barren-plateau"}
+_EVERY = _SIMULATED | {"fem2d-verify"}  # fem2d-verify builds its meshes from --n alone
+_AT_LEAST_0, _AT_LEAST_1 = (lambda v: v >= 0, ">= 0"), (lambda v: v >= 1, ">= 1")
+_POSITIVE = (lambda v: 0 < v < np.inf, "finite and > 0")
+
+FLAGS = {
+    "bc": Flag(BoundaryCondition, "periodic, dirichlet or neumann", _SIMULATED),
+    "n": Flag(_parse_range, "qubit count N or range LO:HI", _EVERY, field="n_values"),
+    "layers": Flag(int, "ansatz layers", _SIMULATED, _AT_LEAST_0),
+    "trials": Flag(int, "trials per qubit count", _OPTIMIZING | {"barren-plateau"}, _AT_LEAST_1),
+    "shots": Flag(_powers_of_two, f"powers of two in LO:HI (default {SHOT_RANGE})",
+                  _SHOT_GRID, field="shot_values"),
+    "repeats": Flag(int, "estimates per shot count", _SHOT_GRID, _AT_LEAST_1),
+    "seed": Flag(int, "master seed of every draw", _SIMULATED, _AT_LEAST_0),
+    "epsilon": Flag(float, "regularization (default: the bc's)", _SIMULATED,
+                    (lambda v: 0 <= v < np.inf, "finite and >= 0")),
+    "tol": Flag(float, "trace-distance tolerance", frozenset({"iterations-vs-n"}), _POSITIVE),
+    "grad_threshold": Flag(float, "gradient-norm stopping threshold",
+                           _OPTIMIZING - {"iterations-vs-n"}, _POSITIVE),
+    "max_iterations": Flag(int, "BFGS iteration cap per trial", _OPTIMIZING, _AT_LEAST_0),
+    "method": Flag(str, "proposed, or baseline for shot-error-vs-s", _EVERY,
+                   (lambda v: v in METHODS, f"one of {METHODS}")),
+    "out": Flag(Path, "output directory (default out)", _EVERY),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -125,30 +123,14 @@ def build_parser() -> argparse.ArgumentParser:
         prog="vqa-poisson",
         description="Poisson-equation VQA experiments (statevector simulation).",
     )
-    parser.add_argument("experiment", choices=EXPERIMENTS)
-    parser.add_argument("--config", type=Path, default=None,
-                        help="flat key=value config file; CLI flags override it")
-    parser.add_argument("--bc", choices=[b.value for b in BoundaryCondition], default=None)
-    parser.add_argument("--n", default=None,
-                        help="qubit count or inclusive range LO:HI (experiment-specific default)")
-    parser.add_argument("--layers", type=int, default=None)
-    parser.add_argument("--trials", type=int, default=None)
-    parser.add_argument("--shots", default=None,
-                        help="LO:HI range of powers of two; shot-error-vs-s and "
-                             "grad-similarity-vs-s only")
-    parser.add_argument("--repeats", type=int, default=None)
-    parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument("--epsilon", type=float, default=None)
-    parser.add_argument("--tol", type=float, default=None,
-                        help="trace-distance tolerance for iterations-vs-n")
-    parser.add_argument("--grad-threshold", type=float, default=None)
-    parser.add_argument("--max-iterations", type=int, default=None)
-    parser.add_argument("--method", choices=METHODS, default=None)
-    parser.add_argument("--out", type=Path, default=None)
+    parser.add_argument("experiment", choices=STUDIES)
+    parser.add_argument("--config", type=Path, help="flat key=value file; flags override it")
+    for name, flag in FLAGS.items():
+        parser.add_argument(f"--{name.replace('_', '-')}", help=flag.help)
     return parser
 
 
-def _read_config_file(path: Path, keys: set[str]) -> dict[str, str]:
+def _read_config_file(path: Path) -> dict[str, str]:
     try:
         text = path.read_text()
     except (OSError, UnicodeDecodeError) as err:
@@ -162,64 +144,45 @@ def _read_config_file(path: Path, keys: set[str]) -> dict[str, str]:
             raise UsageError(f"config line {line!r} is not key=value")
         key, value = line.split("=", 1)
         key = key.strip().replace("-", "_")
-        if key not in keys:
+        if key not in FLAGS:
             raise UsageError(f"config key {key!r} in {path} is not a flag name")
         values[key] = value.strip()
     return values
 
 
 def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
-    settable = set(vars(args)) - {"experiment", "config"}
-    file_values = _read_config_file(args.config, settable) if args.config else {}
-
-    def pick(name: str, cast, default):
-        value = getattr(args, name, None)
-        if value is None:
-            value = file_values.get(name, default)
-        try:
-            return None if value is None else cast(value)
-        except ValueError as err:
-            raise UsageError(f"invalid {name} value {value!r}") from err
-
     experiment = args.experiment
-    for name in sorted(set().union(*STUDY_FLAGS.values()) - STUDY_FLAGS[experiment]):
-        if getattr(args, name, None) is not None or name in file_values:
-            takers = ", ".join(e for e, reads in STUDY_FLAGS.items() if name in reads)
+    values = _read_config_file(args.config) if args.config else {}
+    values.update({k: v for k, v in vars(args).items() if k in FLAGS and v is not None})
+    values.setdefault("n", STUDIES[experiment].n)
+    if experiment in FLAGS["shots"].readers:
+        values.setdefault("shots", SHOT_RANGE)
+
+    config = ExperimentConfig(experiment=experiment)
+    for name, text in values.items():
+        flag = FLAGS[name]
+        if experiment not in flag.readers:
+            takers = ", ".join(e for e in STUDIES if e in flag.readers)
             raise UsageError(f"{experiment} does not read --{name.replace('_', '-')}; "
                              f"only {takers} take it")
-    config = ExperimentConfig(experiment=experiment)
-    config.bc = pick("bc", BoundaryCondition, config.bc.value)
-    config.layers = pick("layers", int, config.layers)
-    config.trials = pick("trials", int, config.trials)
-    config.repeats = pick("repeats", int, config.repeats)
-    config.seed = pick("seed", int, config.seed)
-    config.epsilon = pick("epsilon", float, DEFAULT_EPSILON[config.bc])
-    config.tol = pick("tol", float, config.tol)
-    config.grad_threshold = pick("grad_threshold", float, config.grad_threshold)
-    config.max_iterations = pick("max_iterations", int, config.max_iterations)
-    config.method = pick("method", str, config.method)
-    config.out = Path(pick("out", str, str(config.out)))
-    lo, hi = _parse_bounds(pick("n", str, N_DEFAULTS[experiment]))
-    config.n_values = list(range(lo, hi + 1))
-
-    if "shots" in STUDY_FLAGS[experiment]:
-        config.shot_values = _powers_of_two(*_parse_bounds(pick("shots", str, "64:16384")))
+        try:
+            value = flag.cast(text)
+        except ValueError as err:
+            raise UsageError(f"invalid {name} value {text!r}") from err
+        ok, rule = flag.check
+        if not ok(value):
+            raise UsageError(f"{name} must be {rule}, got {text!r}")
+        setattr(config, flag.field or name, value)
+    if config.epsilon is None:
+        config.epsilon = DEFAULT_EPSILON[config.bc]
 
     for ok, message in (
-        (config.method in METHODS, f"method {config.method!r} is not one of {METHODS}"),
         (config.method == "proposed" or experiment == "shot-error-vs-s",
          f"method {config.method!r} is for shot-error-vs-s; {experiment} runs the proposed one"),
-        (max(config.n_values) <= STATEVECTOR_QUBIT_CAP,
+        (config.n_values[-1] <= STATEVECTOR_QUBIT_CAP,
          f"n capped at {STATEVECTOR_QUBIT_CAP} qubits"),
-        (experiment != "fem2d-verify" or 2 * max(config.n_values) <= DENSE_QUBIT_CAP,
+        (experiment != "fem2d-verify" or 2 * config.n_values[-1] <= DENSE_QUBIT_CAP,
          f"fem2d-verify reassembles meshes of up to 2n qubits, capped at {DENSE_QUBIT_CAP}"),
-        (config.trials >= 1 and config.repeats >= 1, "trials and repeats must be >= 1"),
-        (config.seed >= 0, f"seed must be >= 0, got {config.seed}"),
-        (config.layers >= 0 and config.max_iterations >= 0,
-         "layers and max-iterations must be >= 0"),
-        (0 < config.tol < np.inf and 0 < config.grad_threshold < np.inf,
-         "tol and grad-threshold must be finite and > 0"),
-        (0 <= config.epsilon < np.inf, "epsilon must be finite and >= 0"),
         (config.epsilon > 0 or config.bc is BoundaryCondition.DIRICHLET,
          f"{config.bc.value} boundaries need epsilon > 0: the operator is singular without it"),
     ):
@@ -229,7 +192,7 @@ def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
 
 
 def _fmt(value) -> str:
-    if isinstance(value, list):
+    if isinstance(value, (list, range)):
         return ",".join(_fmt(v) for v in value)
     if isinstance(value, BoundaryCondition):
         return value.value
@@ -498,8 +461,7 @@ def _run_barren_plateau(config: ExperimentConfig, out: Path) -> tuple[list[str],
     for n in config.n_values:
         norms = barren_plateau_norms(n, config.layers, config.bc,
                                      config.epsilon, config.seed, config.trials)
-        for k, (g_cost, g_even, g_odd, g_num) in enumerate(norms):
-            rows.append([n, k, g_cost, g_even, g_odd, g_num])
+        rows += [[n, k, *trial] for k, trial in enumerate(norms)]
         arr = np.array(norms)
         for col, name in enumerate(("cost", "even", "odd", "numerator")):
             series[name].append([n, arr[:, col].mean(), arr[:, col].std()])
@@ -514,7 +476,6 @@ def _run_barren_plateau(config: ExperimentConfig, out: Path) -> tuple[list[str],
 def _run_fem2d_verify(config: ExperimentConfig, out: Path) -> tuple[list[str], int]:
     cap = config.n_values[-1]
     rows = []
-    all_exact = True
     for nx in range(1, cap + 1):
         for ny in range(1, cap + 1):
             mesh = Mesh2D(nx, ny)
@@ -523,38 +484,41 @@ def _run_fem2d_verify(config: ExperimentConfig, out: Path) -> tuple[list[str], i
             reference = assemble_fem_2d_dense(mesh)
             max_err = float(np.abs(dense - reference).max())
             exact = bool(np.array_equal(dense, reference))
-            all_exact = all_exact and exact
             rows.append([nx, ny, len(op.terms), op.constant_offset, max_err, exact])
     _write_csv(out / "results.csv",
-               ["n_x", "n_y", "terms", "constant_offset", "max_abs_error", "exact_match"],
-               rows)
+               ["n_x", "n_y", "terms", "constant_offset", "max_abs_error", "exact_match"], rows)
+    all_exact = all(row[-1] for row in rows)
     return [f"all_exact = {1 if all_exact else 0}"], 0 if all_exact else 1
 
 
-RUNNERS = {
-    "solve": _run_solve,
-    "solution-field": _run_solution_field,
-    "trace-distance-vs-n": _run_trace_distance_vs_n,
-    "circuit-count-vs-n": _run_circuit_count_vs_n,
-    "iterations-vs-n": _run_iterations_vs_n,
-    "shot-error-vs-s": _run_shot_error_vs_s,
-    "grad-similarity-vs-s": _run_grad_similarity_vs_s,
-    "barren-plateau": _run_barren_plateau,
-    "fem2d-verify": _run_fem2d_verify,
+class Study(NamedTuple):
+    n: str  # default --n
+    run: Callable[[ExperimentConfig, Path], tuple[list[str], int]]
+
+
+STUDIES = {
+    "solve": Study("5", _run_solve),
+    "solution-field": Study("5", _run_solution_field),
+    "trace-distance-vs-n": Study("2:5", _run_trace_distance_vs_n),
+    "circuit-count-vs-n": Study("2:10", _run_circuit_count_vs_n),
+    "iterations-vs-n": Study("2:5", _run_iterations_vs_n),
+    "shot-error-vs-s": Study("2:4", _run_shot_error_vs_s),
+    "grad-similarity-vs-s": Study("3", _run_grad_similarity_vs_s),
+    "barren-plateau": Study("2:8", _run_barren_plateau),
+    "fem2d-verify": Study("2", _run_fem2d_verify),
 }
 
 
 def run(config: ExperimentConfig) -> int:
     out = config.out
     out.mkdir(parents=True, exist_ok=True)
-    summary, code = RUNNERS[config.experiment](config, out)
+    summary, code = STUDIES[config.experiment].run(config, out)
     _write_manifest(out / "manifest.txt", config, summary)
     return code
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         config = resolve_config(args)
     except UsageError as err:

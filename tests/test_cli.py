@@ -1,12 +1,14 @@
+import re
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from vqa_poisson import (AnsatzCircuit, BoundaryCondition, DEFAULT_EPSILON, ObservableTerm,
                          decompose, prepare_source_state)
-from vqa_poisson.cli import (STUDY_FLAGS, UsageError, barren_plateau_norms, build_parser, main,
-                             resolve_config)
+from vqa_poisson.cli import (FLAGS, STUDIES, UsageError, barren_plateau_norms, build_parser,
+                             main, resolve_config)
 from vqa_poisson.gradient import grad_cost, grad_numerator, term_gradient
 from vqa_poisson.operators import FACTOR_I, FACTOR_X
 from vqa_poisson.sampling import derive_seed
@@ -165,9 +167,9 @@ def test_barren_plateau_norms_match_the_inline_protocol(bc, n):
 
 def test_config_file_with_cli_override(tmp_path):
     config = tmp_path / "run.cfg"
-    config.write_text("n = 1\nseed = 5\n# comment\ntrials = 2\n")
+    config.write_text("n = 1\nseed = 5\n# comment\n")
     out = tmp_path / "cfg"
-    assert main(["fem2d-verify", "--config", str(config), "--n", "2",
+    assert main(["circuit-count-vs-n", "--config", str(config), "--n", "2",
                  "--out", str(out)]) == 0
     manifest = (out / "manifest.txt").read_text()
     assert "seed = 5" in manifest           # from file
@@ -248,19 +250,54 @@ def test_study_flags_the_experiment_does_not_read_exit_two(flags, unread, tmp_pa
     assert not out.exists()
 
 
+@pytest.mark.parametrize("name, value", [("bc", "neumann"), ("layers", "2"), ("seed", "5"),
+                                         ("epsilon", "0.01"), ("trials", "2")])
+def test_fem2d_verify_rejects_the_flags_it_does_not_read(name, value, tmp_path, capsys):
+    out, config = tmp_path / "run", tmp_path / "run.cfg"
+    config.write_text(f"{name} = {value}\n")
+    for given in ([f"--{name}", value], ["--config", str(config)]):
+        assert main(["fem2d-verify", "--n", "1", *given, "--out", str(out)]) == 2
+        assert "does not read" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_each_experiment_takes_exactly_its_study_flags():
-    values = {"trials": "2", "max_iterations": "5", "grad_threshold": "1e-5", "tol": "0.2",
-              "shots": "64:128", "repeats": "2"}
-    assert set().union(*STUDY_FLAGS.values()) == set(values)
-    for experiment, reads in STUDY_FLAGS.items():
-        for name, value in values.items():
+    values = {"bc": "neumann", "n": "2", "layers": "2", "trials": "2", "shots": "64:128",
+              "repeats": "2", "seed": "3", "epsilon": "0.01", "tol": "0.2",
+              "grad_threshold": "1e-5", "max_iterations": "5", "method": "proposed",
+              "out": "out"}
+    assert set(values) == set(FLAGS)
+    assert set().union(*(flag.readers for flag in FLAGS.values())) == set(STUDIES)
+    for name, flag in FLAGS.items():
+        for experiment in STUDIES:
             args = build_parser().parse_args(
-                [experiment, "--n", "2", f"--{name.replace('_', '-')}", value])
-            if name in reads:
+                [experiment, "--n", "2", f"--{name.replace('_', '-')}", values[name]])
+            if experiment in flag.readers:
                 resolve_config(args)
             else:
                 with pytest.raises(UsageError, match="does not read"):
                     resolve_config(args)
+
+
+def test_readme_flag_table_matches_the_readers():
+    lines = (Path(__file__).parents[1] / "README.md").read_text().splitlines()
+    start = lines.index("| flags | taken by |") + 2
+    documented = {}
+    for row in lines[start:lines.index("", start)]:
+        flags, takers = row.strip("|").split("|")
+        named = set(re.findall(r"`([a-z0-9-]+)`", takers))
+        taken = set(STUDIES) - named if "every experiment but" in takers else named
+        for name in re.findall(r"`--([a-z-]+)", flags):
+            documented[name.replace("-", "_")] = taken
+    # a flag every experiment reads needs no row
+    assert documented == {name: flag.readers for name, flag in FLAGS.items()
+                          if flag.readers != set(STUDIES)}
+
+
+def test_qubit_range_past_the_cap_exits_two_without_listing_it(tmp_path):
+    # a list of 10^12 qubit counts would not fit in memory; the range is capped unlisted
+    assert main(["solve", "--n", f"1:{10 ** 12}", "--out", str(tmp_path / "run")]) == 2
+    assert not (tmp_path / "run").exists()
 
 
 def test_solve_manifest_counts_trial_statuses(tmp_path):
