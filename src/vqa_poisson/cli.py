@@ -37,6 +37,7 @@ from .states import ansatz_amplitudes, prepare_ansatz_state
 
 METHODS = ("proposed", "baseline")
 SHOT_RANGE = "64:16384"  # the shot-grid studies' default --shots
+MAX_SHOTS = 1 << 62  # the largest power of two numpy's multinomial takes as a count
 STATEVECTOR_QUBIT_CAP = 10
 
 
@@ -103,7 +104,7 @@ FLAGS = {
     "layers": Flag(int, "ansatz layers", _SIMULATED, _AT_LEAST_0),
     "trials": Flag(int, "trials per qubit count", _OPTIMIZING | {"barren-plateau"}, _AT_LEAST_1),
     "shots": Flag(_powers_of_two, f"powers of two in LO:HI (default {SHOT_RANGE})",
-                  _SHOT_GRID, field="shot_values"),
+                  _SHOT_GRID, (lambda v: v[-1] <= MAX_SHOTS, "at most 2^62"), "shot_values"),
     "repeats": Flag(int, "estimates per shot count", _SHOT_GRID, _AT_LEAST_1),
     "seed": Flag(int, "master seed of every draw", _SIMULATED, _AT_LEAST_0),
     "epsilon": Flag(float, "regularization (default: the bc's)", _SIMULATED,

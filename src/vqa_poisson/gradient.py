@@ -3,9 +3,10 @@
 Each gradient here is Re<d_i psi|lam> for one real vector lam, with
 d_i psi = d|psi>/d theta_i; :func:`~vqa_poisson.states.ansatz_adjoint` gives
 all its components in one reverse sweep over the ansatz, about two state
-preparations of work.  The numerator takes lam = Re f, one term lam = 2 T psi,
-and the cost the quotient-rule combination lam = r^2 A psi - r Re f
-(:func:`grad_from_state`, from the psi and A psi of a cost evaluation).  For
+preparations of work, from theta and lam alone: psi comes from theta's record.
+The numerator takes lam = Re f, one term lam = 2 T psi, and the cost the
+quotient-rule combination lam = r^2 A psi - r Re f (:func:`grad_from_state`,
+from the report and A psi of a cost evaluation at theta).  For
 R_Y parameters d_i psi = (1/2) U(..., theta_i + pi, ...)|0...0>;
 :func:`shifted_state` builds that pi-shifted state (the test oracle).
 The shifted-circuit route measures theta, its P pi shifts and its 2P +-pi/2
@@ -44,23 +45,22 @@ def shifted_state(circuit: AnsatzCircuit, theta: np.ndarray, index: int) -> Stat
 
 def grad_numerator(circuit: AnsatzCircuit, theta: np.ndarray, f: Statevector) -> np.ndarray:
     """Components Re<d_i psi|f> of the numerator gradient."""
-    psi = ansatz_amplitudes(circuit, theta)
-    return ansatz_adjoint(circuit, theta, psi, np.real(f.amplitudes))
+    return ansatz_adjoint(circuit, theta, np.real(f.amplitudes))
 
 
 def term_gradient(term: ObservableTerm, circuit: AnsatzCircuit, theta: np.ndarray,
                   axes: tuple[int, ...] | None = None) -> np.ndarray:
     """Gradient of one term's expectation (barren-plateau diagnostics)."""
     psi = ansatz_amplitudes(circuit, theta)
-    return ansatz_adjoint(circuit, theta, psi, 2.0 * apply_term(term, psi, axes))
+    return ansatz_adjoint(circuit, theta, 2.0 * apply_term(term, psi, axes))
 
 
-def grad_from_state(circuit: AnsatzCircuit, theta: np.ndarray, psi: np.ndarray,
-                    report: CostReport, a_psi: np.ndarray, f: np.ndarray) -> np.ndarray:
-    """Cost gradient from psi, its cost report and A psi at theta: one adjoint
+def grad_from_state(circuit: AnsatzCircuit, theta: np.ndarray, report: CostReport,
+                    a_psi: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """Cost gradient from the cost report and A psi of theta's psi: one adjoint
     sweep with lam = r^2 A psi - r Re f, r = num/den, and no forward sweep."""
     ratio = report.r_opt
-    return ansatz_adjoint(circuit, theta, psi, ratio * ratio * a_psi - ratio * np.real(f))
+    return ansatz_adjoint(circuit, theta, ratio * ratio * a_psi - ratio * np.real(f))
 
 
 def grad_cost(op: PoissonOperator, circuit: AnsatzCircuit, theta: np.ndarray,
@@ -72,7 +72,7 @@ def grad_cost(op: PoissonOperator, circuit: AnsatzCircuit, theta: np.ndarray,
     """
     psi = ansatz_amplitudes(circuit, theta)
     f_amps = _real_if_real(f.amplitudes)
-    grad = grad_from_state(circuit, theta, psi, *cost_and_a_psi(op, psi, f_amps), f_amps)
+    grad = grad_from_state(circuit, theta, *cost_and_a_psi(op, psi, f_amps), f_amps)
     return GradientReport(grad=grad, norm=float(np.linalg.norm(grad)))
 
 

@@ -182,8 +182,6 @@ def shift_amplitudes(amps: np.ndarray, axes: tuple[int, ...],
     """
     if not any(shifts):
         return amps
-    if len(axes) == 1:
-        return np.roll(amps, shifts[0], axis=-1)
     shape = amps.shape[:-1] + tuple(1 << a for a in reversed(axes))
     arr = amps.reshape(shape)
     for k, s in enumerate(shifts):

@@ -2,8 +2,9 @@
 
 BFGS with backtracking Armijo line search, implemented here (no external
 solver), inverse-Hessian seeded with the identity and rescaled after the first
-accepted step.  Each trial sweeps the ansatz once per cost evaluation and
-reuses that psi and A psi for the gradient and the final trace distance.
+accepted step.  Each cost evaluation sweeps the ansatz once and hands BFGS
+the energy with a function that gives the gradient from the same psi, report
+and A psi; the final report and trace distance read psi from theta's record.
 Trials draw initial parameters uniformly from [0, 4*pi] and are
 embarrassingly parallel in their seeds.  A problem holds its system matrix by
 its bands and caches the classical reference solved from them, so set-up
@@ -97,16 +98,19 @@ class BfgsResult:
     skipped_updates: int = 0  # curvature updates skipped for sy <= 1e-12 |s| |y|
 
 
-def bfgs(fun: Callable[[np.ndarray], float], jac: Callable[[np.ndarray], np.ndarray],
+def bfgs(evaluate: Callable[[np.ndarray], tuple[float, Callable[[], np.ndarray]]],
          x0: np.ndarray, max_iterations: int,
          stop_when: Callable[[np.ndarray, float, np.ndarray], bool]) -> BfgsResult:
     """BFGS with backtracking Armijo line search.
 
-    A step must lower the value strictly, by the Armijo margin.  Where the
-    margin rounds away at the value's last bit, an equal value is taken only
-    if the gradient norm drops there, a zero-decrease step.
-    ``stop_when(x, value, gradient)`` is consulted once per iterate; a
-    SingularOperatorError from ``fun`` or ``jac`` aborts cleanly.
+    ``evaluate(x)`` returns the value at x and a zero-argument function that
+    gives the gradient there, called only at accepted points and where the
+    Armijo margin rounds away.  A step must lower the value strictly, by the
+    Armijo margin.  Where the margin rounds away at the value's last bit, an
+    equal value is taken only if the gradient norm drops there, a
+    zero-decrease step.  ``stop_when(x, value, gradient)`` is consulted once
+    per iterate.  A SingularOperatorError from ``evaluate`` aborts cleanly at
+    x0 and rejects a line-search trial elsewhere.
     Statuses: converged, max_iterations, line_search_failed, aborted:<why>.
     The result counts accepted steps that did not lower the value and
     skipped inverse-Hessian updates.
@@ -118,8 +122,8 @@ def bfgs(fun: Callable[[np.ndarray], float], jac: Callable[[np.ndarray], np.ndar
     zero_decrease = skipped = 0
 
     try:
-        value = fun(x)
-        grad = jac(x)
+        value, gradient_at = evaluate(x)
+        grad = gradient_at()
     except SingularOperatorError as err:
         return BfgsResult(x, 0, f"aborted:{err}", values, gnorms, np.nan)
 
@@ -152,11 +156,11 @@ def bfgs(fun: Callable[[np.ndarray], float], jac: Callable[[np.ndarray], np.ndar
         accepted = new_grad = None
         for _ in range(40):
             try:
-                candidate = fun(x + alpha * direction)
+                candidate, gradient_at = evaluate(x + alpha * direction)
                 bound = value + 1e-4 * alpha * slope
                 # Where the Armijo term rounds away, the value cannot show a
                 # decrease: an equal value is taken only where |g| drops.
-                new_grad = jac(x + alpha * direction) if candidate == bound == value else None
+                new_grad = gradient_at() if candidate == bound == value else None
                 if candidate < bound or (new_grad is not None
                                          and np.sqrt(new_grad @ new_grad) < gnorm):
                     accepted = candidate
@@ -171,14 +175,8 @@ def bfgs(fun: Callable[[np.ndarray], float], jac: Callable[[np.ndarray], np.ndar
 
         step = alpha * direction
         new_x = x + step
-        try:
-            if new_grad is None:
-                new_grad = jac(new_x)
-        except SingularOperatorError as err:
-            status = f"aborted:{err}"
-            x, value = new_x, accepted
-            grad = np.full(dim, np.nan)
-            break
+        if new_grad is None:
+            new_grad = gradient_at()
         y = new_grad - grad
         sy = float(step @ y)
         if k == 0 and sy > 0.0:
@@ -237,25 +235,17 @@ def minimize(problem: PoissonProblem, config: OptimizationConfig,
     t_c = measured_circuit_count(op)
     f_amps = _real_if_real(f.amplitudes)
     counters = {"circuits": 0}
-    # The latest cost evaluation, (psi, report, A psi).  BFGS takes the gradient
-    # where it took the cost, and theta's record hands back that same psi.
-    last: tuple | None = None
 
-    def exact_at(theta: np.ndarray) -> tuple[np.ndarray, CostReport, np.ndarray]:
-        """(psi, report, A psi) at theta, reused from the latest cost evaluation there."""
-        psi = ansatz_amplitudes(circuit, theta)
-        return last if last is not None and last[0] is psi else (
-            psi, *cost_and_a_psi(op, psi, f_amps))
-
-    def eval_cost(theta: np.ndarray) -> float:
-        nonlocal last
+    def evaluate(theta: np.ndarray) -> tuple[float, Callable[[], np.ndarray]]:
+        """The energy at theta, and its gradient from the same psi, report and A psi."""
         counters["circuits"] += t_c
-        last = exact_at(theta)
-        return last[1].energy
+        report, a_psi = cost_and_a_psi(op, ansatz_amplitudes(circuit, theta), f_amps)
 
-    def eval_grad(theta: np.ndarray) -> np.ndarray:
-        counters["circuits"] += count * t_c
-        return grad_from_state(circuit, theta, *exact_at(theta), f_amps)
+        def gradient() -> np.ndarray:
+            counters["circuits"] += count * t_c
+            return grad_from_state(circuit, theta, report, a_psi, f_amps)
+
+        return report.energy, gradient
 
     reference = problem.classical() if isinstance(config.terminal, TraceDistance) else None
 
@@ -265,18 +255,17 @@ def minimize(problem: PoissonProblem, config: OptimizationConfig,
         eps_tr = trace_distance(ansatz_amplitudes(circuit, theta), reference.u_normalized)
         return eps_tr < config.terminal.tolerance
 
-    result = bfgs(eval_cost, eval_grad, theta0, config.max_iterations, stop_when)
+    result = bfgs(evaluate, theta0, config.max_iterations, stop_when)
 
     theta = result.final_theta
-    aborted = result.status.startswith("aborted")
-    if aborted and (last is None or last[0] is not ansatz_amplitudes(circuit, theta)):
+    psi = ansatz_amplitudes(circuit, theta)
+    try:
+        final_report = cost_and_a_psi(op, psi, f_amps)[0]
+    except SingularOperatorError:  # the first cost failed, so no step was taken
         final_report = CostReport(np.nan, np.nan, np.nan, np.nan)
-    else:
-        final_report = exact_at(theta)[1]
     eps_tr = None
-    if reference is not None or not aborted:
-        eps_tr = trace_distance(ansatz_amplitudes(circuit, theta),
-                                problem.classical().u_normalized)
+    if reference is not None or not result.status.startswith("aborted"):
+        eps_tr = trace_distance(psi, problem.classical().u_normalized)
     return OptimizationTrace(**vars(result), final_report=final_report,
                              circuit_executions=counters["circuits"], trace_distance=eps_tr)
 

@@ -8,17 +8,19 @@ bit).  Every measured group draws from one independently derived stream:
 a term in a cost estimate, or the P shifted rows of one (slot, branch) in the
 gradient, whose rows are independent multinomial draws from that stream.
 Group estimates are uncorrelated, and all are deterministic in the seed.
-A sampled gradient simulates 3P + 1 rows (theta and its 3P shifts) in one
-forward sweep (:func:`_shift_slots`), builds each measured slot's outcome
-distributions once, over every row the slot measures (1 + T builds for
-T terms), and hands the measured arrays to
+One builder, :func:`_slots`, lays out the 1 + T measured slots of both
+estimators from one forward sweep: theta alone for a cost estimate, theta and
+its 3P shifts for a sampled gradient.  Each slot's outcome distributions are
+built once, over every row the slot measures (1 + T builds for T terms), and a
+gradient hands the measured arrays to
 :func:`~vqa_poisson.gradient.parameter_shift_gradient`.  Distributions
 depend on the operator, the circuit, theta and f, not on the shots or the
 seed, so one 4-entry cache keyed on those four (theta and f by their bytes)
-keeps them read-only for both estimators.  Repeated estimates at one theta,
-as in a shot-count study, sweep and build once and then only draw.  A
-gradient entry holds 8 [(P + 1) 2^(n+1) + T (2P + 1) 2^n] bytes: 25 KB at
-n = 4 and about 4 MB at n = 10 (L = 5, Dirichlet).
+and on whether the shifts are swept keeps them read-only for both estimators.
+Repeated estimates at one theta, as in a shot-count study, sweep and build
+once and then only draw.  A gradient entry holds
+8 [(P + 1) 2^(n+1) + T (2P + 1) 2^n] bytes: 25 KB at n = 4 and about 4 MB at
+n = 10 (L = 5, Dirichlet).
 
 A stream is ``SeedSequence(entropy=seed, spawn_key=key)`` -> its 64-bit child
 seed (:func:`derive_seed`) -> PCG64 seeded by ``SeedSequence(child)``, which is
@@ -37,7 +39,7 @@ from __future__ import annotations
 import functools
 import operator
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -45,8 +47,7 @@ from .cost import CostReport, ancilla_x_term, cost_report
 from .gradient import parameter_shift_gradient
 from .operators import ObservableTerm, PoissonOperator, _factor_masks, shift_amplitudes
 from .states import (AnsatzCircuit, Statevector, _apply_column, _checked_theta,
-                     _hadamard_factors, _real_if_real, ansatz_amplitude_rows, ansatz_amplitudes,
-                     superposition_rows)
+                     _hadamard_factors, _real_if_real, ansatz_amplitude_rows, superposition_rows)
 
 
 class UnstableEstimateError(RuntimeError):
@@ -237,30 +238,26 @@ def sample_term(term: ObservableTerm, state: Statevector, shots: int, seed: int,
     return _shot_estimate(*_measurement_distribution(term, state, axes), shots, seed)
 
 
-def _cost_slots(op: PoissonOperator, circuit: AnsatzCircuit, theta: np.ndarray,
-               f: Statevector) -> list[tuple[ObservableTerm, np.ndarray, tuple[int, ...] | None]]:
-    """The 1 + T one-row slots of a cost estimate: the numerator's ancilla X on the
-    superposition of f with psi, then every term on psi."""
-    psi = ansatz_amplitudes(circuit, theta)[None]
-    sup = superposition_rows(_real_if_real(f.amplitudes), psi)
-    return [(ancilla_x_term(op.n_qubits), sup, None)] + [(t, psi, op.axes) for t in op.terms]
+def _slots(op: PoissonOperator, circuit: AnsatzCircuit, theta: np.ndarray, f: Statevector,
+           shifted: bool) -> list[tuple[ObservableTerm, np.ndarray, tuple[int, ...] | None]]:
+    """The 1 + T measured slots at theta, ``(term, rows, axes)`` with row 0 at theta, from
+    one forward sweep.
 
-
-def _shift_slots(op: PoissonOperator, circuit: AnsatzCircuit, theta: np.ndarray,
-                 f: Statevector) -> list[tuple[ObservableTerm, np.ndarray, tuple[int, ...] | None]]:
-    """The 1 + T measured slots of a sampled gradient, from one forward sweep.
-
-    The sweep prepares 3P + 1 rows: theta, then its P pi shifts, its P +pi/2 shifts and its
-    P -pi/2 shifts.  Each slot is ``(term, rows, axes)`` with row 0 at theta.  Slot 0 is the
-    numerator's ancilla X on the P + 1 superpositions of f with theta and its pi shifts;
-    slot k + 1 is ``op.terms[k]`` on theta and its 2P +-pi/2 shifts.  No circuit superposes
-    a shifted and an unshifted ansatz state.
+    Slot 0 is the numerator's ancilla X on superpositions of f with ansatz rows, slot k + 1
+    is ``op.terms[k]`` on ansatz rows.  A cost estimate sweeps theta alone.  A sampled
+    gradient (``shifted``) sweeps 3P + 1 rows: theta, then its P pi shifts, its P +pi/2
+    shifts and its P -pi/2 shifts; slot 0 measures theta and its pi shifts, each term
+    slot theta and its 2P +-pi/2 shifts.  No circuit superposes a shifted and an
+    unshifted ansatz state.
     """
     count = circuit.parameter_count
-    params = range(count)
-    shifted = np.tile(theta, (3, count, 1))
-    shifted[:, params, params] += np.array([[np.pi], [np.pi / 2.0], [-np.pi / 2.0]])
-    rows = ansatz_amplitude_rows(circuit, np.vstack([theta, shifted.reshape(-1, count)]))
+    thetas = theta[None]
+    if shifted:
+        params = range(count)
+        shifts = np.tile(theta, (3, count, 1))
+        shifts[:, params, params] += np.array([[np.pi], [np.pi / 2.0], [-np.pi / 2.0]])
+        thetas = np.vstack([thetas, shifts.reshape(-1, count)])
+    rows = ansatz_amplitude_rows(circuit, thetas)
     sup = superposition_rows(_real_if_real(f.amplitudes), rows[:count + 1])
     term_rows = np.delete(rows, np.s_[1:count + 1], axis=0)
     return ([(ancilla_x_term(op.n_qubits), sup, None)]
@@ -268,24 +265,24 @@ def _shift_slots(op: PoissonOperator, circuit: AnsatzCircuit, theta: np.ndarray,
 
 
 @functools.lru_cache(maxsize=4)
-def _slot_distributions(slots: Callable[..., list], op: PoissonOperator, circuit: AnsatzCircuit,
+def _slot_distributions(shifted: bool, op: PoissonOperator, circuit: AnsatzCircuit,
                         theta_bytes: bytes,
                         f_bytes: bytes) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-    """Read-only (probs, values) of every slot that ``slots`` (:func:`_cost_slots` or
-    :func:`_shift_slots`) measures at one theta and f, built once."""
+    """Read-only (probs, values) of every slot :func:`_slots` measures at one theta and f,
+    built once."""
     f = Statevector(np.frombuffer(f_bytes, dtype=np.complex128))
     dists = tuple(_row_distributions(*slot)
-                  for slot in slots(op, circuit, np.frombuffer(theta_bytes), f))
+                  for slot in _slots(op, circuit, np.frombuffer(theta_bytes), f, shifted))
     for probs, _ in dists:
         probs.setflags(write=False)
     return dists
 
 
-def _distributions(slots: Callable[..., list], op: PoissonOperator, circuit: AnsatzCircuit,
+def _distributions(shifted: bool, op: PoissonOperator, circuit: AnsatzCircuit,
                    theta: np.ndarray, f: Statevector) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
     """:func:`_slot_distributions` keyed on a checked theta's bytes and f's amplitude bytes."""
     theta = _checked_theta(circuit, theta)
-    return _slot_distributions(slots, op, circuit, theta.tobytes(), f.amplitudes.tobytes())
+    return _slot_distributions(shifted, op, circuit, theta.tobytes(), f.amplitudes.tobytes())
 
 
 def _shots_per_term(shots_per_term: int | Sequence[int], count: int) -> list[int]:
@@ -308,7 +305,7 @@ def sample_cost_estimates(op: PoissonOperator, circuit: AnsatzCircuit,
     of ``derive_seed(seed, k)``.  The returned tuple length is the number of
     circuits executed for one cost evaluation.
     """
-    dists = _distributions(_cost_slots, op, circuit, theta, f)
+    dists = _distributions(False, op, circuit, theta, f)
     shots = _shots_per_term(shots_per_term, len(dists))
     return _base_estimate(op, dists, shots, seed)
 
@@ -364,7 +361,7 @@ def sampled_gradient(op: PoissonOperator, circuit: AnsatzCircuit, theta: np.ndar
     ``(2, k)`` for term k at theta + pi/2 and ``(3, k)`` at theta - pi/2.
     """
     shots = _shots_per_term(shots_per_term, 1 + len(op.terms))
-    dists = _distributions(_shift_slots, op, circuit, theta, f)
+    dists = _distributions(True, op, circuit, theta, f)
     base, _ = _base_estimate(op, dists, shots, derive_seed(seed, 0))
     count = circuit.parameter_count
 

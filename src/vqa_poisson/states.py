@@ -233,7 +233,7 @@ def _forward_sweep(circuit: AnsatzCircuit, factors: tuple[np.ndarray, np.ndarray
 def _theta_factors(circuit: AnsatzCircuit, theta_bytes: bytes) -> tuple:
     """The record of one theta: every column's (K_hi, K_lo^T), psi from one
     forward sweep (read-only), and a list that the first :func:`ansatz_adjoint`
-    given this psi fills with each column's readout table sign * psi_c[index]."""
+    at theta fills with each column's readout table sign * psi_c[index]."""
     theta = np.frombuffer(theta_bytes).reshape(circuit.n_layers + 1, circuit.n_qubits)
     factors = _ry_factors(theta / 2.0)
     psi = _forward_sweep(circuit, factors, 1)[0]
@@ -246,7 +246,7 @@ def ansatz_amplitudes(circuit: AnsatzCircuit, theta: np.ndarray) -> np.ndarray:
 
     The result is read-only: it is the psi of theta's record, which the last
     8 thetas keep with their column factors and, once an adjoint sweep has
-    run from this psi, its (L + 1) n 2^n float64 readout tables (0.49 MB at
+    run at theta, its (L + 1) n 2^n float64 readout tables (0.49 MB at
     n = 10, L = 5; 11 MB at n = 14).
     """
     theta = _checked_theta(circuit, theta)
@@ -266,26 +266,25 @@ def ansatz_amplitude_rows(circuit: AnsatzCircuit, thetas: np.ndarray) -> np.ndar
     return _forward_sweep(circuit, factors, rows)
 
 
-def ansatz_adjoint(circuit: AnsatzCircuit, theta: np.ndarray, psi: np.ndarray,
-                   lam: np.ndarray) -> np.ndarray:
+def ansatz_adjoint(circuit: AnsatzCircuit, theta: np.ndarray, lam: np.ndarray) -> np.ndarray:
     """Re<d psi/d theta_i|lam> for every parameter, by one reverse sweep.
 
-    ``psi`` is :func:`ansatz_amplitudes` at ``theta`` and ``lam`` a real
-    vector.  The sweep un-applies the circuit column by column to the stacked
-    (psi, lam) pair (Jones & Gacon, arXiv:2009.02823), with the transposed
-    factors of the forward sweep: R_Y(-phi) = R_Y(phi)^T.  The gates of an R_Y
-    column commute, so every gradient of a column is read at the point just
-    after it: d psi/d theta_i = (1/2) R_Y(pi)_q applied there.  Given the
-    record's own psi (:func:`ansatz_amplitudes`), the sweep keeps psi's readout
-    tables there, and later sweeps at that theta un-apply lam alone.
+    ``lam`` is a real vector; psi is :func:`ansatz_amplitudes` at ``theta``,
+    read from theta's record.  The sweep un-applies the circuit column by
+    column to the stacked (psi, lam) pair (Jones & Gacon, arXiv:2009.02823),
+    with the transposed factors of the forward sweep: R_Y(-phi) = R_Y(phi)^T.
+    The gates of an R_Y column commute, so every gradient of a column is read
+    at the point just after it: d psi/d theta_i = (1/2) R_Y(pi)_q applied
+    there.  The first sweep at a theta keeps psi's readout tables in the
+    record, and later sweeps there un-apply lam alone.
     """
     theta = _checked_theta(circuit, theta)
     n = circuit.n_qubits
     index, sign = _ry_pi_tables(n)
-    (k_his, k_lo_ts), record_psi, tables = _theta_factors(circuit, theta.tobytes())
-    # Where psi is the record's and its tables are filled, un-apply lam alone:
-    # each row is its own product, so lam rounds as it does beside psi.
-    reuse = psi is record_psi and bool(tables)
+    (k_his, k_lo_ts), psi, tables = _theta_factors(circuit, theta.tobytes())
+    # Once psi's tables are filled, un-apply lam alone: each row is its own
+    # product, so lam rounds as it does beside psi.
+    reuse = bool(tables)
     rows = np.array(lam, dtype=float, ndmin=2) if reuse else np.stack([psi, lam])
     readouts = tables if reuse else []
     grad = np.empty(circuit.parameter_count)
@@ -297,8 +296,7 @@ def ansatz_adjoint(circuit: AnsatzCircuit, theta: np.ndarray, psi: np.ndarray,
         if column:
             rows = _apply_column(rows, k_his[column].T, k_lo_ts[column].T)
             rows *= _cz_brick_signs(n, (column - 1) % 2)
-    if psi is record_psi and not reuse:
-        tables[:] = readouts
+    tables[:] = readouts  # filled by the first sweep, unchanged by later ones
     return grad
 
 

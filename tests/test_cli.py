@@ -187,6 +187,8 @@ def test_usage_errors_exit_two(tmp_path):
         ["shot-error-vs-s", "--shots", "abc"],
         ["shot-error-vs-s", "--shots", "0:64"],
         ["grad-similarity-vs-s", "--shots", "64:abc"],
+        ["shot-error-vs-s", "--n", "2", "--shots", "64:1000000000000000000000",
+         "--repeats", "1"],
         ["solve", "--shots", "-5"],
         ["fem2d-verify", "--shots", "64"],
         ["solve", "--layers", "-1"],

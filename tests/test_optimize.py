@@ -16,14 +16,18 @@ from vqa_poisson.operators import PoissonOperator
 DIRICHLET = BoundaryCondition.DIRICHLET
 
 
+def bfgs_evaluation(fun, jac):
+    """The bfgs evaluation of a value function and its gradient function."""
+    return lambda x: (fun(x), lambda: jac(x))
+
+
 @pytest.mark.parametrize("dim", [2, 5, 10])
 def test_bfgs_solves_spd_quadratics(dim, rng):
     m = rng.normal(size=(dim, dim))
     q = m @ m.T + dim * np.eye(dim)
     b = rng.normal(size=dim)
     result = bfgs(
-        lambda x: float(x @ q @ x - b @ x),
-        lambda x: 2.0 * q @ x - b,
+        bfgs_evaluation(lambda x: float(x @ q @ x - b @ x), lambda x: 2.0 * q @ x - b),
         rng.normal(size=dim),
         max_iterations=3 * dim,
         stop_when=lambda x, v, g: np.linalg.norm(g) < 1e-8,
@@ -177,23 +181,23 @@ def test_bfgs_counts_zero_decrease_steps_and_skipped_updates():
     def value(x):
         return float(np.round(1.0 + x @ x, 3))
 
-    result = bfgs(value, lambda x: 2.0 * x, np.full(2, 1e-3), max_iterations=4,
-                  stop_when=lambda x, v, g: False)
+    result = bfgs(bfgs_evaluation(value, lambda x: 2.0 * x), np.full(2, 1e-3),
+                  max_iterations=4, stop_when=lambda x, v, g: False)
     assert result.status == "max_iterations"
     assert result.iterations_used == 4
     assert result.zero_decrease_steps == 4
     assert all(v == 1.0 for v in result.costs)
     assert np.all(np.diff(result.gradient_norms) < 0)
-    result = bfgs(value, lambda x: np.round(2.0 * x, 3), np.full(2, 1e-3), max_iterations=4,
-                  stop_when=lambda x, v, g: False)
+    result = bfgs(bfgs_evaluation(value, lambda x: np.round(2.0 * x, 3)), np.full(2, 1e-3),
+                  max_iterations=4, stop_when=lambda x, v, g: False)
     assert result.status == "line_search_failed"
     assert result.iterations_used == 0
     assert result.zero_decrease_steps == 0
     # A linear function: every step lowers the value, and the constant
     # gradient gives y = 0, so every curvature update is skipped.
     slope = np.array([1.0, -2.0])
-    result = bfgs(lambda x: float(slope @ x), lambda x: slope, np.zeros(2),
-                  max_iterations=4, stop_when=lambda x, v, g: False)
+    result = bfgs(bfgs_evaluation(lambda x: float(slope @ x), lambda x: slope),
+                  np.zeros(2), max_iterations=4, stop_when=lambda x, v, g: False)
     assert result.status == "max_iterations"
     assert result.zero_decrease_steps == 0
     assert result.skipped_updates == 4
@@ -204,7 +208,7 @@ def test_bfgs_accepts_no_step_once_the_armijo_term_rounds_away():
     # At alpha = 2^-27 the term 1e-4 * alpha * slope is 7.5e-13, and
     # 1e4 - 7.5e-13 rounds to 1e4.  A non-strict test accepts the equal value;
     # the constant gradient shows no progress either, so no step is taken.
-    result = bfgs(lambda x: 1e4, lambda x: np.array([1.0]), np.zeros(1), 5,
+    result = bfgs(bfgs_evaluation(lambda x: 1e4, lambda x: np.array([1.0])), np.zeros(1), 5,
                   lambda *args: False)
     assert result.status == "line_search_failed"
     assert result.iterations_used == 0
@@ -213,8 +217,9 @@ def test_bfgs_accepts_no_step_once_the_armijo_term_rounds_away():
 
 def test_bfgs_counts_nothing_on_a_strictly_decreasing_quadratic(rng):
     q = np.diag([1.0, 3.0, 10.0])
-    result = bfgs(lambda x: float(x @ q @ x), lambda x: 2.0 * q @ x, rng.normal(size=3),
-                  max_iterations=50, stop_when=lambda x, v, g: np.linalg.norm(g) < 1e-8)
+    result = bfgs(bfgs_evaluation(lambda x: float(x @ q @ x), lambda x: 2.0 * q @ x),
+                  rng.normal(size=3), max_iterations=50,
+                  stop_when=lambda x, v, g: np.linalg.norm(g) < 1e-8)
     assert result.status == "converged"
     assert result.zero_decrease_steps == 0
     assert result.skipped_updates == 0
@@ -233,19 +238,21 @@ def _count_sweeps_and_evaluations(monkeypatch) -> dict:
         seen["sweeps"] += 1
         return forward_sweep(*args)
 
-    def instrumented_bfgs(fun, jac, *args, **kwargs):
-        def counted_fun(x):
+    def instrumented_bfgs(evaluate, *args, **kwargs):
+        def counted_evaluate(x):
             seen["costs"] += 1
-            return fun(x)
+            value, gradient_at = evaluate(x)
 
-        def checked_jac(x):
-            before = seen["sweeps"]
-            grad = jac(x)
-            assert seen["sweeps"] == before  # the cost's psi and A psi feed the gradient
-            seen["gradients"].append((x.copy(), grad))
-            return grad
+            def checked_gradient():
+                before = seen["sweeps"]
+                grad = gradient_at()
+                assert seen["sweeps"] == before  # the cost's psi and A psi feed the gradient
+                seen["gradients"].append((x.copy(), grad))
+                return grad
 
-        seen["results"].append(bfgs_run(counted_fun, checked_jac, *args, **kwargs))
+            return value, checked_gradient
+
+        seen["results"].append(bfgs_run(counted_evaluate, *args, **kwargs))
         return seen["results"][-1]
 
     states._theta_factors.cache_clear()

@@ -505,8 +505,8 @@ def test_cached_distributions_are_read_only():
     circuit = AnsatzCircuit(2, 1)
     f = prepare_source_state(2)
     theta = np.linspace(0.3, 1.2, circuit.parameter_count)
-    for slots in (sampling._cost_slots, sampling._shift_slots):
-        dists = sampling._distributions(slots, op, circuit, theta, f)
+    for shifted in (False, True):
+        dists = sampling._distributions(shifted, op, circuit, theta, f)
         assert len(dists) == 1 + len(op.terms)
         for probs, values in dists:
             assert not probs.flags.writeable

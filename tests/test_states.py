@@ -133,11 +133,13 @@ def test_ansatz_state_is_bit_identical_to_gate_by_gate_reference(n, rng):
 def test_batched_sweep_matches_per_theta_states(n, rng):
     for layers in range(4):
         circuit = AnsatzCircuit(n, layers)
-        thetas = rng.uniform(0, 4 * np.pi, (5, circuit.parameter_count))
-        rows = ansatz_amplitude_rows(circuit, thetas)
-        assert rows.shape == (5, 1 << n)
-        for theta, row in zip(thetas, rows):
-            assert np.array_equal(row, ansatz_amplitudes(circuit, theta))
+        # one row as a cost estimate sweeps theta alone, five as a batch
+        for count in (1, 5):
+            thetas = rng.uniform(0, 4 * np.pi, (count, circuit.parameter_count))
+            rows = ansatz_amplitude_rows(circuit, thetas)
+            assert rows.shape == (count, 1 << n)
+            for theta, row in zip(thetas, rows):
+                assert np.array_equal(row, ansatz_amplitudes(circuit, theta))
 
 
 def test_ansatz_amplitudes_are_read_only(rng):
@@ -152,7 +154,7 @@ def test_theta_records_stay_bounded(rng):
     lam = rng.normal(size=1 << 10)
     for _ in range(100):
         theta = rng.uniform(0, 4 * np.pi, circuit.parameter_count)
-        ansatz_adjoint(circuit, theta, ansatz_amplitudes(circuit, theta), lam)
+        ansatz_adjoint(circuit, theta, lam)
     assert states._theta_factors.cache_info().currsize <= 8
 
 
