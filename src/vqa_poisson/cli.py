@@ -7,17 +7,18 @@ the output directory.  All runs are deterministic given (config, seed).
 
 Usage: ``vqa-poisson <experiment> [--config FILE] [--FLAG VALUE ...]`` with one
 flag per :data:`FLAGS` entry (a config file takes the same names as keys); an
-experiment rejects the flags it does not read.  :data:`STUDIES` holds each
-experiment's default ``--n`` and runner.  The manifest's keys are the config's
-fields.  Exit codes: 0 success, 2 usage error (a bad flag or value, or an
-unreadable config file), 1 runtime failure.
+experiment rejects the flags it does not read.  :data:`FLAGS` holds each flag's
+default and :data:`STUDIES` each experiment's default ``--n`` and runner.  The
+manifest has one line per flag the experiment reads, keyed by the flag's field.
+Exit codes: 0 success, 2 usage error (a bad flag or value, or an unreadable
+config file), 1 runtime failure.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import astuple, dataclass, field, fields
+from dataclasses import astuple
 from pathlib import Path
 from typing import Any, Callable, NamedTuple
 
@@ -36,31 +37,12 @@ from .sampling import (UnstableEstimateError, derive_seed, draw_counts,
 from .states import ansatz_amplitudes, prepare_ansatz_state
 
 METHODS = ("proposed", "baseline")
-SHOT_RANGE = "64:16384"  # the shot-grid studies' default --shots
 MAX_SHOTS = 1 << 62  # the largest power of two numpy's multinomial takes as a count
 STATEVECTOR_QUBIT_CAP = 10
 
 
 class UsageError(Exception):
     """A bad flag, value or config file: exit 2."""
-
-
-@dataclass
-class ExperimentConfig:
-    experiment: str
-    bc: BoundaryCondition = BoundaryCondition.DIRICHLET
-    n_values: range = range(5, 6)
-    layers: int = 5
-    trials: int = 10
-    shot_values: list[int] = field(default_factory=list)
-    repeats: int = 10
-    seed: int = 1234
-    epsilon: float | None = None  # None: the boundary condition's default
-    tol: float = 0.1
-    grad_threshold: float = 1e-6
-    max_iterations: int = 2000
-    method: str = "proposed"
-    out: Path = Path("out")
 
 
 def _parse_range(text: str) -> range:
@@ -83,15 +65,17 @@ def _powers_of_two(text: str) -> list[int]:
 
 
 class Flag(NamedTuple):
-    """A flag and config key: its cast, --help, readers, and (test, rule) on its value."""
+    """A flag and config key: its cast, --help, readers, default, and (test, rule) on a value."""
     cast: Callable[[str], Any]
     help: str
     readers: frozenset[str]
+    default: str | None  # parsed as a given value; None: set by the study or the bc
     check: tuple[Callable[[Any], bool], str] = (lambda value: True, "")
-    field: str = ""  # its ExperimentConfig field, when that is not the flag's name
+    field: str = ""  # its manifest key, when that is not the flag's name
 
 
 _OPTIMIZING = frozenset({"solve", "solution-field", "trace-distance-vs-n", "iterations-vs-n"})
+_ONE_N = frozenset({"solve", "solution-field", "fem2d-verify"})  # each runs a single n
 _SHOT_GRID = frozenset({"shot-error-vs-s", "grad-similarity-vs-s"})
 _SIMULATED = _OPTIMIZING | _SHOT_GRID | {"circuit-count-vs-n", "barren-plateau"}
 _EVERY = _SIMULATED | {"fem2d-verify"}  # fem2d-verify builds its meshes from --n alone
@@ -99,23 +83,27 @@ _AT_LEAST_0, _AT_LEAST_1 = (lambda v: v >= 0, ">= 0"), (lambda v: v >= 1, ">= 1"
 _POSITIVE = (lambda v: 0 < v < np.inf, "finite and > 0")
 
 FLAGS = {
-    "bc": Flag(BoundaryCondition, "periodic, dirichlet or neumann", _SIMULATED),
-    "n": Flag(_parse_range, "qubit count N or range LO:HI", _EVERY, field="n_values"),
-    "layers": Flag(int, "ansatz layers", _SIMULATED, _AT_LEAST_0),
-    "trials": Flag(int, "trials per qubit count", _OPTIMIZING | {"barren-plateau"}, _AT_LEAST_1),
-    "shots": Flag(_powers_of_two, f"powers of two in LO:HI (default {SHOT_RANGE})",
-                  _SHOT_GRID, (lambda v: v[-1] <= MAX_SHOTS, "at most 2^62"), "shot_values"),
-    "repeats": Flag(int, "estimates per shot count", _SHOT_GRID, _AT_LEAST_1),
-    "seed": Flag(int, "master seed of every draw", _SIMULATED, _AT_LEAST_0),
-    "epsilon": Flag(float, "regularization (default: the bc's)", _SIMULATED,
+    "bc": Flag(BoundaryCondition, "periodic, dirichlet or neumann", _SIMULATED, "dirichlet"),
+    "n": Flag(_parse_range, "qubit count N or range LO:HI (default: the experiment's)", _EVERY,
+              None, field="n_values"),
+    "layers": Flag(int, "ansatz layers", _SIMULATED, "5", _AT_LEAST_0),
+    "trials": Flag(int, "trials per qubit count", _OPTIMIZING | {"barren-plateau"}, "10",
+                   _AT_LEAST_1),
+    "shots": Flag(_powers_of_two, "powers of two in LO:HI", _SHOT_GRID, "64:16384",
+                  (lambda v: v[-1] <= MAX_SHOTS, "at most 2^62"), "shot_values"),
+    "repeats": Flag(int, "estimates per shot count", _SHOT_GRID, "10", _AT_LEAST_1),
+    "seed": Flag(int, "master seed of every draw", _SIMULATED, "1234", _AT_LEAST_0),
+    "epsilon": Flag(float, "regularization (default: the bc's)", _SIMULATED, None,
                     (lambda v: 0 <= v < np.inf, "finite and >= 0")),
-    "tol": Flag(float, "trace-distance tolerance", frozenset({"iterations-vs-n"}), _POSITIVE),
+    "tol": Flag(float, "trace-distance tolerance", frozenset({"iterations-vs-n"}), "0.1",
+                _POSITIVE),
     "grad_threshold": Flag(float, "gradient-norm stopping threshold",
-                           _OPTIMIZING - {"iterations-vs-n"}, _POSITIVE),
-    "max_iterations": Flag(int, "BFGS iteration cap per trial", _OPTIMIZING, _AT_LEAST_0),
-    "method": Flag(str, "proposed, or baseline for shot-error-vs-s", _EVERY,
+                           _OPTIMIZING - {"iterations-vs-n"}, "1e-6", _POSITIVE),
+    "max_iterations": Flag(int, "BFGS iteration cap per trial", _OPTIMIZING, "2000",
+                           _AT_LEAST_0),
+    "method": Flag(str, "proposed, or baseline for shot-error-vs-s", _EVERY, "proposed",
                    (lambda v: v in METHODS, f"one of {METHODS}")),
-    "out": Flag(Path, "output directory (default out)", _EVERY),
+    "out": Flag(Path, "output directory", _EVERY, "out"),
 }
 
 
@@ -127,7 +115,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("experiment", choices=STUDIES)
     parser.add_argument("--config", type=Path, help="flat key=value file; flags override it")
     for name, flag in FLAGS.items():
-        parser.add_argument(f"--{name.replace('_', '-')}", help=flag.help)
+        default = "" if flag.default is None else f" (default {flag.default})"
+        parser.add_argument(f"--{name.replace('_', '-')}", help=flag.help + default)
     return parser
 
 
@@ -151,21 +140,26 @@ def _read_config_file(path: Path) -> dict[str, str]:
     return values
 
 
-def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
+def resolve_config(args: argparse.Namespace) -> argparse.Namespace:
+    """The experiment and each flag it reads, by field: the flag's default, then the
+    config file's value, then the command line's."""
     experiment = args.experiment
     values = _read_config_file(args.config) if args.config else {}
     values.update({k: v for k, v in vars(args).items() if k in FLAGS and v is not None})
     values.setdefault("n", STUDIES[experiment].n)
-    if experiment in FLAGS["shots"].readers:
-        values.setdefault("shots", SHOT_RANGE)
 
-    config = ExperimentConfig(experiment=experiment)
-    for name, text in values.items():
-        flag = FLAGS[name]
+    config = argparse.Namespace(experiment=experiment)
+    for name, flag in FLAGS.items():
         if experiment not in flag.readers:
-            takers = ", ".join(e for e in STUDIES if e in flag.readers)
-            raise UsageError(f"{experiment} does not read --{name.replace('_', '-')}; "
-                             f"only {takers} take it")
+            if name in values:
+                takers = ", ".join(e for e in STUDIES if e in flag.readers)
+                raise UsageError(f"{experiment} does not read --{name.replace('_', '-')}; "
+                                 f"only {takers} take it")
+            continue
+        text = values.get(name, flag.default)
+        if text is None:  # epsilon: the boundary condition's default
+            config.epsilon = DEFAULT_EPSILON[config.bc]
+            continue
         try:
             value = flag.cast(text)
         except ValueError as err:
@@ -174,19 +168,22 @@ def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
         if not ok(value):
             raise UsageError(f"{name} must be {rule}, got {text!r}")
         setattr(config, flag.field or name, value)
-    if config.epsilon is None:
-        config.epsilon = DEFAULT_EPSILON[config.bc]
 
-    for ok, message in (
+    n = config.n_values
+    rules = [
         (config.method == "proposed" or experiment == "shot-error-vs-s",
          f"method {config.method!r} is for shot-error-vs-s; {experiment} runs the proposed one"),
-        (config.n_values[-1] <= STATEVECTOR_QUBIT_CAP,
-         f"n capped at {STATEVECTOR_QUBIT_CAP} qubits"),
-        (experiment != "fem2d-verify" or 2 * config.n_values[-1] <= DENSE_QUBIT_CAP,
+        (len(n) == 1 or experiment not in _ONE_N,
+         f"{experiment} runs one n, not the range {n[0]}:{n[-1]}"),
+        (n[-1] <= STATEVECTOR_QUBIT_CAP, f"n capped at {STATEVECTOR_QUBIT_CAP} qubits"),
+        (experiment != "fem2d-verify" or 2 * n[-1] <= DENSE_QUBIT_CAP,
          f"fem2d-verify reassembles meshes of up to 2n qubits, capped at {DENSE_QUBIT_CAP}"),
-        (config.epsilon > 0 or config.bc is BoundaryCondition.DIRICHLET,
-         f"{config.bc.value} boundaries need epsilon > 0: the operator is singular without it"),
-    ):
+    ]
+    if "epsilon" in vars(config):
+        rules.append((config.epsilon > 0 or config.bc is BoundaryCondition.DIRICHLET,
+                      f"{config.bc.value} boundaries need epsilon > 0: the operator is "
+                      "singular without it"))
+    for ok, message in rules:
         if not ok:
             raise UsageError(message)
     return config
@@ -218,10 +215,9 @@ def _write_fig(path: Path, columns: list[str], rows: list[list]) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
-def _write_manifest(path: Path, config: ExperimentConfig, summary: list[str]) -> None:
+def _write_manifest(path: Path, config: argparse.Namespace, summary: list[str]) -> None:
     lines = [f"package = vqa-poisson {__version__}"]
-    lines += [f"{f.name} = {_fmt(getattr(config, f.name))}" for f in fields(config)
-              if f.name != "out"]
+    lines += [f"{key} = {_fmt(value)}" for key, value in vars(config).items() if key != "out"]
     lines += summary
     path.write_text("\n".join(lines) + "\n")
 
@@ -230,7 +226,7 @@ def _loglog_slope(x: np.ndarray, y: np.ndarray) -> float:
     return float(np.polyfit(np.log10(x), np.log10(y), 1)[0])
 
 
-def _trials(config: ExperimentConfig, n: int, terminal):
+def _trials(config: argparse.Namespace, n: int, terminal):
     """The seeded problem at n and its config.trials BFGS trials."""
     problem = make_problem(n, config.bc, config.layers, config.epsilon)
     return problem, run_trials(problem, OptimizationConfig(
@@ -241,7 +237,7 @@ def _statuses(result: TrialsResult) -> str:
     return ",".join(f"{status}:{count}" for status, count in result.statuses.items())
 
 
-def _run_solve(config: ExperimentConfig, out: Path) -> tuple[list[str], int]:
+def _run_solve(config: argparse.Namespace, out: Path) -> tuple[list[str], int]:
     problem, result = _trials(config, config.n_values[0], GradNorm(config.grad_threshold))
     rows = [[k, t.status, t.iterations_used, t.circuit_executions, t.final_report.energy,
              t.final_report.r_opt, t.trace_distance, t.final_gradient_norm]
@@ -259,7 +255,7 @@ def _run_solve(config: ExperimentConfig, out: Path) -> tuple[list[str], int]:
     return summary, 0
 
 
-def _run_solution_field(config: ExperimentConfig, out: Path) -> tuple[list[str], int]:
+def _run_solution_field(config: argparse.Namespace, out: Path) -> tuple[list[str], int]:
     n = config.n_values[0]
     problem, result = _trials(config, n, GradNorm(config.grad_threshold))
     classical = problem.classical().u
@@ -276,7 +272,7 @@ def _run_solution_field(config: ExperimentConfig, out: Path) -> tuple[list[str],
             f"mean_trace_distance = {_fmt(result.mean_trace_distance)}"], 0
 
 
-def _run_trace_distance_vs_n(config: ExperimentConfig, out: Path) -> tuple[list[str], int]:
+def _run_trace_distance_vs_n(config: argparse.Namespace, out: Path) -> tuple[list[str], int]:
     rows, fig_rows, summary = [], [], []
     for n in config.n_values:
         _, result = _trials(config, n, GradNorm(config.grad_threshold))
@@ -293,14 +289,14 @@ def _run_trace_distance_vs_n(config: ExperimentConfig, out: Path) -> tuple[list[
     return summary, 0
 
 
-def _fixed_point(config: ExperimentConfig, n: int):
+def _fixed_point(config: argparse.Namespace, n: int):
     """Operator, ansatz, source and seeded evaluation point of a fixed-theta study."""
     problem = make_problem(n, config.bc, config.layers, config.epsilon)
     return (problem.operator, problem.circuit, problem.source,
             draw_theta(problem.circuit, derive_seed(config.seed, n)))
 
 
-def _run_circuit_count_vs_n(config: ExperimentConfig, out: Path) -> tuple[list[str], int]:
+def _run_circuit_count_vs_n(config: argparse.Namespace, out: Path) -> tuple[list[str], int]:
     rows, res_rows = [], []
     for n in config.n_values:
         op, circuit, f, theta = _fixed_point(config, n)
@@ -333,7 +329,7 @@ def _run_circuit_count_vs_n(config: ExperimentConfig, out: Path) -> tuple[list[s
     return [], 0
 
 
-def _run_iterations_vs_n(config: ExperimentConfig, out: Path) -> tuple[list[str], int]:
+def _run_iterations_vs_n(config: argparse.Namespace, out: Path) -> tuple[list[str], int]:
     rows, fig_rows, means, summary = [], [], [], []
     for n in config.n_values:
         _, result = _trials(config, n, TraceDistance(config.tol))
@@ -371,7 +367,7 @@ def _sample_baseline_cost(eig_a2, eig_xa, sup: np.ndarray, psi: np.ndarray,
     return est_a2 - est_af * est_af
 
 
-def _shot_grid(config: ExperimentConfig, out: Path, fig: str, statistic: str,
+def _shot_grid(config: argparse.Namespace, out: Path, fig: str, statistic: str,
                columns: list[str], measure_at) -> tuple[list[str], int]:
     """Repeat ``measure_at(n)(shots, seed)`` over each n's shot grid; its cells
     follow (n, shots, repeat) in a results row, and the fig plots the last one."""
@@ -396,7 +392,7 @@ def _shot_grid(config: ExperimentConfig, out: Path, fig: str, statistic: str,
     return summary, 0
 
 
-def _run_shot_error_vs_s(config: ExperimentConfig, out: Path) -> tuple[list[str], int]:
+def _run_shot_error_vs_s(config: argparse.Namespace, out: Path) -> tuple[list[str], int]:
     def measure_at(n: int):
         op, circuit, f, theta = _fixed_point(config, n)
         if config.method == "baseline":
@@ -422,7 +418,7 @@ def _run_shot_error_vs_s(config: ExperimentConfig, out: Path) -> tuple[list[str]
                       ["estimate", "exact", "squared_error"], measure_at)
 
 
-def _run_grad_similarity_vs_s(config: ExperimentConfig, out: Path) -> tuple[list[str], int]:
+def _run_grad_similarity_vs_s(config: argparse.Namespace, out: Path) -> tuple[list[str], int]:
     def measure_at(n: int):
         op, circuit, f, theta = _fixed_point(config, n)
         exact = grad_cost(op, circuit, theta, f).grad
@@ -456,7 +452,7 @@ def barren_plateau_norms(n: int, layers: int, bc: BoundaryCondition, epsilon: fl
     return rows
 
 
-def _run_barren_plateau(config: ExperimentConfig, out: Path) -> tuple[list[str], int]:
+def _run_barren_plateau(config: argparse.Namespace, out: Path) -> tuple[list[str], int]:
     rows = []
     series = {name: [] for name in ("cost", "even", "odd", "numerator")}
     for n in config.n_values:
@@ -474,7 +470,7 @@ def _run_barren_plateau(config: ExperimentConfig, out: Path) -> tuple[list[str],
     return [], 0
 
 
-def _run_fem2d_verify(config: ExperimentConfig, out: Path) -> tuple[list[str], int]:
+def _run_fem2d_verify(config: argparse.Namespace, out: Path) -> tuple[list[str], int]:
     cap = config.n_values[-1]
     rows = []
     for nx in range(1, cap + 1):
@@ -494,7 +490,7 @@ def _run_fem2d_verify(config: ExperimentConfig, out: Path) -> tuple[list[str], i
 
 class Study(NamedTuple):
     n: str  # default --n
-    run: Callable[[ExperimentConfig, Path], tuple[list[str], int]]
+    run: Callable[[argparse.Namespace, Path], tuple[list[str], int]]
 
 
 STUDIES = {
@@ -510,7 +506,7 @@ STUDIES = {
 }
 
 
-def run(config: ExperimentConfig) -> int:
+def run(config: argparse.Namespace) -> int:
     out = config.out
     out.mkdir(parents=True, exist_ok=True)
     summary, code = STUDIES[config.experiment].run(config, out)

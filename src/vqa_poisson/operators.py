@@ -180,6 +180,8 @@ def shift_amplitudes(amps: np.ndarray, axes: tuple[int, ...],
     On axis k the amplitude at field value j moves to (j + shifts[k]) mod 2^axes[k].
     A (rows, 2^n) array is shifted row by row.
     """
+    if len(shifts) != len(axes):
+        raise ValueError(f"{len(shifts)} shifts for the axes {axes}: need one per axis")
     if not any(shifts):
         return amps
     shape = amps.shape[:-1] + tuple(1 << a for a in reversed(axes))

@@ -108,9 +108,10 @@ def bfgs(evaluate: Callable[[np.ndarray], tuple[float, Callable[[], np.ndarray]]
     Armijo margin rounds away.  A step must lower the value strictly, by the
     Armijo margin.  Where the margin rounds away at the value's last bit, an
     equal value is taken only if the gradient norm drops there, a
-    zero-decrease step.  ``stop_when(x, value, gradient)`` is consulted once
-    per iterate.  A SingularOperatorError from ``evaluate`` aborts cleanly at
-    x0 and rejects a line-search trial elsewhere.
+    zero-decrease step.  The line search fails once the trial point rounds to
+    x.  ``stop_when(x, value, gradient)`` is consulted once per iterate.  A
+    SingularOperatorError from ``evaluate`` aborts cleanly at x0 and rejects a
+    line-search trial elsewhere.
     Statuses: converged, max_iterations, line_search_failed, aborted:<why>.
     The result counts accepted steps that did not lower the value and
     skipped inverse-Hessian updates.
@@ -154,9 +155,13 @@ def bfgs(evaluate: Callable[[np.ndarray], tuple[float, Callable[[], np.ndarray]]
 
         alpha = 1.0
         accepted = new_grad = None
+        at_x = x.tobytes()
         for _ in range(40):
+            trial = x + alpha * direction
+            if trial.tobytes() == at_x:  # the step rounds away, and so does every shorter one
+                break
             try:
-                candidate, gradient_at = evaluate(x + alpha * direction)
+                candidate, gradient_at = evaluate(trial)
                 bound = value + 1e-4 * alpha * slope
                 # Where the Armijo term rounds away, the value cannot show a
                 # decrease: an equal value is taken only where |g| drops.
@@ -174,7 +179,6 @@ def bfgs(evaluate: Callable[[np.ndarray], tuple[float, Callable[[], np.ndarray]]
         zero_decrease += int(accepted >= value)
 
         step = alpha * direction
-        new_x = x + step
         if new_grad is None:
             new_grad = gradient_at()
         y = new_grad - grad
@@ -189,7 +193,7 @@ def bfgs(evaluate: Callable[[np.ndarray], tuple[float, Callable[[], np.ndarray]]
                            + rho * np.outer(step, step))
         else:
             skipped += 1
-        x, value, grad = new_x, accepted, new_grad
+        x, value, grad = trial, accepted, new_grad
         k += 1
 
     final_gnorm = float(np.sqrt(grad @ grad)) if np.all(np.isfinite(grad)) else np.nan

@@ -48,7 +48,12 @@ def test_headers_are_stable(experiment, tmp_path):
     assert code == 0
     header = (out / "results.csv").read_text().splitlines()[0]
     assert header == EXPECTED_HEADERS[experiment]
-    assert (out / "manifest.txt").exists()
+    # the manifest names the flags the experiment reads, in FLAGS order, and no other
+    read = [flag.field or name for name, flag in FLAGS.items()
+            if experiment in flag.readers and name != "out"]
+    keys = [line.split(" = ")[0] for line in (out / "manifest.txt").read_text().splitlines()]
+    assert keys[:len(read) + 2] == ["package", "experiment", *read]
+    assert not {flag.field or name for name, flag in FLAGS.items()} & set(keys[len(read) + 2:])
 
 
 def test_runs_are_byte_deterministic(tmp_path):
@@ -128,20 +133,16 @@ def test_one_point_shot_grid_writes_no_slope(experiment, shots, tmp_path):
 def test_manifest_configuration_lines_are_pinned(tmp_path):
     assert main(["shot-error-vs-s", "--bc", "periodic", "--n", "2:3", "--shots", "64:256",
                  "--repeats", "1", "--seed", "9", "--out", str(tmp_path)]) == 0
-    assert (tmp_path / "manifest.txt").read_text().splitlines()[:14] == [
+    assert (tmp_path / "manifest.txt").read_text().splitlines()[:10] == [
         "package = vqa-poisson 0.1.0",
         "experiment = shot-error-vs-s",
         "bc = periodic",
         "n_values = 2,3",
         "layers = 5",
-        "trials = 10",
         "shot_values = 64,128,256",
         "repeats = 1",
         "seed = 9",
         "epsilon = 0.001",
-        "tol = 0.1",
-        "grad_threshold = 1e-06",
-        "max_iterations = 2000",
         "method = proposed",
     ]
 
@@ -206,6 +207,9 @@ def test_usage_errors_exit_two(tmp_path):
         ["solve", "--bc", "neumann", "--epsilon", "0", "--n", "3"],
         ["solve", "--seed", "-1"],
         ["fem2d-verify", "--n", "7"],
+        ["solve", "--n", "2:4", "--trials", "1"],
+        ["solution-field", "--n", "2:3", "--trials", "1"],
+        ["fem2d-verify", "--n", "1:2"],
         ["solve", "--n", "2", "--trials", "1", "--method", "baseline"],
         ["grad-similarity-vs-s", "--n", "2", "--method", "baseline"],
         ["barren-plateau", "--n", "2", "--method", "baseline"],

@@ -5,7 +5,8 @@ from vqa_poisson import (DEFAULT_EPSILON, AnsatzCircuit, BoundaryCondition, Obse
                          PoissonOperator, SingularOperatorError, Statevector, baseline_cost,
                          build_matrix, cost, cost_from_state, decompose, denominator,
                          expectation, measured_circuit_count, numerator_hadamard,
-                         prepare_ansatz_state, prepare_source_state, solve)
+                         prepare_ansatz_state, prepare_source_state, sample_term, solve,
+                         term_gradient, term_shot_moments)
 from vqa_poisson.cost import apply_factor_product, apply_operator, apply_term
 from vqa_poisson.operators import (FACTOR_I, FACTOR_P0, FACTOR_X, Mesh2D, build_fem_2d,
                                    reassemble_dense, shift_amplitudes)
@@ -40,6 +41,27 @@ def test_projector_x_term_with_shift():
 def test_expectation_rejects_size_mismatch():
     with pytest.raises(ValueError):
         expectation(x_term(2), Statevector.zero(3))
+
+
+@pytest.mark.parametrize("helper", [
+    lambda term, circuit, theta, axes: expectation(
+        term, prepare_ansatz_state(circuit, theta), axes),
+    lambda term, circuit, theta, axes: term_shot_moments(
+        term, prepare_ansatz_state(circuit, theta), axes),
+    lambda term, circuit, theta, axes: sample_term(
+        term, prepare_ansatz_state(circuit, theta), 64, 0, axes),
+    lambda term, circuit, theta, axes: term_gradient(term, circuit, theta, axes),
+], ids=["expectation", "term_shot_moments", "sample_term", "term_gradient"])
+def test_term_helpers_reject_a_two_axis_term_without_its_axes(helper, rng):
+    # without axes a helper reads the register as one axis (3,): it must not
+    # apply one of the term's two shifts, or roll an axis the array lacks
+    op = build_fem_2d(Mesh2D(2, 1))
+    circuit = AnsatzCircuit(op.n_qubits, 2)
+    theta = random_theta(rng, circuit)
+    for term in op.terms:
+        helper(term, circuit, theta, op.axes)
+        with pytest.raises(ValueError, match=r"2 shifts for the axes \(3,\)"):
+            helper(term, circuit, theta, None)
 
 
 def test_denominator_of_step_state_dirichlet():

@@ -80,6 +80,9 @@ def test_shift_moves_basis_states():
     # two axes (1, 2): |x=1, y=3> (index 1 + 3*2) moves to |x=0, y=0>
     out = shift_amplitudes(Statevector.basis(3, 7).amplitudes, (1, 2), (1, 1))
     np.testing.assert_array_equal(out, Statevector.basis(3, 0).amplitudes)
+    for shifts in ((1,), (0, 0, 0)):  # one shift per axis, zero shifts included
+        with pytest.raises(ValueError, match=r"for the axes \(1, 2\)"):
+            shift_amplitudes(Statevector.basis(3, 7).amplitudes, (1, 2), shifts)
 
 
 def test_shift_fixes_uniform_state():

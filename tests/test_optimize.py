@@ -11,6 +11,7 @@ from vqa_poisson.classical import SolverError, trace_distance
 from vqa_poisson.cost import apply_operator
 from vqa_poisson.gradient import grad_cost
 from vqa_poisson.optimize import bfgs
+from vqa_poisson.sampling import derive_seed
 from vqa_poisson.operators import PoissonOperator
 
 DIRICHLET = BoundaryCondition.DIRICHLET
@@ -85,6 +86,16 @@ def test_energy_lower_bound_respected_throughout():
     for seed in (1, 2, 3):
         trace = minimize(problem, config, trial_seed=seed)
         assert all(c >= bound - 1e-9 for c in trace.costs)
+
+
+def test_line_search_stops_once_the_step_rounds_to_theta():
+    # this trial's last line search reaches steps that round to theta; halving
+    # further would re-evaluate theta and count its circuits again (136,440)
+    problem = make_problem(6, DIRICHLET)
+    trace = minimize(problem, OptimizationConfig(), trial_seed=derive_seed(1234, 5))
+    assert trace.status == "line_search_failed"
+    assert trace.iterations_used == 902
+    assert trace.circuit_executions == 135_256
 
 
 @pytest.mark.parametrize("max_iterations,status", [(3, "max_iterations"), (1000, "converged")])
