@@ -18,7 +18,7 @@ from .resources import (ResourceReport, ShiftResourceCounts, StatePrepDepth, ans
 from .sampling import (MsePrediction, ShotEstimate, UnstableEstimateError, derive_seed,
                        predict_mse, sample_cost, sample_cost_estimates, sample_term,
                        sampled_gradient, term_shot_moments)
-from .states import (AnsatzCircuit, Statevector, apply_h, apply_x, prepare_ansatz_state,
-                     prepare_source_state, prepare_superposition_state)
+from .states import (AnsatzCircuit, Statevector, prepare_ansatz_state, prepare_source_state,
+                     prepare_superposition_state)
 
 __version__ = "0.1.0"

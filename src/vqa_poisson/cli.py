@@ -34,7 +34,7 @@ from .optimize import (GradNorm, OptimizationConfig, TraceDistance, TrialsResult
 from .resources import count_baseline_circuits, resource_report
 from .sampling import (UnstableEstimateError, derive_seed, draw_counts,
                        sample_cost_estimates, sampled_gradient)
-from .states import ansatz_amplitudes, prepare_ansatz_state
+from .states import ansatz_amplitudes, prepare_ansatz_state, superposition_rows
 
 METHODS = ("proposed", "baseline")
 MAX_SHOTS = 1 << 62  # the largest power of two numpy's multinomial takes as a count
@@ -203,15 +203,12 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
-    lines = [",".join(header)]
-    lines += [",".join(_fmt(cell) for cell in row) for row in rows]
-    path.write_text("\n".join(lines) + "\n")
-
-
-def _write_fig(path: Path, columns: list[str], rows: list[list]) -> None:
-    lines = ["# " + " ".join(columns)]
-    lines += [" ".join(_fmt(cell) for cell in row) for row in rows]
+def _write_table(path: Path, header: list[str], rows: list[list]) -> None:
+    """A header line and one line per row: comma-separated in a ``.csv`` file,
+    whitespace-separated under a ``# `` header in a ``fig_*.dat`` plot file."""
+    sep, prefix = (" ", "# ") if path.suffix == ".dat" else (",", "")
+    lines = [prefix + sep.join(header)]
+    lines += [sep.join(_fmt(cell) for cell in row) for row in rows]
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -242,9 +239,9 @@ def _run_solve(config: argparse.Namespace, out: Path) -> tuple[list[str], int]:
     rows = [[k, t.status, t.iterations_used, t.circuit_executions, t.final_report.energy,
              t.final_report.r_opt, t.trace_distance, t.final_gradient_norm]
             for k, t in enumerate(result.traces)]
-    _write_csv(out / "results.csv",
-               ["trial", "status", "iterations", "circuit_executions", "energy",
-                "r_opt", "trace_distance", "grad_norm"], rows)
+    _write_table(out / "results.csv",
+                 ["trial", "status", "iterations", "circuit_executions", "energy",
+                  "r_opt", "trace_distance", "grad_norm"], rows)
     summary = [
         f"statuses = {_statuses(result)}",
         f"mean_iterations = {_fmt(result.mean_iterations)}",
@@ -263,11 +260,11 @@ def _run_solution_field(config: argparse.Namespace, out: Path) -> tuple[list[str
                  for t in result.traces]
     header = ["node", "classical"] + [f"trial_{k}" for k in range(len(solutions))]
     rows = [[node, classical[node]] + [sol[node] for sol in solutions] for node in range(1 << n)]
-    _write_csv(out / "results.csv", header, rows)
+    _write_table(out / "results.csv", header, rows)
     stacked = np.stack(solutions)
     fig_rows = [[node, classical[node], stacked[:, node].mean(), stacked[:, node].std()]
                 for node in range(1 << n)]
-    _write_fig(out / "fig_solution_field.dat", ["node", "classical", "mean", "std"], fig_rows)
+    _write_table(out / "fig_solution_field.dat", ["node", "classical", "mean", "std"], fig_rows)
     return [f"statuses = {_statuses(result)}",
             f"mean_trace_distance = {_fmt(result.mean_trace_distance)}"], 0
 
@@ -282,10 +279,10 @@ def _run_trace_distance_vs_n(config: argparse.Namespace, out: Path) -> tuple[lis
                      result.mean_iterations, result.std_iterations,
                      result.mean_energy, result.std_energy])
         fig_rows.append([n, result.mean_trace_distance, result.std_trace_distance])
-    _write_csv(out / "results.csv",
-               ["n", "bc", "trials", "converged", "mean_trace_distance", "std_trace_distance",
-                "mean_iterations", "std_iterations", "mean_energy", "std_energy"], rows)
-    _write_fig(out / "fig_trace_distance.dat", ["n", "mean", "std"], fig_rows)
+    _write_table(out / "results.csv",
+                 ["n", "bc", "trials", "converged", "mean_trace_distance", "std_trace_distance",
+                  "mean_iterations", "std_iterations", "mean_energy", "std_energy"], rows)
+    _write_table(out / "fig_trace_distance.dat", ["n", "mean", "std"], fig_rows)
     return summary, 0
 
 
@@ -318,14 +315,13 @@ def _run_circuit_count_vs_n(config: argparse.Namespace, out: Path) -> tuple[list
         report = resource_report(n, config.layers, config.bc)
         res_rows.append([n, report.t_c, report.t_g, *astuple(report.shift),
                          *astuple(report.state_prep)])
-    _write_csv(out / "results.csv",
-               ["n", "bc", "circuits_proposed", "circuits_baseline"], rows)
-    _write_csv(out / "resources.csv",
-               ["n", "t_c", "t_g", "shift_rel_phase_toffolis", "shift_toffolis",
-                "shift_cnot", "shift_x", "total_qubits_with_ancilla",
-                "ansatz_depth", "encoding_depth", "shift_depth_bound"], res_rows)
-    _write_fig(out / "fig_circuit_count.dat", ["n", "proposed", "baseline"],
-               [[r[0], r[2], r[3]] for r in rows])
+    _write_table(out / "results.csv", ["n", "bc", "circuits_proposed", "circuits_baseline"], rows)
+    _write_table(out / "resources.csv",
+                 ["n", "t_c", "t_g", "shift_rel_phase_toffolis", "shift_toffolis",
+                  "shift_cnot", "shift_x", "total_qubits_with_ancilla",
+                  "ansatz_depth", "encoding_depth", "shift_depth_bound"], res_rows)
+    _write_table(out / "fig_circuit_count.dat", ["n", "proposed", "baseline"],
+                 [[r[0], r[2], r[3]] for r in rows])
     return [], 0
 
 
@@ -340,10 +336,10 @@ def _run_iterations_vs_n(config: argparse.Namespace, out: Path) -> tuple[list[st
                      result.mean_trace_distance, result.std_trace_distance])
         fig_rows.append([n, result.mean_iterations, result.std_iterations])
         means.append(result.mean_iterations)
-    _write_csv(out / "results.csv",
-               ["n", "bc", "tolerance", "trials", "converged", "mean_iterations",
-                "std_iterations", "mean_trace_distance", "std_trace_distance"], rows)
-    _write_fig(out / "fig_iterations.dat", ["n", "mean", "std"], fig_rows)
+    _write_table(out / "results.csv",
+                 ["n", "bc", "tolerance", "trials", "converged", "mean_iterations",
+                  "std_iterations", "mean_trace_distance", "std_trace_distance"], rows)
+    _write_table(out / "fig_iterations.dat", ["n", "mean", "std"], fig_rows)
     if len(config.n_values) > 1 and all(m > 0 for m in means):
         slope = _loglog_slope(np.array(config.n_values, float), np.array(means))
         summary.append(f"loglog_slope_iterations = {_fmt(slope)}")
@@ -370,25 +366,35 @@ def _sample_baseline_cost(eig_a2, eig_xa, sup: np.ndarray, psi: np.ndarray,
 def _shot_grid(config: argparse.Namespace, out: Path, fig: str, statistic: str,
                columns: list[str], measure_at) -> tuple[list[str], int]:
     """Repeat ``measure_at(n)(shots, seed)`` over each n's shot grid; its cells
-    follow (n, shots, repeat) in a results row, and the fig plots the last one."""
+    follow (n, shots, repeat) in a results row, and the fig plots the last one.
+    An estimate whose sampled denominator is not positive writes a row of nan
+    cells, stays out of the fig and the slope, and counts in ``unstable_n<N>``."""
     rows, summary = [], []
     for n in config.n_values:
         measure = measure_at(n)
-        fig_rows = []
+        fig_rows, unstable = [], 0
         for shots in config.shot_values:
             values = []
             for repeat in range(config.repeats):
-                cells = measure(shots, derive_seed(config.seed, n, shots, repeat))
-                values.append(cells[-1])
+                try:
+                    cells = measure(shots, derive_seed(config.seed, n, shots, repeat))
+                except UnstableEstimateError:
+                    cells = [np.nan] * len(columns)
+                    unstable += 1
+                else:
+                    values.append(cells[-1])
                 rows.append([n, shots, repeat, *cells])
-            fig_rows.append([shots, np.mean(values), np.std(values)])
-        _write_fig(out / f"fig_{fig}_n{n}.dat",
-                   ["shots", f"mean_{statistic}", f"std_{statistic}"], fig_rows)
-        if len(fig_rows) > 1:  # a line through one shot count has no slope
-            slope = _loglog_slope(np.array([r[0] for r in fig_rows], float),
-                                  np.array([max(r[1], 1e-300) for r in fig_rows]))
+            fig_rows.append([shots, np.mean(values or [np.nan]), np.std(values or [np.nan])])
+        _write_table(out / f"fig_{fig}_n{n}.dat",
+                     ["shots", f"mean_{statistic}", f"std_{statistic}"], fig_rows)
+        if unstable:
+            summary.append(f"unstable_n{n} = {unstable}")
+        stable = [r for r in fig_rows if not np.isnan(r[1])]
+        if len(stable) > 1:  # a line through one shot count has no slope
+            slope = _loglog_slope(np.array([r[0] for r in stable], float),
+                                  np.array([max(r[1], 1e-300) for r in stable]))
             summary.append(f"slope_n{n} = {_fmt(slope)}")
-    _write_csv(out / "results.csv", ["n", "shots", "repeat", *columns], rows)
+    _write_table(out / "results.csv", ["n", "shots", "repeat", *columns], rows)
     return summary, 0
 
 
@@ -401,14 +407,13 @@ def _run_shot_error_vs_s(config: argparse.Namespace, out: Path) -> tuple[list[st
             exact = baseline_cost(matrix, psi, f).cost
             eig_a2 = np.linalg.eigh(matrix)
             eig_xa = np.linalg.eigh(np.kron([[0.0, 1.0], [1.0, 0.0]], matrix))
-            sup = np.concatenate([f.amplitudes, psi.amplitudes]) / np.sqrt(2.0)
+            sup = superposition_rows(f.amplitudes, psi.amplitudes)
         else:
             exact = cost(op, circuit, theta, f).energy
 
         def measure(shots: int, seed: int) -> list[float]:
             if config.method == "baseline":
-                value = _sample_baseline_cost(eig_a2, eig_xa, sup, np.real(psi.amplitudes),
-                                              shots, seed)
+                value = _sample_baseline_cost(eig_a2, eig_xa, sup, psi.amplitudes, shots, seed)
             else:
                 value = sample_cost_estimates(op, circuit, theta, f, shots, seed)[0].energy
             return [value, exact, (value - exact) ** 2]
@@ -462,11 +467,11 @@ def _run_barren_plateau(config: argparse.Namespace, out: Path) -> tuple[list[str
         arr = np.array(norms)
         for col, name in enumerate(("cost", "even", "odd", "numerator")):
             series[name].append([n, arr[:, col].mean(), arr[:, col].std()])
-    _write_csv(out / "results.csv",
-               ["n", "seed_index", "grad_norm_cost", "grad_norm_even",
-                "grad_norm_odd", "grad_norm_numerator"], rows)
+    _write_table(out / "results.csv",
+                 ["n", "seed_index", "grad_norm_cost", "grad_norm_even",
+                  "grad_norm_odd", "grad_norm_numerator"], rows)
     for name, fig_rows in series.items():
-        _write_fig(out / f"fig_barren_plateau_{name}.dat", ["n", "mean", "std"], fig_rows)
+        _write_table(out / f"fig_barren_plateau_{name}.dat", ["n", "mean", "std"], fig_rows)
     return [], 0
 
 
@@ -482,8 +487,8 @@ def _run_fem2d_verify(config: argparse.Namespace, out: Path) -> tuple[list[str],
             max_err = float(np.abs(dense - reference).max())
             exact = bool(np.array_equal(dense, reference))
             rows.append([nx, ny, len(op.terms), op.constant_offset, max_err, exact])
-    _write_csv(out / "results.csv",
-               ["n_x", "n_y", "terms", "constant_offset", "max_abs_error", "exact_match"], rows)
+    _write_table(out / "results.csv",
+                 ["n_x", "n_y", "terms", "constant_offset", "max_abs_error", "exact_match"], rows)
     all_exact = all(row[-1] for row in rows)
     return [f"all_exact = {1 if all_exact else 0}"], 0 if all_exact else 1
 

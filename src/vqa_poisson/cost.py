@@ -19,8 +19,7 @@ import numpy as np
 
 from .operators import (FACTOR_I, FACTOR_X, ObservableTerm, PoissonOperator, _factor_masks,
                         gather_table, shift_amplitudes)
-from .states import (AnsatzCircuit, Statevector, _real_if_real, ansatz_amplitudes,
-                     prepare_superposition_state)
+from .states import AnsatzCircuit, Statevector, ansatz_amplitudes, prepare_superposition_state
 
 
 class SingularOperatorError(RuntimeError):
@@ -125,13 +124,13 @@ def cost_report(num: float, den: float) -> CostReport:
 def cost_from_state(op: PoissonOperator, psi: Statevector, f: Statevector) -> CostReport:
     """The cost of one state through A|psi>; equals the term-by-term circuit
     estimators :func:`numerator_hadamard` and :func:`denominator` to rounding."""
-    return cost_and_a_psi(op, _real_if_real(psi.amplitudes), _real_if_real(f.amplitudes))[0]
+    return cost_and_a_psi(op, psi.amplitudes, f.amplitudes)[0]
 
 
 def cost(op: PoissonOperator, circuit: AnsatzCircuit, theta: np.ndarray,
          f: Statevector) -> CostReport:
     """Evaluate numerator, denominator, r_opt and the energy at one theta."""
-    return cost_and_a_psi(op, ansatz_amplitudes(circuit, theta), _real_if_real(f.amplitudes))[0]
+    return cost_and_a_psi(op, ansatz_amplitudes(circuit, theta), f.amplitudes)[0]
 
 
 def measured_circuit_count(op: PoissonOperator) -> int:

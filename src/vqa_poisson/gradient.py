@@ -23,8 +23,8 @@ import numpy as np
 
 from .cost import CostReport, apply_term, cost_and_a_psi
 from .operators import ObservableTerm, PoissonOperator
-from .states import (AnsatzCircuit, Statevector, _real_if_real, ansatz_adjoint,
-                     ansatz_amplitudes, prepare_ansatz_state)
+from .states import (AnsatzCircuit, Statevector, ansatz_adjoint, ansatz_amplitudes,
+                     prepare_ansatz_state)
 
 
 @dataclass(frozen=True)
@@ -71,8 +71,7 @@ def grad_cost(op: PoissonOperator, circuit: AnsatzCircuit, theta: np.ndarray,
     cost and A psi, and :func:`grad_from_state` the gradient.
     """
     psi = ansatz_amplitudes(circuit, theta)
-    f_amps = _real_if_real(f.amplitudes)
-    grad = grad_from_state(circuit, theta, *cost_and_a_psi(op, psi, f_amps), f_amps)
+    grad = grad_from_state(circuit, theta, *cost_and_a_psi(op, psi, f.amplitudes), f.amplitudes)
     return GradientReport(grad=grad, norm=float(np.linalg.norm(grad)))
 
 

@@ -25,8 +25,7 @@ from .gradient import grad_from_state
 from .operators import (DEFAULT_EPSILON, Bands, BoundaryCondition, PoissonOperator,
                         build_bands, decompose)
 from .sampling import _generator, derive_seed
-from .states import (AnsatzCircuit, Statevector, _real_if_real, ansatz_amplitudes,
-                     prepare_source_state)
+from .states import AnsatzCircuit, Statevector, ansatz_amplitudes, prepare_source_state
 
 INIT_RANGE = (0.0, 4.0 * np.pi)
 
@@ -231,23 +230,22 @@ def minimize(problem: PoissonProblem, config: OptimizationConfig,
     GradNorm trial) reads the cost's psi at the final theta; it solves the
     classical system, so a singular operator raises SolverError here.
     """
-    op, circuit, f = problem.operator, problem.circuit, problem.source
+    op, circuit, f = problem.operator, problem.circuit, problem.source.amplitudes
     count = circuit.parameter_count
     if theta0 is None:
         theta0 = draw_theta(circuit, config.seed if trial_seed is None else trial_seed)
 
     t_c = measured_circuit_count(op)
-    f_amps = _real_if_real(f.amplitudes)
     counters = {"circuits": 0}
 
     def evaluate(theta: np.ndarray) -> tuple[float, Callable[[], np.ndarray]]:
         """The energy at theta, and its gradient from the same psi, report and A psi."""
         counters["circuits"] += t_c
-        report, a_psi = cost_and_a_psi(op, ansatz_amplitudes(circuit, theta), f_amps)
+        report, a_psi = cost_and_a_psi(op, ansatz_amplitudes(circuit, theta), f)
 
         def gradient() -> np.ndarray:
             counters["circuits"] += count * t_c
-            return grad_from_state(circuit, theta, report, a_psi, f_amps)
+            return grad_from_state(circuit, theta, report, a_psi, f)
 
         return report.energy, gradient
 
@@ -264,7 +262,7 @@ def minimize(problem: PoissonProblem, config: OptimizationConfig,
     theta = result.final_theta
     psi = ansatz_amplitudes(circuit, theta)
     try:
-        final_report = cost_and_a_psi(op, psi, f_amps)[0]
+        final_report = cost_and_a_psi(op, psi, f)[0]
     except SingularOperatorError:  # the first cost failed, so no step was taken
         final_report = CostReport(np.nan, np.nan, np.nan, np.nan)
     eps_tr = None

@@ -15,12 +15,12 @@ built once, over every row the slot measures (1 + T builds for T terms), and a
 gradient hands the measured arrays to
 :func:`~vqa_poisson.gradient.parameter_shift_gradient`.  Distributions
 depend on the operator, the circuit, theta and f, not on the shots or the
-seed, so one 4-entry cache keyed on those four (theta and f by their bytes)
-and on whether the shifts are swept keeps them read-only for both estimators.
-Repeated estimates at one theta, as in a shot-count study, sweep and build
-once and then only draw.  A gradient entry holds
-8 [(P + 1) 2^(n+1) + T (2P + 1) 2^n] bytes: 25 KB at n = 4 and about 4 MB at
-n = 10 (L = 5, Dirichlet).
+seed, so one 4-entry cache keyed on those four (theta by its bytes, f by its
+bytes and dtype) and on whether the shifts are swept keeps them read-only for
+both estimators.  Repeated estimates at one theta, as in a shot-count study,
+sweep and build once and then only draw.  A gradient entry holds
+8 [(P + 1) 2^(n+1) + T (2P + 1) 2^n] bytes for a real f: 25 KB at n = 4 and
+about 4 MB at n = 10 (L = 5, Dirichlet).
 
 A stream is ``SeedSequence(entropy=seed, spawn_key=key)`` -> its 64-bit child
 seed (:func:`derive_seed`) -> PCG64 seeded by ``SeedSequence(child)``, which is
@@ -47,7 +47,7 @@ from .cost import CostReport, ancilla_x_term, cost_report
 from .gradient import parameter_shift_gradient
 from .operators import ObservableTerm, PoissonOperator, _factor_masks, shift_amplitudes
 from .states import (AnsatzCircuit, Statevector, _apply_column, _checked_theta,
-                     _hadamard_factors, _real_if_real, ansatz_amplitude_rows, superposition_rows)
+                     _hadamard_factors, ansatz_amplitude_rows, superposition_rows)
 
 
 class UnstableEstimateError(RuntimeError):
@@ -202,7 +202,7 @@ def _shot_values(term: ObservableTerm) -> np.ndarray:
 def _measurement_distribution(term: ObservableTerm, state: Statevector,
                               axes: tuple[int, ...] | None) -> tuple[np.ndarray, np.ndarray]:
     """(outcome probabilities, per-outcome shot values) for one term."""
-    probs, values = _row_distributions(term, _real_if_real(state.amplitudes)[None], axes)
+    probs, values = _row_distributions(term, state.amplitudes[None], axes)
     return probs[0], values
 
 
@@ -258,7 +258,7 @@ def _slots(op: PoissonOperator, circuit: AnsatzCircuit, theta: np.ndarray, f: St
         shifts[:, params, params] += np.array([[np.pi], [np.pi / 2.0], [-np.pi / 2.0]])
         thetas = np.vstack([thetas, shifts.reshape(-1, count)])
     rows = ansatz_amplitude_rows(circuit, thetas)
-    sup = superposition_rows(_real_if_real(f.amplitudes), rows[:count + 1])
+    sup = superposition_rows(f.amplitudes, rows[:count + 1])
     term_rows = np.delete(rows, np.s_[1:count + 1], axis=0)
     return ([(ancilla_x_term(op.n_qubits), sup, None)]
             + [(term, term_rows, op.axes) for term in op.terms])
@@ -266,11 +266,11 @@ def _slots(op: PoissonOperator, circuit: AnsatzCircuit, theta: np.ndarray, f: St
 
 @functools.lru_cache(maxsize=4)
 def _slot_distributions(shifted: bool, op: PoissonOperator, circuit: AnsatzCircuit,
-                        theta_bytes: bytes,
-                        f_bytes: bytes) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+                        theta_bytes: bytes, f_bytes: bytes,
+                        f_dtype: np.dtype) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
     """Read-only (probs, values) of every slot :func:`_slots` measures at one theta and f,
     built once."""
-    f = Statevector(np.frombuffer(f_bytes, dtype=np.complex128))
+    f = Statevector(np.frombuffer(f_bytes, dtype=f_dtype))
     dists = tuple(_row_distributions(*slot)
                   for slot in _slots(op, circuit, np.frombuffer(theta_bytes), f, shifted))
     for probs, _ in dists:
@@ -280,9 +280,11 @@ def _slot_distributions(shifted: bool, op: PoissonOperator, circuit: AnsatzCircu
 
 def _distributions(shifted: bool, op: PoissonOperator, circuit: AnsatzCircuit,
                    theta: np.ndarray, f: Statevector) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-    """:func:`_slot_distributions` keyed on a checked theta's bytes and f's amplitude bytes."""
-    theta = _checked_theta(circuit, theta)
-    return _slot_distributions(shifted, op, circuit, theta.tobytes(), f.amplitudes.tobytes())
+    """:func:`_slot_distributions` keyed on a checked theta's bytes and f's amplitude bytes
+    and dtype, so a real f and a complex one never share an entry."""
+    theta, amps = _checked_theta(circuit, theta), f.amplitudes
+    return _slot_distributions(shifted, op, circuit, theta.tobytes(), amps.tobytes(),
+                               amps.dtype)
 
 
 def _shots_per_term(shots_per_term: int | Sequence[int], count: int) -> list[int]:

@@ -1,19 +1,21 @@
 """Dense statevector simulation of the gate set used by the solver circuits.
 
 Index convention: basis state |i> stores qubit q in bit q of i, so qubit 0 is
-the least-significant bit.  All gates here (X, H, R_Y, CZ) are real.  Every
-single-qubit gate runs through one float64 column kernel (complex states pass
-their real and imaginary parts through it as two rows).  A column, one gate
-per qubit with identities where none acts, is K_hi (x) K_lo over the high
-a = n - n // 2 and low b = n // 2 qubits; on an amplitude row viewed as a
-2^a x 2^b matrix X it is the two small products K_hi X K_lo^T.  The layered
-ansatz is simulated on real float64 arrays: a forward sweep for its state (or,
-in one sweep, for a stack of parameter vectors) and a reverse (adjoint) sweep
-for its gradients.  The last 8 thetas each keep a record: the column factors,
-psi, and psi's readout tables from the first adjoint sweep there, so repeated
-gradients at one theta sweep only their own vector, bit for bit as before.
-The source state |f> is the paper's one, the +-2^{-n/2} step state; every
-entry point also takes any other f as a :class:`Statevector`.
+the least-significant bit.  All gates here (X, H, R_Y, CZ) are real, so every
+state the solver prepares is real: a :class:`Statevector` holds float64
+amplitudes unless some imaginary part is non-zero (a source given with a
+phase).  Every single-qubit gate runs through one column kernel on real rows (a
+measured term's Hadamards also act on the complex rows of such a source).  A
+column, one gate per qubit with identities where none acts, is K_hi (x) K_lo
+over the high a = n - n // 2 and low b = n // 2 qubits; on an amplitude row
+viewed as a 2^a x 2^b matrix X it is the two small products K_hi X K_lo^T.  The
+layered ansatz is simulated on real float64 arrays: a forward sweep for its
+state (or, in one sweep, for a stack of parameter vectors) and a reverse
+(adjoint) sweep for its gradients.  The last 8 thetas each keep a record: the
+column factors, psi, and psi's readout tables from the first adjoint sweep
+there, so repeated gradients at one theta sweep only their own vector, bit for
+bit as before.  The source state |f> is the paper's one, the +-2^{-n/2} step
+state; every entry point also takes any other f as a :class:`Statevector`.
 """
 
 from __future__ import annotations
@@ -26,12 +28,22 @@ import numpy as np
 
 @dataclass(frozen=True)
 class Statevector:
-    """Amplitude vector over n qubits (length 2^n, complex)."""
+    """Amplitude vector over n qubits (length 2^n).
+
+    The one place that decides the dtype: float64, unless some imaginary part
+    is non-zero, and then complex128.  A C-contiguous input of that dtype is
+    wrapped, not copied, so the state of :func:`prepare_ansatz_state` is the
+    read-only psi of theta's record.
+    """
 
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        amps = np.asarray(self.amplitudes, dtype=np.complex128)
+        amps = np.asarray(self.amplitudes)
+        if np.iscomplexobj(amps) and amps.imag.any():
+            amps = np.asarray(amps, dtype=np.complex128, order="C")
+        else:
+            amps = np.asarray(amps.real, dtype=np.float64, order="C")
         size = amps.size
         if amps.ndim != 1 or size < 2 or size & (size - 1):
             raise ValueError("amplitudes must be a vector whose length is a power of two >= 2, "
@@ -52,24 +64,12 @@ class Statevector:
             raise ValueError(f"n_qubits must be >= 1, got {n_qubits}")
         if not 0 <= index < (1 << n_qubits):
             raise ValueError(f"basis index {index} out of range for {n_qubits} qubits")
-        amps = np.zeros(1 << n_qubits, dtype=np.complex128)
+        amps = np.zeros(1 << n_qubits)
         amps[index] = 1.0
         return cls(amps)
 
 
-def _real_if_real(amps: np.ndarray) -> np.ndarray:
-    """``amps`` as a float64 copy when every imaginary part is zero, else unchanged."""
-    if np.iscomplexobj(amps) and not amps.imag.any():
-        return amps.real.copy()
-    return amps
-
-
 _HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
-
-
-def _check_qubit(n_qubits: int, qubit: int) -> None:
-    if not 0 <= qubit < n_qubits:
-        raise ValueError(f"qubit index {qubit} out of range for {n_qubits} qubits")
 
 
 def _kron_chain(gates: np.ndarray) -> np.ndarray:
@@ -126,34 +126,6 @@ def _apply_column(amps: np.ndarray, k_hi: np.ndarray, k_lo_t: np.ndarray) -> np.
     return (k_hi @ split @ k_lo_t).reshape(amps.shape)
 
 
-def _cz_inplace(amps: np.ndarray, qubit_a: int, qubit_b: int) -> None:
-    idx = np.arange(amps.size)
-    both = ((idx >> qubit_a) & 1) & ((idx >> qubit_b) & 1)
-    amps[both == 1] *= -1.0
-
-
-def apply_x(state: Statevector, qubit: int) -> Statevector:
-    """Pauli X on one qubit."""
-    _check_qubit(state.n_qubits, qubit)
-    idx = np.arange(state.amplitudes.size)
-    return Statevector(state.amplitudes[idx ^ (1 << qubit)])
-
-
-def _apply_gate(state: Statevector, factors: tuple[np.ndarray, np.ndarray]) -> Statevector:
-    """One real column on a state: the float64 kernel on its real and imaginary parts."""
-    parts = np.stack([state.amplitudes.real, state.amplitudes.imag])
-    # The two parts are two rows of one kernel call; each row's products have
-    # the shapes of a one-row sweep, so they round as the sweep does.
-    out = _apply_column(parts, *factors)
-    return Statevector(out[0] + 1j * out[1])
-
-
-def apply_h(state: Statevector, qubit: int) -> Statevector:
-    """Hadamard on one qubit."""
-    _check_qubit(state.n_qubits, qubit)
-    return _apply_gate(state, _hadamard_factors(state.n_qubits, 1 << qubit))
-
-
 @dataclass(frozen=True)
 class AnsatzCircuit:
     """Alternating layered R_Y / controlled-Z ansatz.
@@ -186,9 +158,10 @@ class AnsatzCircuit:
 @functools.lru_cache(maxsize=None)
 def _cz_brick_signs(n_qubits: int, parity: int) -> np.ndarray:
     """+-1 diagonal of the controlled-Z brick on pairs (parity, parity+1), ..."""
+    idx = np.arange(1 << n_qubits)
     signs = np.ones(1 << n_qubits)
     for a, b in AnsatzCircuit(n_qubits, 0).entangler_pairs(parity):
-        _cz_inplace(signs, a, b)
+        signs[(idx >> a) & (idx >> b) & 1 == 1] *= -1.0
     signs.setflags(write=False)
     return signs
 
@@ -301,20 +274,21 @@ def ansatz_adjoint(circuit: AnsatzCircuit, theta: np.ndarray, lam: np.ndarray) -
 
 
 def prepare_ansatz_state(circuit: AnsatzCircuit, theta: np.ndarray) -> Statevector:
-    """Simulate U(theta)|0...0> for the alternating layered ansatz."""
+    """Simulate U(theta)|0...0> for the alternating layered ansatz; the state
+    wraps the read-only psi of theta's record (:func:`ansatz_amplitudes`)."""
     return Statevector(ansatz_amplitudes(circuit, theta))
 
 
 def prepare_source_state(n_qubits: int) -> Statevector:
-    """The step state |f> = U_f |0...0>: X on the top qubit (n-1), then H on
-    every qubit, so amplitudes are +2^{-n/2} on the lower half of indices and
-    -2^{-n/2} on the upper half."""
+    """The step state |f> = U_f |0...0>: X on the top qubit (n-1), then one H
+    column per qubit (an all-qubit column rounds differently), so amplitudes are
+    +2^{-n/2} on the lower half of indices and -2^{-n/2} on the upper half."""
     if n_qubits < 1:
         raise ValueError(f"n_qubits must be >= 1, got {n_qubits}")
-    state = apply_x(Statevector.zero(n_qubits), n_qubits - 1)
+    rows = Statevector.basis(n_qubits, 1 << (n_qubits - 1)).amplitudes[None]
     for q in range(n_qubits):
-        state = apply_h(state, q)
-    return state
+        rows = _apply_column(rows, *_hadamard_factors(n_qubits, 1 << q))
+    return Statevector(rows[0])
 
 
 def superposition_rows(a: np.ndarray, rows: np.ndarray) -> np.ndarray:

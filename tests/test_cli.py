@@ -130,6 +130,36 @@ def test_one_point_shot_grid_writes_no_slope(experiment, shots, tmp_path):
     assert "slope_" not in manifest
 
 
+@pytest.mark.parametrize("experiment,flags", [
+    ("shot-error-vs-s", ["--n", "2:4", "--shots", "8:64", "--repeats", "10"]),
+    ("grad-similarity-vs-s", ["--n", "3", "--shots", "1:8"]),
+])
+def test_unstable_estimates_are_counted_not_fatal(experiment, flags, tmp_path):
+    # at these shot counts some sampled denominators are not positive
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([experiment, *flags, "--out", str(tmp_path)]) == 0
+    manifest = (tmp_path / "manifest.txt").read_text()
+    counts = {int(n): int(k) for n, k in re.findall(r"^unstable_n(\d+) = (\d+)$", manifest, re.M)}
+    assert counts and min(counts.values()) > 0
+    rows = [line.split(",") for line in (tmp_path / "results.csv").read_text().splitlines()[1:]]
+    unstable = [row for row in rows if "nan" in row[3:]]
+    assert all(cell == "nan" for row in unstable for cell in row[3:])
+    assert sorted(counts.items()) == sorted(
+        (n, sum(row[0] == str(n) for row in unstable)) for n in counts)
+    # each fig row averages the stable estimates at its shot count only
+    fig = next(tmp_path.glob("fig_*_n*.dat")).name.rsplit("_n", 1)[0]
+    for n in {int(row[0]) for row in rows}:
+        for line in (tmp_path / f"{fig}_n{n}.dat").read_text().splitlines()[1:]:
+            shots, mean, _ = line.split()
+            stable = [float(row[-1]) for row in rows
+                      if row[:2] == [str(n), shots] and row[-1] != "nan"]
+            if stable:
+                assert float(mean) == pytest.approx(np.mean(stable), rel=1e-11)
+            else:
+                assert mean == "nan"
+
+
 def test_manifest_configuration_lines_are_pinned(tmp_path):
     assert main(["shot-error-vs-s", "--bc", "periodic", "--n", "2:3", "--shots", "64:256",
                  "--repeats", "1", "--seed", "9", "--out", str(tmp_path)]) == 0

@@ -217,7 +217,7 @@ def test_gradient_from_reused_factors_equals_cold_call(n, rng):
     op = decompose(n, DIRICHLET)
     circuit = AnsatzCircuit(n, 3)
     f = prepare_source_state(n)
-    f_amps = states._real_if_real(f.amplitudes)
+    f_amps = f.amplitudes
     theta = random_theta(rng, circuit)
     states._theta_factors.cache_clear()
     warm = grad_cost(op, circuit, theta, f).grad
