@@ -25,7 +25,7 @@ from typing import Any, Callable, NamedTuple
 import numpy as np
 
 from . import __version__
-from .cost import baseline_cost, cost, measured_circuit_count
+from .cost import baseline_cost, cost
 from .gradient import grad_cost, grad_numerator, term_gradient
 from .operators import (DEFAULT_EPSILON, DENSE_QUBIT_CAP, BoundaryCondition, Mesh2D,
                         assemble_fem_2d_dense, build_fem_2d, build_matrix, reassemble_dense)
@@ -77,23 +77,24 @@ class Flag(NamedTuple):
 _OPTIMIZING = frozenset({"solve", "solution-field", "trace-distance-vs-n", "iterations-vs-n"})
 _ONE_N = frozenset({"solve", "solution-field", "fem2d-verify"})  # each runs a single n
 _SHOT_GRID = frozenset({"shot-error-vs-s", "grad-similarity-vs-s"})
-_SIMULATED = _OPTIMIZING | _SHOT_GRID | {"circuit-count-vs-n", "barren-plateau"}
-_EVERY = _SIMULATED | {"fem2d-verify"}  # fem2d-verify builds its meshes from --n alone
+_DRAWN = _OPTIMIZING | _SHOT_GRID | {"barren-plateau"}  # each simulates a seeded problem
+_ONE_D = _DRAWN | {"circuit-count-vs-n"}  # each reads a 1D operator and ansatz
+_EVERY = _ONE_D | {"fem2d-verify"}  # fem2d-verify builds its meshes from --n alone
 _AT_LEAST_0, _AT_LEAST_1 = (lambda v: v >= 0, ">= 0"), (lambda v: v >= 1, ">= 1")
 _POSITIVE = (lambda v: 0 < v < np.inf, "finite and > 0")
 
 FLAGS = {
-    "bc": Flag(BoundaryCondition, "periodic, dirichlet or neumann", _SIMULATED, "dirichlet"),
+    "bc": Flag(BoundaryCondition, "periodic, dirichlet or neumann", _ONE_D, "dirichlet"),
     "n": Flag(_parse_range, "qubit count N or range LO:HI (default: the experiment's)", _EVERY,
               None, field="n_values"),
-    "layers": Flag(int, "ansatz layers", _SIMULATED, "5", _AT_LEAST_0),
+    "layers": Flag(int, "ansatz layers", _ONE_D, "5", _AT_LEAST_0),
     "trials": Flag(int, "trials per qubit count", _OPTIMIZING | {"barren-plateau"}, "10",
                    _AT_LEAST_1),
     "shots": Flag(_powers_of_two, "powers of two in LO:HI", _SHOT_GRID, "64:16384",
                   (lambda v: v[-1] <= MAX_SHOTS, "at most 2^62"), "shot_values"),
     "repeats": Flag(int, "estimates per shot count", _SHOT_GRID, "10", _AT_LEAST_1),
-    "seed": Flag(int, "master seed of every draw", _SIMULATED, "1234", _AT_LEAST_0),
-    "epsilon": Flag(float, "regularization (default: the bc's)", _SIMULATED, None,
+    "seed": Flag(int, "master seed of every draw", _DRAWN, "1234", _AT_LEAST_0),
+    "epsilon": Flag(float, "regularization (default: the bc's)", _DRAWN, None,
                     (lambda v: 0 <= v < np.inf, "finite and >= 0")),
     "tol": Flag(float, "trace-distance tolerance", frozenset({"iterations-vs-n"}), "0.1",
                 _POSITIVE),
@@ -296,23 +297,8 @@ def _fixed_point(config: argparse.Namespace, n: int):
 def _run_circuit_count_vs_n(config: argparse.Namespace, out: Path) -> tuple[list[str], int]:
     rows, res_rows = [], []
     for n in config.n_values:
-        op, circuit, f, theta = _fixed_point(config, n)
-        # runtime count: number of shot estimates one cost evaluation produces;
-        # raise shots until the sampled denominator stabilizes
-        shots = 8
-        while True:
-            try:
-                _, estimates = sample_cost_estimates(op, circuit, theta, f, shots,
-                                                     derive_seed(config.seed, n, 1))
-                break
-            except UnstableEstimateError:
-                shots *= 4
-        executed, expected = len(estimates), measured_circuit_count(op)
-        if executed != expected:
-            raise RuntimeError(f"n={n}: one cost evaluation measured {executed} circuits, "
-                               f"the operator counts {expected}")
-        rows.append([n, config.bc.value, executed, count_baseline_circuits(n)])
         report = resource_report(n, config.layers, config.bc)
+        rows.append([n, config.bc.value, report.t_c, count_baseline_circuits(n)])
         res_rows.append([n, report.t_c, report.t_g, *astuple(report.shift),
                          *astuple(report.state_prep)])
     _write_table(out / "results.csv", ["n", "bc", "circuits_proposed", "circuits_baseline"], rows)

@@ -218,7 +218,6 @@ class TrialsResult:
     mean_energy: float
     std_energy: float
     statuses: dict[str, int]  # trials per status, aborted:<why> counted as aborted
-    n_aborted: int
 
 
 def minimize(problem: PoissonProblem, config: OptimizationConfig,
@@ -295,5 +294,4 @@ def run_trials(problem: PoissonProblem, config: OptimizationConfig) -> TrialsRes
         mean_trace_distance=mean_tr, std_trace_distance=std_tr,
         mean_energy=mean_en, std_energy=std_en,
         statuses=dict(sorted(statuses.items())),
-        n_aborted=statuses["aborted"],
     )

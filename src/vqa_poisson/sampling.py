@@ -287,36 +287,24 @@ def _distributions(shifted: bool, op: PoissonOperator, circuit: AnsatzCircuit,
                                amps.dtype)
 
 
-def _shots_per_term(shots_per_term: int | Sequence[int], count: int) -> list[int]:
-    if isinstance(shots_per_term, (int, np.integer)):
-        return [int(shots_per_term)] * count
-    shots = [int(s) for s in shots_per_term]
-    if len(shots) != count:
-        raise ValueError(f"expected {count} shot counts, got {len(shots)}")
-    return shots
-
-
 def sample_cost_estimates(op: PoissonOperator, circuit: AnsatzCircuit,
-                          theta: np.ndarray, f: Statevector,
-                          shots_per_term: int | Sequence[int],
+                          theta: np.ndarray, f: Statevector, shots: int,
                           seed: int) -> tuple[CostReport, tuple[ShotEstimate, ...]]:
-    """Plug-in cost estimate plus the per-term shot estimates.
+    """Plug-in cost estimate plus the per-term shot estimates, `shots` draws each.
 
     Estimate index 0 is the numerator (ancilla X on the superposition state);
     the rest follow the operator's term order.  Estimate k draws on the stream
     of ``derive_seed(seed, k)``.  The returned tuple length is the number of
     circuits executed for one cost evaluation.
     """
-    dists = _distributions(False, op, circuit, theta, f)
-    shots = _shots_per_term(shots_per_term, len(dists))
-    return _base_estimate(op, dists, shots, seed)
+    return _base_estimate(op, _distributions(False, op, circuit, theta, f), shots, seed)
 
 
 def _base_estimate(op: PoissonOperator, dists: Sequence[tuple[np.ndarray, np.ndarray]],
-                   shots: list[int], seed: int) -> tuple[CostReport, tuple[ShotEstimate, ...]]:
+                   shots: int, seed: int) -> tuple[CostReport, tuple[ShotEstimate, ...]]:
     """Plug-in cost from row 0 of every slot, slot k drawn on ``derive_seed(seed, k)``;
     a non-positive sampled denominator raises :class:`UnstableEstimateError`."""
-    estimates = tuple(_shot_estimate(probs[0], values, shots[slot], derive_seed(seed, slot))
+    estimates = tuple(_shot_estimate(probs[0], values, shots, derive_seed(seed, slot))
                       for slot, (probs, values) in enumerate(dists))
     den = op.constant_offset + sum(e.mean for e in estimates[1:])
     if den <= 0.0:
@@ -325,32 +313,28 @@ def _base_estimate(op: PoissonOperator, dists: Sequence[tuple[np.ndarray, np.nda
 
 
 def sample_cost(op: PoissonOperator, circuit: AnsatzCircuit, theta: np.ndarray,
-                f: Statevector, shots_per_term: int | Sequence[int],
-                seed: int) -> CostReport:
+                f: Statevector, shots: int, seed: int) -> CostReport:
     """Shot-based cost estimate (see :func:`sample_cost_estimates`)."""
-    report, _ = sample_cost_estimates(op, circuit, theta, f, shots_per_term, seed)
+    report, _ = sample_cost_estimates(op, circuit, theta, f, shots, seed)
     return report
 
 
-def predict_mse(r_opt: float, variances: Sequence[float],
-                shots: int | Sequence[int]) -> MsePrediction:
-    """Closed-form MSE of the plug-in cost estimator.
+def predict_mse(r_opt: float, variances: Sequence[float], shots: int) -> MsePrediction:
+    """Closed-form MSE of the plug-in cost estimator at `shots` draws per term.
 
     ``variances[0]`` is the single-shot variance of the numerator sample, the
     rest belong to the denominator terms:
-    mse = r^2 (v_1/S_1 + (1/4) r^2 sum_{i>=2} v_i/S_i).
+    mse = r^2 (v_1 + (1/4) r^2 sum_{i>=2} v_i) / S.
     """
-    shot_list = _shots_per_term(shots, len(variances))
-    if any(s < 1 for s in shot_list):
-        raise ValueError("all shot counts must be >= 1")
+    if shots < 1:
+        raise ValueError(f"shots must be >= 1, got {shots}")
     r2 = r_opt * r_opt
-    den_part = sum(v / s for v, s in zip(variances[1:], shot_list[1:]))
-    return MsePrediction(predicted_mse=r2 * (variances[0] / shot_list[0] + 0.25 * r2 * den_part))
+    den_part = sum(v / shots for v in variances[1:])
+    return MsePrediction(predicted_mse=r2 * (variances[0] / shots + 0.25 * r2 * den_part))
 
 
 def sampled_gradient(op: PoissonOperator, circuit: AnsatzCircuit, theta: np.ndarray,
-                     f: Statevector, shots_per_term: int | Sequence[int],
-                     seed: int) -> np.ndarray:
+                     f: Statevector, shots: int, seed: int) -> np.ndarray:
     """Shot-based cost gradient via :func:`~vqa_poisson.gradient.parameter_shift_gradient`.
 
     Only the first call at a theta sweeps its 3P shifts and builds the slots'
@@ -358,18 +342,18 @@ def sampled_gradient(op: PoissonOperator, circuit: AnsatzCircuit, theta: np.ndar
     base cost at theta is :func:`sample_cost_estimates`' estimate at
     ``derive_seed(seed, 0)``, drawn before any shifted circuit, so a
     non-positive base denominator raises before any group is drawn.
-    Each measured group of P shifted circuits draws its P count rows from one
-    stream keyed by the group: ``(1,)`` for the pi-shifted numerator, then
-    ``(2, k)`` for term k at theta + pi/2 and ``(3, k)`` at theta - pi/2.
+    Each measured group of P shifted circuits draws its P count rows of `shots`
+    draws from one stream keyed by the group: ``(1,)`` for the pi-shifted
+    numerator, then ``(2, k)`` for term k at theta + pi/2 and ``(3, k)`` at
+    theta - pi/2.
     """
-    shots = _shots_per_term(shots_per_term, 1 + len(op.terms))
     dists = _distributions(True, op, circuit, theta, f)
     base, _ = _base_estimate(op, dists, shots, derive_seed(seed, 0))
     count = circuit.parameter_count
 
     def shifted(slot: int, rows: slice, *key: int) -> np.ndarray:
         probs, values = dists[slot]
-        return _row_means(probs[rows], values, shots[slot], derive_seed(seed, *key))
+        return _row_means(probs[rows], values, shots, derive_seed(seed, *key))
 
     terms = range(len(op.terms))
     return parameter_shift_gradient(

@@ -165,7 +165,7 @@ def test_run_trials_bookkeeping():
     assert len(result.traces) == 10
     assert np.isfinite(result.std_iterations)
     assert np.isfinite(result.std_energy)
-    assert result.n_aborted == 0
+    assert "aborted" not in result.statuses
     assert all(t.trace_distance is not None for t in result.traces)
 
 

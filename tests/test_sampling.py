@@ -119,18 +119,6 @@ def test_sample_cost_is_deterministic(rng):
     assert a == b
 
 
-def test_sample_cost_supports_per_term_shots(rng):
-    op = decompose(2, DIRICHLET)
-    circuit = AnsatzCircuit(2, 1)
-    f = prepare_source_state(2)
-    theta = random_theta(rng, circuit)
-    shots = [64, 128, 256, 512]
-    _, estimates = sample_cost_estimates(op, circuit, theta, f, shots, seed=8)
-    assert [e.shots for e in estimates] == shots
-    with pytest.raises(ValueError):
-        sample_cost_estimates(op, circuit, theta, f, [64, 64], seed=8)
-
-
 def test_unstable_denominator_raises():
     # negative offset forces every sampled denominator below zero
     op = PoissonOperator((1,), DIRICHLET, (), -1.0)
@@ -155,7 +143,7 @@ def test_predict_mse_frozen_example():
 
 def test_predict_mse_rejects_bad_shots():
     with pytest.raises(ValueError):
-        predict_mse(0.5, [0.1, 0.1], [100, 0])
+        predict_mse(0.5, [0.1, 0.1], 0)
 
 
 def test_empirical_mse_tracks_prediction(rng):
@@ -198,15 +186,14 @@ def test_sampled_streams_are_pinned():
     f = prepare_source_state(n)
     theta = np.random.default_rng(derive_seed(11, n)).uniform(0, 4 * np.pi,
                                                               circuit.parameter_count)
-    report, estimates = sample_cost_estimates(op, circuit, theta, f,
-                                              [64, 128, 256, 512, 1024], 2024)
+    report, estimates = sample_cost_estimates(op, circuit, theta, f, 256, 2024)
     np.testing.assert_allclose([e.mean for e in estimates],
-                               [-0.71875, 0.390625, -0.4609375, -0.234375, -0.0087890625],
+                               [-0.5390625, 0.421875, -0.4609375, -0.2421875, -0.0078125],
                                rtol=0, atol=1e-15)
     np.testing.assert_allclose([e.sample_variance for e in estimates],
-                               [0.49107142857142855, 0.8540846456692913, 0.790625,
-                                0.1797945205479452, 0.24527947061339198], rtol=1e-12)
-    assert report.energy == pytest.approx(-0.1530650037268001, rel=1e-12)
+                               [0.7121936274509804, 0.8252450980392156, 0.790625,
+                                0.18425245098039217, 0.2352328431372549], rtol=1e-12)
+    assert report.energy == pytest.approx(-0.08487119970975869, rel=1e-12)
     np.testing.assert_allclose(
         sampled_gradient(op, circuit, theta, f, 256, 2024),
         [-0.14027662245319894, 0.004226843694758651, 0.1546887283831384,
@@ -248,20 +235,24 @@ def test_sampled_gradient_draws_its_circuit_count(monkeypatch):
     op = decompose(2, BoundaryCondition.NEUMANN, 1e-3)
     circuit = AnsatzCircuit(2, 1)
     f = prepare_source_state(2)
-    draws = []  # (distributions drawn, shots) per draw_counts call
+    draws = []  # (distributions drawn, shots, stream seed) per draw_counts call
     draw = sampling.draw_counts
     monkeypatch.setattr(sampling, "draw_counts",
                         lambda probs, shots, seed: draws.append(
-                            (np.atleast_2d(probs).shape[0], shots)) or draw(probs, shots, seed))
-    sampled_gradient(op, circuit, np.linspace(0.1, 1.0, 4), f, [8, 16, 32, 64, 128], 3)
-    rows = [r for r, _ in draws]
+                            (np.atleast_2d(probs).shape[0], shots, seed))
+                        or draw(probs, shots, seed))
+    sampled_gradient(op, circuit, np.linspace(0.1, 1.0, 4), f, 64, 3)
+    rows = [r for r, _, _ in draws]
     assert sum(rows) == count_sampled_gradient_circuits(op, circuit.parameter_count) == 41
     # one stream per measured group: (1 + T) single draws for the base cost,
-    # then (1 + 2T) draws of all P rows, each at its slot's shots
-    terms = len(op.terms)
-    assert len(draws) == (1 + terms) + (1 + 2 * terms) == 14
-    assert draws[:5] == [(1, 8), (1, 16), (1, 32), (1, 64), (1, 128)]
-    assert draws[5:] == [(4, 8)] + [(4, s) for s in (16, 32, 64, 128)] * 2
+    # slot k keyed (0, k), then (1 + 2T) draws of all P rows: the pi-shifted
+    # numerator keyed (1,), term k at +pi/2 keyed (2, k) and at -pi/2 (3, k)
+    terms = range(len(op.terms))
+    assert len(draws) == (1 + len(terms)) + (1 + 2 * len(terms)) == 14
+    base = derive_seed(3, 0)
+    assert draws[:5] == [(1, 64, derive_seed(base, slot)) for slot in range(5)]
+    groups = [(1,)] + [(branch, k) for branch in (2, 3) for k in terms]
+    assert draws[5:] == [(4, 64, derive_seed(3, *key)) for key in groups]
 
 
 def test_identical_rows_draw_independent_counts(monkeypatch):
@@ -348,12 +339,11 @@ def test_sampled_gradient_approaches_exact_on_two_axes(phase):
     assert np.linalg.norm(sampled - exact) < 0.05 * scale
 
 
-def _per_circuit_sampled_gradient(op, circuit, theta, f, shots_per_term, seed):
+def _per_circuit_sampled_gradient(op, circuit, theta, f, shots, seed):
     """The sampled gradient built circuit by circuit: the base cost from
     :func:`sample_cost_estimates` at ``derive_seed(seed, 0)``, every shifted state
     prepared on its own, and one distribution build per shifted circuit."""
-    base, _ = sample_cost_estimates(op, circuit, theta, f, shots_per_term, derive_seed(seed, 0))
-    shots = sampling._shots_per_term(shots_per_term, 1 + len(op.terms))
+    base, _ = sample_cost_estimates(op, circuit, theta, f, shots, derive_seed(seed, 0))
     count = circuit.parameter_count
 
     def half_pi_states(offset):
@@ -364,20 +354,20 @@ def _per_circuit_sampled_gradient(op, circuit, theta, f, shots_per_term, seed):
             out.append(prepare_ansatz_state(circuit, shifted))
         return out
 
-    def group_means(slot, term, group_states, axes, key):
+    def group_means(term, group_states, axes, key):
         dists = [sampling._measurement_distribution(term, s, axes) for s in group_states]
-        counts = sampling.draw_counts(np.array([p for p, _ in dists]), shots[slot],
+        counts = sampling.draw_counts(np.array([p for p, _ in dists]), shots,
                                       derive_seed(seed, *key))
-        return counts @ dists[0][1] / shots[slot]
+        return counts @ dists[0][1] / shots
 
     sups = [prepare_superposition_state(f, shifted_state(circuit, theta, i))
             for i in range(count)]
-    g_num = group_means(0, ancilla_x_term(op.n_qubits), sups, None, (1,))
+    g_num = group_means(ancilla_x_term(op.n_qubits), sups, None, (1,))
     branch_sums = []
     for branch, offset in ((2, np.pi / 2.0), (3, -np.pi / 2.0)):
         total = np.zeros(count)
         for k, term in enumerate(op.terms):
-            total += group_means(k + 1, term, half_pi_states(offset), op.axes, (branch, k))
+            total += group_means(term, half_pi_states(offset), op.axes, (branch, k))
         branch_sums.append(total)
     d_den = 0.5 * (branch_sums[0] - branch_sums[1])
     num, den = base.numerator, base.denominator
@@ -394,8 +384,7 @@ def _per_circuit_sampled_gradient(op, circuit, theta, f, shots_per_term, seed):
 def test_sampled_gradient_equals_per_circuit_construction(operator, phase):
     circuit = AnsatzCircuit(operator.n_qubits, 1)
     f = _step_source(operator.n_qubits, phase)
-    slot_shots = [16 * (k + 1) for k in range(1 + len(operator.terms))]
-    for shots in (1, 64, 16384, slot_shots):
+    for shots in (1, 64, 16384):
         for seed in (0, 9):
             theta = random_theta(np.random.default_rng(seed), circuit)
             try:
@@ -446,7 +435,7 @@ def test_sampled_gradient_sweeps_once_and_builds_each_slot_once(monkeypatch):
     assert len(builds) == 1 + len(op.terms) == 4
     assert prepared == []
     # later calls at this theta, at any shots and seed, sweep and build nothing
-    for shots in (64, 16384, [16, 32, 48, 64]):
+    for shots in (2, 64, 16384):
         for seed in (5, 6):
             sampled_gradient(op, circuit, theta, f, shots, seed)
     assert len(sweeps) == 1 and len(builds) == 4
@@ -475,7 +464,6 @@ def test_warm_cache_outputs_equal_cold_outputs(bc):
     circuit = AnsatzCircuit(n, 2)
     f = _step_source(n, np.exp(0.3j))
     theta = random_theta(np.random.default_rng(4), circuit)
-    slot_shots = [16 * (k + 1) for k in range(1 + len(op.terms))]
 
     def outputs(shots, seed):
         try:
@@ -490,7 +478,7 @@ def test_warm_cache_outputs_equal_cold_outputs(bc):
             grad = str(err)
         return cost_out, grad
 
-    for shots in (2, 64, 16384, slot_shots):
+    for shots in (2, 64, 16384):
         for seed in (0, 5):
             sampling._slot_distributions.cache_clear()
             cold = outputs(shots, seed)
