@@ -110,14 +110,14 @@ def solve(matrix: Bands | np.ndarray, rhs) -> ClassicalSolution:
 
     A is given by its :class:`~vqa_poisson.operators.Bands` or as a dense
     square matrix, whose bands are read from its upper triangle.  ``ValueError``
-    for an empty or wrongly shaped A or f, for non-finite entries, and for a
-    dense A with a non-zero entry off its bands and corners.  A matrix whose
-    smallest Cholesky pivot is below 1e-12 of its largest is singular to
-    working precision (periodic or Neumann without regularization) and raises
-    ``SolverError`` instead of returning an arbitrary particular solution.
-    O(N) time and memory in the band form.
+    for an empty or wrongly shaped A or f, a complex A, a non-zero imaginary
+    part in f, non-finite entries, and a dense A with a non-zero entry off its
+    bands and corners.  A matrix whose smallest Cholesky pivot is below 1e-12 of
+    its largest is singular to working precision (periodic or Neumann without
+    regularization) and raises ``SolverError`` instead of returning an
+    arbitrary particular solution.  O(N) time and memory in the band form.
     """
-    rhs = np.real(_as_vector(rhs)).astype(float)
+    rhs = _as_vector(rhs)
     bands = matrix if isinstance(matrix, Bands) else _bands_of(np.asarray(matrix))
     diagonal = np.asarray(bands.diagonal, dtype=float)
     off = np.asarray(bands.off_diagonal, dtype=float)
@@ -127,8 +127,9 @@ def solve(matrix: Bands | np.ndarray, rhs) -> ClassicalSolution:
             or (size == 1 and corner != 0.0)):
         raise ValueError("bands must be N >= 1 diagonal entries, N - 1 off-diagonal ones, "
                          "and no corner at N = 1")
-    if rhs.shape != (size,):
-        raise ValueError(f"rhs shape {rhs.shape} does not match matrix size {size}")
+    if rhs.shape != (size,) or np.imag(rhs).any():
+        raise ValueError(f"rhs must be real of shape ({size},), got {rhs.dtype} {rhs.shape}")
+    rhs = rhs.real.astype(float)
     if not np.isfinite(np.concatenate([diagonal, off, [corner], rhs])).all():
         raise ValueError("matrix and rhs must not contain infs or NaNs")
     u = _substitute(*_factor(diagonal.tolist(), off.tolist(), corner), rhs)

@@ -340,7 +340,7 @@ def _sample_baseline_cost(eig_a2, eig_xa, sup: np.ndarray, psi: np.ndarray,
     state; unbiased for each expectation, plugged into <A^2> - <psi|A|f>^2.
     """
     def estimate(values: np.ndarray, vectors: np.ndarray, amps: np.ndarray, key: int) -> float:
-        probs = np.abs(vectors.T @ amps) ** 2
+        probs = (vectors.T @ amps) ** 2
         probs /= probs.sum()
         return float(draw_counts(probs, shots, derive_seed(seed, key)) @ values / shots)
 

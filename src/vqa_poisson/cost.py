@@ -68,7 +68,7 @@ def expectation(term: ObservableTerm, state: Statevector,
         )
     axes = (term.n_qubits,) if axes is None else axes
     shifted = shift_amplitudes(state.amplitudes, axes, term.axis_shifts)
-    return float(term.coefficient * np.real(np.vdot(shifted, apply_factor_product(term, shifted))))
+    return float(term.coefficient * np.vdot(shifted, apply_factor_product(term, shifted)))
 
 
 def apply_term(term: ObservableTerm, amps: np.ndarray,
@@ -100,7 +100,7 @@ def numerator_hadamard(psi: Statevector, f: Statevector) -> float:
     sup = prepare_superposition_state(f, psi)
     half = 1 << psi.n_qubits
     amps = sup.amplitudes
-    return float(2.0 * np.real(np.vdot(amps[:half], amps[half:])))
+    return float(2.0 * np.vdot(amps[:half], amps[half:]))
 
 
 def cost_and_a_psi(op: PoissonOperator, psi: np.ndarray,
@@ -109,7 +109,7 @@ def cost_and_a_psi(op: PoissonOperator, psi: np.ndarray,
     if psi.size != 1 << op.n_qubits:
         raise ValueError(f"operator acts on {op.n_qubits} qubits, state has {psi.size} amplitudes")
     a_psi = apply_operator(op, psi)
-    num, den = float(np.real(np.vdot(psi, f))), float(np.real(np.vdot(psi, a_psi)))
+    num, den = float(np.vdot(psi, f)), float(np.vdot(psi, a_psi))
     return cost_report(num, den), a_psi
 
 
@@ -144,6 +144,6 @@ def baseline_cost(matrix: np.ndarray, psi: Statevector, f: Statevector) -> Basel
     Statevector-only comparison path; evaluated with the dense matrix.
     """
     apsi = matrix @ psi.amplitudes
-    a2 = float(np.real(np.vdot(apsi, apsi)))
-    af = float(np.real(np.vdot(f.amplitudes, apsi)))
+    a2 = float(np.vdot(apsi, apsi))
+    af = float(np.vdot(f.amplitudes, apsi))
     return BaselineCostReport(cost=a2 - af * af, r=1.0 / np.sqrt(a2))

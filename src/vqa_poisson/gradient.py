@@ -4,8 +4,8 @@ Each gradient here is Re<d_i psi|lam> for one real vector lam, with
 d_i psi = d|psi>/d theta_i; :func:`~vqa_poisson.states.ansatz_adjoint` gives
 all its components in one reverse sweep over the ansatz, about two state
 preparations of work, from theta and lam alone: psi comes from theta's record.
-The numerator takes lam = Re f, one term lam = 2 T psi, and the cost the
-quotient-rule combination lam = r^2 A psi - r Re f (:func:`grad_from_state`,
+The numerator takes lam = f, one term lam = 2 T psi, and the cost the
+quotient-rule combination lam = r^2 A psi - r f (:func:`grad_from_state`,
 from the report and A psi of a cost evaluation at theta).  For
 R_Y parameters d_i psi = (1/2) U(..., theta_i + pi, ...)|0...0>;
 :func:`shifted_state` builds that pi-shifted state (the test oracle).
@@ -45,7 +45,7 @@ def shifted_state(circuit: AnsatzCircuit, theta: np.ndarray, index: int) -> Stat
 
 def grad_numerator(circuit: AnsatzCircuit, theta: np.ndarray, f: Statevector) -> np.ndarray:
     """Components Re<d_i psi|f> of the numerator gradient."""
-    return ansatz_adjoint(circuit, theta, np.real(f.amplitudes))
+    return ansatz_adjoint(circuit, theta, f.amplitudes)
 
 
 def term_gradient(term: ObservableTerm, circuit: AnsatzCircuit, theta: np.ndarray,
@@ -58,9 +58,9 @@ def term_gradient(term: ObservableTerm, circuit: AnsatzCircuit, theta: np.ndarra
 def grad_from_state(circuit: AnsatzCircuit, theta: np.ndarray, report: CostReport,
                     a_psi: np.ndarray, f: np.ndarray) -> np.ndarray:
     """Cost gradient from the cost report and A psi of theta's psi: one adjoint
-    sweep with lam = r^2 A psi - r Re f, r = num/den, and no forward sweep."""
+    sweep with lam = r^2 A psi - r f, r = num/den, and no forward sweep."""
     ratio = report.r_opt
-    return ansatz_adjoint(circuit, theta, ratio * ratio * a_psi - ratio * np.real(f))
+    return ansatz_adjoint(circuit, theta, ratio * ratio * a_psi - ratio * f)
 
 
 def grad_cost(op: PoissonOperator, circuit: AnsatzCircuit, theta: np.ndarray,

@@ -72,7 +72,7 @@ class PoissonProblem:
 
     def classical(self) -> ClassicalSolution:
         if self._classical is None:
-            self._classical = solve(self.bands, np.real(self.source.amplitudes))
+            self._classical = solve(self.bands, self.source.amplitudes)
         return self._classical
 
 

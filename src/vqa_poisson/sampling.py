@@ -15,12 +15,11 @@ built once, over every row the slot measures (1 + T builds for T terms), and a
 gradient hands the measured arrays to
 :func:`~vqa_poisson.gradient.parameter_shift_gradient`.  Distributions
 depend on the operator, the circuit, theta and f, not on the shots or the
-seed, so one 4-entry cache keyed on those four (theta by its bytes, f by its
-bytes and dtype) and on whether the shifts are swept keeps them read-only for
-both estimators.  Repeated estimates at one theta, as in a shot-count study,
-sweep and build once and then only draw.  A gradient entry holds
-8 [(P + 1) 2^(n+1) + T (2P + 1) 2^n] bytes for a real f: 25 KB at n = 4 and
-about 4 MB at n = 10 (L = 5, Dirichlet).
+seed, so one 4-entry cache keyed on those four (theta and f by their bytes)
+and on whether the shifts are swept keeps them read-only for both estimators.
+Repeated estimates at one theta, as in a shot-count study, sweep and build once
+and then only draw.  A gradient entry holds 8 [(P + 1) 2^(n+1) + T (2P + 1) 2^n]
+bytes: 25 KB at n = 4 and about 4 MB at n = 10 (L = 5, Dirichlet).
 
 A stream is ``SeedSequence(entropy=seed, spawn_key=key)`` -> its 64-bit child
 seed (:func:`derive_seed`) -> PCG64 seeded by ``SeedSequence(child)``, which is
@@ -177,7 +176,7 @@ def _row_distributions(term: ObservableTerm, rows: np.ndarray,
     xmask = _factor_masks(term.factors)[0]
     if xmask:
         rotated = _apply_column(rotated, *_hadamard_factors(term.n_qubits, xmask))
-    probs = np.real(rotated.conj() * rotated)
+    probs = rotated * rotated
     probs /= probs.sum(axis=-1, keepdims=True)
     return probs, _shot_values(term)
 
@@ -266,13 +265,12 @@ def _slots(op: PoissonOperator, circuit: AnsatzCircuit, theta: np.ndarray, f: St
 
 @functools.lru_cache(maxsize=4)
 def _slot_distributions(shifted: bool, op: PoissonOperator, circuit: AnsatzCircuit,
-                        theta_bytes: bytes, f_bytes: bytes,
-                        f_dtype: np.dtype) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+                        theta_bytes: bytes,
+                        f_bytes: bytes) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
     """Read-only (probs, values) of every slot :func:`_slots` measures at one theta and f,
     built once."""
-    f = Statevector(np.frombuffer(f_bytes, dtype=f_dtype))
-    dists = tuple(_row_distributions(*slot)
-                  for slot in _slots(op, circuit, np.frombuffer(theta_bytes), f, shifted))
+    dists = tuple(_row_distributions(*slot) for slot in _slots(
+        op, circuit, np.frombuffer(theta_bytes), Statevector(np.frombuffer(f_bytes)), shifted))
     for probs, _ in dists:
         probs.setflags(write=False)
     return dists
@@ -280,11 +278,9 @@ def _slot_distributions(shifted: bool, op: PoissonOperator, circuit: AnsatzCircu
 
 def _distributions(shifted: bool, op: PoissonOperator, circuit: AnsatzCircuit,
                    theta: np.ndarray, f: Statevector) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-    """:func:`_slot_distributions` keyed on a checked theta's bytes and f's amplitude bytes
-    and dtype, so a real f and a complex one never share an entry."""
-    theta, amps = _checked_theta(circuit, theta), f.amplitudes
-    return _slot_distributions(shifted, op, circuit, theta.tobytes(), amps.tobytes(),
-                               amps.dtype)
+    """:func:`_slot_distributions` keyed on a checked theta's bytes and f's amplitude bytes."""
+    theta = _checked_theta(circuit, theta)
+    return _slot_distributions(shifted, op, circuit, theta.tobytes(), f.amplitudes.tobytes())
 
 
 def sample_cost_estimates(op: PoissonOperator, circuit: AnsatzCircuit,

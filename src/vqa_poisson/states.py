@@ -2,10 +2,8 @@
 
 Index convention: basis state |i> stores qubit q in bit q of i, so qubit 0 is
 the least-significant bit.  All gates here (X, H, R_Y, CZ) are real, so every
-state the solver prepares is real: a :class:`Statevector` holds float64
-amplitudes unless some imaginary part is non-zero (a source given with a
-phase).  Every single-qubit gate runs through one column kernel on real rows (a
-measured term's Hadamards also act on the complex rows of such a source).  A
+state the solver prepares is real, and a :class:`Statevector` holds float64
+amplitudes only.  Every single-qubit gate runs through one column kernel.  A
 column, one gate per qubit with identities where none acts, is K_hi (x) K_lo
 over the high a = n - n // 2 and low b = n // 2 qubits; on an amplitude row
 viewed as a 2^a x 2^b matrix X it is the two small products K_hi X K_lo^T.  The
@@ -15,7 +13,7 @@ state (or, in one sweep, for a stack of parameter vectors) and a reverse
 column factors, psi, and psi's readout tables from the first adjoint sweep
 there, so repeated gradients at one theta sweep only their own vector, bit for
 bit as before.  The source state |f> is the paper's one, the +-2^{-n/2} step
-state; every entry point also takes any other f as a :class:`Statevector`.
+state; every entry point also takes any other real f as a :class:`Statevector`.
 """
 
 from __future__ import annotations
@@ -30,20 +28,19 @@ import numpy as np
 class Statevector:
     """Amplitude vector over n qubits (length 2^n).
 
-    The one place that decides the dtype: float64, unless some imaginary part
-    is non-zero, and then complex128.  A C-contiguous input of that dtype is
-    wrapped, not copied, so the state of :func:`prepare_ansatz_state` is the
-    read-only psi of theta's record.
+    Amplitudes are float64: an input with a non-zero imaginary part raises
+    ``ValueError``.  A C-contiguous float64 input is wrapped, not copied, so
+    the state of :func:`prepare_ansatz_state` is the read-only psi of theta's
+    record.
     """
 
     amplitudes: np.ndarray
 
     def __post_init__(self):
         amps = np.asarray(self.amplitudes)
-        if np.iscomplexobj(amps) and amps.imag.any():
-            amps = np.asarray(amps, dtype=np.complex128, order="C")
-        else:
-            amps = np.asarray(amps.real, dtype=np.float64, order="C")
+        if amps.dtype.kind == "c" and amps.imag.any():
+            raise ValueError("amplitudes must be real")
+        amps = np.asarray(amps.real, dtype=np.float64, order="C")
         size = amps.size
         if amps.ndim != 1 or size < 2 or size & (size - 1):
             raise ValueError("amplitudes must be a vector whose length is a power of two >= 2, "

@@ -136,11 +136,13 @@ def _inf_above_diagonal(n):
     (build_matrix(3, DIRICHLET)[:, :7], np.ones(8)),
     (build_matrix(3, DIRICHLET) + np.full((8, 8), 0.5), np.ones(8)),
     (build_matrix(3, DIRICHLET).astype(complex), np.ones(8)),
+    (build_matrix(3, DIRICHLET), np.ones(8) + 1j * np.arange(8)),
     (Bands(np.full(4, 2.0), np.full(2, -1.0), 0.0), np.ones(4)),
     (Bands(np.full(4, 2.0), np.full(3, -1.0), np.nan), np.ones(4)),
     (Bands(np.full(1, 2.0), np.zeros(0), -1.0), np.ones(1)),
 ], ids=["nan-rhs", "nan-matrix", "inf-above-diagonal", "8x7-matrix", "spd-not-tridiagonal",
-        "complex-matrix", "short-off-diagonal", "nan-corner", "corner-at-one-node"])
+        "complex-matrix", "complex-rhs", "short-off-diagonal", "nan-corner",
+        "corner-at-one-node"])
 def test_invalid_input_raises_value_error(matrix, rhs):
     with pytest.raises(ValueError):
         solve(matrix, rhs)

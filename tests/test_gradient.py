@@ -165,13 +165,6 @@ def test_parameter_shift_route_matches_pi_shift_route(rng):
                                  AnsatzCircuit(3, 4), prepare_source_state(3), rng, 1e-10)
 
 
-@pytest.mark.parametrize("phase", [1j, np.exp(0.3j)])
-def test_parameter_shift_route_with_complex_source(phase, rng):
-    f = Statevector(phase * prepare_source_state(3).amplitudes)
-    _check_parameter_shift_route(decompose(3, BoundaryCondition.NEUMANN, 1e-3),
-                                 AnsatzCircuit(3, 2), f, rng, 1e-12)
-
-
 def test_parameter_shift_route_on_two_axes(rng):
     _check_parameter_shift_route(fdm_two_axes(), AnsatzCircuit(4, 2), prepare_source_state(4),
                                  rng, 1e-12)
@@ -339,17 +332,3 @@ def test_multi_axis_grad_cost(multi_axis):
     np.testing.assert_allclose(grad, oracle, atol=1e-12)
     fd = finite_difference_gradient(lambda t: cost(op, circuit, t, f).energy, theta)
     assert np.max(np.abs(grad - fd) / (1.0 + np.abs(fd))) < 1e-5
-
-
-@pytest.mark.parametrize("phase", [1j, np.exp(0.3j)])
-def test_grad_numerator_with_complex_source(phase, rng):
-    f = Statevector(phase * prepare_source_state(3).amplitudes)
-    circuit = AnsatzCircuit(3, 2)
-    theta = random_theta(rng, circuit)
-    grad = grad_numerator(circuit, theta, f)
-    fd = finite_difference_gradient(
-        lambda t: numerator_hadamard(prepare_ansatz_state(circuit, t), f), theta)
-    np.testing.assert_allclose(grad, fd, atol=1e-7)
-    oracle = [0.5 * numerator_hadamard(shifted_state(circuit, theta, i), f)
-              for i in range(circuit.parameter_count)]
-    np.testing.assert_allclose(grad, oracle, atol=1e-12)

@@ -11,7 +11,6 @@ from vqa_poisson.classical import SolverError, trace_distance
 from vqa_poisson.cost import apply_operator
 from vqa_poisson.gradient import grad_cost
 from vqa_poisson.optimize import bfgs
-from vqa_poisson.sampling import derive_seed
 from vqa_poisson.operators import PoissonOperator
 
 DIRICHLET = BoundaryCondition.DIRICHLET
@@ -89,13 +88,23 @@ def test_energy_lower_bound_respected_throughout():
 
 
 def test_line_search_stops_once_the_step_rounds_to_theta():
-    # this trial's last line search reaches steps that round to theta; halving
-    # further would re-evaluate theta and count its circuits again (136,440)
-    problem = make_problem(6, DIRICHLET)
-    trace = minimize(problem, OptimizationConfig(), trial_seed=derive_seed(1234, 5))
-    assert trace.status == "line_search_failed"
-    assert trace.iterations_used == 902
-    assert trace.circuit_executions == 135_256
+    # a flat value and a gradient far below x's last bit: no step lowers the
+    # value or |g|, and after about 15 halvings the trial point rounds to x;
+    # halving further would only re-evaluate x.  Every product here is exact
+    # or rounds away, so the count does not depend on the BLAS kernel.
+    x0 = np.full(3, 1e6)
+    evaluated = []
+
+    def evaluate(x):
+        evaluated.append(x.copy())
+        return 1.0, lambda: np.full(3, 1e-6)
+
+    result = bfgs(evaluate, x0, 10, lambda x, value, grad: False)
+    assert result.status == "line_search_failed"
+    assert result.iterations_used == 0
+    trials = evaluated[1:]  # evaluated[0] is x0 itself
+    assert trials and not any(np.array_equal(x, x0) for x in trials)
+    assert len(trials) < 40  # stopped before the line search's trial cap
 
 
 @pytest.mark.parametrize("max_iterations,status", [(3, "max_iterations"), (1000, "converged")])
@@ -280,6 +289,9 @@ def test_exact_minimize_sweeps_once_per_cost_evaluation(monkeypatch):
     # one forward sweep per cost evaluation; none for the gradients or the final report
     assert seen["sweeps"] == seen["costs"] > trace.iterations_used
     assert len(seen["gradients"]) == trace.iterations_used + 1
+    # every evaluation counts its circuits once: t_c per cost, P t_c per gradient
+    t_c, count = 1 + len(problem.operator.terms), problem.circuit.parameter_count
+    assert trace.circuit_executions == t_c * (seen["costs"] + count * len(seen["gradients"]))
     monkeypatch.undo()
     for theta, grad in seen["gradients"]:
         reference = grad_cost(problem.operator, problem.circuit, theta, problem.source).grad
