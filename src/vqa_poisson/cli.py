@@ -104,7 +104,9 @@ FLAGS = {
                            _AT_LEAST_0),
     "method": Flag(str, "proposed, or baseline for shot-error-vs-s", _EVERY, "proposed",
                    (lambda v: v in METHODS, f"one of {METHODS}")),
-    "out": Flag(Path, "output directory", _EVERY, "out"),
+    "out": Flag(Path, "output directory", _EVERY, "out",
+                (lambda p: all(q.is_dir() for q in (p, *p.parents) if q.exists()),
+                 "a directory path that passes through no file")),
 }
 
 

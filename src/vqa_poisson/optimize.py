@@ -221,9 +221,8 @@ class TrialsResult:
 
 
 def minimize(problem: PoissonProblem, config: OptimizationConfig,
-             theta0: np.ndarray | None = None,
-             trial_seed: int | None = None) -> OptimizationTrace:
-    """Run one BFGS trial on the potential-energy cost.
+             trial_seed: int) -> OptimizationTrace:
+    """Run one BFGS trial on the potential-energy cost from ``draw_theta(circuit, trial_seed)``.
 
     The trial's trace distance to the classical solution (None for an aborted
     GradNorm trial) reads the cost's psi at the final theta; it solves the
@@ -231,8 +230,6 @@ def minimize(problem: PoissonProblem, config: OptimizationConfig,
     """
     op, circuit, f = problem.operator, problem.circuit, problem.source.amplitudes
     count = circuit.parameter_count
-    if theta0 is None:
-        theta0 = draw_theta(circuit, config.seed if trial_seed is None else trial_seed)
 
     t_c = measured_circuit_count(op)
     counters = {"circuits": 0}
@@ -256,7 +253,7 @@ def minimize(problem: PoissonProblem, config: OptimizationConfig,
         eps_tr = trace_distance(ansatz_amplitudes(circuit, theta), reference.u_normalized)
         return eps_tr < config.terminal.tolerance
 
-    result = bfgs(evaluate, theta0, config.max_iterations, stop_when)
+    result = bfgs(evaluate, draw_theta(circuit, trial_seed), config.max_iterations, stop_when)
 
     theta = result.final_theta
     psi = ansatz_amplitudes(circuit, theta)

@@ -4,10 +4,12 @@ Measurement protocol per term: apply the register shifts, rotate every X
 factor into the computational basis with a Hadamard, draw outcome counts for
 all shots at once from the squared amplitudes (one multinomial draw), and
 score each outcome as coefficient * (+-1 per X bit) * (0/1 per projector
-bit).  Every measured group draws from one independently derived stream:
-a term in a cost estimate, or the P shifted rows of one (slot, branch) in the
-gradient, whose rows are independent multinomial draws from that stream.
-Group estimates are uncorrelated, and all are deterministic in the seed.
+bit).  An estimate is the mean of its scored shots and carries that mean only:
+the MSE model reads the exact single-shot variances of :func:`term_shot_moments`.
+Every measured group draws from one independently derived stream: a term in a
+cost estimate, or the P shifted rows of one (slot, branch) in the gradient,
+whose rows are independent multinomial draws from that stream.  Group
+estimates are uncorrelated, and all are deterministic in the seed.
 One builder, :func:`_slots`, lays out the 1 + T measured slots of both
 estimators from one forward sweep: theta alone for a cost estimate, theta and
 its 3P shifts for a sampled gradient.  Each slot's outcome distributions are
@@ -56,9 +58,6 @@ class UnstableEstimateError(RuntimeError):
 @dataclass(frozen=True)
 class ShotEstimate:
     mean: float
-    sample_variance: float
-    shots: int
-    seed: int
 
 
 @dataclass(frozen=True)
@@ -198,43 +197,27 @@ def _shot_values(term: ObservableTerm) -> np.ndarray:
     return values
 
 
-def _measurement_distribution(term: ObservableTerm, state: Statevector,
-                              axes: tuple[int, ...] | None) -> tuple[np.ndarray, np.ndarray]:
-    """(outcome probabilities, per-outcome shot values) for one term."""
-    probs, values = _row_distributions(term, state.amplitudes[None], axes)
-    return probs[0], values
-
-
 def term_shot_moments(term: ObservableTerm, state: Statevector,
                       axes: tuple[int, ...] | None = None) -> tuple[float, float]:
     """Exact single-shot mean and variance of the term's measurement."""
-    probs, values = _measurement_distribution(term, state, axes)
-    mean = float(probs @ values)
-    second = float(probs @ (values * values))
+    probs, values = _row_distributions(term, state.amplitudes[None], axes)
+    mean = float(probs[0] @ values)
+    second = float(probs[0] @ (values * values))
     return mean, second - mean * mean
 
 
-def _shot_estimate(probs: np.ndarray, values: np.ndarray, shots: int,
-                   seed: int) -> ShotEstimate:
-    """Estimate from the counts of `shots` draws of one outcome distribution
-    (a row of :func:`_row_distributions`) on the stream of `seed`."""
+def _row_means(probs: np.ndarray, values: np.ndarray, shots: int, seed: int) -> np.ndarray:
+    """Shot-estimated mean of each `probs` row (one 1-D row: a scalar), on the stream of `seed`."""
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
-    counts = draw_counts(probs, shots, seed)
-    mean = float(counts @ values / shots)
-    variance = float(counts @ (values - mean) ** 2 / (shots - 1)) if shots > 1 else 0.0
-    return ShotEstimate(mean=mean, sample_variance=variance, shots=shots, seed=seed)
-
-
-def _row_means(probs: np.ndarray, values: np.ndarray, shots: int, seed: int) -> np.ndarray:
-    """Shot-estimated mean of every probability row, all rows drawn on the stream of `seed`."""
     return draw_counts(probs, shots, seed) @ values / shots
 
 
 def sample_term(term: ObservableTerm, state: Statevector, shots: int, seed: int,
                 axes: tuple[int, ...] | None = None) -> ShotEstimate:
     """Monte Carlo estimate of one term expectation from the counts of `shots` samples."""
-    return _shot_estimate(*_measurement_distribution(term, state, axes), shots, seed)
+    probs, values = _row_distributions(term, state.amplitudes[None], axes)
+    return ShotEstimate(float(_row_means(probs[0], values, shots, seed)))
 
 
 def _slots(op: PoissonOperator, circuit: AnsatzCircuit, theta: np.ndarray, f: Statevector,
@@ -300,12 +283,12 @@ def _base_estimate(op: PoissonOperator, dists: Sequence[tuple[np.ndarray, np.nda
                    shots: int, seed: int) -> tuple[CostReport, tuple[ShotEstimate, ...]]:
     """Plug-in cost from row 0 of every slot, slot k drawn on ``derive_seed(seed, k)``;
     a non-positive sampled denominator raises :class:`UnstableEstimateError`."""
-    estimates = tuple(_shot_estimate(probs[0], values, shots, derive_seed(seed, slot))
-                      for slot, (probs, values) in enumerate(dists))
-    den = op.constant_offset + sum(e.mean for e in estimates[1:])
+    means = [float(_row_means(probs[0], values, shots, derive_seed(seed, slot)))
+             for slot, (probs, values) in enumerate(dists)]
+    den = op.constant_offset + sum(means[1:])
     if den <= 0.0:
         raise UnstableEstimateError(f"sampled denominator {den} is not positive at {shots} shots")
-    return cost_report(estimates[0].mean, den), estimates
+    return cost_report(means[0], den), tuple(map(ShotEstimate, means))
 
 
 def sample_cost(op: PoissonOperator, circuit: AnsatzCircuit, theta: np.ndarray,

@@ -338,6 +338,15 @@ def test_qubit_range_past_the_cap_exits_two_without_listing_it(tmp_path):
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize("under", [(), ("sub",)], ids=["file", "under-file"])
+def test_out_through_a_file_exits_two_and_keeps_the_file(under, tmp_path, capsys):
+    afile = tmp_path / "afile"
+    afile.write_bytes(b"kept")
+    assert main(["solve", "--n", "2", "--trials", "1", "--out", str(afile.joinpath(*under))]) == 2
+    assert "out must be" in capsys.readouterr().err
+    assert afile.read_bytes() == b"kept"
+
+
 def test_solve_manifest_counts_trial_statuses(tmp_path):
     assert main(["solve", "--n", "2", "--trials", "2", "--max-iterations", "1",
                  "--out", str(tmp_path)]) == 0

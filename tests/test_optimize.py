@@ -47,11 +47,12 @@ def test_minimize_reaches_classical_optimum():
     assert trace.final_report.energy == pytest.approx(best, abs=1e-6)
 
 
-def test_minimize_accepts_stationary_start():
+def test_minimize_accepts_stationary_start(monkeypatch):
     # psi(pi/2) is orthogonal to the step source on one qubit: zero gradient
     problem = make_problem(1, DIRICHLET, n_layers=0)
     config = OptimizationConfig(max_iterations=50, terminal=GradNorm(1e-8))
-    trace = minimize(problem, config, theta0=np.array([np.pi / 2]))
+    monkeypatch.setattr(optimize, "draw_theta", lambda circuit, seed: np.array([np.pi / 2]))
+    trace = minimize(problem, config, trial_seed=0)
     assert trace.status == "converged"
     assert trace.iterations_used == 0
 

@@ -29,8 +29,6 @@ def test_eigenstate_sampling_has_zero_variance():
     plus = Statevector(np.full(2, 1 / np.sqrt(2)))
     est = sample_term(x_term(1, coeff=-1.0), plus, shots=64, seed=7)
     assert est.mean == -1.0
-    assert est.sample_variance == 0.0
-    assert est.shots == 64
 
 
 def test_projector_term_misses_deterministically():
@@ -45,9 +43,25 @@ def test_sampling_concentrates_at_root_s():
     assert abs(est.mean) < 5.0 / np.sqrt(10**4)
 
 
-def test_sample_term_rejects_bad_shots():
-    with pytest.raises(ValueError):
-        sample_term(x_term(1), Statevector.zero(1), shots=0, seed=0)
+@pytest.mark.parametrize("shots", [0, -1])
+@pytest.mark.parametrize("estimator", ["sample_term", "sample_cost_estimates", "sample_cost",
+                                       "sampled_gradient"])
+def test_estimators_reject_bad_shots_before_drawing(monkeypatch, estimator, shots):
+    draws = []
+    monkeypatch.setattr(sampling, "draw_counts", lambda *args: draws.append(args))
+    op = decompose(2, DIRICHLET)
+    circuit = AnsatzCircuit(2, 1)
+    theta = np.linspace(0.1, 1.0, circuit.parameter_count)
+    f = prepare_source_state(2)
+    calls = {
+        "sample_term": lambda: sample_term(op.terms[0], Statevector.zero(2), shots, 0, op.axes),
+        "sample_cost_estimates": lambda: sample_cost_estimates(op, circuit, theta, f, shots, 0),
+        "sample_cost": lambda: sample_cost(op, circuit, theta, f, shots, 0),
+        "sampled_gradient": lambda: sampled_gradient(op, circuit, theta, f, shots, 0),
+    }
+    with pytest.raises(ValueError, match="shots must be >= 1"):
+        calls[estimator]()
+    assert draws == []
 
 
 def test_determinism_and_stream_independence():
@@ -56,7 +70,6 @@ def test_determinism_and_stream_independence():
     a = sample_term(x_term(3), psi, shots=500, seed=42)
     b = sample_term(x_term(3), psi, shots=500, seed=42)
     assert a == b
-    assert a.sample_variance > 0
     others = [sample_term(x_term(3), psi, shots=500, seed=s).mean for s in range(43, 48)]
     assert any(mean != a.mean for mean in others)
 
@@ -190,9 +203,6 @@ def test_sampled_streams_are_pinned():
     np.testing.assert_allclose([e.mean for e in estimates],
                                [-0.5390625, 0.421875, -0.4609375, -0.2421875, -0.0078125],
                                rtol=0, atol=1e-15)
-    np.testing.assert_allclose([e.sample_variance for e in estimates],
-                               [0.7121936274509804, 0.8252450980392156, 0.790625,
-                                0.18425245098039217, 0.2352328431372549], rtol=1e-12)
     assert report.energy == pytest.approx(-0.08487119970975869, rel=1e-12)
     np.testing.assert_allclose(
         sampled_gradient(op, circuit, theta, f, 256, 2024),
@@ -201,13 +211,13 @@ def test_sampled_streams_are_pinned():
 
 
 def test_shot_values_match_per_qubit_reference():
-    from vqa_poisson.sampling import _measurement_distribution
     rng = np.random.default_rng(5)
     for n in range(1, 9):
         for _ in range(10):
             factors = tuple(rng.choice([FACTOR_I, FACTOR_X, FACTOR_P0], size=n))
             term = ObservableTerm(float(rng.normal()), factors, (0,))
-            _, values = _measurement_distribution(term, Statevector.zero(n), None)
+            _, values = sampling._row_distributions(term, Statevector.zero(n).amplitudes[None],
+                                                    None)
             idx = np.arange(1 << n)
             expected = np.full(1 << n, term.coefficient)
             for q, f in enumerate(factors):
@@ -221,14 +231,13 @@ def test_shot_values_match_per_qubit_reference():
 def test_count_moments_match_per_shot_expansion():
     psi = prepare_ansatz_state(AnsatzCircuit(3, 2), np.linspace(0.4, 2.9, 9))
     term = decompose(3, BoundaryCondition.NEUMANN, 1e-3).terms[-1]
-    probs, values = sampling._measurement_distribution(term, psi, None)
+    probs, values = sampling._row_distributions(term, psi.amplitudes[None], None)
     for shots, seed in ((2, 1), (64, 2), (1000, 3), (16384, 4)):
         est = sample_term(term, psi, shots, seed)
-        counts = sampling.draw_counts(probs, shots, seed)
+        counts = sampling.draw_counts(probs[0], shots, seed)
         assert counts.sum() == shots
         samples = np.repeat(values, counts)
         assert est.mean == pytest.approx(samples.mean(), abs=1e-12)
-        assert est.sample_variance == pytest.approx(samples.var(ddof=1), abs=1e-12)
 
 
 def test_sampled_gradient_draws_its_circuit_count(monkeypatch):
@@ -348,8 +357,9 @@ def _per_circuit_sampled_gradient(op, circuit, theta, f, shots, seed):
         return out
 
     def group_means(term, group_states, axes, key):
-        dists = [sampling._measurement_distribution(term, s, axes) for s in group_states]
-        counts = sampling.draw_counts(np.array([p for p, _ in dists]), shots,
+        dists = [sampling._row_distributions(term, s.amplitudes[None], axes)
+                 for s in group_states]
+        counts = sampling.draw_counts(np.array([p[0] for p, _ in dists]), shots,
                                       derive_seed(seed, *key))
         return counts @ dists[0][1] / shots
 
@@ -460,8 +470,7 @@ def test_warm_cache_outputs_equal_cold_outputs(bc):
     def outputs(shots, seed):
         try:
             report, estimates = sample_cost_estimates(op, circuit, theta, f, shots, seed)
-            cost_out = [report.energy] + [v for e in estimates
-                                          for v in (e.mean, e.sample_variance)]
+            cost_out = [report.energy] + [e.mean for e in estimates]
         except UnstableEstimateError as err:
             cost_out = [str(err)]
         try:
