@@ -1,8 +1,8 @@
 """Experiment harness: reproduces the study's figures as CSV-emitting subcommands.
 
 Every experiment writes ``results.csv`` (one row per measurement),
-``manifest.txt`` (full configuration, seeds, derived summaries) and
-``fig_*.dat`` plot-data files (whitespace-separated x, y, yerr columns) into
+``manifest.txt`` (configuration, seeds, numpy version, BLAS kernel, summaries)
+and ``fig_*.dat`` plot-data files (whitespace-separated x, y, yerr columns) into
 the output directory.  All runs are deterministic given (config, seed).
 
 Usage: ``vqa-poisson <experiment> [--config FILE] [--FLAG VALUE ...]`` with one
@@ -17,6 +17,7 @@ config file), 1 runtime failure.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import sys
 from dataclasses import astuple
 from pathlib import Path
@@ -105,8 +106,10 @@ FLAGS = {
     "method": Flag(str, "proposed, or baseline for shot-error-vs-s", _EVERY, "proposed",
                    (lambda v: v in METHODS, f"one of {METHODS}")),
     "out": Flag(Path, "output directory", _EVERY, "out",
-                (lambda p: all(q.is_dir() for q in (p, *p.parents) if q.exists()),
-                 "a directory path that passes through no file")),
+                # a dangling symlink does not exist, but mkdir cannot pass it either
+                (lambda p: all(q.is_dir() for q in (p, *p.parents)
+                               if q.exists() or q.is_symlink()),
+                 "a directory path that passes through no file or dangling symlink")),
 }
 
 
@@ -215,9 +218,24 @@ def _write_table(path: Path, header: list[str], rows: list[list]) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
+def _blas_kernel() -> str:
+    """The kernel numpy's bundled OpenBLAS runs (by CPU, or ``OPENBLAS_CORETYPE``),
+    or ``unknown`` without that library or symbol; kernels round differently."""
+    for lib in sorted((Path(np.__file__).parents[1] / "numpy.libs").glob("libscipy_openblas*")):
+        try:
+            corename = ctypes.CDLL(str(lib)).scipy_openblas_get_corename64_
+        except (OSError, AttributeError):  # not loadable, or no such symbol
+            continue
+        corename.argtypes, corename.restype = [], ctypes.c_char_p
+        name = corename()
+        return name.decode("ascii", "replace") if name else "unknown"
+    return "unknown"
+
+
 def _write_manifest(path: Path, config: argparse.Namespace, summary: list[str]) -> None:
     lines = [f"package = vqa-poisson {__version__}"]
     lines += [f"{key} = {_fmt(value)}" for key, value in vars(config).items() if key != "out"]
+    lines += [f"numpy = {np.__version__}", f"blas_kernel = {_blas_kernel()}"]
     lines += summary
     path.write_text("\n".join(lines) + "\n")
 

@@ -186,10 +186,10 @@ def bfgs(evaluate: Callable[[np.ndarray], tuple[float, Callable[[], np.ndarray]]
             hessian_inv *= sy / float(y @ y)
         if sy > 1e-12 * np.sqrt(step @ step) * np.sqrt(y @ y):
             rho = 1.0 / sy
-            left = eye - rho * np.outer(step, y)
+            left = eye - rho * (step[:, None] * y)
             # a contiguous right factor: a transposed view changes the product's rounding
             hessian_inv = (left @ hessian_inv @ np.ascontiguousarray(left.T)
-                           + rho * np.outer(step, step))
+                           + rho * (step[:, None] * step))
         else:
             skipped += 1
         x, value, grad = trial, accepted, new_grad

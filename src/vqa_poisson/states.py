@@ -104,7 +104,9 @@ def _ry_factors(half_angles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """:func:`_column_factors` of R_Y columns, [[c, -s], [s, c]] of the half-angles
     (..., n): one product pair per leading index, all built in one pass."""
     cos, sin = np.cos(half_angles), np.sin(half_angles)
-    gates = np.stack([cos, -sin, sin, cos], axis=-1).reshape(*np.shape(half_angles), 2, 2)
+    gates = np.empty(cos.shape + (2, 2))
+    gates[..., 0, 0] = gates[..., 1, 1] = cos
+    gates[..., 1, 0], gates[..., 0, 1] = sin, -sin
     return _column_factors(gates)
 
 
@@ -164,15 +166,14 @@ def _cz_brick_signs(n_qubits: int, parity: int) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=None)
-def _ry_pi_tables(n_qubits: int) -> tuple[np.ndarray, np.ndarray]:
-    """(index, sign) with (R_Y(pi)_q phi)[i] = sign[q, i] * phi[index[q, i]]."""
+def _ry_pi_index(n_qubits: int) -> np.ndarray:
+    """Flat indices into the rows (phi/2, -phi/2, ...) that gather
+    (R_Y(pi)_q phi / 2)[i] at [q, i]: phi[i ^ 2^q], negated where bit q of i is clear."""
     idx = np.arange(1 << n_qubits)
     masks = (1 << np.arange(n_qubits))[:, None]
-    index = idx ^ masks
-    sign = np.where(idx & masks, 1.0, -1.0)
+    index = (idx ^ masks) + np.where(idx & masks, 0, 1 << n_qubits)
     index.setflags(write=False)
-    sign.setflags(write=False)
-    return index, sign
+    return index
 
 
 def _checked_theta(circuit: AnsatzCircuit, theta: np.ndarray) -> np.ndarray:
@@ -190,12 +191,13 @@ def _forward_sweep(circuit: AnsatzCircuit, factors: tuple[np.ndarray, np.ndarray
     (columns, 2^a, 2^a) and (columns, 2^b, 2^b), or with a row axis after the
     column axis for one column per row."""
     n = circuit.n_qubits
-    amps = np.zeros((rows, 1 << n))
-    amps[:, 0] = 1.0
-    for column, (k_hi, k_lo_t) in enumerate(zip(*factors)):
-        if column:
-            amps *= _cz_brick_signs(n, (column - 1) % 2)
-        amps = _apply_column(amps, k_hi, k_lo_t)
+    k_his, k_lo_ts = factors
+    # the first column on |0...0> is the outer product of its factors' first
+    # columns: one rounded product per amplitude, as the two GEMMs give
+    amps = (k_his[0][..., :, 0, None] * k_lo_ts[0][..., None, 0, :]).reshape(rows, 1 << n)
+    for column in range(1, len(k_his)):
+        amps *= _cz_brick_signs(n, (column - 1) % 2)
+        amps = _apply_column(amps, k_his[column], k_lo_ts[column])
     return amps
 
 
@@ -203,7 +205,7 @@ def _forward_sweep(circuit: AnsatzCircuit, factors: tuple[np.ndarray, np.ndarray
 def _theta_factors(circuit: AnsatzCircuit, theta_bytes: bytes) -> tuple:
     """The record of one theta: every column's (K_hi, K_lo^T), psi from one
     forward sweep (read-only), and a list that the first :func:`ansatz_adjoint`
-    at theta fills with each column's readout table sign * psi_c[index]."""
+    at theta fills with each column's readout table (R_Y(pi)_q psi_c / 2)_q."""
     theta = np.frombuffer(theta_bytes).reshape(circuit.n_layers + 1, circuit.n_qubits)
     factors = _ry_factors(theta / 2.0)
     psi = _forward_sweep(circuit, factors, 1)[0]
@@ -245,24 +247,27 @@ def ansatz_adjoint(circuit: AnsatzCircuit, theta: np.ndarray, lam: np.ndarray) -
     with the transposed factors of the forward sweep: R_Y(-phi) = R_Y(phi)^T.
     The gates of an R_Y column commute, so every gradient of a column is read
     at the point just after it: d psi/d theta_i = (1/2) R_Y(pi)_q applied
-    there.  The first sweep at a theta keeps psi's readout tables in the
-    record, and later sweeps there un-apply lam alone.
+    there.  The sweep un-applies the rows (psi/2, -psi/2, lam): one gather from
+    the first two is a column's readout table, row q of it R_Y(pi)_q psi_c / 2,
+    and halving and negation are exact.  The first sweep at a theta keeps
+    psi's readout tables in the record, and later sweeps there un-apply lam
+    alone.
     """
     theta = _checked_theta(circuit, theta)
     n = circuit.n_qubits
-    index, sign = _ry_pi_tables(n)
+    index = _ry_pi_index(n)
     (k_his, k_lo_ts), psi, tables = _theta_factors(circuit, theta.tobytes())
     # Once psi's tables are filled, un-apply lam alone: each row is its own
     # product, so lam rounds as it does beside psi.
     reuse = bool(tables)
-    rows = np.array(lam, dtype=float, ndmin=2) if reuse else np.stack([psi, lam])
+    rows = np.array(lam, dtype=float, ndmin=2) if reuse else np.array([psi * 0.5, psi * -0.5, lam])
     readouts = tables if reuse else []
     grad = np.empty(circuit.parameter_count)
     for step, column in enumerate(range(circuit.n_layers, -1, -1)):
         if not reuse:
-            readouts.append(rows[0][index] * sign)
+            readouts.append(rows.take(index))
         base = column * n
-        grad[base:base + n] = 0.5 * (readouts[step] @ rows[-1])
+        np.matmul(readouts[step], rows[-1], out=grad[base:base + n])
         if column:
             rows = _apply_column(rows, k_his[column].T, k_lo_ts[column].T)
             rows *= _cz_brick_signs(n, (column - 1) % 2)

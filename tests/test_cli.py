@@ -7,6 +7,7 @@ import pytest
 
 from vqa_poisson import (AnsatzCircuit, BoundaryCondition, DEFAULT_EPSILON, ObservableTerm,
                          decompose, prepare_source_state)
+from vqa_poisson import cli
 from vqa_poisson.cli import (FLAGS, STUDIES, UsageError, barren_plateau_norms, build_parser,
                              main, resolve_config)
 from vqa_poisson.gradient import grad_cost, grad_numerator, term_gradient
@@ -179,6 +180,30 @@ def test_manifest_configuration_lines_are_pinned(tmp_path):
     ]
 
 
+def test_manifest_records_numpy_and_the_blas_kernel_after_the_configuration(tmp_path):
+    assert main(["fem2d-verify", "--n", "1", "--out", str(tmp_path)]) == 0
+    lines = (tmp_path / "manifest.txt").read_text().splitlines()
+    assert lines[4:6] == [f"numpy = {np.__version__}", f"blas_kernel = {cli._blas_kernel()}"]
+    assert re.fullmatch(r"\w+", cli._blas_kernel())  # a kernel name, or unknown
+
+
+def test_blas_kernel_is_unknown_without_the_library_or_its_symbol(tmp_path, monkeypatch):
+    class NoSymbols:
+        def __init__(self, path):
+            pass
+
+    monkeypatch.setattr(cli.ctypes, "CDLL", NoSymbols)
+    assert cli._blas_kernel() == "unknown"
+
+    def unloadable(path):
+        raise OSError(path)
+
+    monkeypatch.setattr(cli.ctypes, "CDLL", unloadable)
+    assert cli._blas_kernel() == "unknown"
+    monkeypatch.setattr(cli.np, "__file__", str(tmp_path / "numpy" / "__init__.py"))
+    assert cli._blas_kernel() == "unknown"
+
+
 @pytest.mark.parametrize("bc", list(BoundaryCondition))
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_barren_plateau_norms_match_the_inline_protocol(bc, n):
@@ -345,6 +370,16 @@ def test_out_through_a_file_exits_two_and_keeps_the_file(under, tmp_path, capsys
     assert main(["solve", "--n", "2", "--trials", "1", "--out", str(afile.joinpath(*under))]) == 2
     assert "out must be" in capsys.readouterr().err
     assert afile.read_bytes() == b"kept"
+
+
+@pytest.mark.parametrize("under", [(), ("sub",)], ids=["link", "under-link"])
+def test_out_through_a_dangling_symlink_exits_two_and_keeps_the_link(under, tmp_path, capsys):
+    link = tmp_path / "blink"
+    link.symlink_to(tmp_path / "missing-target")
+    assert main(["solve", "--n", "2", "--trials", "1", "--out", str(link.joinpath(*under))]) == 2
+    assert "out must be" in capsys.readouterr().err
+    assert link.is_symlink() and link.readlink() == tmp_path / "missing-target"
+    assert not (tmp_path / "missing-target").exists()
 
 
 def test_solve_manifest_counts_trial_statuses(tmp_path):

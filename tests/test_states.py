@@ -125,22 +125,82 @@ def test_ansatz_state_matches_single_qubit_gate_reference(n, rng):
         np.testing.assert_allclose(state.amplitudes, reference[0], rtol=0, atol=1e-14)
 
 
+def _column_gates(circuit, theta, column):
+    """The (n, 2, 2) R_Y gates of one column, from the test's own 2x2 matrices."""
+    n = circuit.n_qubits
+    return np.array([_ry_matrix(angle) for angle in theta[column * n:(column + 1) * n]])
+
+
+def _cz_brick(circuit, column, rows):
+    for a, b in circuit.entangler_pairs(column - 1):
+        rows = rows * _cz_signs(circuit.n_qubits, a, b)
+    return rows
+
+
+def _gate_by_gate_state(circuit, theta):
+    """The circuit applied to |0...0> one gate at a time, where an R_Y column is
+    one gate of the column kernel."""
+    reference = np.zeros((1, 1 << circuit.n_qubits))
+    reference[0, 0] = 1.0
+    for column in range(circuit.n_layers + 1):
+        if column:
+            reference = _cz_brick(circuit, column, reference)
+        gates = _column_gates(circuit, theta, column)
+        reference = _apply_column(reference, *_column_factors(gates))
+    return reference[0]
+
+
+def _thetas_with_exact_angles(rng, circuit):
+    """A uniform theta, and one with about half its entries exactly 0, pi or 2 pi."""
+    theta = rng.uniform(0, 4 * np.pi, circuit.parameter_count)
+    exact = rng.choice([0.0, np.pi, 2 * np.pi], circuit.parameter_count)
+    return theta, np.where(rng.random(circuit.parameter_count) < 0.5, exact, theta)
+
+
 @pytest.mark.parametrize("n", range(1, 11))
 def test_ansatz_state_is_bit_identical_to_gate_by_gate_reference(n, rng):
-    """The reference applies the circuit one gate at a time, where an R_Y column
-    is one gate of the column kernel, built from the test's own 2x2 matrices."""
+    """Exact angles give exact zeros; an amplitude that is exactly zero may
+    differ from the reference only in its sign, which np.array_equal ignores."""
     for layers in range(4):
         circuit = AnsatzCircuit(n, layers)
-        theta = rng.uniform(0, 4 * np.pi, circuit.parameter_count)
-        reference = np.zeros((1, 1 << n))
-        reference[0, 0] = 1.0
-        for column in range(layers + 1):
-            if column:
-                for a, b in circuit.entangler_pairs(column - 1):
-                    reference = reference * _cz_signs(n, a, b)
-            gates = np.array([_ry_matrix(angle) for angle in theta[column * n:(column + 1) * n]])
-            reference = _apply_column(reference, *_column_factors(gates))
-        assert np.array_equal(ansatz_amplitudes(circuit, theta), reference[0])
+        for theta in _thetas_with_exact_angles(rng, circuit):
+            assert np.array_equal(ansatz_amplitudes(circuit, theta),
+                                  _gate_by_gate_state(circuit, theta))
+
+
+def _reference_adjoint(circuit, theta, lam):
+    """The adjoint gradient from the stacked (psi, lam) pair and (index, sign)
+    tables: each column's readout 0.5 * ((sign * psi_c[index]) @ lam_c), then the
+    pair un-applied with the column's transposed factors and the CZ brick."""
+    n = circuit.n_qubits
+    idx = np.arange(1 << n)
+    masks = (1 << np.arange(n))[:, None]
+    index, sign = idx ^ masks, np.where(idx & masks, 1.0, -1.0)
+    rows = np.stack([_gate_by_gate_state(circuit, theta), lam])
+    grad = np.empty(circuit.parameter_count)
+    for column in range(circuit.n_layers, -1, -1):
+        psi_c, lam_c = rows
+        grad[column * n:(column + 1) * n] = 0.5 * ((sign * psi_c[index]) @ lam_c)
+        if column:
+            k_hi, k_lo_t = _column_factors(_column_gates(circuit, theta, column))
+            rows = _cz_brick(circuit, column, _apply_column(rows, k_hi.T, k_lo_t.T))
+    return grad
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_adjoint_is_bit_identical_to_the_pair_sweep_reference(n, rng):
+    """Cold, the sweep un-applies (psi / 2, -psi / 2, lam) and gathers its tables
+    from the first two rows; warm, it reads the stored tables.  Both keep every
+    bit of the reference's pair sweep."""
+    for layers in range(4):
+        circuit = AnsatzCircuit(n, layers)
+        for theta in _thetas_with_exact_angles(rng, circuit):
+            lam, other = rng.normal(size=(2, 1 << n))
+            states._theta_factors.cache_clear()
+            assert np.array_equal(ansatz_adjoint(circuit, theta, lam),
+                                  _reference_adjoint(circuit, theta, lam))
+            assert np.array_equal(ansatz_adjoint(circuit, theta, other),
+                                  _reference_adjoint(circuit, theta, other))
 
 
 @pytest.mark.parametrize("n", range(1, 7))
