@@ -13,6 +13,7 @@ builds no dense matrix.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable
@@ -132,10 +133,10 @@ def bfgs(evaluate: Callable[[np.ndarray], tuple[float, Callable[[], np.ndarray]]
     status = "max_iterations"
     k = 0
     while True:
-        gnorm = float(np.sqrt(grad @ grad))
+        gnorm = math.sqrt(grad @ grad)
         values.append(value)
         gnorms.append(gnorm)
-        if not np.isfinite(value) or not np.isfinite(gnorm):
+        if not math.isfinite(value) or not math.isfinite(gnorm):
             status = "aborted:non-finite cost or gradient"
             break
         if stop_when(x, value, grad):
@@ -166,7 +167,7 @@ def bfgs(evaluate: Callable[[np.ndarray], tuple[float, Callable[[], np.ndarray]]
                 # decrease: an equal value is taken only where |g| drops.
                 new_grad = gradient_at() if candidate == bound == value else None
                 if candidate < bound or (new_grad is not None
-                                         and np.sqrt(new_grad @ new_grad) < gnorm):
+                                         and math.sqrt(new_grad @ new_grad) < gnorm):
                     accepted = candidate
                     break
             except SingularOperatorError:
@@ -184,7 +185,7 @@ def bfgs(evaluate: Callable[[np.ndarray], tuple[float, Callable[[], np.ndarray]]
         sy = float(step @ y)
         if k == 0 and sy > 0.0:
             hessian_inv *= sy / float(y @ y)
-        if sy > 1e-12 * np.sqrt(step @ step) * np.sqrt(y @ y):
+        if sy > 1e-12 * math.sqrt(step @ step) * math.sqrt(y @ y):
             rho = 1.0 / sy
             left = eye - rho * (step[:, None] * y)
             # a contiguous right factor: a transposed view changes the product's rounding
@@ -249,7 +250,7 @@ def minimize(problem: PoissonProblem, config: OptimizationConfig,
 
     def stop_when(theta: np.ndarray, value: float, grad: np.ndarray) -> bool:
         if isinstance(config.terminal, GradNorm):
-            return bool(np.linalg.norm(grad) < config.terminal.threshold)
+            return math.sqrt(grad @ grad) < config.terminal.threshold
         eps_tr = trace_distance(ansatz_amplitudes(circuit, theta), reference.u_normalized)
         return eps_tr < config.terminal.tolerance
 
