@@ -227,8 +227,7 @@ def _blas_kernel() -> str:
         except (OSError, AttributeError):  # not loadable, or no such symbol
             continue
         corename.argtypes, corename.restype = [], ctypes.c_char_p
-        name = corename()
-        return name.decode("ascii", "replace") if name else "unknown"
+        return (corename() or b"unknown").decode("ascii", "replace")
     return "unknown"
 
 

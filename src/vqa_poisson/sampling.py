@@ -48,7 +48,7 @@ from .cost import CostReport, ancilla_x_term, cost_report
 from .gradient import parameter_shift_gradient
 from .operators import ObservableTerm, PoissonOperator, _factor_masks, shift_amplitudes
 from .states import (AnsatzCircuit, Statevector, _apply_column, _checked_theta,
-                     _hadamard_factors, ansatz_amplitude_rows, superposition_rows)
+                     _hadamard_factors, _matrices, ansatz_amplitude_rows, superposition_rows)
 
 
 class UnstableEstimateError(RuntimeError):
@@ -174,7 +174,8 @@ def _row_distributions(term: ObservableTerm, rows: np.ndarray,
     rotated = shift_amplitudes(rows, axes, term.axis_shifts)
     xmask = _factor_masks(term.factors)[0]
     if xmask:
-        rotated = _apply_column(rotated, *_hadamard_factors(term.n_qubits, xmask))
+        rotated = _apply_column(_matrices(rotated), *_hadamard_factors(term.n_qubits, xmask))
+        rotated = rotated.reshape(rows.shape)
     probs = rotated * rotated
     probs /= probs.sum(axis=-1, keepdims=True)
     return probs, _shot_values(term)

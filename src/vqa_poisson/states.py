@@ -6,14 +6,15 @@ state the solver prepares is real, and a :class:`Statevector` holds float64
 amplitudes only.  Every single-qubit gate runs through one column kernel.  A
 column, one gate per qubit with identities where none acts, is K_hi (x) K_lo
 over the high a = n - n // 2 and low b = n // 2 qubits; on an amplitude row
-viewed as a 2^a x 2^b matrix X it is the two small products K_hi X K_lo^T.  The
-layered ansatz is simulated on real float64 arrays: a forward sweep for its
-state (or, in one sweep, for a stack of parameter vectors) and a reverse
-(adjoint) sweep for its gradients.  The last 8 thetas each keep a record: the
-column factors, psi, and psi's readout tables from the first adjoint sweep
-there, so repeated gradients at one theta sweep only their own vector, bit for
-bit as before.  The source state |f> is the paper's one, the +-2^{-n/2} step
-state; every entry point also takes any other real f as a :class:`Statevector`.
+viewed as a 2^a x 2^b matrix X it is the two small products K_hi X K_lo^T.
+The layered ansatz is simulated on real float64 arrays, kept in that matrix
+form: a forward sweep for its state (or, in one sweep, for a stack of
+parameter vectors) and a reverse (adjoint) sweep for its gradients.  The last
+8 thetas each keep a record: the column factors, psi, and psi's readout tables
+from the first adjoint sweep there, so repeated gradients at one theta sweep
+only their own vector, bit for bit as before.  The source state |f> is the
+paper's one, the +-2^{-n/2} step state; every entry point also takes any other
+real f as a :class:`Statevector`.
 """
 
 from __future__ import annotations
@@ -117,12 +118,18 @@ def _hadamard_factors(n_qubits: int, mask: int) -> tuple[np.ndarray, np.ndarray]
     return _column_factors(np.where(on, _HADAMARD, np.eye(2)))
 
 
-def _apply_column(amps: np.ndarray, k_hi: np.ndarray, k_lo_t: np.ndarray) -> np.ndarray:
-    """The column K_hi (x) K_lo on every row of a (rows, 2^n) array, as
-    K_hi X K_lo^T with X the row as a 2^a x 2^b matrix (Van Loan, J. Comput.
-    Appl. Math. 123, 2000); per-row factors are stacks with a leading row axis."""
-    split = amps.reshape(len(amps), k_hi.shape[-1], k_lo_t.shape[-1])
-    return (k_hi @ split @ k_lo_t).reshape(amps.shape)
+def _matrices(amps: np.ndarray) -> np.ndarray:
+    """(..., 2^n) amplitudes as (..., 2^a, 2^b) matrices X, a row of X per
+    state of the high a = n - n // 2 qubits: the form :func:`_apply_column` takes."""
+    n = amps.shape[-1].bit_length() - 1
+    return amps.reshape(*amps.shape[:-1], 1 << (n - n // 2), 1 << (n // 2))
+
+
+def _apply_column(x: np.ndarray, k_hi: np.ndarray, k_lo_t: np.ndarray) -> np.ndarray:
+    """The column K_hi (x) K_lo on amplitudes in :func:`_matrices` form, as
+    K_hi X K_lo^T (Van Loan, J. Comput. Appl. Math. 123, 2000); per-row
+    factors are stacks with a leading row axis."""
+    return k_hi @ x @ k_lo_t
 
 
 @dataclass(frozen=True)
@@ -156,11 +163,13 @@ class AnsatzCircuit:
 
 @functools.lru_cache(maxsize=None)
 def _cz_brick_signs(n_qubits: int, parity: int) -> np.ndarray:
-    """+-1 diagonal of the controlled-Z brick on pairs (parity, parity+1), ..."""
+    """+-1 diagonal of the controlled-Z brick on pairs (parity, parity+1), ...,
+    in :func:`_matrices` form."""
     idx = np.arange(1 << n_qubits)
     signs = np.ones(1 << n_qubits)
     for a, b in AnsatzCircuit(n_qubits, 0).entangler_pairs(parity):
         signs[(idx >> a) & (idx >> b) & 1 == 1] *= -1.0
+    signs = _matrices(signs)
     signs.setflags(write=False)
     return signs
 
@@ -194,11 +203,11 @@ def _forward_sweep(circuit: AnsatzCircuit, factors: tuple[np.ndarray, np.ndarray
     k_his, k_lo_ts = factors
     # the first column on |0...0> is the outer product of its factors' first
     # columns: one rounded product per amplitude, as the two GEMMs give
-    amps = (k_his[0][..., :, 0, None] * k_lo_ts[0][..., None, 0, :]).reshape(rows, 1 << n)
+    amps = k_his[0][..., :, 0, None] * k_lo_ts[0][..., None, 0, :]
     for column in range(1, len(k_his)):
         amps *= _cz_brick_signs(n, (column - 1) % 2)
         amps = _apply_column(amps, k_his[column], k_lo_ts[column])
-    return amps
+    return amps.reshape(rows, 1 << n)
 
 
 @functools.lru_cache(maxsize=8)
@@ -243,15 +252,14 @@ def ansatz_adjoint(circuit: AnsatzCircuit, theta: np.ndarray, lam: np.ndarray) -
 
     ``lam`` is a real vector; psi is :func:`ansatz_amplitudes` at ``theta``,
     read from theta's record.  The sweep un-applies the circuit column by
-    column to the stacked (psi, lam) pair (Jones & Gacon, arXiv:2009.02823),
-    with the transposed factors of the forward sweep: R_Y(-phi) = R_Y(phi)^T.
+    column to psi and lam together (Jones & Gacon, arXiv:2009.02823), with
+    the transposed factors of the forward sweep: R_Y(-phi) = R_Y(phi)^T.
     The gates of an R_Y column commute, so every gradient of a column is read
     at the point just after it: d psi/d theta_i = (1/2) R_Y(pi)_q applied
-    there.  The sweep un-applies the rows (psi/2, -psi/2, lam): one gather from
-    the first two is a column's readout table, row q of it R_Y(pi)_q psi_c / 2,
-    and halving and negation are exact.  The first sweep at a theta keeps
-    psi's readout tables in the record, and later sweeps there un-apply lam
-    alone.
+    there.  The rows swept are (psi/2, -psi/2, lam): one gather from the first
+    two is a column's readout table, row q of it R_Y(pi)_q psi_c / 2, and
+    halving and negation are exact.  The first sweep at a theta keeps psi's
+    readout tables in the record, and later sweeps there un-apply lam alone.
     """
     theta = _checked_theta(circuit, theta)
     n = circuit.n_qubits
@@ -260,14 +268,15 @@ def ansatz_adjoint(circuit: AnsatzCircuit, theta: np.ndarray, lam: np.ndarray) -
     # Once psi's tables are filled, un-apply lam alone: each row is its own
     # product, so lam rounds as it does beside psi.
     reuse = bool(tables)
-    rows = np.array(lam, dtype=float, ndmin=2) if reuse else np.array([psi * 0.5, psi * -0.5, lam])
+    rows = _matrices(np.array(lam, dtype=float, ndmin=2) if reuse
+                     else np.array([psi * 0.5, psi * -0.5, lam]))
     readouts = tables if reuse else []
     grad = np.empty(circuit.parameter_count)
     for step, column in enumerate(range(circuit.n_layers, -1, -1)):
         if not reuse:
             readouts.append(rows.take(index))
         base = column * n
-        np.matmul(readouts[step], rows[-1], out=grad[base:base + n])
+        np.matmul(readouts[step], rows[-1].reshape(-1), out=grad[base:base + n])
         if column:
             rows = _apply_column(rows, k_his[column].T, k_lo_ts[column].T)
             rows *= _cz_brick_signs(n, (column - 1) % 2)
@@ -287,10 +296,10 @@ def prepare_source_state(n_qubits: int) -> Statevector:
     +2^{-n/2} on the lower half of indices and -2^{-n/2} on the upper half."""
     if n_qubits < 1:
         raise ValueError(f"n_qubits must be >= 1, got {n_qubits}")
-    rows = Statevector.basis(n_qubits, 1 << (n_qubits - 1)).amplitudes[None]
+    amps = _matrices(Statevector.basis(n_qubits, 1 << (n_qubits - 1)).amplitudes)
     for q in range(n_qubits):
-        rows = _apply_column(rows, *_hadamard_factors(n_qubits, 1 << q))
-    return Statevector(rows[0])
+        amps = _apply_column(amps, *_hadamard_factors(n_qubits, 1 << q))
+    return Statevector(amps.reshape(-1))
 
 
 def superposition_rows(a: np.ndarray, rows: np.ndarray) -> np.ndarray:

@@ -6,14 +6,20 @@ from hypothesis import strategies as st
 from vqa_poisson import (AnsatzCircuit, Statevector, prepare_ansatz_state, prepare_source_state,
                          prepare_superposition_state)
 from vqa_poisson import states
-from vqa_poisson.states import (_apply_column, _column_factors, _hadamard_factors, _ry_factors,
-                                ansatz_adjoint, ansatz_amplitude_rows, ansatz_amplitudes)
+from vqa_poisson.states import (_apply_column, _column_factors, _hadamard_factors, _matrices,
+                                _ry_factors, ansatz_adjoint, ansatz_amplitude_rows,
+                                ansatz_amplitudes)
 
 from conftest import random_real_state
 
 
+def _column(rows, k_hi, k_lo_t):
+    """The column kernel on flat (rows, 2^n) amplitudes."""
+    return _apply_column(_matrices(rows), k_hi, k_lo_t).reshape(rows.shape)
+
+
 def test_h_on_single_qubit():
-    rows = _apply_column(Statevector.zero(1).amplitudes[None], *_hadamard_factors(1, 1))
+    rows = _column(Statevector.zero(1).amplitudes[None], *_hadamard_factors(1, 1))
     np.testing.assert_allclose(rows, [[1 / np.sqrt(2), 1 / np.sqrt(2)]])
 
 
@@ -74,10 +80,10 @@ def test_norm_preservation_over_random_sequences(rng):
             kind = rng.integers(0, 4)
             q = int(rng.integers(0, n))
             if kind == 0:
-                rows = _apply_column(rows, *_hadamard_factors(n, 1 << q))
+                rows = _column(rows, *_hadamard_factors(n, 1 << q))
             elif kind == 1:
                 half_angles = np.where(np.arange(n) == q, rng.uniform(0, np.pi), 0.0)
-                rows = _apply_column(rows, *_ry_factors(half_angles))
+                rows = _column(rows, *_ry_factors(half_angles))
             elif kind == 2 and n > 1:
                 p = int(rng.integers(0, n - 1))
                 rows = rows * _cz_signs(n, p, p + 1)
@@ -146,7 +152,7 @@ def _gate_by_gate_state(circuit, theta):
         if column:
             reference = _cz_brick(circuit, column, reference)
         gates = _column_gates(circuit, theta, column)
-        reference = _apply_column(reference, *_column_factors(gates))
+        reference = _column(reference, *_column_factors(gates))
     return reference[0]
 
 
@@ -183,7 +189,7 @@ def _reference_adjoint(circuit, theta, lam):
         grad[column * n:(column + 1) * n] = 0.5 * ((sign * psi_c[index]) @ lam_c)
         if column:
             k_hi, k_lo_t = _column_factors(_column_gates(circuit, theta, column))
-            rows = _cz_brick(circuit, column, _apply_column(rows, k_hi.T, k_lo_t.T))
+            rows = _cz_brick(circuit, column, _column(rows, k_hi.T, k_lo_t.T))
     return grad
 
 
@@ -329,7 +335,7 @@ def _two_term_gate(rows, qubit, gates):
 def _kernel(rows, gates):
     """The column kernel on a (rows, 2^n) array, the column given as its
     (..., n, 2, 2) gate stack."""
-    return _apply_column(rows, *_column_factors(gates))
+    return _column(rows, *_column_factors(gates))
 
 
 @pytest.mark.parametrize("n", range(1, 13))
@@ -355,7 +361,7 @@ def test_gate_kernel_matches_dense_kronecker_oracle(n, rng):
                       np.array([gate] * count)),
                      (_kernel(rows, np.where(on_q[:, None, None], per_row[:, None], identities)),
                       per_row),
-                     (_apply_column(rows, *_ry_factors(half_angles)), ry))
+                     (_column(rows, *_ry_factors(half_angles)), ry))
             for amps, oracle in cases:
                 if n <= 8:
                     expected = [_dense_gate(n, q, g) @ row for g, row in zip(oracle, rows)]
