@@ -341,12 +341,12 @@ def _kernel(rows, gates):
 @pytest.mark.parametrize("n", range(1, 13))
 def test_gate_kernel_matches_dense_kronecker_oracle(n, rng):
     """The column kernel with one gate on a qubit and identities elsewhere, at
-    every qubit, at the sweeps' row counts (1, the adjoint pair, the 3P of a
-    parameter-shift sweep), and with a different gate on every qubit; dense
+    every qubit, at the sweeps' row counts (1, the adjoint's three rows, the
+    3P of a parameter-shift sweep), and with a different gate on every qubit; dense
     Kronecker oracle up to n = 8, the two-term formula from n = 9, where the
     high and low halves of the register split unevenly at odd n."""
     identities = np.broadcast_to(np.eye(2), (n, 2, 2))
-    for count in (1, 2, 90):
+    for count in (1, 3, 90):
         rows = rng.normal(size=(count, 1 << n))
         gate = rng.normal(size=(2, 2))
         per_row = rng.normal(size=(count, 2, 2))
