@@ -22,11 +22,11 @@ import numpy as np
 
 from .classical import ClassicalSolution, solve, trace_distance
 from .cost import CostReport, SingularOperatorError, cost_and_a_psi, measured_circuit_count
-from .gradient import grad_from_state
 from .operators import (DEFAULT_EPSILON, Bands, BoundaryCondition, PoissonOperator,
                         build_bands, decompose)
 from .sampling import _generator, derive_seed
-from .states import AnsatzCircuit, Statevector, ansatz_amplitudes, prepare_source_state
+from .states import (AnsatzCircuit, Statevector, _adjoint_sweep, _theta_record,
+                     ansatz_amplitudes, prepare_source_state)
 
 INIT_RANGE = (0.0, 4.0 * np.pi)
 
@@ -230,19 +230,19 @@ def minimize(problem: PoissonProblem, config: OptimizationConfig,
     classical system, so a singular operator raises SolverError here.
     """
     op, circuit, f = problem.operator, problem.circuit, problem.source.amplitudes
-    count = circuit.parameter_count
-
-    t_c = measured_circuit_count(op)
+    count, t_c = circuit.parameter_count, measured_circuit_count(op)
     counters = {"circuits": 0}
 
     def evaluate(theta: np.ndarray) -> tuple[float, Callable[[], np.ndarray]]:
-        """The energy at theta, and its gradient from the same psi, report and A psi."""
+        """The energy at theta, and its gradient from the same record, report and A psi."""
         counters["circuits"] += t_c
-        report, a_psi = cost_and_a_psi(op, ansatz_amplitudes(circuit, theta), f)
+        record = _theta_record(circuit, theta)
+        report, a_psi = cost_and_a_psi(op, record[1], f)
 
         def gradient() -> np.ndarray:
             counters["circuits"] += count * t_c
-            return grad_from_state(circuit, theta, report, a_psi, f)
+            ratio = report.r_opt  # grad_from_state's lam, swept from the record read above
+            return _adjoint_sweep(circuit, record, ratio * ratio * a_psi - ratio * f)
 
         return report.energy, gradient
 

@@ -9,12 +9,12 @@ over the high a = n - n // 2 and low b = n // 2 qubits; on an amplitude row
 viewed as a 2^a x 2^b matrix X it is the two small products K_hi X K_lo^T.
 The layered ansatz is simulated on real float64 arrays, kept in that matrix
 form: a forward sweep for its state (or, in one sweep, for a stack of
-parameter vectors) and a reverse (adjoint) sweep for its gradients.  The last
-8 thetas each keep a record: the column factors, psi, and psi's readout tables
-from the first adjoint sweep there, so repeated gradients at one theta sweep
-only their own vector, bit for bit as before.  The source state |f> is the
-paper's one, the +-2^{-n/2} step state; every entry point also takes any other
-real f as a :class:`Statevector`.
+parameter vectors) and a reverse (adjoint) sweep for its gradients.  The
+latest theta keeps one record: the column factors, psi, and psi's readout
+tables from the first adjoint sweep there, so repeated gradients at one theta
+sweep only their own vector, bit for bit as before.  The source state |f> is
+the paper's one, the +-2^{-n/2} step state; every entry point also takes any
+other real f as a :class:`Statevector`.
 """
 
 from __future__ import annotations
@@ -210,11 +210,13 @@ def _forward_sweep(circuit: AnsatzCircuit, factors: tuple[np.ndarray, np.ndarray
     return amps.reshape(rows, 1 << n)
 
 
-@functools.lru_cache(maxsize=8)
+@functools.lru_cache(maxsize=1)
 def _theta_factors(circuit: AnsatzCircuit, theta_bytes: bytes) -> tuple:
     """The record of one theta: every column's (K_hi, K_lo^T), psi from one
     forward sweep (read-only), and a list that the first :func:`ansatz_adjoint`
-    at theta fills with each column's readout table (R_Y(pi)_q psi_c / 2)_q."""
+    at theta fills with each column's readout table (R_Y(pi)_q psi_c / 2)_q.
+    Only the latest theta keeps one: the solver and the studies reuse only
+    the theta they evaluated last, so more records would only hold memory."""
     theta = np.frombuffer(theta_bytes).reshape(circuit.n_layers + 1, circuit.n_qubits)
     factors = _ry_factors(theta / 2.0)
     psi = _forward_sweep(circuit, factors, 1)[0]
@@ -225,13 +227,17 @@ def _theta_factors(circuit: AnsatzCircuit, theta_bytes: bytes) -> tuple:
 def ansatz_amplitudes(circuit: AnsatzCircuit, theta: np.ndarray) -> np.ndarray:
     """Real amplitudes of U(theta)|0...0> for the alternating layered ansatz.
 
-    The result is read-only: it is the psi of theta's record, which the last
-    8 thetas keep with their column factors and, once an adjoint sweep has
-    run at theta, its (L + 1) n 2^n float64 readout tables (0.49 MB at
-    n = 10, L = 5; 11 MB at n = 14).
+    The result is read-only: it is the psi of theta's record, which only the
+    latest theta keeps, with its column factors and, once an adjoint sweep
+    has run at theta, its (L + 1) n 2^n float64 readout tables (at L = 5 the
+    record holds 0.6 MB at n = 10 and 12.7 MB at n = 14, mostly tables).
     """
-    theta = _checked_theta(circuit, theta)
-    return _theta_factors(circuit, theta.tobytes())[1]
+    return _theta_record(circuit, theta)[1]
+
+
+def _theta_record(circuit: AnsatzCircuit, theta: np.ndarray) -> tuple:
+    """:func:`_theta_factors` of theta, checked and keyed once."""
+    return _theta_factors(circuit, _checked_theta(circuit, theta).tobytes())
 
 
 def ansatz_amplitude_rows(circuit: AnsatzCircuit, thetas: np.ndarray) -> np.ndarray:
@@ -261,10 +267,14 @@ def ansatz_adjoint(circuit: AnsatzCircuit, theta: np.ndarray, lam: np.ndarray) -
     halving and negation are exact.  The first sweep at a theta keeps psi's
     readout tables in the record, and later sweeps there un-apply lam alone.
     """
-    theta = _checked_theta(circuit, theta)
+    return _adjoint_sweep(circuit, _theta_record(circuit, theta), lam)
+
+
+def _adjoint_sweep(circuit: AnsatzCircuit, record: tuple, lam: np.ndarray) -> np.ndarray:
+    """:func:`ansatz_adjoint` from theta's record (:func:`_theta_record`)."""
     n = circuit.n_qubits
     index = _ry_pi_index(n)
-    (k_his, k_lo_ts), psi, tables = _theta_factors(circuit, theta.tobytes())
+    (k_his, k_lo_ts), psi, tables = record
     # Once psi's tables are filled, un-apply lam alone: each row is its own
     # product, so lam rounds as it does beside psi.
     reuse = bool(tables)

@@ -1,9 +1,12 @@
+import functools
+
 import numpy as np
 import pytest
 
 from vqa_poisson import (AnsatzCircuit, BoundaryCondition, Mesh2D, Statevector, build_fem_2d,
-                         cost, decompose, denominator, expectation, finite_difference_gradient,
-                         grad_cost, grad_numerator, numerator_hadamard, prepare_ansatz_state,
+                         OptimizationConfig, TraceDistance, cost, decompose, denominator,
+                         expectation, finite_difference_gradient, grad_cost, grad_numerator,
+                         make_problem, minimize, numerator_hadamard, prepare_ansatz_state,
                          prepare_source_state, reassemble_dense, shifted_state, term_gradient)
 from vqa_poisson.cost import cost_and_a_psi, cost_report
 from vqa_poisson import states
@@ -265,6 +268,29 @@ def test_barren_plateau_gradients_share_one_forward_sweep(n, rng, monkeypatch):
     states._theta_factors.cache_clear()
     barren_plateau_gradients(n, random_theta(rng, AnsatzCircuit(n, 5)))
     assert sweeps == [1]
+
+
+def _record_traffic(run):
+    """(hits, misses) of the per-theta records over one run, from empty records."""
+    states._theta_factors.cache_clear()
+    run()
+    info = states._theta_factors.cache_info()
+    return info.hits, info.misses
+
+
+def test_theta_record_size_fits_the_traffic(rng, monkeypatch):
+    """Every record the solver and the barren-plateau protocol reuse is the
+    latest theta's: the shipped size finds it as often as unbounded records."""
+    problem = make_problem(3, DIRICHLET)
+    config = OptimizationConfig(max_iterations=40, terminal=TraceDistance(1e-3))
+    theta = random_theta(rng, AnsatzCircuit(5, 5))
+    runs = (lambda: minimize(problem, config, trial_seed=4),
+            lambda: barren_plateau_gradients(5, theta))
+    shipped = [_record_traffic(run) for run in runs]
+    assert all(hits > 0 for hits, _ in shipped)
+    unbounded = functools.lru_cache(maxsize=None)(states._theta_factors.__wrapped__)
+    monkeypatch.setattr(states, "_theta_factors", unbounded)
+    assert [_record_traffic(run) for run in runs] == shipped
 
 
 def test_adjoint_fills_the_records_tables_once(rng):

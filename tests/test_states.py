@@ -222,6 +222,23 @@ def test_batched_sweep_matches_per_theta_states(n, rng):
                 assert np.array_equal(row, ansatz_amplitudes(circuit, theta))
 
 
+@pytest.mark.parametrize("n", [*range(1, 13), 14])
+def test_ry_factors_are_the_gate_stacks_column_factors(n, rng):
+    """The R_Y factor build gives the bytes of the Kronecker chain of the
+    explicit R_Y gates, zeros' signs included, with a column axis and with
+    the column x row axes of a batched sweep."""
+    exact = np.array([0.0, np.pi / 2, np.pi])
+    for shape in ((6, n), (4, 3, n)) if n < 14 else ((6, n),):
+        half_angles = rng.uniform(0, 2 * np.pi, shape)
+        half_angles = np.where(rng.random(shape) < 0.5, rng.choice(exact, shape), half_angles)
+        for half in (half_angles, np.swapaxes(half_angles, 0, -2)):
+            cos, sin = np.cos(half), np.sin(half)
+            gates = np.stack([np.stack([cos, -sin], -1), np.stack([sin, cos], -1)], -2)
+            for built, chained in zip(_ry_factors(half), _column_factors(gates), strict=True):
+                assert built.shape == chained.shape
+                assert built.tobytes() == chained.tobytes()
+
+
 def test_ansatz_amplitudes_are_read_only(rng):
     circuit = AnsatzCircuit(3, 2)
     psi = ansatz_amplitudes(circuit, rng.uniform(0, 4 * np.pi, circuit.parameter_count))
@@ -235,7 +252,7 @@ def test_theta_records_stay_bounded(rng):
     for _ in range(100):
         theta = rng.uniform(0, 4 * np.pi, circuit.parameter_count)
         ansatz_adjoint(circuit, theta, lam)
-    assert states._theta_factors.cache_info().currsize <= 8
+    assert states._theta_factors.cache_info().currsize <= 1
 
 
 def test_batched_sweep_rejects_wrong_shape():
