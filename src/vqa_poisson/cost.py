@@ -75,6 +75,9 @@ def apply_term(term: ObservableTerm, amps: np.ndarray,
                axes: tuple[int, ...] | None = None) -> np.ndarray:
     """coefficient * P^-s M P^s |phi>: the term as an operator on raw amplitudes."""
     index, weight = gather_table(term, (term.n_qubits,) if axes is None else axes)
+    if amps.shape != index.shape:
+        raise ValueError(f"term acts on {term.n_qubits} qubits ({index.size} amplitudes), "
+                         f"got shape {amps.shape}")
     return weight * amps[index]
 
 
@@ -109,7 +112,7 @@ def cost_and_a_psi(op: PoissonOperator, psi: np.ndarray,
     if psi.size != 1 << op.n_qubits:
         raise ValueError(f"operator acts on {op.n_qubits} qubits, state has {psi.size} amplitudes")
     a_psi = apply_operator(op, psi)
-    num, den = float(np.vdot(psi, f)), float(np.vdot(psi, a_psi))
+    num, den = float(psi.dot(f)), float(psi.dot(a_psi))
     return cost_report(num, den), a_psi
 
 

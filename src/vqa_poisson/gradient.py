@@ -6,7 +6,8 @@ all its components in one reverse sweep over the ansatz, about two state
 preparations of work, from theta and lam alone: psi comes from theta's record.
 The numerator takes lam = f, one term lam = 2 T psi, and the cost the
 quotient-rule combination lam = r^2 A psi - r f (:func:`grad_from_state`,
-from the report and A psi of a cost evaluation at theta).  For
+from theta's record and the report and A psi of a cost evaluation there;
+the cost gradient and the BFGS gradient both sweep through it).  For
 R_Y parameters d_i psi = (1/2) U(..., theta_i + pi, ...)|0...0>;
 :func:`shifted_state` builds that pi-shifted state (the test oracle).
 The shifted-circuit route measures theta, its P pi shifts and its 2P +-pi/2
@@ -16,6 +17,7 @@ quotient rule.  :mod:`~vqa_poisson.sampling` prepares and measures the shifts.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -23,7 +25,7 @@ import numpy as np
 
 from .cost import CostReport, apply_term, cost_and_a_psi
 from .operators import ObservableTerm, PoissonOperator
-from .states import (AnsatzCircuit, Statevector, ansatz_adjoint, ansatz_amplitudes,
+from .states import (AnsatzCircuit, Statevector, _adjoint_sweep, _theta_record, ansatz_adjoint,
                      prepare_ansatz_state)
 
 
@@ -51,16 +53,17 @@ def grad_numerator(circuit: AnsatzCircuit, theta: np.ndarray, f: Statevector) ->
 def term_gradient(term: ObservableTerm, circuit: AnsatzCircuit, theta: np.ndarray,
                   axes: tuple[int, ...] | None = None) -> np.ndarray:
     """Gradient of one term's expectation (barren-plateau diagnostics)."""
-    psi = ansatz_amplitudes(circuit, theta)
-    return ansatz_adjoint(circuit, theta, 2.0 * apply_term(term, psi, axes))
+    record = _theta_record(circuit, theta)
+    return _adjoint_sweep(circuit, record, 2.0 * apply_term(term, record[1], axes))
 
 
-def grad_from_state(circuit: AnsatzCircuit, theta: np.ndarray, report: CostReport,
+def grad_from_state(circuit: AnsatzCircuit, record: tuple, report: CostReport,
                     a_psi: np.ndarray, f: np.ndarray) -> np.ndarray:
-    """Cost gradient from the cost report and A psi of theta's psi: one adjoint
-    sweep with lam = r^2 A psi - r f, r = num/den, and no forward sweep."""
+    """Cost gradient from theta's record (:func:`~vqa_poisson.states._theta_record`)
+    and the cost report and A psi of its psi: one adjoint sweep with
+    lam = r^2 A psi - r f, r = num/den, and no forward sweep."""
     ratio = report.r_opt
-    return ansatz_adjoint(circuit, theta, ratio * ratio * a_psi - ratio * f)
+    return _adjoint_sweep(circuit, record, ratio * ratio * a_psi - ratio * f)
 
 
 def grad_cost(op: PoissonOperator, circuit: AnsatzCircuit, theta: np.ndarray,
@@ -68,11 +71,13 @@ def grad_cost(op: PoissonOperator, circuit: AnsatzCircuit, theta: np.ndarray,
     """dE/d theta_i = -(num/den) Re<d_i psi|f> + (num/den)^2 Re<d_i psi|A|psi>.
 
     One forward sweep gives psi, :func:`~vqa_poisson.cost.cost_and_a_psi` the
-    cost and A psi, and :func:`grad_from_state` the gradient.
+    cost and A psi, and :func:`grad_from_state` the gradient, all from one
+    record fetch.
     """
-    psi = ansatz_amplitudes(circuit, theta)
-    grad = grad_from_state(circuit, theta, *cost_and_a_psi(op, psi, f.amplitudes), f.amplitudes)
-    return GradientReport(grad=grad, norm=float(np.linalg.norm(grad)))
+    record = _theta_record(circuit, theta)
+    f_amps = f.amplitudes
+    grad = grad_from_state(circuit, record, *cost_and_a_psi(op, record[1], f_amps), f_amps)
+    return GradientReport(grad=grad, norm=math.sqrt(grad.dot(grad)))
 
 
 def parameter_shift_gradient(base: CostReport, g_num: np.ndarray, plus: Sequence[np.ndarray],

@@ -22,11 +22,12 @@ import numpy as np
 
 from .classical import ClassicalSolution, solve, trace_distance
 from .cost import CostReport, SingularOperatorError, cost_and_a_psi, measured_circuit_count
+from .gradient import grad_from_state
 from .operators import (DEFAULT_EPSILON, Bands, BoundaryCondition, PoissonOperator,
                         build_bands, decompose)
 from .sampling import _generator, derive_seed
-from .states import (AnsatzCircuit, Statevector, _adjoint_sweep, _theta_record,
-                     ansatz_amplitudes, prepare_source_state)
+from .states import (AnsatzCircuit, Statevector, _theta_record, ansatz_amplitudes,
+                     prepare_source_state)
 
 INIT_RANGE = (0.0, 4.0 * np.pi)
 
@@ -133,7 +134,7 @@ def bfgs(evaluate: Callable[[np.ndarray], tuple[float, Callable[[], np.ndarray]]
     status = "max_iterations"
     k = 0
     while True:
-        gnorm = math.sqrt(grad @ grad)
+        gnorm = math.sqrt(grad.dot(grad))
         values.append(value)
         gnorms.append(gnorm)
         if not math.isfinite(value) or not math.isfinite(gnorm):
@@ -146,12 +147,12 @@ def bfgs(evaluate: Callable[[np.ndarray], tuple[float, Callable[[], np.ndarray]]
             status = "max_iterations"
             break
 
-        direction = -hessian_inv @ grad
-        slope = float(grad @ direction)
+        direction = (-hessian_inv).dot(grad)  # -(H g) would turn an exact 0.0 into -0.0
+        slope = float(grad.dot(direction))
         if slope >= 0.0:  # not a descent direction; reset curvature estimate
             hessian_inv = eye.copy()
             direction = -grad
-            slope = float(grad @ direction)
+            slope = float(grad.dot(direction))
 
         alpha = 1.0
         accepted = new_grad = None
@@ -167,7 +168,7 @@ def bfgs(evaluate: Callable[[np.ndarray], tuple[float, Callable[[], np.ndarray]]
                 # decrease: an equal value is taken only where |g| drops.
                 new_grad = gradient_at() if candidate == bound == value else None
                 if candidate < bound or (new_grad is not None
-                                         and math.sqrt(new_grad @ new_grad) < gnorm):
+                                         and math.sqrt(new_grad.dot(new_grad)) < gnorm):
                     accepted = candidate
                     break
             except SingularOperatorError:
@@ -182,21 +183,21 @@ def bfgs(evaluate: Callable[[np.ndarray], tuple[float, Callable[[], np.ndarray]]
         if new_grad is None:
             new_grad = gradient_at()
         y = new_grad - grad
-        sy = float(step @ y)
+        sy = float(step.dot(y))
         if k == 0 and sy > 0.0:
-            hessian_inv *= sy / float(y @ y)
-        if sy > 1e-12 * math.sqrt(step @ step) * math.sqrt(y @ y):
+            hessian_inv *= sy / float(y.dot(y))
+        if sy > 1e-12 * math.sqrt(step.dot(step)) * math.sqrt(y.dot(y)):
             rho = 1.0 / sy
             left = eye - rho * (step[:, None] * y)
             # a contiguous right factor: a transposed view changes the product's rounding
-            hessian_inv = (left @ hessian_inv @ np.ascontiguousarray(left.T)
+            hessian_inv = (left.dot(hessian_inv).dot(np.ascontiguousarray(left.T))
                            + rho * (step[:, None] * step))
         else:
             skipped += 1
         x, value, grad = trial, accepted, new_grad
         k += 1
 
-    final_gnorm = float(np.sqrt(grad @ grad)) if np.all(np.isfinite(grad)) else np.nan
+    final_gnorm = math.sqrt(grad.dot(grad)) if np.all(np.isfinite(grad)) else np.nan
     return BfgsResult(x, k, status, values, gnorms, final_gnorm, zero_decrease, skipped)
 
 
@@ -241,8 +242,7 @@ def minimize(problem: PoissonProblem, config: OptimizationConfig,
 
         def gradient() -> np.ndarray:
             counters["circuits"] += count * t_c
-            ratio = report.r_opt  # grad_from_state's lam, swept from the record read above
-            return _adjoint_sweep(circuit, record, ratio * ratio * a_psi - ratio * f)
+            return grad_from_state(circuit, record, report, a_psi, f)
 
         return report.energy, gradient
 
@@ -250,7 +250,7 @@ def minimize(problem: PoissonProblem, config: OptimizationConfig,
 
     def stop_when(theta: np.ndarray, value: float, grad: np.ndarray) -> bool:
         if isinstance(config.terminal, GradNorm):
-            return math.sqrt(grad @ grad) < config.terminal.threshold
+            return math.sqrt(grad.dot(grad)) < config.terminal.threshold
         eps_tr = trace_distance(ansatz_amplitudes(circuit, theta), reference.u_normalized)
         return eps_tr < config.terminal.tolerance
 

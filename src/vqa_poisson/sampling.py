@@ -211,7 +211,7 @@ def _row_means(probs: np.ndarray, values: np.ndarray, shots: int, seed: int) -> 
     """Shot-estimated mean of each `probs` row (one 1-D row: a scalar), on the stream of `seed`."""
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
-    return draw_counts(probs, shots, seed) @ values / shots
+    return draw_counts(probs, shots, seed).dot(values) / shots
 
 
 def sample_term(term: ObservableTerm, state: Statevector, shots: int, seed: int,

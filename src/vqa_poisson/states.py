@@ -7,12 +7,17 @@ amplitudes only.  Every single-qubit gate runs through one column kernel.  A
 column, one gate per qubit with identities where none acts, is K_hi (x) K_lo
 over the high a = n - n // 2 and low b = n // 2 qubits; on an amplitude row
 viewed as a 2^a x 2^b matrix X it is the two small products K_hi X K_lo^T.
-The layered ansatz is simulated on real float64 arrays, kept in that matrix
-form: a forward sweep for its state (or, in one sweep, for a stack of
-parameter vectors) and a reverse (adjoint) sweep for its gradients.  The
-latest theta keeps one record: the column factors, psi, and psi's readout
-tables from the first adjoint sweep there, so repeated gradients at one theta
-sweep only their own vector, bit for bit as before.  The source state |f> is
+A product of one matrix or vector goes through ``ndarray.dot``, and a stack
+of them through ``matmul`` (``@``).  Both reach the same BLAS call, so the
+bits agree; but at n <= 10 a call costs more to dispatch than to compute, and
+``dot`` dispatches in about half the time.  ``np.dot`` contracts a stack along
+other axes than ``matmul`` does, so stacks keep ``@``.  The layered ansatz is
+simulated on real float64 arrays, kept in that matrix form: a forward sweep
+for its state (or, in one sweep, for a stack of parameter vectors) and a
+reverse (adjoint) sweep for its gradients.  The latest theta keeps one
+record: the column factors, psi, and psi's readout tables from the first
+adjoint sweep there, so repeated gradients at one theta sweep only their own
+vector, bit for bit as before.  The source state |f> is
 the paper's one, the +-2^{-n/2} step state; every entry point also takes any
 other real f as a :class:`Statevector`.
 """
@@ -128,7 +133,9 @@ def _matrices(amps: np.ndarray) -> np.ndarray:
 def _apply_column(x: np.ndarray, k_hi: np.ndarray, k_lo_t: np.ndarray) -> np.ndarray:
     """The column K_hi (x) K_lo on amplitudes in :func:`_matrices` form, as
     K_hi X K_lo^T (Van Loan, J. Comput. Appl. Math. 123, 2000); per-row
-    factors are stacks with a leading row axis."""
+    factors are stacks with a leading row axis, multiplied by ``matmul``."""
+    if x.ndim == k_hi.ndim == k_lo_t.ndim == 2:
+        return k_hi.dot(x).dot(k_lo_t)
     return k_hi @ x @ k_lo_t
 
 
@@ -275,18 +282,21 @@ def _adjoint_sweep(circuit: AnsatzCircuit, record: tuple, lam: np.ndarray) -> np
     n = circuit.n_qubits
     index = _ry_pi_index(n)
     (k_his, k_lo_ts), psi, tables = record
-    # Once psi's tables are filled, un-apply lam alone: each row is its own
-    # product, so lam rounds as it does beside psi.
+    lam = np.asarray(lam, dtype=float)
+    if lam.shape != psi.shape:
+        raise ValueError(f"lam must have the state's {psi.size} amplitudes, got shape {lam.shape}")
+    # Once psi's tables are filled, un-apply lam alone, as one matrix: each
+    # row of the stack is its own product, so lam rounds as it does beside psi.
     reuse = bool(tables)
-    rows = _matrices(np.array(lam, dtype=float, ndmin=2) if reuse
-                     else np.array([psi * 0.5, psi * -0.5, lam]))
+    rows = _matrices(lam if reuse else np.array([psi * 0.5, psi * -0.5, lam]))
     readouts = tables if reuse else []
     grad = np.empty(circuit.parameter_count)
     for step, column in enumerate(range(circuit.n_layers, -1, -1)):
         if not reuse:
             readouts.append(rows.take(index))
         base = column * n
-        np.matmul(readouts[step], rows[-1].reshape(-1), out=grad[base:base + n])
+        lam_c = rows if reuse else rows[-1]
+        readouts[step].dot(lam_c.reshape(-1), out=grad[base:base + n])
         if column:
             rows = _apply_column(rows, k_his[column].T, k_lo_ts[column].T)
             rows *= _cz_brick_signs(n, (column - 1) % 2)

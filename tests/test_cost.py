@@ -43,6 +43,13 @@ def test_expectation_rejects_size_mismatch():
         expectation(x_term(2), Statevector.zero(3))
 
 
+@pytest.mark.parametrize("size", [4, 16])
+def test_apply_term_rejects_a_size_mismatch(size):
+    # a longer vector must not come back cut to the term's 8 values
+    with pytest.raises(ValueError, match=rf"3 qubits \(8 amplitudes\), got shape \({size},\)"):
+        apply_term(x_term(3), np.ones(size))
+
+
 @pytest.mark.parametrize("helper", [
     lambda term, circuit, theta, axes: expectation(
         term, prepare_ansatz_state(circuit, theta), axes),

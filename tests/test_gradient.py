@@ -209,7 +209,8 @@ def test_adjoint_sweep_matches_pi_shift_oracle(n, layers, rng):
 @pytest.mark.parametrize("n", [3, 5, 8])
 def test_gradient_from_reused_factors_equals_cold_call(n, rng):
     """The adjoint sweep reuses the column factors of the forward sweep at the
-    same theta; built afresh, they give the same gradient bit for bit."""
+    same theta, from the one record fetch of ``grad_cost``; built afresh, they
+    give the same gradient bit for bit."""
     op = decompose(n, DIRICHLET)
     circuit = AnsatzCircuit(n, 3)
     f = prepare_source_state(n)
@@ -217,12 +218,24 @@ def test_gradient_from_reused_factors_equals_cold_call(n, rng):
     theta = random_theta(rng, circuit)
     states._theta_factors.cache_clear()
     warm = grad_cost(op, circuit, theta, f).grad
-    assert states._theta_factors.cache_info().hits == 1
+    assert states._theta_factors.cache_info()[:2] == (0, 1)  # one fetch, no reuse
     psi = ansatz_amplitudes(circuit, theta)
     states._theta_factors.cache_clear()
-    cold = grad_from_state(circuit, theta, *cost_and_a_psi(op, psi, f_amps), f_amps)
+    cold = grad_from_state(circuit, states._theta_record(circuit, theta),
+                           *cost_and_a_psi(op, psi, f_amps), f_amps)
     assert states._theta_factors.cache_info().misses == 1
     assert np.array_equal(warm, cold)
+
+
+@pytest.mark.parametrize("size", [4, 16])
+def test_adjoint_rejects_a_lam_of_another_size(size, rng):
+    circuit = AnsatzCircuit(3, 2)
+    theta = random_theta(rng, circuit)
+    states._theta_factors.cache_clear()
+    for _ in range(2):  # a cold sweep, then a warm one
+        with pytest.raises(ValueError, match=rf"state's 8 amplitudes, got shape \({size},\)"):
+            ansatz_adjoint(circuit, theta, np.ones(size))
+        ansatz_adjoint(circuit, theta, np.ones(8))  # fills theta's tables for the warm sweep
 
 
 def barren_plateau_gradients(n, theta, before_each=lambda: None):
@@ -257,6 +270,7 @@ def test_barren_plateau_gradients_from_one_record_equal_cold_calls(n, rng):
 
 @pytest.mark.parametrize("n", [1, 3, 5, 8, 10])
 def test_barren_plateau_gradients_share_one_forward_sweep(n, rng, monkeypatch):
+    """One forward sweep for the four gradients, and one record fetch each."""
     sweeps = []
     forward_sweep = states._forward_sweep
 
@@ -268,6 +282,7 @@ def test_barren_plateau_gradients_share_one_forward_sweep(n, rng, monkeypatch):
     states._theta_factors.cache_clear()
     barren_plateau_gradients(n, random_theta(rng, AnsatzCircuit(n, 5)))
     assert sweeps == [1]
+    assert states._theta_factors.cache_info()[:2] == (3, 1)
 
 
 def _record_traffic(run):

@@ -209,9 +209,12 @@ def test_adjoint_is_bit_identical_to_the_pair_sweep_reference(n, rng):
                                   _reference_adjoint(circuit, theta, other))
 
 
-@pytest.mark.parametrize("n", range(1, 7))
+@pytest.mark.parametrize("n", range(1, 11))
 def test_batched_sweep_matches_per_theta_states(n, rng):
-    for layers in range(4):
+    """A stack of rows goes through ``matmul`` and one theta through
+    ``ndarray.dot``: the same GEMMs, bit for bit, at every size the
+    barren-plateau workload runs."""
+    for layers in range(6):
         circuit = AnsatzCircuit(n, layers)
         # one row as a cost estimate sweeps theta alone, five as a batch
         for count in (1, 5):
