@@ -33,8 +33,8 @@ from .operators import (DEFAULT_EPSILON, DENSE_QUBIT_CAP, BoundaryCondition, Mes
 from .optimize import (GradNorm, OptimizationConfig, TraceDistance, TrialsResult, draw_theta,
                        make_problem, run_trials)
 from .resources import count_baseline_circuits, resource_report
-from .sampling import (UnstableEstimateError, derive_seed, draw_counts,
-                       sample_cost_estimates, sampled_gradient)
+from .sampling import (UnstableEstimateError, _row_means, derive_seed, sample_cost_estimates,
+                       sampled_gradient)
 from .states import ansatz_amplitudes, prepare_ansatz_state, superposition_rows
 
 METHODS = ("proposed", "baseline")
@@ -361,7 +361,7 @@ def _sample_baseline_cost(eig_a2, eig_xa, sup: np.ndarray, psi: np.ndarray,
     def estimate(values: np.ndarray, vectors: np.ndarray, amps: np.ndarray, key: int) -> float:
         probs = (vectors.T @ amps) ** 2
         probs /= probs.sum()
-        return float(draw_counts(probs, shots, derive_seed(seed, key)) @ values / shots)
+        return float(_row_means(probs, values, shots, derive_seed(seed, key)))
 
     est_a2 = estimate(eig_a2[0] ** 2, eig_a2[1], psi, 0)
     est_af = estimate(eig_xa[0], eig_xa[1], sup, 1)

@@ -5,9 +5,9 @@ d_i psi = d|psi>/d theta_i; :func:`~vqa_poisson.states.ansatz_adjoint` gives
 all its components in one reverse sweep over the ansatz, about two state
 preparations of work, from theta and lam alone: psi comes from theta's record.
 The numerator takes lam = f, one term lam = 2 T psi, and the cost the
-quotient-rule combination lam = r^2 A psi - r f (:func:`grad_from_state`,
-from theta's record and the report and A psi of a cost evaluation there;
-the cost gradient and the BFGS gradient both sweep through it).  For
+quotient-rule combination lam = r^2 A psi - r f, formed only in
+:func:`evaluate` from the report and A psi of the cost at theta; the cost
+gradient and the BFGS gradient both take it from there.  For
 R_Y parameters d_i psi = (1/2) U(..., theta_i + pi, ...)|0...0>;
 :func:`shifted_state` builds that pi-shifted state (the test oracle).
 The shifted-circuit route measures theta, its P pi shifts and its 2P +-pi/2
@@ -57,26 +57,25 @@ def term_gradient(term: ObservableTerm, circuit: AnsatzCircuit, theta: np.ndarra
     return _adjoint_sweep(circuit, record, 2.0 * apply_term(term, record[1], axes))
 
 
-def grad_from_state(circuit: AnsatzCircuit, record: tuple, report: CostReport,
-                    a_psi: np.ndarray, f: np.ndarray) -> np.ndarray:
-    """Cost gradient from theta's record (:func:`~vqa_poisson.states._theta_record`)
-    and the cost report and A psi of its psi: one adjoint sweep with
-    lam = r^2 A psi - r f, r = num/den, and no forward sweep."""
-    ratio = report.r_opt
-    return _adjoint_sweep(circuit, record, ratio * ratio * a_psi - ratio * f)
+def evaluate(op: PoissonOperator, circuit: AnsatzCircuit, theta: np.ndarray,
+             f: np.ndarray) -> tuple[CostReport, Callable[[], np.ndarray]]:
+    """The cost report at theta, for amplitudes f, and a zero-argument function
+    that gives its gradient: one record fetch, one forward sweep at most, and
+    per gradient one adjoint sweep with lam = r^2 A psi - r f, r = num/den."""
+    record = _theta_record(circuit, theta)
+    report, a_psi = cost_and_a_psi(op, record[1], f)
+
+    def gradient() -> np.ndarray:
+        ratio = report.r_opt
+        return _adjoint_sweep(circuit, record, ratio * ratio * a_psi - ratio * f)
+
+    return report, gradient
 
 
 def grad_cost(op: PoissonOperator, circuit: AnsatzCircuit, theta: np.ndarray,
               f: Statevector) -> GradientReport:
-    """dE/d theta_i = -(num/den) Re<d_i psi|f> + (num/den)^2 Re<d_i psi|A|psi>.
-
-    One forward sweep gives psi, :func:`~vqa_poisson.cost.cost_and_a_psi` the
-    cost and A psi, and :func:`grad_from_state` the gradient, all from one
-    record fetch.
-    """
-    record = _theta_record(circuit, theta)
-    f_amps = f.amplitudes
-    grad = grad_from_state(circuit, record, *cost_and_a_psi(op, record[1], f_amps), f_amps)
+    """dE/d theta_i = -(num/den) Re<d_i psi|f> + (num/den)^2 Re<d_i psi|A|psi>."""
+    grad = evaluate(op, circuit, theta, f.amplitudes)[1]()
     return GradientReport(grad=grad, norm=math.sqrt(grad.dot(grad)))
 
 

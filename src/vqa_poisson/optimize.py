@@ -2,9 +2,9 @@
 
 BFGS with backtracking Armijo line search, implemented here (no external
 solver), inverse-Hessian seeded with the identity and rescaled after the first
-accepted step.  Each cost evaluation sweeps the ansatz once and hands BFGS
-the energy with a function that gives the gradient from the same psi, report
-and A psi; the final report and trace distance read psi from theta's record.
+accepted step.  Each cost evaluation hands BFGS the energy and a function for
+the gradient from the same record (:func:`~vqa_poisson.gradient.evaluate`);
+the final report and trace distance read psi from theta's record.
 Trials draw initial parameters uniformly from [0, 4*pi] and are
 embarrassingly parallel in their seeds.  A problem holds its system matrix by
 its bands and caches the classical reference solved from them, so set-up
@@ -21,13 +21,12 @@ from typing import Callable
 import numpy as np
 
 from .classical import ClassicalSolution, solve, trace_distance
-from .cost import CostReport, SingularOperatorError, cost_and_a_psi, measured_circuit_count
-from .gradient import grad_from_state
+from .cost import CostReport, SingularOperatorError, measured_circuit_count
+from .gradient import evaluate
 from .operators import (DEFAULT_EPSILON, Bands, BoundaryCondition, PoissonOperator,
                         build_bands, decompose)
 from .sampling import _generator, derive_seed
-from .states import (AnsatzCircuit, Statevector, _theta_record, ansatz_amplitudes,
-                     prepare_source_state)
+from .states import AnsatzCircuit, Statevector, ansatz_amplitudes, prepare_source_state
 
 INIT_RANGE = (0.0, 4.0 * np.pi)
 
@@ -234,17 +233,16 @@ def minimize(problem: PoissonProblem, config: OptimizationConfig,
     count, t_c = circuit.parameter_count, measured_circuit_count(op)
     counters = {"circuits": 0}
 
-    def evaluate(theta: np.ndarray) -> tuple[float, Callable[[], np.ndarray]]:
-        """The energy at theta, and its gradient from the same record, report and A psi."""
+    def counted(theta: np.ndarray) -> tuple[float, Callable[[], np.ndarray]]:
+        """The energy at theta and its gradient function (:func:`evaluate`), counting circuits."""
         counters["circuits"] += t_c
-        record = _theta_record(circuit, theta)
-        report, a_psi = cost_and_a_psi(op, record[1], f)
+        report, gradient = evaluate(op, circuit, theta, f)
 
-        def gradient() -> np.ndarray:
+        def counted_gradient() -> np.ndarray:
             counters["circuits"] += count * t_c
-            return grad_from_state(circuit, record, report, a_psi, f)
+            return gradient()
 
-        return report.energy, gradient
+        return report.energy, counted_gradient
 
     reference = problem.classical() if isinstance(config.terminal, TraceDistance) else None
 
@@ -254,12 +252,11 @@ def minimize(problem: PoissonProblem, config: OptimizationConfig,
         eps_tr = trace_distance(ansatz_amplitudes(circuit, theta), reference.u_normalized)
         return eps_tr < config.terminal.tolerance
 
-    result = bfgs(evaluate, draw_theta(circuit, trial_seed), config.max_iterations, stop_when)
+    result = bfgs(counted, draw_theta(circuit, trial_seed), config.max_iterations, stop_when)
 
-    theta = result.final_theta
-    psi = ansatz_amplitudes(circuit, theta)
+    psi = ansatz_amplitudes(circuit, result.final_theta)
     try:
-        final_report = cost_and_a_psi(op, psi, f)[0]
+        final_report = evaluate(op, circuit, result.final_theta, f)[0]
     except SingularOperatorError:  # the first cost failed, so no step was taken
         final_report = CostReport(np.nan, np.nan, np.nan, np.nan)
     eps_tr = None

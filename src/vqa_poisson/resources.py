@@ -1,11 +1,13 @@
 """Static accounting of circuit executions, shift-operator gates and depths.
 
 Circuit counts come from the operator itself: one cost evaluation measures
-the numerator plus each term of ``decompose(n, bc)``
-(:func:`~vqa_poisson.cost.measured_circuit_count`), and gradient circuits are
-counted as parameter_count copies of that set, the convention used throughout
-the harness.  The shift operator is never gate-decomposed in the simulator (it
-acts as a permutation on amplitudes); its gate counts are analytic bookkeeping.
+the numerator and each term of ``decompose(n, bc)``, 1 + T circuits
+(:func:`~vqa_poisson.cost.measured_circuit_count`).  An exact gradient counts
+as P (1 + T), one set per parameter: ``resources.csv``'s ``t_g``, and what
+``solve``'s ``circuit_executions`` adds per gradient.  A sampled gradient
+measures (1 + T) + P (1 + 2T) (:func:`count_sampled_gradient_circuits`).  The
+shift operator is never gate-decomposed in the simulator (it acts as a
+permutation on amplitudes); its gate counts are analytic bookkeeping.
 The encoding depth is that of the step source, the only source state: 2 at
 every n, since X on qubit n-1 runs beside the H gates on the other qubits.
 """

@@ -18,13 +18,14 @@ reverse (adjoint) sweep for its gradients.  The latest theta keeps one
 record: the column factors, psi, and psi's readout tables from the first
 adjoint sweep there, so repeated gradients at one theta sweep only their own
 vector, bit for bit as before.  The source state |f> is
-the paper's one, the +-2^{-n/2} step state; every entry point also takes any
+the paper's one, the +-h^n step state (h = 1/sqrt(2)); every entry point also takes any
 other real f as a :class:`Statevector`.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -311,15 +312,13 @@ def prepare_ansatz_state(circuit: AnsatzCircuit, theta: np.ndarray) -> Statevect
 
 
 def prepare_source_state(n_qubits: int) -> Statevector:
-    """The step state |f> = U_f |0...0>: X on the top qubit (n-1), then one H
-    column per qubit (an all-qubit column rounds differently), so amplitudes are
-    +2^{-n/2} on the lower half of indices and -2^{-n/2} on the upper half."""
+    """The step state |f> = U_f |0...0>, X on qubit n-1 then H on every qubit:
+    +h^n on the lower half of indices and -h^n on the upper, the Hadamard's h
+    multiplied in once per qubit as its columns round it (not 2^{-n/2})."""
     if n_qubits < 1:
         raise ValueError(f"n_qubits must be >= 1, got {n_qubits}")
-    amps = _matrices(Statevector.basis(n_qubits, 1 << (n_qubits - 1)).amplitudes)
-    for q in range(n_qubits):
-        amps = _apply_column(amps, *_hadamard_factors(n_qubits, 1 << q))
-    return Statevector(amps.reshape(-1))
+    magnitude = math.prod([_HADAMARD[0, 0]] * n_qubits)
+    return Statevector(np.repeat([magnitude, -magnitude], 1 << (n_qubits - 1)))
 
 
 def superposition_rows(a: np.ndarray, rows: np.ndarray) -> np.ndarray:

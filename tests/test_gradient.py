@@ -8,12 +8,13 @@ from vqa_poisson import (AnsatzCircuit, BoundaryCondition, Mesh2D, Statevector, 
                          expectation, finite_difference_gradient, grad_cost, grad_numerator,
                          make_problem, minimize, numerator_hadamard, prepare_ansatz_state,
                          prepare_source_state, reassemble_dense, shifted_state, term_gradient)
-from vqa_poisson.cost import cost_and_a_psi, cost_report
+from vqa_poisson.cost import cost_report
 from vqa_poisson import states
-from vqa_poisson.gradient import grad_from_state, parameter_shift_gradient
-from vqa_poisson.operators import FACTOR_I, FACTOR_X, ObservableTerm, term_dense
+from vqa_poisson.gradient import evaluate, parameter_shift_gradient
+from vqa_poisson.operators import (DEFAULT_EPSILON, FACTOR_I, FACTOR_X, ObservableTerm,
+                                    term_dense)
 from vqa_poisson.sampling import _slots
-from vqa_poisson.states import ansatz_adjoint, ansatz_amplitudes
+from vqa_poisson.states import ansatz_adjoint
 
 from conftest import fdm_two_axes, random_theta
 
@@ -209,22 +210,40 @@ def test_adjoint_sweep_matches_pi_shift_oracle(n, layers, rng):
 @pytest.mark.parametrize("n", [3, 5, 8])
 def test_gradient_from_reused_factors_equals_cold_call(n, rng):
     """The adjoint sweep reuses the column factors of the forward sweep at the
-    same theta, from the one record fetch of ``grad_cost``; built afresh, they
-    give the same gradient bit for bit."""
+    same theta, from the one record fetch of ``grad_cost``; from a fresh record,
+    ``evaluate``'s gradient function gives the same gradient bit for bit.  It
+    holds its record: called once the records are dropped, it fetches none."""
     op = decompose(n, DIRICHLET)
     circuit = AnsatzCircuit(n, 3)
     f = prepare_source_state(n)
-    f_amps = f.amplitudes
     theta = random_theta(rng, circuit)
     states._theta_factors.cache_clear()
     warm = grad_cost(op, circuit, theta, f).grad
     assert states._theta_factors.cache_info()[:2] == (0, 1)  # one fetch, no reuse
-    psi = ansatz_amplitudes(circuit, theta)
     states._theta_factors.cache_clear()
-    cold = grad_from_state(circuit, states._theta_record(circuit, theta),
-                           *cost_and_a_psi(op, psi, f_amps), f_amps)
-    assert states._theta_factors.cache_info().misses == 1
-    assert np.array_equal(warm, cold)
+    gradient = evaluate(op, circuit, theta, f.amplitudes)[1]
+    states._theta_factors.cache_clear()
+    assert np.array_equal(warm, gradient())
+    assert states._theta_factors.cache_info()[:2] == (0, 0)
+
+
+@pytest.mark.parametrize("bc", ALL_BCS)
+def test_evaluate_pairs_cost_and_gradient_from_one_record(bc, rng):
+    """``evaluate``'s report is ``cost``'s and its gradient ``grad_cost``'s, bit
+    for bit; the pair costs one record miss and one forward sweep."""
+    n = 4
+    op = decompose(n, bc, DEFAULT_EPSILON[bc])
+    circuit = AnsatzCircuit(n, 3)
+    f = prepare_source_state(n)
+    theta = random_theta(rng, circuit)
+    states._theta_factors.cache_clear()
+    report, gradient = evaluate(op, circuit, theta, f.amplitudes)
+    grad = gradient()
+    assert states._theta_factors.cache_info()[:2] == (0, 1)
+    states._theta_factors.cache_clear()
+    assert report == cost(op, circuit, theta, f)
+    states._theta_factors.cache_clear()
+    assert np.array_equal(grad, grad_cost(op, circuit, theta, f).grad)
 
 
 @pytest.mark.parametrize("size", [4, 16])

@@ -296,6 +296,17 @@ def test_step_source_three_qubits_is_step():
     np.testing.assert_allclose(state.amplitudes, expected, atol=1e-15)
 
 
+def test_step_source_equals_the_gate_by_gate_build():
+    """The closed-form source is X on the top qubit, then one H column per
+    qubit through the column kernel, byte for byte."""
+    for n in range(1, 17):
+        amps = _matrices(Statevector.basis(n, 1 << (n - 1)).amplitudes)
+        for q in range(n):
+            # uncached: the n = 16 factors would crowd the measurement rotations' cache
+            amps = _apply_column(amps, *_hadamard_factors.__wrapped__(n, 1 << q))
+        assert prepare_source_state(n).amplitudes.tobytes() == amps.reshape(-1).tobytes()
+
+
 def test_superposition_of_equal_states():
     zero = Statevector.zero(1)
     sup = prepare_superposition_state(zero, zero)
