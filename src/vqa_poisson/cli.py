@@ -254,6 +254,17 @@ def _statuses(result: TrialsResult) -> str:
     return ",".join(f"{status}:{count}" for status, count in result.statuses.items())
 
 
+def _completed(result: TrialsResult) -> list:
+    """The trials a study's means and spreads take: every one that did not abort."""
+    return [t for t in result.traces if not t.status.startswith("aborted")]
+
+
+def _mean_std(values) -> list[float]:
+    """[mean, std] of the values, or [nan, nan] when there are none."""
+    values = np.asarray(values, dtype=float)
+    return [values.mean(), values.std()] if values.size else [np.nan, np.nan]
+
+
 def _run_solve(config: argparse.Namespace, out: Path) -> tuple[list[str], int]:
     problem, result = _trials(config, config.n_values[0], GradNorm(config.grad_threshold))
     rows = [[k, t.status, t.iterations_used, t.circuit_executions, t.final_report.energy,
@@ -262,11 +273,12 @@ def _run_solve(config: argparse.Namespace, out: Path) -> tuple[list[str], int]:
     _write_table(out / "results.csv",
                  ["trial", "status", "iterations", "circuit_executions", "energy",
                   "r_opt", "trace_distance", "grad_norm"], rows)
+    done = _completed(result)
     summary = [
         f"statuses = {_statuses(result)}",
-        f"mean_iterations = {_fmt(result.mean_iterations)}",
-        f"mean_trace_distance = {_fmt(result.mean_trace_distance)}",
-        f"mean_energy = {_fmt(result.mean_energy)}",
+        f"mean_iterations = {_fmt(_mean_std([t.iterations_used for t in done])[0])}",
+        f"mean_trace_distance = {_fmt(_mean_std([t.trace_distance for t in done])[0])}",
+        f"mean_energy = {_fmt(_mean_std([t.final_report.energy for t in done])[0])}",
         f"classical_norm = {_fmt(problem.classical().norm)}",
     ]
     return summary, 0
@@ -281,12 +293,12 @@ def _run_solution_field(config: argparse.Namespace, out: Path) -> tuple[list[str
     header = ["node", "classical"] + [f"trial_{k}" for k in range(len(solutions))]
     rows = [[node, classical[node]] + [sol[node] for sol in solutions] for node in range(1 << n)]
     _write_table(out / "results.csv", header, rows)
-    stacked = np.stack(solutions)
-    fig_rows = [[node, classical[node], stacked[:, node].mean(), stacked[:, node].std()]
+    fig_rows = [[node, classical[node], *_mean_std([sol[node] for sol in solutions])]
                 for node in range(1 << n)]
     _write_table(out / "fig_solution_field.dat", ["node", "classical", "mean", "std"], fig_rows)
+    distances = [t.trace_distance for t in _completed(result)]
     return [f"statuses = {_statuses(result)}",
-            f"mean_trace_distance = {_fmt(result.mean_trace_distance)}"], 0
+            f"mean_trace_distance = {_fmt(_mean_std(distances)[0])}"], 0
 
 
 def _run_trace_distance_vs_n(config: argparse.Namespace, out: Path) -> tuple[list[str], int]:
@@ -294,11 +306,12 @@ def _run_trace_distance_vs_n(config: argparse.Namespace, out: Path) -> tuple[lis
     for n in config.n_values:
         _, result = _trials(config, n, GradNorm(config.grad_threshold))
         summary.append(f"statuses_n{n} = {_statuses(result)}")
+        done = _completed(result)
+        distances = _mean_std([t.trace_distance for t in done])
         rows.append([n, config.bc.value, config.trials, result.statuses.get("converged", 0),
-                     result.mean_trace_distance, result.std_trace_distance,
-                     result.mean_iterations, result.std_iterations,
-                     result.mean_energy, result.std_energy])
-        fig_rows.append([n, result.mean_trace_distance, result.std_trace_distance])
+                     *distances, *_mean_std([t.iterations_used for t in done]),
+                     *_mean_std([t.final_report.energy for t in done])])
+        fig_rows.append([n, *distances])
     _write_table(out / "results.csv",
                  ["n", "bc", "trials", "converged", "mean_trace_distance", "std_trace_distance",
                   "mean_iterations", "std_iterations", "mean_energy", "std_energy"], rows)
@@ -335,12 +348,13 @@ def _run_iterations_vs_n(config: argparse.Namespace, out: Path) -> tuple[list[st
     for n in config.n_values:
         _, result = _trials(config, n, TraceDistance(config.tol))
         summary.append(f"statuses_n{n} = {_statuses(result)}")
+        done = _completed(result)
+        iterations = _mean_std([t.iterations_used for t in done])
         rows.append([n, config.bc.value, config.tol, config.trials,
-                     result.statuses.get("converged", 0),
-                     result.mean_iterations, result.std_iterations,
-                     result.mean_trace_distance, result.std_trace_distance])
-        fig_rows.append([n, result.mean_iterations, result.std_iterations])
-        means.append(result.mean_iterations)
+                     result.statuses.get("converged", 0), *iterations,
+                     *_mean_std([t.trace_distance for t in done])])
+        fig_rows.append([n, *iterations])
+        means.append(iterations[0])
     _write_table(out / "results.csv",
                  ["n", "bc", "tolerance", "trials", "converged", "mean_iterations",
                   "std_iterations", "mean_trace_distance", "std_trace_distance"], rows)
@@ -389,7 +403,7 @@ def _shot_grid(config: argparse.Namespace, out: Path, fig: str, statistic: str,
                 else:
                     values.append(cells[-1])
                 rows.append([n, shots, repeat, *cells])
-            fig_rows.append([shots, np.mean(values or [np.nan]), np.std(values or [np.nan])])
+            fig_rows.append([shots, *_mean_std(values)])
         _write_table(out / f"fig_{fig}_n{n}.dat",
                      ["shots", f"mean_{statistic}", f"std_{statistic}"], fig_rows)
         if unstable:
@@ -469,9 +483,8 @@ def _run_barren_plateau(config: argparse.Namespace, out: Path) -> tuple[list[str
         norms = barren_plateau_norms(n, config.layers, config.bc,
                                      config.epsilon, config.seed, config.trials)
         rows += [[n, k, *trial] for k, trial in enumerate(norms)]
-        arr = np.array(norms)
         for col, name in enumerate(("cost", "even", "odd", "numerator")):
-            series[name].append([n, arr[:, col].mean(), arr[:, col].std()])
+            series[name].append([n, *_mean_std([trial[col] for trial in norms])])
     _write_table(out / "results.csv",
                  ["n", "seed_index", "grad_norm_cost", "grad_norm_even",
                   "grad_norm_odd", "grad_norm_numerator"], rows)

@@ -211,14 +211,14 @@ class OptimizationTrace(BfgsResult):
 
 @dataclass
 class TrialsResult:
+    """Trials in seed order and their count per status; the caller picks which trials a
+    statistic takes (the CLI's studies average every trial that did not abort)."""
+
     traces: list[OptimizationTrace]
-    mean_iterations: float
-    std_iterations: float
-    mean_trace_distance: float
-    std_trace_distance: float
-    mean_energy: float
-    std_energy: float
-    statuses: dict[str, int]  # trials per status, aborted:<why> counted as aborted
+    statuses: dict[str, int] = field(init=False)  # aborted:<why> counted as aborted
+
+    def __post_init__(self) -> None:
+        self.statuses = dict(sorted(Counter(t.status.split(":")[0] for t in self.traces).items()))
 
 
 def minimize(problem: PoissonProblem, config: OptimizationConfig,
@@ -267,26 +267,6 @@ def minimize(problem: PoissonProblem, config: OptimizationConfig,
 
 
 def run_trials(problem: PoissonProblem, config: OptimizationConfig) -> TrialsResult:
-    """n_trials independent seeds; summary statistics over completed trials."""
-    traces = []
-    for trial in range(config.n_trials):
-        traces.append(minimize(problem, config, trial_seed=derive_seed(config.seed, trial)))
-    completed = [t for t in traces if not t.status.startswith("aborted")]
-    iterations = np.array([t.iterations_used for t in completed], dtype=float)
-    distances = np.array([t.trace_distance for t in completed], dtype=float)
-    energies = np.array([t.final_report.energy for t in completed], dtype=float)
-
-    def stats(values: np.ndarray) -> tuple[float, float]:
-        return (float(values.mean()), float(values.std())) if values.size else (np.nan, np.nan)
-
-    mean_it, std_it = stats(iterations)
-    mean_tr, std_tr = stats(distances)
-    mean_en, std_en = stats(energies)
-    statuses = Counter(t.status.split(":")[0] for t in traces)
-    return TrialsResult(
-        traces=traces,
-        mean_iterations=mean_it, std_iterations=std_it,
-        mean_trace_distance=mean_tr, std_trace_distance=std_tr,
-        mean_energy=mean_en, std_energy=std_en,
-        statuses=dict(sorted(statuses.items())),
-    )
+    """n_trials independent trials, trial k from seed ``derive_seed(config.seed, k)``."""
+    return TrialsResult([minimize(problem, config, trial_seed=derive_seed(config.seed, trial))
+                         for trial in range(config.n_trials)])

@@ -5,8 +5,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from vqa_poisson import (AnsatzCircuit, BoundaryCondition, DEFAULT_EPSILON, ObservableTerm,
-                         decompose, prepare_source_state)
+from vqa_poisson import (AnsatzCircuit, Bands, BoundaryCondition, DEFAULT_EPSILON,
+                         ObservableTerm, OptimizationConfig, PoissonOperator, PoissonProblem,
+                         TrialsResult, decompose, make_problem, minimize, prepare_source_state)
 from vqa_poisson import cli
 from vqa_poisson.cli import (FLAGS, STUDIES, UsageError, barren_plateau_norms, build_parser,
                              main, resolve_config)
@@ -386,6 +387,24 @@ def test_solve_manifest_counts_trial_statuses(tmp_path):
     assert main(["solve", "--n", "2", "--trials", "2", "--max-iterations", "1",
                  "--out", str(tmp_path)]) == 0
     assert "statuses = max_iterations:2" in (tmp_path / "manifest.txt").read_text().splitlines()
+
+
+def test_aborted_trials_stay_out_of_study_means():
+    op = PoissonOperator((1,), BoundaryCondition.DIRICHLET, (), -1.0)  # always singular
+    singular = PoissonProblem(op, AnsatzCircuit(1, 0), prepare_source_state(1),
+                              Bands(np.ones(2), np.zeros(1), 0.0))  # the 2 x 2 identity
+    config = OptimizationConfig(max_iterations=3)
+    aborted = minimize(singular, config, trial_seed=0)
+    problem = make_problem(2, BoundaryCondition.DIRICHLET)
+    ordinary = [minimize(problem, config, trial_seed=seed) for seed in (1, 2)]
+    result = TrialsResult([ordinary[0], aborted, ordinary[1]])
+    assert aborted.status.startswith("aborted:")
+    assert cli._statuses(result) == "aborted:1,max_iterations:2"
+    completed = cli._completed(result)
+    assert len(completed) == 2 and all(t is o for t, o in zip(completed, ordinary))
+    energies = [t.final_report.energy for t in completed]
+    assert cli._mean_std(energies) == [np.mean(energies), np.std(energies)]
+    assert np.all(np.isnan(cli._mean_std([])))
 
 
 def test_shot_range_rejected_for_single_shot_experiments(tmp_path):
