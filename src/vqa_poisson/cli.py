@@ -114,10 +114,8 @@ FLAGS = {
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="vqa-poisson",
-        description="Poisson-equation VQA experiments (statevector simulation).",
-    )
+    description = "Poisson-equation VQA experiments (statevector simulation)."
+    parser = argparse.ArgumentParser(prog="vqa-poisson", description=description)
     parser.add_argument("experiment", choices=STUDIES)
     parser.add_argument("--config", type=Path, help="flat key=value file; flags override it")
     for name, flag in FLAGS.items():

@@ -63,9 +63,7 @@ def expectation(term: ObservableTerm, state: Statevector,
                 axes: tuple[int, ...] | None = None) -> float:
     """coefficient * <P^s phi | M | P^s phi> for the term's shifts s and factors M."""
     if term.n_qubits != state.n_qubits:
-        raise ValueError(
-            f"term acts on {term.n_qubits} qubits, state has {state.n_qubits}"
-        )
+        raise ValueError(f"term acts on {term.n_qubits} qubits, state has {state.n_qubits}")
     axes = (term.n_qubits,) if axes is None else axes
     shifted = shift_amplitudes(state.amplitudes, axes, term.axis_shifts)
     return float(term.coefficient * np.vdot(shifted, apply_factor_product(term, shifted)))

@@ -167,9 +167,8 @@ def _row_distributions(term: ObservableTerm, rows: np.ndarray,
     """(outcome probabilities per row, per-outcome shot values) for one term
     measured on every row of a (rows, 2^n) amplitude array."""
     if rows.shape[-1] != 1 << term.n_qubits:
-        raise ValueError(
-            f"term acts on {term.n_qubits} qubits, rows have {rows.shape[-1]} amplitudes"
-        )
+        raise ValueError(f"term acts on {term.n_qubits} qubits, "
+                         f"rows have {rows.shape[-1]} amplitudes")
     axes = (term.n_qubits,) if axes is None else axes
     rotated = shift_amplitudes(rows, axes, term.axis_shifts)
     xmask = _factor_masks(term.factors)[0]

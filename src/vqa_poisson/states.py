@@ -8,18 +8,21 @@ column, one gate per qubit with identities where none acts, is K_hi (x) K_lo
 over the high a = n - n // 2 and low b = n // 2 qubits; on an amplitude row
 viewed as a 2^a x 2^b matrix X it is the two small products K_hi X K_lo^T.
 A product of one matrix or vector goes through ``ndarray.dot``, and a stack
-of them through ``matmul`` (``@``).  Both reach the same BLAS call, so the
-bits agree; but at n <= 10 a call costs more to dispatch than to compute, and
-``dot`` dispatches in about half the time.  ``np.dot`` contracts a stack along
-other axes than ``matmul`` does, so stacks keep ``@``.  The layered ansatz is
+through ``matmul`` (``@``): both reach the same BLAS call, so the bits agree,
+but at n <= 10 dispatch costs more than arithmetic, and ``dot`` dispatches in
+half the time (``np.dot`` contracts a stack along other axes).  The ansatz is
 simulated on real float64 arrays, kept in that matrix form: a forward sweep
 for its state (or, in one sweep, for a stack of parameter vectors) and a
 reverse (adjoint) sweep for its gradients.  The latest theta keeps one
 record: the column factors, psi, and psi's readout tables from the first
 adjoint sweep there, so repeated gradients at one theta sweep only their own
-vector, bit for bit as before.  The source state |f> is
-the paper's one, the +-h^n step state (h = 1/sqrt(2)); every entry point also takes any
-other real f as a :class:`Statevector`.
+vector, bit for bit as before.  The tables are rows of one block the record
+owns, gathered in place with ``mode="clip"``: given ``out``, "raise" gathers
+into a temporary, and the index is in range by construction.  Under glibc,
+freeing a block above 128 KB raises the dynamic mmap and trim thresholds, so
+later blocks reuse heap pages instead of faulting in fresh ones; another
+allocator gives the same bits, but the time may not move.  The source |f> is
+the paper's +-h^n step state (h = 1/sqrt(2)); entry points take any real f.
 """
 
 from __future__ import annotations
@@ -196,9 +199,8 @@ def _ry_pi_index(n_qubits: int) -> np.ndarray:
 def _checked_theta(circuit: AnsatzCircuit, theta: np.ndarray) -> np.ndarray:
     theta = np.asarray(theta, dtype=float)
     if theta.shape != (circuit.parameter_count,):
-        raise ValueError(
-            f"theta must have length {circuit.parameter_count}, got shape {theta.shape}"
-        )
+        raise ValueError(f"theta must have length {circuit.parameter_count}, "
+                         f"got shape {theta.shape}")
     return theta
 
 
@@ -222,9 +224,11 @@ def _forward_sweep(circuit: AnsatzCircuit, factors: tuple[np.ndarray, np.ndarray
 def _theta_factors(circuit: AnsatzCircuit, theta_bytes: bytes) -> tuple:
     """The record of one theta: every column's (K_hi, K_lo^T), psi from one
     forward sweep (read-only), and a list that the first :func:`ansatz_adjoint`
-    at theta fills with each column's readout table (R_Y(pi)_q psi_c / 2)_q.
-    Only the latest theta keeps one: the solver and the studies reuse only
-    the theta they evaluated last, so more records would only hold memory."""
+    at theta fills with each column's readout table (R_Y(pi)_q psi_c / 2)_q,
+    rows of one block it owns, gathered with ``mode="clip"`` (fault-free under
+    glibc, bit-equal under any allocator).  Only the latest theta keeps one:
+    the solver and the studies reuse only the theta they evaluated last, so
+    more records would only hold memory."""
     theta = np.frombuffer(theta_bytes).reshape(circuit.n_layers + 1, circuit.n_qubits)
     factors = _ry_factors(theta / 2.0)
     psi = _forward_sweep(circuit, factors, 1)[0]
@@ -237,8 +241,9 @@ def ansatz_amplitudes(circuit: AnsatzCircuit, theta: np.ndarray) -> np.ndarray:
 
     The result is read-only: it is the psi of theta's record, which only the
     latest theta keeps, with its column factors and, once an adjoint sweep
-    has run at theta, its (L + 1) n 2^n float64 readout tables (at L = 5 the
-    record holds 0.6 MB at n = 10 and 12.7 MB at n = 14, mostly tables).
+    has run at theta, its (L + 1) n 2^n float64 readout tables: one block,
+    gathered with ``mode="clip"``, fault-free under glibc and bit-equal under
+    any allocator (at L = 5 the record holds 0.6 MB at n = 10, 12.7 MB at n = 14).
     """
     return _theta_record(circuit, theta)[1]
 
@@ -252,9 +257,8 @@ def ansatz_amplitude_rows(circuit: AnsatzCircuit, thetas: np.ndarray) -> np.ndar
     """Row r of the result is :func:`ansatz_amplitudes` at thetas[r], from one sweep."""
     thetas = np.asarray(thetas, dtype=float)
     if thetas.ndim != 2 or thetas.shape[1] != circuit.parameter_count:
-        raise ValueError(
-            f"thetas must have shape (rows, {circuit.parameter_count}), got {thetas.shape}"
-        )
+        raise ValueError(f"thetas must have shape (rows, {circuit.parameter_count}), "
+                         f"got {thetas.shape}")
     rows = thetas.shape[0]
     columns = (thetas / 2.0).reshape(rows, circuit.n_layers + 1, circuit.n_qubits)
     factors = _ry_factors(np.swapaxes(columns, 0, 1))
@@ -272,8 +276,9 @@ def ansatz_adjoint(circuit: AnsatzCircuit, theta: np.ndarray, lam: np.ndarray) -
     at the point just after it: d psi/d theta_i = (1/2) R_Y(pi)_q applied
     there.  The rows swept are (psi/2, -psi/2, lam): one gather from the first
     two is a column's readout table, row q of it R_Y(pi)_q psi_c / 2, and
-    halving and negation are exact.  The first sweep at a theta keeps psi's
-    readout tables in the record, and later sweeps there un-apply lam alone.
+    halving and negation are exact.  The first sweep at a theta gathers psi's
+    tables in place (``mode="clip"``) into the record's one block, fault-free
+    under glibc, bit-equal under any allocator; later sweeps un-apply lam alone.
     """
     return _adjoint_sweep(circuit, _theta_record(circuit, theta), lam)
 
@@ -290,11 +295,11 @@ def _adjoint_sweep(circuit: AnsatzCircuit, record: tuple, lam: np.ndarray) -> np
     # row of the stack is its own product, so lam rounds as it does beside psi.
     reuse = bool(tables)
     rows = _matrices(lam if reuse else np.array([psi * 0.5, psi * -0.5, lam]))
-    readouts = tables if reuse else []
+    readouts, block = (tables, None) if reuse else ([], np.empty((len(k_his), n, psi.size)))
     grad = np.empty(circuit.parameter_count)
     for step, column in enumerate(range(circuit.n_layers, -1, -1)):
         if not reuse:
-            readouts.append(rows.take(index))
+            readouts.append(rows.take(index, out=block[step], mode="clip"))
         base = column * n
         lam_c = rows if reuse else rows[-1]
         readouts[step].dot(lam_c.reshape(-1), out=grad[base:base + n])

@@ -336,6 +336,12 @@ def test_adjoint_fills_the_records_tables_once(rng):
     assert tables == []
     pair = ansatz_adjoint(circuit, theta, lam)
     assert len(tables) == circuit.n_layers + 1
+    # the tables are the C-contiguous (n, 2^n) rows of one block, gathered in place
+    block = tables[0].base
+    assert block.shape == (circuit.n_layers + 1, 5, 32)
+    for step, table in enumerate(tables):
+        assert table.base is block and table.flags.c_contiguous and table.shape == (5, 32)
+        assert table.ctypes.data == block[step].ctypes.data
     filled = list(tables)
     # a later sweep at theta reads the same tables and gives the same bits
     assert np.array_equal(ansatz_adjoint(circuit, theta, lam), pair)
@@ -344,6 +350,29 @@ def test_adjoint_fills_the_records_tables_once(rng):
     warm = ansatz_adjoint(circuit, theta, other)
     states._theta_factors.cache_clear()
     assert np.array_equal(warm, ansatz_adjoint(circuit, theta, other))
+
+
+@pytest.mark.parametrize("n", [5, 10])
+def test_records_never_share_table_memory(n, rng):
+    """A gradient function keeps its own theta's tables: a cold gradient at
+    another theta fills a block of its own, so the first function still gives
+    its cold gradient, bit for bit."""
+    op = decompose(n, DIRICHLET)
+    circuit = AnsatzCircuit(n, 5)
+    f = prepare_source_state(n)
+    theta1, theta2 = random_theta(rng, circuit), random_theta(rng, circuit)
+    states._theta_factors.cache_clear()
+    gradient1 = evaluate(op, circuit, theta1, f.amplitudes)[1]
+    tables1 = states._theta_record(circuit, theta1)[2]
+    first = gradient1()  # fills theta1's tables
+    grad_cost(op, circuit, theta2, f)  # evicts theta1's record, fills theta2's tables
+    tables2 = states._theta_record(circuit, theta2)[2]
+    assert len(tables1) == len(tables2) == circuit.n_layers + 1
+    assert not any(np.shares_memory(a, b) for a in tables1 for b in tables2)
+    again = gradient1()
+    states._theta_factors.cache_clear()
+    cold = evaluate(op, circuit, theta1, f.amplitudes)[1]()
+    assert np.array_equal(again, cold) and np.array_equal(first, cold)
 
 
 MULTI_AXIS_OPERATORS = {
