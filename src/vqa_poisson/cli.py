@@ -1,7 +1,7 @@
 """Experiment harness: reproduces the study's figures as CSV-emitting subcommands.
 
 Every experiment writes ``results.csv`` (one row per measurement),
-``manifest.txt`` (configuration, seeds, numpy version, BLAS kernel, summaries)
+``manifest.txt`` (configuration, seeds, python and numpy versions, BLAS kernel, summaries)
 and ``fig_*.dat`` plot-data files (whitespace-separated x, y, yerr columns) into
 the output directory.  All runs are deterministic given (config, seed).
 
@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import ctypes
+import platform
 import sys
 from dataclasses import astuple
 from pathlib import Path
@@ -26,7 +27,7 @@ from typing import Any, Callable, NamedTuple
 import numpy as np
 
 from . import __version__
-from .cost import baseline_cost, cost
+from .cost import baseline_cost, cost, measured_circuit_count
 from .gradient import grad_cost, grad_numerator, term_gradient
 from .operators import (DEFAULT_EPSILON, DENSE_QUBIT_CAP, BoundaryCondition, Mesh2D,
                         assemble_fem_2d_dense, build_fem_2d, build_matrix, reassemble_dense)
@@ -232,8 +233,8 @@ def _blas_kernel() -> str:
 def _write_manifest(path: Path, config: argparse.Namespace, summary: list[str]) -> None:
     lines = [f"package = vqa-poisson {__version__}"]
     lines += [f"{key} = {_fmt(value)}" for key, value in vars(config).items() if key != "out"]
-    lines += [f"numpy = {np.__version__}", f"blas_kernel = {_blas_kernel()}"]
-    lines += summary
+    lines += [f"python = {platform.python_version()}", f"numpy = {np.__version__}",
+              f"blas_kernel = {_blas_kernel()}", *summary]
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -368,15 +369,18 @@ def _sample_baseline_cost(eig_a2, eig_xa, sup: np.ndarray, psi: np.ndarray,
     """Dense-matrix-backed shot model of the prior method's cost.
 
     Eigenbasis sampling of A^2 on |psi> and of X (x) A on the superposition
-    state; unbiased for each expectation, plugged into <A^2> - <psi|A|f>^2.
+    state, in that order on one ``np.random.default_rng(seed)``; unbiased for each
+    expectation, plugged into <A^2> - <psi|A|f>^2.
     """
-    def estimate(values: np.ndarray, vectors: np.ndarray, amps: np.ndarray, key: int) -> float:
+    rng = np.random.default_rng(seed)
+
+    def estimate(values: np.ndarray, vectors: np.ndarray, amps: np.ndarray) -> float:
         probs = (vectors.T @ amps) ** 2
         probs /= probs.sum()
-        return float(_row_means(probs, values, shots, derive_seed(seed, key)))
+        return float(_row_means(probs, values, shots, rng))
 
-    est_a2 = estimate(eig_a2[0] ** 2, eig_a2[1], psi, 0)
-    est_af = estimate(eig_xa[0], eig_xa[1], sup, 1)
+    est_a2 = estimate(eig_a2[0] ** 2, eig_a2[1], psi)
+    est_af = estimate(eig_xa[0], eig_xa[1], sup)
     return est_a2 - est_af * est_af
 
 
@@ -416,8 +420,14 @@ def _shot_grid(config: argparse.Namespace, out: Path, fig: str, statistic: str,
 
 
 def _run_shot_error_vs_s(config: argparse.Namespace, out: Path) -> tuple[list[str], int]:
+    model = []  # per n: settings measured per estimate, circuits per cost evaluation
+
     def measure_at(n: int):
         op, circuit, f, theta = _fixed_point(config, n)
+        counts = ((2, count_baseline_circuits(n)) if config.method == "baseline"
+                  else (measured_circuit_count(op),) * 2)
+        model.extend([f"measurements_per_estimate_n{n} = {counts[0]}",
+                      f"circuits_per_cost_n{n} = {counts[1]}"])
         if config.method == "baseline":
             psi = prepare_ansatz_state(circuit, theta)
             matrix = build_matrix(n, config.bc, config.epsilon)
@@ -433,11 +443,14 @@ def _run_shot_error_vs_s(config: argparse.Namespace, out: Path) -> tuple[list[st
                 value = _sample_baseline_cost(eig_a2, eig_xa, sup, psi.amplitudes, shots, seed)
             else:
                 value = sample_cost_estimates(op, circuit, theta, f, shots, seed)[0].energy
-            return [value, exact, (value - exact) ** 2]
+            error = (value - exact) ** 2
+            return [value, exact, error / exact ** 2 if exact else np.nan, error]
         return measure
 
-    return _shot_grid(config, out, "shot_error", "sq_error",
-                      ["estimate", "exact", "squared_error"], measure_at)
+    summary, code = _shot_grid(config, out, "shot_error", "sq_error",
+                               ["estimate", "exact", "relative_squared_error", "squared_error"],
+                               measure_at)
+    return model + summary, code
 
 
 def _run_grad_similarity_vs_s(config: argparse.Namespace, out: Path) -> tuple[list[str], int]:

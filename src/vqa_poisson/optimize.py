@@ -25,7 +25,7 @@ from .cost import CostReport, SingularOperatorError, measured_circuit_count
 from .gradient import evaluate
 from .operators import (DEFAULT_EPSILON, Bands, BoundaryCondition, PoissonOperator,
                         build_bands, decompose)
-from .sampling import _generator, derive_seed
+from .sampling import derive_seed
 from .states import AnsatzCircuit, Statevector, ansatz_amplitudes, prepare_source_state
 
 INIT_RANGE = (0.0, 4.0 * np.pi)
@@ -33,7 +33,7 @@ INIT_RANGE = (0.0, 4.0 * np.pi)
 
 def draw_theta(circuit: AnsatzCircuit, seed: int) -> np.ndarray:
     """The circuit's parameters drawn uniformly from INIT_RANGE on the stream of `seed`."""
-    return _generator(seed).uniform(*INIT_RANGE, circuit.parameter_count)
+    return np.random.default_rng(seed).uniform(*INIT_RANGE, circuit.parameter_count)
 
 
 @dataclass(frozen=True)

@@ -6,39 +6,27 @@ all shots at once from the squared amplitudes (one multinomial draw), and
 score each outcome as coefficient * (+-1 per X bit) * (0/1 per projector
 bit).  An estimate is the mean of its scored shots and carries that mean only:
 the MSE model reads the exact single-shot variances of :func:`term_shot_moments`.
-Every measured group draws from one independently derived stream: a term in a
-cost estimate, or the P shifted rows of one (slot, branch) in the gradient,
-whose rows are independent multinomial draws from that stream.  Group
-estimates are uncorrelated, and all are deterministic in the seed.
+Each estimate draws every circuit it measures from one
+``np.random.default_rng(seed)`` in a fixed order (:func:`draw_counts`): a cost
+estimate its 1 + T slots, a sampled gradient the same base draws and then its
+shifted groups.  Every row is an independent multinomial draw, and every
+estimate is deterministic in its seed.
 One builder, :func:`_slots`, lays out the 1 + T measured slots of both
-estimators from one forward sweep: theta alone for a cost estimate, theta and
-its 3P shifts for a sampled gradient.  Each slot's outcome distributions are
-built once, over every row the slot measures (1 + T builds for T terms), and a
+estimators from one forward sweep, and each slot's outcome distributions are
+built once, over every row the slot measures (1 + T builds for T terms); a
 gradient hands the measured arrays to
-:func:`~vqa_poisson.gradient.parameter_shift_gradient`.  Distributions
-depend on the operator, the circuit, theta and f, not on the shots or the
-seed, so one 4-entry cache keyed on those four (theta and f by their bytes)
-and on whether the shifts are swept keeps them read-only for both estimators.
-Repeated estimates at one theta, as in a shot-count study, sweep and build once
-and then only draw.  A gradient entry holds 8 [(P + 1) 2^(n+1) + T (2P + 1) 2^n]
-bytes: 25 KB at n = 4 and about 4 MB at n = 10 (L = 5, Dirichlet).
-
-A stream is ``SeedSequence(entropy=seed, spawn_key=key)`` -> its 64-bit child
-seed (:func:`derive_seed`) -> PCG64 seeded by ``SeedSequence(child)``, which is
-``np.random.default_rng(child)`` (:func:`draw_counts`).  The package assembles
-numpy's entropy words itself (the seed's little-endian uint32 words, zero-padded
-to the pool size of 4 when there is a key, then each key element's words), lets
-``SeedSequence`` mix them in C and hashes the pool as ``generate_state`` does:
-numpy's streams bit for bit, without numpy's Python-level coercion and
-``generate_state`` glue.  On a 2-core Xeon with one BLAS thread (timeit
-medians) a keyed ``derive_seed`` takes about 6 us against numpy's 12 us, and a
-stream's generator about 10 us against 11 us.
+:func:`~vqa_poisson.gradient.parameter_shift_gradient`.  Distributions depend
+on the operator, the circuit, theta and f, not on the shots or the seed, so one
+4-entry cache keyed on those four (theta and f by their bytes) and on whether
+the shifts are swept keeps them read-only: repeated estimates at one theta, as
+in a shot-count study, sweep and build once and then only draw.  A gradient
+entry holds 8 [(P + 1) 2^(n+1) + T (2P + 1) 2^n] bytes: 25 KB at n = 4 and
+about 4 MB at n = 10 (L = 5, Dirichlet).
 """
 
 from __future__ import annotations
 
 import functools
-import operator
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -65,101 +53,16 @@ class MsePrediction:
     predicted_mse: float
 
 
-_MASK32 = 0xFFFFFFFF
-# numpy's SeedSequence pool size and the INIT_B and MULT_B of its generate_state hash
-_POOL_SIZE, _INIT_B, _MULT_B = 4, 0x8B51F9DD, 0x58F38DED
-
-
-def _hash_multipliers(count: int) -> tuple[tuple[int, int], ...]:
-    """(xor, multiplier) pair of each output word of SeedSequence.generate_state:
-    the hash constant starts at INIT_B and is multiplied by MULT_B once per word."""
-    pairs, const = [], _INIT_B
-    for _ in range(count):
-        nxt = const * _MULT_B & _MASK32
-        pairs.append((const, nxt))
-        const = nxt
-    return tuple(pairs)
-
-
-_HASH = _hash_multipliers(2 * _POOL_SIZE)
-
-
-def _int_words(value: int) -> list[int]:
-    """Little-endian uint32 words of a non-negative integer, as numpy coerces entropy."""
-    value = operator.index(value)
-    if value < 0:
-        raise ValueError(f"expected non-negative integer, got {value}")
-    words = [value & _MASK32]
-    value >>= 32
-    while value:
-        words.append(value & _MASK32)
-        value >>= 32
-    return words
-
-
-def _state_words(seed: int, key: tuple[int, ...], count: int) -> list[int]:
-    """The first `count` uint32 words of
-    ``SeedSequence(entropy=seed, spawn_key=key).generate_state(count)``.
-
-    Assembles the entropy words as numpy does (the seed's words, zero-padded to
-    the pool size when there is a key, then each key element's words), lets
-    ``SeedSequence`` mix them into its pool in C and hashes the pool here.
-    """
-    words = _int_words(seed)
-    if key:
-        words += [0] * (_POOL_SIZE - len(words))
-        for element in key:
-            words += _int_words(element)
-    pool = np.random.SeedSequence(np.array(words, dtype=np.uint32)).pool.tolist()
-    out = []
-    for i in range(count):
-        xor, mult = _HASH[i]
-        word = (pool[i % _POOL_SIZE] ^ xor) * mult & _MASK32
-        out.append(word ^ word >> 16)
-    return out
-
-
 def derive_seed(seed: int, *key: int) -> int:
-    """Stable 64-bit child seed for (seed, key...); keys partition streams.
-
-    Equals ``int(SeedSequence(entropy=seed, spawn_key=key).generate_state(1, np.uint64)[0])``.
-    """
-    low, high = _state_words(seed, key, 2)
-    return low | high << 32
+    """Stable 64-bit child seed for (seed, key...); keys partition streams:
+    ``SeedSequence(seed, spawn_key=key).generate_state(1, np.uint64)``."""
+    return int(np.random.SeedSequence(seed, spawn_key=key).generate_state(1, np.uint64)[0])
 
 
-@functools.cache
-def _fixed_state_class() -> type:
-    """An ISeedSequence that hands PCG64 precomputed state words.  Built on first
-    use, so that importing the package does not load ``numpy.random``."""
-    from numpy.random.bit_generator import ISeedSequence
-
-    class FixedState(ISeedSequence):
-        def __init__(self, state: np.ndarray):
-            self.state = state
-
-        def generate_state(self, n_words, dtype=np.uint32):
-            if n_words != len(self.state) or np.dtype(dtype) != np.uint64:
-                raise ValueError(f"holds {len(self.state)} uint64 words only")
-            return self.state
-
-    return FixedState
-
-
-def _generator(seed: int) -> np.random.Generator:
-    """``np.random.default_rng(seed)``: PCG64 seeded by ``SeedSequence(seed)``."""
-    words = np.array(_state_words(seed, (), 2 * _POOL_SIZE), dtype="<u4")
-    state = words.view("<u8").astype(np.uint64, copy=False)  # as numpy pairs the words
-    return np.random.Generator(np.random.PCG64(_fixed_state_class()(state)))
-
-
-def draw_counts(probs: np.ndarray, shots: int, seed: int) -> np.ndarray:
-    """Outcome counts of `shots` draws from `probs`, on the stream of `seed`.
-
-    A (rows, outcomes) `probs` gives one independent count row per
-    probability row, all from the one stream.
-    """
-    return _generator(seed).multinomial(shots, probs)
+def draw_counts(probs: np.ndarray, shots: int, rng) -> np.ndarray:
+    """Outcome counts of `shots` draws from each row of `probs`, in row order, on `rng`:
+    a generator where it stands, or a seed's ``np.random.default_rng(seed)`` from its start."""
+    return np.random.default_rng(rng).multinomial(shots, probs)
 
 
 def _row_distributions(term: ObservableTerm, rows: np.ndarray,
@@ -206,11 +109,11 @@ def term_shot_moments(term: ObservableTerm, state: Statevector,
     return mean, second - mean * mean
 
 
-def _row_means(probs: np.ndarray, values: np.ndarray, shots: int, seed: int) -> np.ndarray:
-    """Shot-estimated mean of each `probs` row (one 1-D row: a scalar), on the stream of `seed`."""
+def _row_means(probs: np.ndarray, values: np.ndarray, shots: int, rng) -> np.ndarray:
+    """Shot-estimated mean of each `probs` row (one 1-D row: a scalar), drawn on `rng`."""
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
-    return draw_counts(probs, shots, seed).dot(values) / shots
+    return draw_counts(probs, shots, rng).dot(values) / shots
 
 
 def sample_term(term: ObservableTerm, state: Statevector, shots: int, seed: int,
@@ -222,8 +125,8 @@ def sample_term(term: ObservableTerm, state: Statevector, shots: int, seed: int,
 
 def _slots(op: PoissonOperator, circuit: AnsatzCircuit, theta: np.ndarray, f: Statevector,
            shifted: bool) -> list[tuple[ObservableTerm, np.ndarray, tuple[int, ...] | None]]:
-    """The 1 + T measured slots at theta, ``(term, rows, axes)`` with row 0 at theta, from
-    one forward sweep.
+    """The 1 + T measured slots at theta in draw order, ``(term, rows, axes)`` with row 0
+    at theta, from one forward sweep.
 
     Slot 0 is the numerator's ancilla X on superpositions of f with ansatz rows, slot k + 1
     is ``op.terms[k]`` on ansatz rows.  A cost estimate sweeps theta alone.  A sampled
@@ -272,19 +175,19 @@ def sample_cost_estimates(op: PoissonOperator, circuit: AnsatzCircuit,
     """Plug-in cost estimate plus the per-term shot estimates, `shots` draws each.
 
     Estimate index 0 is the numerator (ancilla X on the superposition state);
-    the rest follow the operator's term order.  Estimate k draws on the stream
-    of ``derive_seed(seed, k)``.  The returned tuple length is the number of
-    circuits executed for one cost evaluation.
+    the rest follow the operator's term order, which is also the order in which
+    they draw from one ``np.random.default_rng(seed)``.  The returned tuple length
+    is the number of circuits executed for one cost evaluation.
     """
-    return _base_estimate(op, _distributions(False, op, circuit, theta, f), shots, seed)
+    return _base_estimate(op, _distributions(False, op, circuit, theta, f), shots,
+                          np.random.default_rng(seed))
 
 
 def _base_estimate(op: PoissonOperator, dists: Sequence[tuple[np.ndarray, np.ndarray]],
-                   shots: int, seed: int) -> tuple[CostReport, tuple[ShotEstimate, ...]]:
-    """Plug-in cost from row 0 of every slot, slot k drawn on ``derive_seed(seed, k)``;
-    a non-positive sampled denominator raises :class:`UnstableEstimateError`."""
-    means = [float(_row_means(probs[0], values, shots, derive_seed(seed, slot)))
-             for slot, (probs, values) in enumerate(dists)]
+                   shots: int, rng) -> tuple[CostReport, tuple[ShotEstimate, ...]]:
+    """Plug-in cost from row 0 of every slot, drawn on `rng` in slot order; a
+    non-positive sampled denominator raises :class:`UnstableEstimateError`."""
+    means = [float(_row_means(probs[0], values, shots, rng)) for probs, values in dists]
     den = op.constant_offset + sum(means[1:])
     if den <= 0.0:
         raise UnstableEstimateError(f"sampled denominator {den} is not positive at {shots} shots")
@@ -317,24 +220,19 @@ def sampled_gradient(op: PoissonOperator, circuit: AnsatzCircuit, theta: np.ndar
     """Shot-based cost gradient via :func:`~vqa_poisson.gradient.parameter_shift_gradient`.
 
     Only the first call at a theta sweeps its 3P shifts and builds the slots'
-    distributions; later calls read them from the cache and only draw.  The
-    base cost at theta is :func:`sample_cost_estimates`' estimate at
-    ``derive_seed(seed, 0)``, drawn before any shifted circuit, so a
-    non-positive base denominator raises before any group is drawn.
-    Each measured group of P shifted circuits draws its P count rows of `shots`
-    draws from one stream keyed by the group: ``(1,)`` for the pi-shifted
-    numerator, then ``(2, k)`` for term k at theta + pi/2 and ``(3, k)`` at
-    theta - pi/2.
+    distributions; later calls read them from the cache and only draw, all on one
+    ``np.random.default_rng(seed)``.  The base cost at theta is drawn first and equals
+    :func:`sample_cost_estimates` at `seed`, so a non-positive base denominator raises
+    before any shifted circuit is drawn.  Then each group of P shifted circuits draws
+    its P count rows: the pi-shifted numerator, each term at theta + pi/2, then each
+    term at theta - pi/2.
     """
     dists = _distributions(True, op, circuit, theta, f)
-    base, _ = _base_estimate(op, dists, shots, derive_seed(seed, 0))
+    rng = np.random.default_rng(seed)
+    base, _ = _base_estimate(op, dists, shots, rng)
     count = circuit.parameter_count
-
-    def shifted(slot: int, rows: slice, *key: int) -> np.ndarray:
-        probs, values = dists[slot]
-        return _row_means(probs[rows], values, shots, derive_seed(seed, *key))
-
-    terms = range(len(op.terms))
+    (num_probs, num_values), terms = dists[0], dists[1:]
     return parameter_shift_gradient(
-        base, shifted(0, np.s_[1:], 1), [shifted(k + 1, np.s_[1:count + 1], 2, k) for k in terms],
-        [shifted(k + 1, np.s_[count + 1:], 3, k) for k in terms])
+        base, _row_means(num_probs[1:], num_values, shots, rng),
+        [_row_means(probs[1:count + 1], values, shots, rng) for probs, values in terms],
+        [_row_means(probs[count + 1:], values, shots, rng) for probs, values in terms])

@@ -1,3 +1,4 @@
+import platform
 import re
 import warnings
 from pathlib import Path
@@ -23,7 +24,7 @@ EXPECTED_HEADERS = {
     "circuit-count-vs-n": "n,bc,circuits_proposed,circuits_baseline",
     "iterations-vs-n": ("n,bc,tolerance,trials,converged,mean_iterations,std_iterations,"
                         "mean_trace_distance,std_trace_distance"),
-    "shot-error-vs-s": "n,shots,repeat,estimate,exact,squared_error",
+    "shot-error-vs-s": "n,shots,repeat,estimate,exact,relative_squared_error,squared_error",
     "grad-similarity-vs-s": "n,shots,repeat,one_minus_cosine",
     "barren-plateau": "n,seed_index,grad_norm_cost,grad_norm_even,grad_norm_odd,grad_norm_numerator",
     "fem2d-verify": "n_x,n_y,terms,constant_offset,max_abs_error,exact_match",
@@ -135,7 +136,7 @@ def test_one_point_shot_grid_writes_no_slope(experiment, shots, tmp_path):
 
 
 @pytest.mark.parametrize("experiment,flags", [
-    ("shot-error-vs-s", ["--n", "2:4", "--shots", "8:64", "--repeats", "10"]),
+    ("shot-error-vs-s", ["--n", "2:4", "--shots", "1:64", "--repeats", "10"]),
     ("grad-similarity-vs-s", ["--n", "3", "--shots", "1:8"]),
 ])
 def test_unstable_estimates_are_counted_not_fatal(experiment, flags, tmp_path):
@@ -184,8 +185,42 @@ def test_manifest_configuration_lines_are_pinned(tmp_path):
 def test_manifest_records_numpy_and_the_blas_kernel_after_the_configuration(tmp_path):
     assert main(["fem2d-verify", "--n", "1", "--out", str(tmp_path)]) == 0
     lines = (tmp_path / "manifest.txt").read_text().splitlines()
-    assert lines[4:6] == [f"numpy = {np.__version__}", f"blas_kernel = {cli._blas_kernel()}"]
+    assert lines[4:7] == [f"python = {platform.python_version()}", f"numpy = {np.__version__}",
+                          f"blas_kernel = {cli._blas_kernel()}"]
     assert re.fullmatch(r"\w+", cli._blas_kernel())  # a kernel name, or unknown
+
+
+@pytest.mark.parametrize("method, counts", [("proposed", {2: (4, 4), 3: (4, 4)}),
+                                           ("baseline", {2: (2, 14), 3: (2, 20)})])
+def test_shot_error_states_its_measurement_model(method, counts, tmp_path):
+    # Dirichlet: 1 + T = 4 circuits measured per estimate and per cost evaluation;
+    # the baseline measures two settings but counts 6n + 2 circuits per cost
+    assert main(["shot-error-vs-s", "--n", "2:3", "--shots", "64:128", "--repeats", "2",
+                 "--method", method, "--out", str(tmp_path)]) == 0
+    manifest = (tmp_path / "manifest.txt").read_text().splitlines()
+    for n, (measured, circuits) in counts.items():
+        assert f"measurements_per_estimate_n{n} = {measured}" in manifest
+        assert f"circuits_per_cost_n{n} = {circuits}" in manifest
+    rows = [[float(cell) for cell in line.split(",")]
+            for line in (tmp_path / "results.csv").read_text().splitlines()[1:]]
+    assert len(rows) == 8
+    for _, _, _, estimate, exact, relative, squared in rows:
+        assert squared == pytest.approx((estimate - exact) ** 2, rel=1e-9)
+        assert relative == pytest.approx(squared / exact ** 2, rel=1e-9)
+
+
+def test_relative_error_is_nan_where_the_exact_cost_is_zero(tmp_path, monkeypatch):
+    class Zero:
+        energy = 0.0
+
+    monkeypatch.setattr(cli, "cost", lambda *args: Zero())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["shot-error-vs-s", "--n", "2", "--shots", "64", "--repeats", "2",
+                     "--out", str(tmp_path)]) == 0
+    rows = [line.split(",") for line in (tmp_path / "results.csv").read_text().splitlines()[1:]]
+    assert [row[5] for row in rows] == ["nan", "nan"]
+    assert [float(row[6]) for row in rows] == pytest.approx([float(row[3]) ** 2 for row in rows])
 
 
 def test_blas_kernel_is_unknown_without_the_library_or_its_symbol(tmp_path, monkeypatch):

@@ -201,13 +201,13 @@ def test_sampled_streams_are_pinned():
                                                               circuit.parameter_count)
     report, estimates = sample_cost_estimates(op, circuit, theta, f, 256, 2024)
     np.testing.assert_allclose([e.mean for e in estimates],
-                               [-0.5390625, 0.421875, -0.4609375, -0.2421875, -0.0078125],
+                               [-0.4921875, 0.3359375, -0.53125, -0.26171875, 0.0234375],
                                rtol=0, atol=1e-15)
-    assert report.energy == pytest.approx(-0.08487119970975869, rel=1e-12)
+    assert report.energy == pytest.approx(-0.0772768818410192, rel=1e-12)
     np.testing.assert_allclose(
         sampled_gradient(op, circuit, theta, f, 256, 2024),
-        [-0.14027662245319894, 0.004226843694758651, 0.1546887283831384,
-         0.07522014170333281], rtol=1e-12)
+        [-0.14201224688995667, -6.382899334342329e-06, 0.1596294892527058,
+         0.058673371481125086], rtol=1e-12)
 
 
 def test_shot_values_match_per_qubit_reference():
@@ -244,24 +244,25 @@ def test_sampled_gradient_draws_its_circuit_count(monkeypatch):
     op = decompose(2, BoundaryCondition.NEUMANN, 1e-3)
     circuit = AnsatzCircuit(2, 1)
     f = prepare_source_state(2)
-    draws = []  # (distributions drawn, shots, stream seed) per draw_counts call
+    draws = []  # (probabilities, shots, generator, counts) per draw_counts call
     draw = sampling.draw_counts
     monkeypatch.setattr(sampling, "draw_counts",
-                        lambda probs, shots, seed: draws.append(
-                            (np.atleast_2d(probs).shape[0], shots, seed))
-                        or draw(probs, shots, seed))
+                        lambda probs, shots, rng: draws.append(
+                            (probs, shots, rng, draw(probs, shots, rng))) or draws[-1][-1])
     sampled_gradient(op, circuit, np.linspace(0.1, 1.0, 4), f, 64, 3)
-    rows = [r for r, _, _ in draws]
+    rows = [np.atleast_2d(probs).shape[0] for probs, _, _, _ in draws]
     assert sum(rows) == count_sampled_gradient_circuits(op, circuit.parameter_count) == 41
-    # one stream per measured group: (1 + T) single draws for the base cost,
-    # slot k keyed (0, k), then (1 + 2T) draws of all P rows: the pi-shifted
-    # numerator keyed (1,), term k at +pi/2 keyed (2, k) and at -pi/2 (3, k)
-    terms = range(len(op.terms))
-    assert len(draws) == (1 + len(terms)) + (1 + 2 * len(terms)) == 14
-    base = derive_seed(3, 0)
-    assert draws[:5] == [(1, 64, derive_seed(base, slot)) for slot in range(5)]
-    groups = [(1,)] + [(branch, k) for branch in (2, 3) for k in terms]
-    assert draws[5:] == [(4, 64, derive_seed(3, *key)) for key in groups]
+    # (1 + T) single draws for the base cost, then (1 + 2T) draws of all P rows:
+    # the pi-shifted numerator, each term at +pi/2, then each term at -pi/2
+    terms = len(op.terms)
+    assert rows == [1] * (1 + terms) + [4] * (1 + 2 * terms)
+    assert len(draws) == 14 and all(shots == 64 for _, shots, _, _ in draws)
+    # every draw comes from one generator, set up once from the seed: replaying
+    # the calls in order on default_rng(3) gives the same counts
+    assert len({id(rng) for _, _, rng, _ in draws}) == 1
+    replay = np.random.default_rng(3)
+    for probs, shots, _, counts in draws:
+        np.testing.assert_array_equal(replay.multinomial(shots, probs), counts)
 
 
 def test_identical_rows_draw_independent_counts(monkeypatch):
@@ -342,11 +343,22 @@ def test_sampled_gradient_approaches_exact_on_two_axes():
 
 
 def _per_circuit_sampled_gradient(op, circuit, theta, f, shots, seed):
-    """The sampled gradient built circuit by circuit: the base cost from
-    :func:`sample_cost_estimates` at ``derive_seed(seed, 0)``, every shifted state
-    prepared on its own, and one distribution build per shifted circuit."""
-    base, _ = sample_cost_estimates(op, circuit, theta, f, shots, derive_seed(seed, 0))
+    """The sampled gradient built circuit by circuit, every state prepared on its own
+    and one distribution build per circuit, all drawn on one ``default_rng(seed)``:
+    the base cost's 1 + T circuits at theta, then the shifted groups.  The base
+    draws must equal :func:`sample_cost_estimates`' at `seed`."""
+    rng = np.random.default_rng(seed)
     count = circuit.parameter_count
+
+    def term_mean(term, state, axes):
+        probs, values = sampling._row_distributions(term, state.amplitudes[None], axes)
+        return float(sampling.draw_counts(probs[0], shots, rng) @ values / shots)
+
+    psi = prepare_ansatz_state(circuit, theta)
+    means = [term_mean(ancilla_x_term(op.n_qubits), prepare_superposition_state(f, psi), None)]
+    means += [term_mean(term, psi, op.axes) for term in op.terms]
+    base, estimates = sample_cost_estimates(op, circuit, theta, f, shots, seed)
+    assert [e.mean for e in estimates] == means
 
     def half_pi_states(offset):
         out = []
@@ -356,21 +368,20 @@ def _per_circuit_sampled_gradient(op, circuit, theta, f, shots, seed):
             out.append(prepare_ansatz_state(circuit, shifted))
         return out
 
-    def group_means(term, group_states, axes, key):
+    def group_means(term, group_states, axes):
         dists = [sampling._row_distributions(term, s.amplitudes[None], axes)
                  for s in group_states]
-        counts = sampling.draw_counts(np.array([p[0] for p, _ in dists]), shots,
-                                      derive_seed(seed, *key))
+        counts = sampling.draw_counts(np.array([p[0] for p, _ in dists]), shots, rng)
         return counts @ dists[0][1] / shots
 
     sups = [prepare_superposition_state(f, shifted_state(circuit, theta, i))
             for i in range(count)]
-    g_num = group_means(ancilla_x_term(op.n_qubits), sups, None, (1,))
+    g_num = group_means(ancilla_x_term(op.n_qubits), sups, None)
     branch_sums = []
-    for branch, offset in ((2, np.pi / 2.0), (3, -np.pi / 2.0)):
+    for offset in (np.pi / 2.0, -np.pi / 2.0):
         total = np.zeros(count)
-        for k, term in enumerate(op.terms):
-            total += group_means(term, half_pi_states(offset), op.axes, (branch, k))
+        for term in op.terms:
+            total += group_means(term, half_pi_states(offset), op.axes)
         branch_sums.append(total)
     d_den = 0.5 * (branch_sums[0] - branch_sums[1])
     num, den = base.numerator, base.denominator
