@@ -34,9 +34,9 @@ from .operators import (DEFAULT_EPSILON, DENSE_QUBIT_CAP, BoundaryCondition, Mes
 from .optimize import (GradNorm, OptimizationConfig, TraceDistance, TrialsResult, draw_theta,
                        make_problem, run_trials)
 from .resources import count_baseline_circuits, resource_report
-from .sampling import (UnstableEstimateError, _row_means, derive_seed, sample_cost_estimates,
+from .sampling import (UnstableEstimateError, _row_means, derive_seed, sample_cost,
                        sampled_gradient)
-from .states import ansatz_amplitudes, prepare_ansatz_state, superposition_rows
+from .states import ansatz_amplitudes, prepare_ansatz_state
 
 METHODS = ("proposed", "baseline")
 MAX_SHOTS = 1 << 62  # the largest power of two numpy's multinomial takes as a count
@@ -364,23 +364,22 @@ def _run_iterations_vs_n(config: argparse.Namespace, out: Path) -> tuple[list[st
     return summary, 0
 
 
-def _sample_baseline_cost(eig_a2, eig_xa, sup: np.ndarray, psi: np.ndarray,
-                          shots: int, seed: int) -> float:
-    """Dense-matrix-backed shot model of the prior method's cost.
+def _sample_baseline_cost(eig_a, f: np.ndarray, psi: np.ndarray, shots: int,
+                          seed: int) -> float:
+    """Dense-matrix-backed shot model of the prior method's cost from A's eigenpairs (lam, V).
 
-    Eigenbasis sampling of A^2 on |psi> and of X (x) A on the superposition
-    state, in that order on one ``np.random.default_rng(seed)``; unbiased for each
+    Samples A^2 on |psi> in A's eigenbasis, then X (x) A on (|0>|f> + |1>|psi>)/sqrt(2),
+    whose spectrum is read off A's: values (lam, -lam) on (|0> +- |1>)/sqrt(2) (x) v, with
+    probabilities proportional to ((V^T f + V^T psi)^2, (V^T f - V^T psi)^2).  Both draw in
+    that order on one ``np.random.default_rng(seed)``; each is unbiased for its
     expectation, plugged into <A^2> - <psi|A|f>^2.
     """
     rng = np.random.default_rng(seed)
-
-    def estimate(values: np.ndarray, vectors: np.ndarray, amps: np.ndarray) -> float:
-        probs = (vectors.T @ amps) ** 2
-        probs /= probs.sum()
-        return float(_row_means(probs, values, shots, rng))
-
-    est_a2 = estimate(eig_a2[0] ** 2, eig_a2[1], psi)
-    est_af = estimate(eig_xa[0], eig_xa[1], sup)
+    lam, vectors = eig_a
+    vf, vpsi = vectors.T.dot(f), vectors.T.dot(psi)
+    settings = ((lam ** 2, vpsi ** 2), (np.r_[lam, -lam], np.r_[vf + vpsi, vf - vpsi] ** 2))
+    est_a2, est_af = [float(_row_means(weights / weights.sum(), values, shots, rng))
+                      for values, weights in settings]
     return est_a2 - est_af * est_af
 
 
@@ -424,25 +423,24 @@ def _run_shot_error_vs_s(config: argparse.Namespace, out: Path) -> tuple[list[st
 
     def measure_at(n: int):
         op, circuit, f, theta = _fixed_point(config, n)
-        counts = ((2, count_baseline_circuits(n)) if config.method == "baseline"
-                  else (measured_circuit_count(op),) * 2)
-        model.extend([f"measurements_per_estimate_n{n} = {counts[0]}",
-                      f"circuits_per_cost_n{n} = {counts[1]}"])
         if config.method == "baseline":
             psi = prepare_ansatz_state(circuit, theta)
             matrix = build_matrix(n, config.bc, config.epsilon)
-            exact = baseline_cost(matrix, psi, f).cost
-            eig_a2 = np.linalg.eigh(matrix)
-            eig_xa = np.linalg.eigh(np.kron([[0.0, 1.0], [1.0, 0.0]], matrix))
-            sup = superposition_rows(f.amplitudes, psi.amplitudes)
+            counts, exact = (2, count_baseline_circuits(n)), baseline_cost(matrix, psi, f).cost
+            eig_a = np.linalg.eigh(matrix)
+
+            def estimate(shots: int, seed: int) -> float:
+                return _sample_baseline_cost(eig_a, f.amplitudes, psi.amplitudes, shots, seed)
         else:
-            exact = cost(op, circuit, theta, f).energy
+            counts, exact = (measured_circuit_count(op),) * 2, cost(op, circuit, theta, f).energy
+
+            def estimate(shots: int, seed: int) -> float:
+                return sample_cost(op, circuit, theta, f, shots, seed).energy
+        model.extend([f"measurements_per_estimate_n{n} = {counts[0]}",
+                      f"circuits_per_cost_n{n} = {counts[1]}"])
 
         def measure(shots: int, seed: int) -> list[float]:
-            if config.method == "baseline":
-                value = _sample_baseline_cost(eig_a2, eig_xa, sup, psi.amplitudes, shots, seed)
-            else:
-                value = sample_cost_estimates(op, circuit, theta, f, shots, seed)[0].energy
+            value = estimate(shots, seed)
             error = (value - exact) ** 2
             return [value, exact, error / exact ** 2 if exact else np.nan, error]
         return measure

@@ -46,6 +46,14 @@ def test_singular_matrix_raises():
                 solve(build_matrix(n, bc, 0.0), prepare_source_state(n))
 
 
+@pytest.mark.parametrize("matrix", [build_matrix(3, DIRICHLET), build_bands(3, DIRICHLET)],
+                         ids=["dense", "bands"])
+def test_zero_rhs_raises_solver_error(matrix):
+    # A u = 0 has only u = 0, which no unit vector normalises
+    with pytest.raises(SolverError, match="solution vector vanished"):
+        solve(matrix, np.zeros(8))
+
+
 @pytest.mark.parametrize("bc", list(BoundaryCondition))
 def test_regularized_and_dirichlet_matrices_solve_up_to_ten_qubits(bc):
     for n in range(1, 11):

@@ -8,11 +8,13 @@ import pytest
 
 from vqa_poisson import (AnsatzCircuit, Bands, BoundaryCondition, DEFAULT_EPSILON,
                          ObservableTerm, OptimizationConfig, PoissonOperator, PoissonProblem,
-                         TrialsResult, decompose, make_problem, minimize, prepare_source_state)
+                         TrialsResult, baseline_cost, build_matrix, decompose, make_problem,
+                         minimize, prepare_ansatz_state, prepare_source_state)
 from vqa_poisson import cli
 from vqa_poisson.cli import (FLAGS, STUDIES, UsageError, barren_plateau_norms, build_parser,
                              main, resolve_config)
 from vqa_poisson.gradient import grad_cost, grad_numerator, term_gradient
+from vqa_poisson.optimize import draw_theta
 from vqa_poisson.operators import FACTOR_I, FACTOR_X
 from vqa_poisson.sampling import derive_seed
 
@@ -223,6 +225,29 @@ def test_relative_error_is_nan_where_the_exact_cost_is_zero(tmp_path, monkeypatc
     assert [float(row[6]) for row in rows] == pytest.approx([float(row[3]) ** 2 for row in rows])
 
 
+@pytest.mark.parametrize("bc", list(BoundaryCondition))
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_baseline_shot_model_converges_to_the_exact_baseline_cost(bc, n):
+    # 2^50 shots per setting leave a statistical error near 1e-8 <A^2>; the tolerance
+    # scales with <A^2> = 1/r^2 because at n = 1 the cost cancels to about 1e-6
+    problem = make_problem(n, bc)
+    psi = prepare_ansatz_state(problem.circuit, draw_theta(problem.circuit, derive_seed(7, n)))
+    matrix = build_matrix(n, bc, DEFAULT_EPSILON[bc])
+    exact = baseline_cost(matrix, psi, problem.source)
+    value = cli._sample_baseline_cost(np.linalg.eigh(matrix), problem.source.amplitudes,
+                                      psi.amplitudes, 1 << 50, derive_seed(7, n, 1))
+    assert abs(value - exact.cost) <= 1e-5 / exact.r ** 2
+
+
+def test_runtime_failure_exits_one_with_a_diagnostic(tmp_path, monkeypatch, capsys):
+    def failing(config, out):
+        raise RuntimeError("simulated failure")
+
+    monkeypatch.setitem(STUDIES, "solve", STUDIES["solve"]._replace(run=failing))
+    assert main(["solve", "--n", "2", "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == "runtime failure: simulated failure\n"  # no traceback
+
+
 def test_blas_kernel_is_unknown_without_the_library_or_its_symbol(tmp_path, monkeypatch):
     class NoSymbols:
         def __init__(self, path):
@@ -316,6 +341,15 @@ def test_usage_errors_exit_two(tmp_path):
         bad_config.write_text(text)
         assert main(["solve", "--config", str(bad_config), "--n", "2", "--trials", "1",
                      "--out", str(tmp_path)]) == 2, text
+    # a config line without "=" and a shot range holding no power of two: exit 2
+    # before the --out directory is made
+    no_equals = tmp_path / "no-equals.cfg"
+    no_equals.write_text("seed 5\n")
+    never = tmp_path / "never"
+    for flags in (["solve", "--config", str(no_equals), "--n", "2", "--trials", "1"],
+                  ["shot-error-vs-s", "--n", "2", "--shots", "3:3", "--repeats", "1"]):
+        assert main([*flags, "--out", str(never)]) == 2, flags
+        assert not never.exists(), flags
     with pytest.raises(SystemExit):
         main(["not-an-experiment"])
     with pytest.raises(SystemExit):

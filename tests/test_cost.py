@@ -7,7 +7,7 @@ from vqa_poisson import (DEFAULT_EPSILON, AnsatzCircuit, BoundaryCondition, Obse
                          expectation, measured_circuit_count, numerator_hadamard,
                          prepare_ansatz_state, prepare_source_state, sample_term, solve,
                          term_gradient, term_shot_moments)
-from vqa_poisson.cost import apply_factor_product, apply_operator, apply_term
+from vqa_poisson.cost import apply_factor_product, apply_operator, apply_term, cost_and_a_psi
 from vqa_poisson.operators import (FACTOR_I, FACTOR_P0, FACTOR_X, Mesh2D, build_fem_2d,
                                    reassemble_dense, shift_amplitudes)
 
@@ -48,6 +48,19 @@ def test_apply_term_rejects_a_size_mismatch(size):
     # a longer vector must not come back cut to the term's 8 values
     with pytest.raises(ValueError, match=rf"3 qubits \(8 amplitudes\), got shape \({size},\)"):
         apply_term(x_term(3), np.ones(size))
+
+
+@pytest.mark.parametrize("helper", [
+    lambda op, psi, f: denominator(op, psi),
+    lambda op, psi, f: numerator_hadamard(psi, f),
+    lambda op, psi, f: cost_and_a_psi(op, psi.amplitudes, f.amplitudes),
+], ids=["denominator", "numerator_hadamard", "cost_and_a_psi"])
+def test_cost_routes_reject_a_size_mismatch(helper):
+    # a 3-qubit state against a 2-qubit operator and source
+    op, f = decompose(2, DIRICHLET), prepare_source_state(2)
+    helper(op, Statevector.basis(2, 1), f)
+    with pytest.raises(ValueError, match="qubits|register sizes differ"):
+        helper(op, Statevector.basis(3, 1), f)
 
 
 @pytest.mark.parametrize("helper", [

@@ -8,7 +8,7 @@ from vqa_poisson import (AnsatzCircuit, Bands, BoundaryCondition, GradNorm, Opti
                          prepare_ansatz_state, prepare_source_state, run_trials)
 from vqa_poisson import operators, optimize, states
 from vqa_poisson.classical import SolverError, trace_distance
-from vqa_poisson.cost import apply_operator
+from vqa_poisson.cost import SingularOperatorError, apply_operator
 from vqa_poisson.gradient import grad_cost
 from vqa_poisson.optimize import bfgs
 from vqa_poisson.operators import PoissonOperator
@@ -244,6 +244,50 @@ def test_bfgs_counts_nothing_on_a_strictly_decreasing_quadratic(rng):
     assert result.status == "converged"
     assert result.zero_decrease_steps == 0
     assert result.skipped_updates == 0
+
+
+@pytest.mark.parametrize("value, grad", [(np.nan, 0.0), (1.0, np.nan)],
+                         ids=["nan-value", "nan-gradient"])
+def test_bfgs_aborts_on_a_non_finite_cost_or_gradient(value, grad):
+    result = bfgs(bfgs_evaluation(lambda x: value, lambda x: np.full(2, grad)), np.zeros(2),
+                  10, lambda x, v, g: False)
+    assert result.status == "aborted:non-finite cost or gradient"
+    assert result.iterations_used == 0
+    assert len(result.costs) == len(result.gradient_norms) == 1
+
+
+def test_bfgs_resets_a_non_descent_direction_and_then_fails_the_line_search():
+    # a zero gradient has slope 0 along H g, so the direction resets to -g,
+    # which is zero too: the first trial rounds to x and no step is taken
+    evaluated = []
+
+    def evaluate(x):
+        evaluated.append(x.copy())
+        return 1.0, lambda: np.zeros(2)
+
+    result = bfgs(evaluate, np.ones(2), 10, lambda x, v, g: False)
+    assert result.status == "line_search_failed"
+    assert result.iterations_used == 0
+    assert len(evaluated) == 1  # x0 only: the zero step evaluates no trial
+
+
+def test_bfgs_backtracks_past_a_trial_that_raises_singular_operator_error():
+    # a linear descent along x[0] whose evaluation raises past the wall at 0.3:
+    # the trials at alpha = 1 and 1/2 are rejected, alpha = 1/4 is accepted
+    trials = []
+
+    def evaluate(x):
+        trials.append(float(x[0]))
+        if x[0] > 0.3:
+            raise SingularOperatorError("past the wall")
+        return -float(x[0]), lambda: np.array([-1.0])
+
+    result = bfgs(evaluate, np.zeros(1), 1, lambda x, v, g: False)
+    assert result.status == "max_iterations"
+    assert result.iterations_used == 1
+    assert trials == [0.0, 1.0, 0.5, 0.25]
+    assert result.costs == [0.0, -0.25]
+    assert result.final_theta.tolist() == [0.25]
 
 
 def _count_sweeps_and_evaluations(monkeypatch) -> dict:
