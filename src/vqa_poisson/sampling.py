@@ -8,9 +8,10 @@ bit).  An estimate is the mean of its scored shots and carries that mean only:
 the MSE model reads the exact single-shot variances of :func:`term_shot_moments`.
 Each estimate draws every circuit it measures from one
 ``np.random.default_rng(seed)`` in a fixed order (:func:`draw_counts`): a cost
-estimate its 1 + T slots, a sampled gradient the same base draws and then its
-shifted groups.  Every row is an independent multinomial draw, and every
-estimate is deterministic in its seed.
+estimate its 1 + T slots one row at a time, a sampled gradient the same base
+draws and then its shifted rows in two calls, the pi block and the term block.
+numpy draws the rows of one 2-D call as consecutive calls would, so every row is
+an independent draw, stacked or not, and every estimate is deterministic in its seed.
 One builder, :func:`_slots`, lays out the 1 + T measured slots of both
 estimators from one forward sweep, and each slot's outcome distributions are
 built once, over every row the slot measures (1 + T builds for T terms); a
@@ -20,8 +21,8 @@ on the operator, the circuit, theta and f, not on the shots or the seed, so one
 4-entry cache keyed on those four (theta and f by their bytes) and on whether
 the shifts are swept keeps them read-only: repeated estimates at one theta, as
 in a shot-count study, sweep and build once and then only draw.  A gradient
-entry holds 8 [(P + 1) 2^(n+1) + T (2P + 1) 2^n] bytes: 25 KB at n = 4 and
-about 4 MB at n = 10 (L = 5, Dirichlet).
+entry holds each row once, 8 [(P + 1) 2^(n+1) + T (2P + 1) 2^n] bytes: 25 KB at
+n = 4 and about 4 MB at n = 10 (L = 5, Dirichlet).
 """
 
 from __future__ import annotations
@@ -151,19 +152,27 @@ def _slots(op: PoissonOperator, circuit: AnsatzCircuit, theta: np.ndarray, f: St
 
 @functools.lru_cache(maxsize=4)
 def _slot_distributions(shifted: bool, op: PoissonOperator, circuit: AnsatzCircuit,
-                        theta_bytes: bytes,
-                        f_bytes: bytes) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-    """Read-only (probs, values) of every slot :func:`_slots` measures at one theta and f,
-    built once."""
+                        theta_bytes: bytes, f_bytes: bytes) -> tuple[tuple, tuple]:
+    """Read-only distributions of every slot :func:`_slots` measures at one theta and f,
+    built once: ``(base, blocks)`` with each slot's one-row (probs, values) at theta, and
+    for a gradient its shifted rows as two blocks in draw order, the P pi-shifted numerator
+    rows and every term's +pi/2 rows followed by every term's -pi/2 rows."""
     dists = tuple(_row_distributions(*slot) for slot in _slots(
         op, circuit, np.frombuffer(theta_bytes), Statevector(np.frombuffer(f_bytes)), shifted))
-    for probs, _ in dists:
+    blocks = ()
+    if shifted:
+        count = circuit.parameter_count
+        terms = [probs[1:] for probs, _ in dists[1:]]
+        blocks = (dists[0][0][1:].copy(),
+                  np.concatenate([p[:count] for p in terms] + [p[count:] for p in terms]))
+        dists = tuple((probs[:1].copy(), values) for probs, values in dists)
+    for probs in [probs for probs, _ in dists] + list(blocks):
         probs.setflags(write=False)
-    return dists
+    return dists, blocks
 
 
 def _distributions(shifted: bool, op: PoissonOperator, circuit: AnsatzCircuit,
-                   theta: np.ndarray, f: Statevector) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+                   theta: np.ndarray, f: Statevector) -> tuple[tuple, tuple]:
     """:func:`_slot_distributions` keyed on a checked theta's bytes and f's amplitude bytes."""
     theta = _checked_theta(circuit, theta)
     return _slot_distributions(shifted, op, circuit, theta.tobytes(), f.amplitudes.tobytes())
@@ -179,7 +188,7 @@ def sample_cost_estimates(op: PoissonOperator, circuit: AnsatzCircuit,
     they draw from one ``np.random.default_rng(seed)``.  The returned tuple length
     is the number of circuits executed for one cost evaluation.
     """
-    return _base_estimate(op, _distributions(False, op, circuit, theta, f), shots,
+    return _base_estimate(op, _distributions(False, op, circuit, theta, f)[0], shots,
                           np.random.default_rng(seed))
 
 
@@ -223,16 +232,16 @@ def sampled_gradient(op: PoissonOperator, circuit: AnsatzCircuit, theta: np.ndar
     distributions; later calls read them from the cache and only draw, all on one
     ``np.random.default_rng(seed)``.  The base cost at theta is drawn first and equals
     :func:`sample_cost_estimates` at `seed`, so a non-positive base denominator raises
-    before any shifted circuit is drawn.  Then each group of P shifted circuits draws
-    its P count rows: the pi-shifted numerator, each term at theta + pi/2, then each
-    term at theta - pi/2.
+    before any shifted circuit is drawn.  Then two calls draw a count row per shifted
+    circuit: the P pi-shifted numerator rows, then each term's P rows at theta + pi/2
+    followed by each term's P rows at theta - pi/2, bit for bit as one call per group.
     """
-    dists = _distributions(True, op, circuit, theta, f)
+    base, (pi_rows, term_rows) = _distributions(True, op, circuit, theta, f)
     rng = np.random.default_rng(seed)
-    base, _ = _base_estimate(op, dists, shots, rng)
-    count = circuit.parameter_count
-    (num_probs, num_values), terms = dists[0], dists[1:]
-    return parameter_shift_gradient(
-        base, _row_means(num_probs[1:], num_values, shots, rng),
-        [_row_means(probs[1:count + 1], values, shots, rng) for probs, values in terms],
-        [_row_means(probs[count + 1:], values, shots, rng) for probs, values in terms])
+    report, _ = _base_estimate(op, base, shots, rng)
+    (_, num_values), terms = base[0], base[1:]
+    num_means = _row_means(pi_rows, num_values, shots, rng)
+    counts = draw_counts(term_rows, shots, rng).reshape(2, len(terms), len(pi_rows), -1)
+    plus, minus = ([rows.dot(values) / shots for rows, (_, values) in zip(side, terms)]
+                   for side in counts)
+    return parameter_shift_gradient(report, num_means, plus, minus)

@@ -252,11 +252,11 @@ def test_sampled_gradient_draws_its_circuit_count(monkeypatch):
     sampled_gradient(op, circuit, np.linspace(0.1, 1.0, 4), f, 64, 3)
     rows = [np.atleast_2d(probs).shape[0] for probs, _, _, _ in draws]
     assert sum(rows) == count_sampled_gradient_circuits(op, circuit.parameter_count) == 41
-    # (1 + T) single draws for the base cost, then (1 + 2T) draws of all P rows:
-    # the pi-shifted numerator, each term at +pi/2, then each term at -pi/2
+    # (1 + T) single draws for the base cost, then the P pi-shifted numerator rows in
+    # one draw, then every term at +pi/2 followed by every term at -pi/2 in one draw
     terms = len(op.terms)
-    assert rows == [1] * (1 + terms) + [4] * (1 + 2 * terms)
-    assert len(draws) == 14 and all(shots == 64 for _, shots, _, _ in draws)
+    assert rows == [1] * (1 + terms) + [4, 2 * terms * 4]
+    assert len(draws) == 7 and all(shots == 64 for _, shots, _, _ in draws)
     # every draw comes from one generator, set up once from the seed: replaying
     # the calls in order on default_rng(3) gives the same counts
     assert len({id(rng) for _, _, rng, _ in draws}) == 1
@@ -280,6 +280,46 @@ def test_identical_rows_draw_independent_counts(monkeypatch):
     assert counts.shape == (6, 8)
     assert len({tuple(row) for row in counts}) > 1
     assert len(set(means)) > 1
+
+
+def test_one_multinomial_call_draws_stacked_groups_as_consecutive_calls():
+    # sampled_gradient draws each block of shifted groups in one call; its counts stay
+    # those of one call per group only while numpy draws the rows of a 2-D call as
+    # consecutive calls on the same generator, and leaves the generator where they do
+    cases = np.random.default_rng(36)
+    for _ in range(120):
+        width = int(cases.integers(2, 65))
+        groups = cases.integers(1, 21, size=int(cases.integers(2, 5)))
+        probs = cases.dirichlet(np.ones(width), size=int(groups.sum()))
+        probs[cases.random(probs.shape) < 0.3] = 0.0  # exact zeros, leading ones too
+        probs[np.arange(len(probs)), cases.integers(0, width, len(probs))] += 0.1
+        probs /= probs.sum(axis=1, keepdims=True)
+        for shots in (1, 64, 16384):
+            seed = int(cases.integers(2**63))
+            stacked, consecutive = np.random.default_rng(seed), np.random.default_rng(seed)
+            counts = stacked.multinomial(shots, probs)
+            parts = [consecutive.multinomial(shots, group)
+                     for group in np.split(probs, np.cumsum(groups)[:-1])]
+            np.testing.assert_array_equal(counts, np.vstack(parts))
+            assert stacked.random() == consecutive.random()
+
+
+def test_gradient_cache_entry_stores_each_row_once():
+    n = 4
+    op, circuit, f = decompose(n, DIRICHLET), AnsatzCircuit(n, 5), prepare_source_state(n)
+    theta = random_theta(np.random.default_rng(3), circuit)
+    base, blocks = sampling._distributions(True, op, circuit, theta, f)
+    count, terms = circuit.parameter_count, len(op.terms)
+    assert [probs.shape for probs, _ in base] == [(1, 2 << n)] + [(1, 1 << n)] * terms
+    assert [block.shape for block in blocks] == [(count, 2 << n), (2 * terms * count, 1 << n)]
+    # each shot-value table is the term's own, shared with every entry
+    for (_, values), term in zip(base, (ancilla_x_term(n), *op.terms)):
+        assert values is sampling._shot_values(term)
+    # every row is stored once, and no array is a view that keeps a larger build alive
+    probs = [probs for probs, _ in base] + list(blocks)
+    assert all(p.base is None for p in probs)
+    assert sum(p.nbytes for p in probs) == 8 * ((count + 1) * (2 << n)
+                                                 + terms * (2 * count + 1) * (1 << n)) == 25216
 
 
 def test_row_counts_sum_to_shots():
@@ -506,11 +546,14 @@ def test_cached_distributions_are_read_only():
     f = prepare_source_state(2)
     theta = np.linspace(0.3, 1.2, circuit.parameter_count)
     for shifted in (False, True):
-        dists = sampling._distributions(shifted, op, circuit, theta, f)
-        assert len(dists) == 1 + len(op.terms)
-        for probs, values in dists:
+        base, blocks = sampling._distributions(shifted, op, circuit, theta, f)
+        assert len(base) == 1 + len(op.terms)
+        assert len(blocks) == (2 if shifted else 0)
+        for probs, values in base:
+            assert probs.shape[0] == 1
             assert not probs.flags.writeable
             assert not values.flags.writeable
+        for probs in [probs for probs, _ in base] + list(blocks):
             with pytest.raises(ValueError):
                 probs[0, 0] = 0.5
 
