@@ -8,21 +8,21 @@ bit).  An estimate is the mean of its scored shots and carries that mean only:
 the MSE model reads the exact single-shot variances of :func:`term_shot_moments`.
 Each estimate draws every circuit it measures from one
 ``np.random.default_rng(seed)`` in a fixed order (:func:`draw_counts`): a cost
-estimate its 1 + T slots one row at a time, a sampled gradient the same base
-draws and then its shifted rows in two calls, the pi block and the term block.
-numpy draws the rows of one 2-D call as consecutive calls would, so every row is
-an independent draw, stacked or not, and every estimate is deterministic in its seed.
+estimate its 1 + T slots one row at a time over their outcomes, a sampled
+gradient the same base draws and then its P (1 + 2T) shifted circuits in one
+call by shot value.  A shot scores +|c|, -|c| or 0, and counts summed over the
+outcomes of each value are multinomial over the values, so every mean keeps its
+distribution; numpy draws the rows of one 2-D call as consecutive calls would,
+so every row is an independent draw and every estimate is deterministic in its seed.
 One builder, :func:`_slots`, lays out the 1 + T measured slots of both
 estimators from one forward sweep, and each slot's outcome distributions are
-built once, over every row the slot measures (1 + T builds for T terms); a
-gradient hands the measured arrays to
-:func:`~vqa_poisson.gradient.parameter_shift_gradient`.  Distributions depend
-on the operator, the circuit, theta and f, not on the shots or the seed, so one
-4-entry cache keyed on those four (theta and f by their bytes) and on whether
-the shifts are swept keeps them read-only: repeated estimates at one theta, as
-in a shot-count study, sweep and build once and then only draw.  A gradient
-entry holds each row once, 8 [(P + 1) 2^(n+1) + T (2P + 1) 2^n] bytes: 25 KB at
-n = 4 and about 4 MB at n = 10 (L = 5, Dirichlet).
+built once, over every row the slot measures (1 + T builds for T terms).
+Distributions depend on the operator, the circuit, theta and f, not on the shots
+or the seed, so one 4-entry cache keyed on those four (theta and f by their
+bytes) and on whether the shifts are swept keeps them read-only: repeated
+estimates at one theta, as in a shot-count study, sweep and build once and then
+only draw.  A gradient entry holds 8 [2^(n+1) + T 2^n] + 32 P (1 + 2T) bytes:
+6 KB at n = 4, 54 KB at n = 10 and 674 KB at n = 14 (L = 5, Dirichlet).
 """
 
 from __future__ import annotations
@@ -155,16 +155,22 @@ def _slot_distributions(shifted: bool, op: PoissonOperator, circuit: AnsatzCircu
                         theta_bytes: bytes, f_bytes: bytes) -> tuple[tuple, tuple]:
     """Read-only distributions of every slot :func:`_slots` measures at one theta and f,
     built once: ``(base, blocks)`` with each slot's one-row (probs, values) at theta, and
-    for a gradient its shifted rows as two blocks in draw order, the P pi-shifted numerator
-    rows and every term's +pi/2 rows followed by every term's -pi/2 rows."""
+    for a gradient ``(classes, scales)`` over its shifted rows in draw order (the P
+    pi-shifted numerator rows, every term's +pi/2 rows, then every term's -pi/2 rows):
+    each row's probabilities of a shot value > 0, < 0 and = 0, and its term's |c|."""
     dists = tuple(_row_distributions(*slot) for slot in _slots(
         op, circuit, np.frombuffer(theta_bytes), Statevector(np.frombuffer(f_bytes)), shifted))
     blocks = ()
     if shifted:
         count = circuit.parameter_count
-        terms = [probs[1:] for probs, _ in dists[1:]]
-        blocks = (dists[0][0][1:].copy(),
-                  np.concatenate([p[:count] for p in terms] + [p[count:] for p in terms]))
+        # the zero class last: numpy's multinomial gives its last category the remainder
+        classes = [np.stack([np.where(test, probs[1:], 0.0).sum(axis=-1)
+                             for test in (values > 0, values < 0, values == 0)], axis=-1)
+                   for probs, values in dists]
+        scales = [np.abs(values).max() for _, values in dists]
+        blocks = (np.concatenate(classes[:1] + [c[:count] for c in classes[1:]]
+                                 + [c[count:] for c in classes[1:]]),
+                  np.repeat(scales + scales[1:], count))
         dists = tuple((probs[:1].copy(), values) for probs, values in dists)
     for probs in [probs for probs, _ in dists] + list(blocks):
         probs.setflags(write=False)
@@ -232,16 +238,15 @@ def sampled_gradient(op: PoissonOperator, circuit: AnsatzCircuit, theta: np.ndar
     distributions; later calls read them from the cache and only draw, all on one
     ``np.random.default_rng(seed)``.  The base cost at theta is drawn first and equals
     :func:`sample_cost_estimates` at `seed`, so a non-positive base denominator raises
-    before any shifted circuit is drawn.  Then two calls draw a count row per shifted
-    circuit: the P pi-shifted numerator rows, then each term's P rows at theta + pi/2
-    followed by each term's P rows at theta - pi/2, bit for bit as one call per group.
+    before any shifted circuit is drawn.  Then one call draws the P(1 + 2T) shifted
+    circuits by shot value, a (n+, n-, n0) count row each: the P pi-shifted numerator
+    rows, then each term's P rows at theta + pi/2, then each term's P rows at
+    theta - pi/2.  Each mean is |c| (n+ - n-) / S, distributed exactly as the mean of
+    per-outcome counts, since summed multinomial counts are multinomial over the sums.
     """
-    base, (pi_rows, term_rows) = _distributions(True, op, circuit, theta, f)
+    base, (classes, scales) = _distributions(True, op, circuit, theta, f)
     rng = np.random.default_rng(seed)
     report, _ = _base_estimate(op, base, shots, rng)
-    (_, num_values), terms = base[0], base[1:]
-    num_means = _row_means(pi_rows, num_values, shots, rng)
-    counts = draw_counts(term_rows, shots, rng).reshape(2, len(terms), len(pi_rows), -1)
-    plus, minus = ([rows.dot(values) / shots for rows, (_, values) in zip(side, terms)]
-                   for side in counts)
-    return parameter_shift_gradient(report, num_means, plus, minus)
+    counts = draw_counts(classes, shots, rng)
+    means = (scales * (counts[:, 0] - counts[:, 1]) / shots).reshape(-1, circuit.parameter_count)
+    return parameter_shift_gradient(report, means[0], means[1:len(base)], means[len(base):])

@@ -1,13 +1,15 @@
-"""Output contracts of the shot studies: every number a run writes is recomputed.
+"""Output contracts of the studies: every number a run writes is recomputed.
 
 Each test runs a study at smoke size, reads ``results.csv``, the fig files and
 the manifest by column or key name, and recomputes each written number from an
 independent source: the estimators at the seeds the study documents for the
-result cells, the result rows for the fig means and spreads, and ``np.polyfit``
-on the fig's own columns for the slopes.
+result cells, each optimizing trial from :func:`minimize` at its documented
+seed, the result rows for the fig means and spreads, and ``np.polyfit`` on the
+fig's own columns for the slopes.
 """
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -15,15 +17,23 @@ import pytest
 from vqa_poisson import (BoundaryCondition, UnstableEstimateError, cost, derive_seed,
                          grad_cost, make_problem, sample_cost, sampled_gradient)
 from vqa_poisson.cli import main
-from vqa_poisson.optimize import draw_theta
+from vqa_poisson.optimize import GradNorm, OptimizationConfig, draw_theta, minimize
 
 # files write 12 significant digits
 WRITTEN = dict(rel=1e-11, abs=1e-300)
 
 
+def _cell(text):
+    """A written number, or the text of a label cell (a status, a boundary condition)."""
+    try:
+        return float(text)
+    except ValueError:
+        return text
+
+
 def _read_csv(path):
     header, *lines = path.read_text().splitlines()
-    return [dict(zip(header.split(","), map(float, line.split(",")))) for line in lines]
+    return [dict(zip(header.split(","), map(_cell, line.split(",")))) for line in lines]
 
 
 def _read_fig(path):
@@ -132,3 +142,81 @@ def test_grad_similarity_outputs_are_recomputed(tmp_path, flags):
             assert row["one_minus_cosine"] == pytest.approx(1.0 - cosine, **WRITTEN)
     _check_fig_and_slopes(out, rows, manifest, "grad_similarity", "dissimilarity",
                           "one_minus_cosine")
+
+
+def _trials(manifest, n):
+    """The study's problem at n and its trials, each from :func:`minimize` at
+    ``derive_seed(seed, trial)``, with the manifest's config."""
+    problem = make_problem(n, BoundaryCondition(manifest["bc"]), int(manifest["layers"]),
+                           float(manifest["epsilon"]))
+    config = OptimizationConfig(int(manifest["max_iterations"]),
+                                GradNorm(float(manifest["grad_threshold"])))
+    seed = int(manifest["seed"])
+    return problem, [minimize(problem, config, derive_seed(seed, trial))
+                     for trial in range(int(manifest["trials"]))]
+
+
+def _statuses(traces):
+    """Count per status, ``aborted:<why>`` counted as aborted, and the trials the
+    studies average: every one that did not abort."""
+    counts = Counter(t.status.split(":")[0] for t in traces)
+    return counts, [t for t in traces if not t.status.startswith("aborted")]
+
+
+def _check_mean_std(written, values):
+    mean, std = written
+    assert mean == pytest.approx(np.mean(values), **WRITTEN)
+    assert std == pytest.approx(np.std(values), rel=1e-11, abs=1e-11 * max(map(abs, values)))
+
+
+@pytest.mark.parametrize("flags, converged", [
+    (["--n", "2:3", "--trials", "2", "--max-iterations", "60"], [2, 2]),
+    # n = 3 needs about 30 iterations: its trials are capped, and the count tells
+    (["--n", "2:3", "--trials", "2", "--max-iterations", "20"], [2, 0]),
+], ids=["converged", "capped-at-n3"])
+def test_trace_distance_outputs_are_recomputed(tmp_path, flags, converged):
+    out, rows, manifest = _run(tmp_path, "trace-distance-vs-n", flags)
+    fig_rows = _read_fig(out / "fig_trace_distance.dat")
+    assert [row["n"] for row in rows] == [row["n"] for row in fig_rows] == [2, 3]
+    for row, fig_row in zip(rows, fig_rows):
+        n = int(row["n"])
+        _, traces = _trials(manifest, n)
+        counts, done = _statuses(traces)
+        assert manifest[f"statuses_n{n}"] == ",".join(f"{k}:{v}" for k, v in sorted(counts.items()))
+        assert row["bc"] == manifest["bc"]
+        assert row["trials"] == len(traces)
+        assert row["converged"] == counts["converged"]
+        distances = [t.trace_distance for t in done]
+        _check_mean_std([row["mean_trace_distance"], row["std_trace_distance"]], distances)
+        _check_mean_std([fig_row["mean"], fig_row["std"]], distances)
+        _check_mean_std([row["mean_iterations"], row["std_iterations"]],
+                        [t.iterations_used for t in done])
+        _check_mean_std([row["mean_energy"], row["std_energy"]],
+                        [t.final_report.energy for t in done])
+    assert [row["converged"] for row in rows] == converged
+
+
+@pytest.mark.parametrize("flags", [
+    ["--n", "2", "--trials", "2", "--max-iterations", "60"],
+    ["--n", "3", "--trials", "2", "--max-iterations", "20"],
+], ids=["converged", "capped"])
+def test_solve_outputs_are_recomputed(tmp_path, flags):
+    out, rows, manifest = _run(tmp_path, "solve", flags)
+    problem, traces = _trials(manifest, int(manifest["n_values"]))
+    assert [int(row["trial"]) for row in rows] == list(range(len(traces)))
+    for row, trace in zip(rows, traces):
+        assert row["status"] == trace.status
+        assert row["iterations"] == trace.iterations_used
+        assert row["circuit_executions"] == trace.circuit_executions
+        assert row["energy"] == pytest.approx(trace.final_report.energy, **WRITTEN)
+        assert row["r_opt"] == pytest.approx(trace.final_report.r_opt, **WRITTEN)
+        assert row["trace_distance"] == pytest.approx(trace.trace_distance, **WRITTEN)
+        assert row["grad_norm"] == pytest.approx(trace.final_gradient_norm, **WRITTEN)
+    counts, done = _statuses(traces)
+    assert manifest["statuses"] == ",".join(f"{k}:{v}" for k, v in sorted(counts.items()))
+    for key, values in (("mean_iterations", [t.iterations_used for t in done]),
+                        ("mean_trace_distance", [t.trace_distance for t in done]),
+                        ("mean_energy", [t.final_report.energy for t in done])):
+        assert float(manifest[key]) == pytest.approx(np.mean(values), **WRITTEN)
+    assert float(manifest["classical_norm"]) == pytest.approx(
+        np.linalg.norm(problem.classical().u), **WRITTEN)
