@@ -4,8 +4,8 @@ Each test runs a study at smoke size, reads ``results.csv``, the fig files and
 the manifest by column or key name, and recomputes each written number from an
 independent source: the estimators at the seeds the study documents for the
 result cells, each optimizing trial from :func:`minimize` at its documented
-seed, the result rows for the fig means and spreads, and ``np.polyfit`` on the
-fig's own columns for the slopes.
+seed, the result rows for the fig means and spreads, ``np.polyfit`` on the
+fig's own columns for the slopes, and the resource counts for the circuit counts.
 """
 
 import math
@@ -14,10 +14,13 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from vqa_poisson import (BoundaryCondition, UnstableEstimateError, cost, derive_seed,
-                         grad_cost, make_problem, sample_cost, sampled_gradient)
-from vqa_poisson.cli import main
-from vqa_poisson.optimize import GradNorm, OptimizationConfig, draw_theta, minimize
+from vqa_poisson import (BoundaryCondition, UnstableEstimateError, cost,
+                         count_baseline_circuits, derive_seed, grad_cost, make_problem,
+                         resource_report, sample_cost, sampled_gradient)
+from vqa_poisson.cli import barren_plateau_norms, main
+from vqa_poisson.optimize import (GradNorm, OptimizationConfig, TraceDistance, draw_theta,
+                                  minimize)
+from vqa_poisson.states import ansatz_amplitudes
 
 # files write 12 significant digits
 WRITTEN = dict(rel=1e-11, abs=1e-300)
@@ -149,8 +152,9 @@ def _trials(manifest, n):
     ``derive_seed(seed, trial)``, with the manifest's config."""
     problem = make_problem(n, BoundaryCondition(manifest["bc"]), int(manifest["layers"]),
                            float(manifest["epsilon"]))
-    config = OptimizationConfig(int(manifest["max_iterations"]),
-                                GradNorm(float(manifest["grad_threshold"])))
+    terminal = (TraceDistance(float(manifest["tol"])) if "tol" in manifest
+                else GradNorm(float(manifest["grad_threshold"])))
+    config = OptimizationConfig(int(manifest["max_iterations"]), terminal)
     seed = int(manifest["seed"])
     return problem, [minimize(problem, config, derive_seed(seed, trial))
                      for trial in range(int(manifest["trials"]))]
@@ -164,9 +168,12 @@ def _statuses(traces):
 
 
 def _check_mean_std(written, values):
+    """A written [mean, std] of the values; the values' rounding moves either by
+    up to 1e-12 of the largest value, which matters where they differ in sign."""
     mean, std = written
-    assert mean == pytest.approx(np.mean(values), **WRITTEN)
-    assert std == pytest.approx(np.std(values), rel=1e-11, abs=1e-11 * max(map(abs, values)))
+    spread = dict(rel=1e-11, abs=1e-11 * max(map(abs, values)))
+    assert mean == pytest.approx(np.mean(values), **spread)
+    assert std == pytest.approx(np.std(values), **spread)
 
 
 @pytest.mark.parametrize("flags, converged", [
@@ -220,3 +227,104 @@ def test_solve_outputs_are_recomputed(tmp_path, flags):
         assert float(manifest[key]) == pytest.approx(np.mean(values), **WRITTEN)
     assert float(manifest["classical_norm"]) == pytest.approx(
         np.linalg.norm(problem.classical().u), **WRITTEN)
+
+
+@pytest.mark.parametrize("flags, converged", [
+    (["--n", "2:3", "--trials", "2", "--tol", "0.3", "--max-iterations", "60"], [2, 2]),
+    # one n = 3 trial needs 17 iterations: it is capped, and the count tells
+    (["--n", "2:3", "--trials", "2", "--tol", "0.3", "--max-iterations", "10"], [2, 1]),
+], ids=["converged", "capped-at-n3"])
+def test_iterations_outputs_are_recomputed(tmp_path, flags, converged):
+    out, rows, manifest = _run(tmp_path, "iterations-vs-n", flags)
+    fig_rows = _read_fig(out / "fig_iterations.dat")
+    assert [row["n"] for row in rows] == [row["n"] for row in fig_rows] == [2, 3]
+    for row, fig_row in zip(rows, fig_rows):
+        n = int(row["n"])
+        _, traces = _trials(manifest, n)
+        counts, done = _statuses(traces)
+        assert manifest[f"statuses_n{n}"] == ",".join(f"{k}:{v}" for k, v in sorted(counts.items()))
+        assert row["bc"] == manifest["bc"]
+        assert row["tolerance"] == float(manifest["tol"])
+        assert row["trials"] == len(traces)
+        assert row["converged"] == counts["converged"]
+        iterations = [t.iterations_used for t in done]
+        _check_mean_std([row["mean_iterations"], row["std_iterations"]], iterations)
+        _check_mean_std([fig_row["mean"], fig_row["std"]], iterations)
+        _check_mean_std([row["mean_trace_distance"], row["std_trace_distance"]],
+                        [t.trace_distance for t in done])
+    assert [row["converged"] for row in rows] == converged
+    slope = np.polyfit(np.log10([row["n"] for row in fig_rows]),
+                       np.log10([row["mean"] for row in fig_rows]), 1)[0]
+    assert float(manifest["loglog_slope_iterations"]) == pytest.approx(slope, rel=1e-9)
+
+
+@pytest.mark.parametrize("flags", [
+    ["--n", "2", "--trials", "2", "--max-iterations", "60"],
+    ["--n", "3", "--trials", "2", "--max-iterations", "20"],
+], ids=["converged", "capped"])
+def test_solution_field_outputs_are_recomputed(tmp_path, flags):
+    out, rows, manifest = _run(tmp_path, "solution-field", flags)
+    n = int(manifest["n_values"])
+    problem, traces = _trials(manifest, n)
+    trials = [f"trial_{k}" for k in range(len(traces))]
+    assert list(rows[0]) == ["node", "classical", *trials]
+    assert [row["node"] for row in rows] == list(range(1 << n))
+    classical = problem.classical().u
+    # each trial's solution field is r_opt times the ansatz state at its final theta
+    fields = [t.final_report.r_opt * ansatz_amplitudes(problem.circuit, t.final_theta)
+              for t in traces]
+    fig_rows = _read_fig(out / "fig_solution_field.dat")
+    for row, fig_row in zip(rows, fig_rows, strict=True):
+        node = int(row["node"])
+        assert row["classical"] == pytest.approx(classical[node], **WRITTEN)
+        for trial, field in zip(trials, fields):
+            assert row[trial] == pytest.approx(field[node], **WRITTEN)
+        assert fig_row["node"] == node
+        assert fig_row["classical"] == row["classical"]
+        _check_mean_std([fig_row["mean"], fig_row["std"]], [row[trial] for trial in trials])
+    counts, done = _statuses(traces)
+    assert manifest["statuses"] == ",".join(f"{k}:{v}" for k, v in sorted(counts.items()))
+    assert float(manifest["mean_trace_distance"]) == pytest.approx(
+        np.mean([t.trace_distance for t in done]), **WRITTEN)
+
+
+@pytest.mark.parametrize("bc", ["periodic", "dirichlet", "neumann"])
+def test_circuit_count_outputs_are_recomputed(tmp_path, bc):
+    out, rows, manifest = _run(tmp_path, "circuit-count-vs-n",
+                               ["--n", "1:4", "--bc", bc, "--layers", "3"])
+    fig_rows = _read_fig(out / "fig_circuit_count.dat")
+    resources = _read_csv(out / "resources.csv")
+    assert [row["n"] for row in rows] == [row["n"] for row in fig_rows] == [1, 2, 3, 4]
+    assert [row["n"] for row in resources] == [1, 2, 3, 4]
+    for row, fig_row, res in zip(rows, fig_rows, resources):
+        n = int(row["n"])
+        report = resource_report(n, int(manifest["layers"]), BoundaryCondition(bc))
+        assert row["bc"] == bc
+        assert row["circuits_proposed"] == fig_row["proposed"] == report.t_c
+        assert row["circuits_baseline"] == fig_row["baseline"] == count_baseline_circuits(n)
+        shift, depth = report.shift, report.state_prep
+        assert [res["t_c"], res["t_g"]] == [report.t_c, report.t_g]
+        assert [res["shift_rel_phase_toffolis"], res["shift_toffolis"], res["shift_cnot"],
+                res["shift_x"], res["total_qubits_with_ancilla"]] == [
+            shift.rel_phase_toffolis, shift.toffolis, shift.cnot, shift.x,
+            shift.total_qubits_with_ancilla]
+        assert [res["ansatz_depth"], res["encoding_depth"], res["shift_depth_bound"]] == [
+            depth.ansatz_depth, depth.encoding_depth, depth.shift_depth_bound]
+
+
+def test_barren_plateau_outputs_are_recomputed(tmp_path):
+    out, rows, manifest = _run(tmp_path, "barren-plateau", ["--n", "2:3", "--trials", "3"])
+    names = ("cost", "even", "odd", "numerator")
+    for n in (2, 3):
+        at_n = [row for row in rows if row["n"] == n]
+        assert [row["seed_index"] for row in at_n] == [0, 1, 2]
+        norms = barren_plateau_norms(n, int(manifest["layers"]), BoundaryCondition(manifest["bc"]),
+                                     float(manifest["epsilon"]), int(manifest["seed"]), 3)
+        for row, trial in zip(at_n, norms):
+            assert [row[f"grad_norm_{name}"] for name in names] == pytest.approx(trial, **WRITTEN)
+    for name in names:
+        fig_rows = _read_fig(out / f"fig_barren_plateau_{name}.dat")
+        assert [row["n"] for row in fig_rows] == [2, 3]
+        for fig_row in fig_rows:
+            _check_mean_std([fig_row["mean"], fig_row["std"]],
+                            [row[f"grad_norm_{name}"] for row in rows if row["n"] == fig_row["n"]])
