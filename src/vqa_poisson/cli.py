@@ -3,7 +3,11 @@
 Every experiment writes ``results.csv`` (one row per measurement),
 ``manifest.txt`` (configuration, seeds, python and numpy versions, BLAS kernel, summaries)
 and ``fig_*.dat`` plot-data files (whitespace-separated x, y, yerr columns) into
-the output directory.  All runs are deterministic given (config, seed).
+the output directory.  Each optimizing study (``solve``, ``solution-field``,
+``trace-distance-vs-n``, ``iterations-vs-n``) also writes ``trials.csv``, one row
+per BFGS trial under :data:`TRIAL_COLUMNS`; its means and stds are aggregated from
+those rows over the trials that did not abort.  All runs are deterministic given
+(config, seed).
 
 Usage: ``vqa-poisson <experiment> [--config FILE] [--FLAG VALUE ...]`` with one
 flag per :data:`FLAGS` entry (a config file takes the same names as keys); an
@@ -242,20 +246,27 @@ def _loglog_slope(x: np.ndarray, y: np.ndarray) -> float:
     return float(np.polyfit(np.log10(x), np.log10(y), 1)[0])
 
 
-def _trials(config: argparse.Namespace, n: int, terminal):
-    """The seeded problem at n and its config.trials BFGS trials."""
-    problem = make_problem(n, config.bc, config.layers, config.epsilon)
-    return problem, run_trials(problem, OptimizationConfig(
-        config.max_iterations, terminal, config.trials, config.seed))
+TRIAL_COLUMNS = ["n", "trial", "status", "iterations", "circuit_executions", "energy", "r_opt",
+                 "trace_distance", "grad_norm"]
+
+
+def _trial_table(config: argparse.Namespace, out: Path, terminal):
+    """Each n's seeded problem and its config.trials BFGS trials: one row per trial
+    under TRIAL_COLUMNS, written to ``trials.csv``, and (problem, TrialsResult) by n."""
+    rows, runs = [], {}
+    for n in config.n_values:
+        problem = make_problem(n, config.bc, config.layers, config.epsilon)
+        runs[n] = problem, run_trials(problem, OptimizationConfig(
+            config.max_iterations, terminal, config.trials, config.seed))
+        rows += [[n, k, t.status, t.iterations_used, t.circuit_executions, t.final_report.energy,
+                  t.final_report.r_opt, t.trace_distance, t.final_gradient_norm]
+                 for k, t in enumerate(runs[n][1].traces)]
+    _write_table(out / "trials.csv", TRIAL_COLUMNS, rows)
+    return rows, runs
 
 
 def _statuses(result: TrialsResult) -> str:
     return ",".join(f"{status}:{count}" for status, count in result.statuses.items())
-
-
-def _completed(result: TrialsResult) -> list:
-    """The trials a study's means and spreads take: every one that did not abort."""
-    return [t for t in result.traces if not t.status.startswith("aborted")]
 
 
 def _mean_std(values) -> list[float]:
@@ -264,58 +275,49 @@ def _mean_std(values) -> list[float]:
     return [values.mean(), values.std()] if values.size else [np.nan, np.nan]
 
 
+def _aggregate(rows: list[list], n: int, column: str) -> list[float]:
+    """[mean, std] of a trial-table column over the trials at n a study's statistics
+    take: every one that did not abort."""
+    at = TRIAL_COLUMNS.index(column)
+    return _mean_std([row[at] for row in rows if row[0] == n and not row[2].startswith("aborted")])
+
+
 def _run_solve(config: argparse.Namespace, out: Path) -> tuple[list[str], int]:
-    problem, result = _trials(config, config.n_values[0], GradNorm(config.grad_threshold))
-    rows = [[k, t.status, t.iterations_used, t.circuit_executions, t.final_report.energy,
-             t.final_report.r_opt, t.trace_distance, t.final_gradient_norm]
-            for k, t in enumerate(result.traces)]
-    _write_table(out / "results.csv",
-                 ["trial", "status", "iterations", "circuit_executions", "energy",
-                  "r_opt", "trace_distance", "grad_norm"], rows)
-    done = _completed(result)
-    summary = [
-        f"statuses = {_statuses(result)}",
-        f"mean_iterations = {_fmt(_mean_std([t.iterations_used for t in done])[0])}",
-        f"mean_trace_distance = {_fmt(_mean_std([t.trace_distance for t in done])[0])}",
-        f"mean_energy = {_fmt(_mean_std([t.final_report.energy for t in done])[0])}",
-        f"classical_norm = {_fmt(problem.classical().norm)}",
-    ]
-    return summary, 0
+    trials, runs = _trial_table(config, out, GradNorm(config.grad_threshold))
+    [(n, (problem, result))] = runs.items()
+    _write_table(out / "results.csv", TRIAL_COLUMNS[1:], [row[1:] for row in trials])
+    means = [f"mean_{c} = {_fmt(_aggregate(trials, n, c)[0])}"
+             for c in ("iterations", "trace_distance", "energy")]
+    return [f"statuses = {_statuses(result)}", *means,
+            f"classical_norm = {_fmt(problem.classical().norm)}"], 0
 
 
 def _run_solution_field(config: argparse.Namespace, out: Path) -> tuple[list[str], int]:
-    n = config.n_values[0]
-    problem, result = _trials(config, n, GradNorm(config.grad_threshold))
+    trials, runs = _trial_table(config, out, GradNorm(config.grad_threshold))
+    [(n, (problem, result))] = runs.items()
     classical = problem.classical().u
     solutions = [t.final_report.r_opt * ansatz_amplitudes(problem.circuit, t.final_theta)
                  for t in result.traces]
     header = ["node", "classical"] + [f"trial_{k}" for k in range(len(solutions))]
-    rows = [[node, classical[node]] + [sol[node] for sol in solutions] for node in range(1 << n)]
-    _write_table(out / "results.csv", header, rows)
-    fig_rows = [[node, classical[node], *_mean_std([sol[node] for sol in solutions])]
-                for node in range(1 << n)]
-    _write_table(out / "fig_solution_field.dat", ["node", "classical", "mean", "std"], fig_rows)
-    distances = [t.trace_distance for t in _completed(result)]
+    field = [[node, classical[node]] + [sol[node] for sol in solutions] for node in range(1 << n)]
+    _write_table(out / "results.csv", header, field)
+    _write_table(out / "fig_solution_field.dat", ["node", "classical", "mean", "std"],
+                 [[*row[:2], *_mean_std(row[2:])] for row in field])
     return [f"statuses = {_statuses(result)}",
-            f"mean_trace_distance = {_fmt(_mean_std(distances)[0])}"], 0
+            f"mean_trace_distance = {_fmt(_aggregate(trials, n, 'trace_distance')[0])}"], 0
 
 
 def _run_trace_distance_vs_n(config: argparse.Namespace, out: Path) -> tuple[list[str], int]:
-    rows, fig_rows, summary = [], [], []
-    for n in config.n_values:
-        _, result = _trials(config, n, GradNorm(config.grad_threshold))
-        summary.append(f"statuses_n{n} = {_statuses(result)}")
-        done = _completed(result)
-        distances = _mean_std([t.trace_distance for t in done])
-        rows.append([n, config.bc.value, config.trials, result.statuses.get("converged", 0),
-                     *distances, *_mean_std([t.iterations_used for t in done]),
-                     *_mean_std([t.final_report.energy for t in done])])
-        fig_rows.append([n, *distances])
+    trials, runs = _trial_table(config, out, GradNorm(config.grad_threshold))
+    rows = [[n, config.bc.value, config.trials, result.statuses.get("converged", 0),
+             *_aggregate(trials, n, "trace_distance"), *_aggregate(trials, n, "iterations"),
+             *_aggregate(trials, n, "energy")] for n, (_, result) in runs.items()]
     _write_table(out / "results.csv",
                  ["n", "bc", "trials", "converged", "mean_trace_distance", "std_trace_distance",
                   "mean_iterations", "std_iterations", "mean_energy", "std_energy"], rows)
-    _write_table(out / "fig_trace_distance.dat", ["n", "mean", "std"], fig_rows)
-    return summary, 0
+    _write_table(out / "fig_trace_distance.dat", ["n", "mean", "std"],
+                 [[n, *_aggregate(trials, n, "trace_distance")] for n in runs])
+    return [f"statuses_n{n} = {_statuses(result)}" for n, (_, result) in runs.items()], 0
 
 
 def _fixed_point(config: argparse.Namespace, n: int):
@@ -343,24 +345,19 @@ def _run_circuit_count_vs_n(config: argparse.Namespace, out: Path) -> tuple[list
 
 
 def _run_iterations_vs_n(config: argparse.Namespace, out: Path) -> tuple[list[str], int]:
-    rows, fig_rows, means, summary = [], [], [], []
-    for n in config.n_values:
-        _, result = _trials(config, n, TraceDistance(config.tol))
-        summary.append(f"statuses_n{n} = {_statuses(result)}")
-        done = _completed(result)
-        iterations = _mean_std([t.iterations_used for t in done])
-        rows.append([n, config.bc.value, config.tol, config.trials,
-                     result.statuses.get("converged", 0), *iterations,
-                     *_mean_std([t.trace_distance for t in done])])
-        fig_rows.append([n, *iterations])
-        means.append(iterations[0])
+    trials, runs = _trial_table(config, out, TraceDistance(config.tol))
+    rows = [[n, config.bc.value, config.tol, config.trials, result.statuses.get("converged", 0),
+             *_aggregate(trials, n, "iterations"), *_aggregate(trials, n, "trace_distance")]
+            for n, (_, result) in runs.items()]
     _write_table(out / "results.csv",
                  ["n", "bc", "tolerance", "trials", "converged", "mean_iterations",
                   "std_iterations", "mean_trace_distance", "std_trace_distance"], rows)
+    fig_rows = [[n, *_aggregate(trials, n, "iterations")] for n in runs]
     _write_table(out / "fig_iterations.dat", ["n", "mean", "std"], fig_rows)
-    if len(config.n_values) > 1 and all(m > 0 for m in means):
-        slope = _loglog_slope(np.array(config.n_values, float), np.array(means))
-        summary.append(f"loglog_slope_iterations = {_fmt(slope)}")
+    summary = [f"statuses_n{n} = {_statuses(result)}" for n, (_, result) in runs.items()]
+    n, mean, _ = np.array(fig_rows, float).T
+    if len(n) > 1 and all(mean > 0):
+        summary.append(f"loglog_slope_iterations = {_fmt(_loglog_slope(n, mean))}")
     return summary, 0
 
 

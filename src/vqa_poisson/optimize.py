@@ -212,7 +212,7 @@ class OptimizationTrace(BfgsResult):
 @dataclass
 class TrialsResult:
     """Trials in seed order and their count per status; the caller picks which trials a
-    statistic takes (the CLI's studies average every trial that did not abort)."""
+    statistic takes (the CLI writes each to ``trials.csv`` and averages those not aborted)."""
 
     traces: list[OptimizationTrace]
     statuses: dict[str, int] = field(init=False)  # aborted:<why> counted as aborted

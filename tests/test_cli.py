@@ -14,7 +14,7 @@ from vqa_poisson import cli
 from vqa_poisson.cli import (FLAGS, STUDIES, UsageError, barren_plateau_norms, build_parser,
                              main, resolve_config)
 from vqa_poisson.gradient import grad_cost, grad_numerator, term_gradient
-from vqa_poisson.optimize import draw_theta
+from vqa_poisson.optimize import GradNorm, draw_theta
 from vqa_poisson.operators import FACTOR_I, FACTOR_X
 from vqa_poisson.sampling import derive_seed
 
@@ -458,7 +458,7 @@ def test_solve_manifest_counts_trial_statuses(tmp_path):
     assert "statuses = max_iterations:2" in (tmp_path / "manifest.txt").read_text().splitlines()
 
 
-def test_aborted_trials_stay_out_of_study_means():
+def test_aborted_trials_stay_out_of_study_means(tmp_path, monkeypatch):
     op = PoissonOperator((1,), BoundaryCondition.DIRICHLET, (), -1.0)  # always singular
     singular = PoissonProblem(op, AnsatzCircuit(1, 0), prepare_source_state(1),
                               Bands(np.ones(2), np.zeros(1), 0.0))  # the 2 x 2 identity
@@ -469,11 +469,19 @@ def test_aborted_trials_stay_out_of_study_means():
     result = TrialsResult([ordinary[0], aborted, ordinary[1]])
     assert aborted.status.startswith("aborted:")
     assert cli._statuses(result) == "aborted:1,max_iterations:2"
-    completed = cli._completed(result)
-    assert len(completed) == 2 and all(t is o for t, o in zip(completed, ordinary))
-    energies = [t.final_report.energy for t in completed]
-    assert cli._mean_std(energies) == [np.mean(energies), np.std(energies)]
-    assert np.all(np.isnan(cli._mean_std([])))
+    # the trial table keeps the aborted trial; the aggregation leaves it out
+    monkeypatch.setattr(cli, "run_trials", lambda problem, config: result)
+    study = resolve_config(build_parser().parse_args(["solve", "--n", "2", "--trials", "3"]))
+    rows, runs = cli._trial_table(study, tmp_path, GradNorm(1e-6))
+    assert runs[2][1] is result
+    assert [row[:3] for row in rows] == [[2, k, t.status] for k, t in enumerate(result.traces)]
+    written = (tmp_path / "trials.csv").read_text().splitlines()
+    assert [line.split(",")[2] for line in written[1:]] == [t.status for t in result.traces]
+    energies = [t.final_report.energy for t in ordinary]
+    assert cli._aggregate(rows, 2, "energy") == [np.mean(energies), np.std(energies)]
+    distances = [t.trace_distance for t in ordinary]
+    assert cli._aggregate(rows, 2, "trace_distance") == [np.mean(distances), np.std(distances)]
+    assert np.all(np.isnan(cli._aggregate(rows, 3, "energy")))  # no trials at n = 3
 
 
 def test_shot_range_rejected_for_single_shot_experiments(tmp_path):

@@ -147,6 +147,10 @@ def test_grad_similarity_outputs_are_recomputed(tmp_path, flags):
                           "one_minus_cosine")
 
 
+TRIAL_COLUMNS = ("n,trial,status,iterations,circuit_executions,energy,r_opt,trace_distance,"
+                 "grad_norm")
+
+
 def _trials(manifest, n):
     """The study's problem at n and its trials, each from :func:`minimize` at
     ``derive_seed(seed, trial)``, with the manifest's config."""
@@ -160,20 +164,49 @@ def _trials(manifest, n):
                      for trial in range(int(manifest["trials"]))]
 
 
-def _statuses(traces):
-    """Count per status, ``aborted:<why>`` counted as aborted, and the trials the
-    studies average: every one that did not abort."""
-    counts = Counter(t.status.split(":")[0] for t in traces)
-    return counts, [t for t in traces if not t.status.startswith("aborted")]
+def _check_trial_table(out, manifest):
+    """Step one of an optimizing study's check: each ``trials.csv`` row is its
+    trial from :func:`minimize`.  Returns the rows and each n's problem and trials."""
+    assert (out / "trials.csv").read_text().splitlines()[0] == TRIAL_COLUMNS
+    table = _read_csv(out / "trials.csv")
+    runs = {int(n): _trials(manifest, int(n)) for n in manifest["n_values"].split(",")}
+    assert [(row["n"], row["trial"]) for row in table] == [
+        (n, k) for n, (_, traces) in runs.items() for k in range(len(traces))]
+    for row in table:
+        trace = runs[row["n"]][1][int(row["trial"])]
+        assert row["status"] == trace.status
+        assert row["iterations"] == trace.iterations_used
+        assert row["circuit_executions"] == trace.circuit_executions
+        assert row["energy"] == pytest.approx(trace.final_report.energy, **WRITTEN)
+        assert row["r_opt"] == pytest.approx(trace.final_report.r_opt, **WRITTEN)
+        assert row["trace_distance"] == pytest.approx(trace.trace_distance, **WRITTEN)
+        assert row["grad_norm"] == pytest.approx(trace.final_gradient_norm, **WRITTEN)
+    return table, runs
+
+
+# Step two reads the trial table alone: a study's statistics take the trials
+# that did not abort, and its status line counts ``aborted:<why>`` as aborted.
+
+def _kept(table, n, column):
+    return [row[column] for row in table
+            if row["n"] == n and not row["status"].startswith("aborted")]
+
+
+def _status_line(table, n):
+    counts = Counter(row["status"].split(":")[0] for row in table if row["n"] == n)
+    return ",".join(f"{status}:{count}" for status, count in sorted(counts.items()))
+
+
+def _converged(table, n):
+    return sum(row["status"] == "converged" for row in table if row["n"] == n)
 
 
 def _check_mean_std(written, values):
-    """A written [mean, std] of the values; the values' rounding moves either by
-    up to 1e-12 of the largest value, which matters where they differ in sign."""
-    mean, std = written
+    """A written [mean, std], or [mean] alone, of the values; the values' rounding
+    moves either by up to 1e-12 of the largest value, which matters where they
+    differ in sign."""
     spread = dict(rel=1e-11, abs=1e-11 * max(map(abs, values)))
-    assert mean == pytest.approx(np.mean(values), **spread)
-    assert std == pytest.approx(np.std(values), **spread)
+    assert written == pytest.approx([np.mean(values), np.std(values)][:len(written)], **spread)
 
 
 @pytest.mark.parametrize("flags, converged", [
@@ -183,23 +216,21 @@ def _check_mean_std(written, values):
 ], ids=["converged", "capped-at-n3"])
 def test_trace_distance_outputs_are_recomputed(tmp_path, flags, converged):
     out, rows, manifest = _run(tmp_path, "trace-distance-vs-n", flags)
+    table, _ = _check_trial_table(out, manifest)
     fig_rows = _read_fig(out / "fig_trace_distance.dat")
     assert [row["n"] for row in rows] == [row["n"] for row in fig_rows] == [2, 3]
     for row, fig_row in zip(rows, fig_rows):
-        n = int(row["n"])
-        _, traces = _trials(manifest, n)
-        counts, done = _statuses(traces)
-        assert manifest[f"statuses_n{n}"] == ",".join(f"{k}:{v}" for k, v in sorted(counts.items()))
+        n = row["n"]
+        assert manifest[f"statuses_n{int(n)}"] == _status_line(table, n)
         assert row["bc"] == manifest["bc"]
-        assert row["trials"] == len(traces)
-        assert row["converged"] == counts["converged"]
-        distances = [t.trace_distance for t in done]
+        assert row["trials"] == int(manifest["trials"])
+        assert row["converged"] == _converged(table, n)
+        distances = _kept(table, n, "trace_distance")
         _check_mean_std([row["mean_trace_distance"], row["std_trace_distance"]], distances)
         _check_mean_std([fig_row["mean"], fig_row["std"]], distances)
         _check_mean_std([row["mean_iterations"], row["std_iterations"]],
-                        [t.iterations_used for t in done])
-        _check_mean_std([row["mean_energy"], row["std_energy"]],
-                        [t.final_report.energy for t in done])
+                        _kept(table, n, "iterations"))
+        _check_mean_std([row["mean_energy"], row["std_energy"]], _kept(table, n, "energy"))
     assert [row["converged"] for row in rows] == converged
 
 
@@ -209,22 +240,13 @@ def test_trace_distance_outputs_are_recomputed(tmp_path, flags, converged):
 ], ids=["converged", "capped"])
 def test_solve_outputs_are_recomputed(tmp_path, flags):
     out, rows, manifest = _run(tmp_path, "solve", flags)
-    problem, traces = _trials(manifest, int(manifest["n_values"]))
-    assert [int(row["trial"]) for row in rows] == list(range(len(traces)))
-    for row, trace in zip(rows, traces):
-        assert row["status"] == trace.status
-        assert row["iterations"] == trace.iterations_used
-        assert row["circuit_executions"] == trace.circuit_executions
-        assert row["energy"] == pytest.approx(trace.final_report.energy, **WRITTEN)
-        assert row["r_opt"] == pytest.approx(trace.final_report.r_opt, **WRITTEN)
-        assert row["trace_distance"] == pytest.approx(trace.trace_distance, **WRITTEN)
-        assert row["grad_norm"] == pytest.approx(trace.final_gradient_norm, **WRITTEN)
-    counts, done = _statuses(traces)
-    assert manifest["statuses"] == ",".join(f"{k}:{v}" for k, v in sorted(counts.items()))
-    for key, values in (("mean_iterations", [t.iterations_used for t in done]),
-                        ("mean_trace_distance", [t.trace_distance for t in done]),
-                        ("mean_energy", [t.final_report.energy for t in done])):
-        assert float(manifest[key]) == pytest.approx(np.mean(values), **WRITTEN)
+    table, runs = _check_trial_table(out, manifest)
+    [(n, (problem, _))] = runs.items()
+    # results.csv is the trial table without its n column
+    assert rows == [{key: value for key, value in row.items() if key != "n"} for row in table]
+    assert manifest["statuses"] == _status_line(table, n)
+    for column in ("iterations", "trace_distance", "energy"):
+        _check_mean_std([float(manifest[f"mean_{column}"])], _kept(table, n, column))
     assert float(manifest["classical_norm"]) == pytest.approx(
         np.linalg.norm(problem.classical().u), **WRITTEN)
 
@@ -236,22 +258,21 @@ def test_solve_outputs_are_recomputed(tmp_path, flags):
 ], ids=["converged", "capped-at-n3"])
 def test_iterations_outputs_are_recomputed(tmp_path, flags, converged):
     out, rows, manifest = _run(tmp_path, "iterations-vs-n", flags)
+    table, _ = _check_trial_table(out, manifest)
     fig_rows = _read_fig(out / "fig_iterations.dat")
     assert [row["n"] for row in rows] == [row["n"] for row in fig_rows] == [2, 3]
     for row, fig_row in zip(rows, fig_rows):
-        n = int(row["n"])
-        _, traces = _trials(manifest, n)
-        counts, done = _statuses(traces)
-        assert manifest[f"statuses_n{n}"] == ",".join(f"{k}:{v}" for k, v in sorted(counts.items()))
+        n = row["n"]
+        assert manifest[f"statuses_n{int(n)}"] == _status_line(table, n)
         assert row["bc"] == manifest["bc"]
         assert row["tolerance"] == float(manifest["tol"])
-        assert row["trials"] == len(traces)
-        assert row["converged"] == counts["converged"]
-        iterations = [t.iterations_used for t in done]
+        assert row["trials"] == int(manifest["trials"])
+        assert row["converged"] == _converged(table, n)
+        iterations = _kept(table, n, "iterations")
         _check_mean_std([row["mean_iterations"], row["std_iterations"]], iterations)
         _check_mean_std([fig_row["mean"], fig_row["std"]], iterations)
         _check_mean_std([row["mean_trace_distance"], row["std_trace_distance"]],
-                        [t.trace_distance for t in done])
+                        _kept(table, n, "trace_distance"))
     assert [row["converged"] for row in rows] == converged
     slope = np.polyfit(np.log10([row["n"] for row in fig_rows]),
                        np.log10([row["mean"] for row in fig_rows]), 1)[0]
@@ -264,8 +285,8 @@ def test_iterations_outputs_are_recomputed(tmp_path, flags, converged):
 ], ids=["converged", "capped"])
 def test_solution_field_outputs_are_recomputed(tmp_path, flags):
     out, rows, manifest = _run(tmp_path, "solution-field", flags)
-    n = int(manifest["n_values"])
-    problem, traces = _trials(manifest, n)
+    table, runs = _check_trial_table(out, manifest)
+    [(n, (problem, traces))] = runs.items()
     trials = [f"trial_{k}" for k in range(len(traces))]
     assert list(rows[0]) == ["node", "classical", *trials]
     assert [row["node"] for row in rows] == list(range(1 << n))
@@ -282,10 +303,8 @@ def test_solution_field_outputs_are_recomputed(tmp_path, flags):
         assert fig_row["node"] == node
         assert fig_row["classical"] == row["classical"]
         _check_mean_std([fig_row["mean"], fig_row["std"]], [row[trial] for trial in trials])
-    counts, done = _statuses(traces)
-    assert manifest["statuses"] == ",".join(f"{k}:{v}" for k, v in sorted(counts.items()))
-    assert float(manifest["mean_trace_distance"]) == pytest.approx(
-        np.mean([t.trace_distance for t in done]), **WRITTEN)
+    assert manifest["statuses"] == _status_line(table, n)
+    _check_mean_std([float(manifest["mean_trace_distance"])], _kept(table, n, "trace_distance"))
 
 
 @pytest.mark.parametrize("bc", ["periodic", "dirichlet", "neumann"])
