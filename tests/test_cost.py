@@ -123,11 +123,22 @@ def test_denominator_matches_dense_quadratic_form(bc, n, rng):
         assert denominator(op, psi) == pytest.approx(direct, abs=1e-10)
 
 
+# Three axis registers (2, 1, 2) with X and |0><0| factors and shifts on every
+# axis: shift_amplitudes' per-axis loop is what needs a third axis.
+THREE_AXIS = PoissonOperator((2, 1, 2), NEUMANN, (
+    ObservableTerm(-1.0, (FACTOR_X, FACTOR_I, FACTOR_I, FACTOR_I, FACTOR_I), (1, 0, 0)),
+    ObservableTerm(-1.0, (FACTOR_I, FACTOR_I, FACTOR_X, FACTOR_I, FACTOR_I), (0, 1, 0)),
+    ObservableTerm(1.0, (FACTOR_I, FACTOR_I, FACTOR_I, FACTOR_X, FACTOR_P0), (0, 0, 1)),
+    ObservableTerm(-0.5, (FACTOR_X, FACTOR_P0, FACTOR_X, FACTOR_X, FACTOR_I), (1, -1, 1)),
+), 6.001)
+
+
 @pytest.mark.parametrize("op", [
     *(decompose(3, bc, 1e-3) for bc in BoundaryCondition),
     build_fem_2d(Mesh2D(2, 1), 1e-3),
     fdm_two_axes(),
-], ids=["periodic", "dirichlet", "neumann", "fem2d", "fdm_kron"])
+    THREE_AXIS,
+], ids=["periodic", "dirichlet", "neumann", "fem2d", "fdm_kron", "three_axis"])
 def test_apply_operator_matches_dense_matrix(op, rng):
     dense = reassemble_dense(op)
     for _ in range(3):
@@ -140,16 +151,6 @@ def _shift_factor_unshift(term, amps, axes):
     m_shifted = apply_factor_product(term, shift_amplitudes(amps, axes, term.axis_shifts))
     unshift = tuple(-s for s in term.axis_shifts)
     return term.coefficient * shift_amplitudes(m_shifted, axes, unshift)
-
-
-# Three axis registers (2, 1, 2) with X and |0><0| factors and shifts on every
-# axis: shift_amplitudes' per-axis loop is what needs a third axis.
-THREE_AXIS = PoissonOperator((2, 1, 2), NEUMANN, (
-    ObservableTerm(-1.0, (FACTOR_X, FACTOR_I, FACTOR_I, FACTOR_I, FACTOR_I), (1, 0, 0)),
-    ObservableTerm(-1.0, (FACTOR_I, FACTOR_I, FACTOR_X, FACTOR_I, FACTOR_I), (0, 1, 0)),
-    ObservableTerm(1.0, (FACTOR_I, FACTOR_I, FACTOR_I, FACTOR_X, FACTOR_P0), (0, 0, 1)),
-    ObservableTerm(-0.5, (FACTOR_X, FACTOR_P0, FACTOR_X, FACTOR_X, FACTOR_I), (1, -1, 1)),
-), 6.001)
 
 
 @pytest.mark.parametrize("op", [
