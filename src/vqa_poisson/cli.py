@@ -275,11 +275,14 @@ def _mean_std(values) -> list[float]:
     return [values.mean(), values.std()] if values.size else [np.nan, np.nan]
 
 
+def _kept(rows: list[list], n: int) -> list[list]:
+    """The trial-table rows at n a study's statistics take: every one that did not abort."""
+    return [row for row in rows if row[0] == n and not row[2].startswith("aborted")]
+
+
 def _aggregate(rows: list[list], n: int, column: str) -> list[float]:
-    """[mean, std] of a trial-table column over the trials at n a study's statistics
-    take: every one that did not abort."""
-    at = TRIAL_COLUMNS.index(column)
-    return _mean_std([row[at] for row in rows if row[0] == n and not row[2].startswith("aborted")])
+    """[mean, std] of a trial-table column over the :func:`_kept` trials at n."""
+    return _mean_std([row[TRIAL_COLUMNS.index(column)] for row in _kept(rows, n)])
 
 
 def _run_solve(config: argparse.Namespace, out: Path) -> tuple[list[str], int]:
@@ -301,8 +304,9 @@ def _run_solution_field(config: argparse.Namespace, out: Path) -> tuple[list[str
     header = ["node", "classical"] + [f"trial_{k}" for k in range(len(solutions))]
     field = [[node, classical[node]] + [sol[node] for sol in solutions] for node in range(1 << n)]
     _write_table(out / "results.csv", header, field)
+    kept = [2 + row[1] for row in _kept(trials, n)]  # their trial_<k> columns
     _write_table(out / "fig_solution_field.dat", ["node", "classical", "mean", "std"],
-                 [[*row[:2], *_mean_std(row[2:])] for row in field])
+                 [[*row[:2], *_mean_std([row[k] for k in kept])] for row in field])
     return [f"statuses = {_statuses(result)}",
             f"mean_trace_distance = {_fmt(_aggregate(trials, n, 'trace_distance')[0])}"], 0
 

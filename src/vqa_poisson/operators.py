@@ -7,8 +7,9 @@ dense assembly for verification and the baseline method.
 The measured parts of every operator are coefficient-weighted products of
 single-qubit factors from {I, X, |0><0|}, optionally conjugated by cyclic
 shifts of the node register.  Shift conjugation is always represented as a
-state transformation, never as a dense matrix; dense forms exist only on the
-verification path (:func:`reassemble_dense`, capped at ``DENSE_QUBIT_CAP``).
+state transformation or an index map, never as a permutation matrix; dense forms
+exist only on the verification path (:func:`reassemble_dense`, capped at
+``DENSE_QUBIT_CAP``), which scatters each term's one nonzero per row.
 """
 
 from __future__ import annotations
@@ -24,10 +25,10 @@ FACTOR_I = "I"
 FACTOR_X = "X"
 FACTOR_P0 = "0"  # |0><0| projector
 
-_FACTOR_MATRICES = {
-    FACTOR_I: np.eye(2),
-    FACTOR_X: np.array([[0.0, 1.0], [1.0, 0.0]]),
-    FACTOR_P0: np.array([[1.0, 0.0], [0.0, 0.0]]),
+_FACTOR_ROWS = {  # each 2 x 2 factor by its one nonzero per row: (columns, values) of rows 0, 1
+    FACTOR_I: (np.array([0, 1]), np.array([1.0, 1.0])),
+    FACTOR_X: (np.array([1, 0]), np.array([1.0, 1.0])),
+    FACTOR_P0: (np.array([0, 0]), np.array([1.0, 0.0])),
 }
 
 DENSE_QUBIT_CAP = 12
@@ -61,7 +62,7 @@ class ObservableTerm:
 
     def __post_init__(self):
         for f in self.factors:
-            if f not in _FACTOR_MATRICES:
+            if f not in _FACTOR_ROWS:
                 raise ValueError(f"unknown factor kind {f!r}")
 
     @property
@@ -265,37 +266,33 @@ def build_fem_2d(mesh: Mesh2D, epsilon: float = 0.0) -> PoissonOperator:
 def assemble_fem_2d_dense(mesh: Mesh2D) -> np.ndarray:
     """Brute-force element-by-element FEM assembly with periodic wrap.
 
-    Independent of the tessellation decomposition; accumulates integer sixths
-    so the result is exact in floating point.
+    Independent of the tessellation decomposition: one ``np.add.at`` adds each element's
+    4 x 4 matrix in integer sixths at its corner nodes, so the result is exact.
     """
-    nx, ny = mesh.nodes_x, mesh.nodes_y
-    size = nx * ny
+    nx, size = mesh.nodes_x, mesh.nodes_x * mesh.nodes_y
     element6 = np.array([[4, -1, -1, -2],
                          [-1, 4, -2, -1],
                          [-1, -2, 4, -1],
                          [-2, -1, -1, 4]], dtype=np.int64)
+    x, y = np.arange(nx), np.arange(0, size, nx)[:, None]  # element corner (0, 0) = x + y
+    nodes = np.array([(x + dx) % nx + (y + dy * nx) % size for dy in (0, 1) for dx in (0, 1)])
     acc = np.zeros((size, size), dtype=np.int64)
-    for ey in range(ny):
-        for ex in range(nx):
-            right = (ex + 1) % nx
-            up = (ey + 1) % ny
-            nodes = [ex + ey * nx, right + ey * nx, ex + up * nx, right + up * nx]
-            for a in range(4):
-                for b in range(4):
-                    acc[nodes[a], nodes[b]] += element6[a, b]
+    np.add.at(acc, (nodes[:, None], nodes[None, :]), element6[:, :, None, None])
     return acc / 6.0
 
 
 def term_dense(term: ObservableTerm, axes: tuple[int, ...]) -> np.ndarray:
-    """Dense matrix of one term (verification path only)."""
-    dense = np.ones((1, 1))
-    for f in term.factors:
-        dense = np.kron(_FACTOR_MATRICES[f], dense)
-    if any(term.axis_shifts):
-        unshift = tuple(-s for s in term.axis_shifts)
-        sigma = shift_amplitudes(np.arange(dense.shape[0]), axes, unshift)
-        dense = dense[np.ix_(sigma, sigma)]
-    return term.coefficient * dense
+    """Dense matrix of one term (verification path only): row r of the factors' Kronecker
+    chain has one nonzero, at column[r], which P^-s M P^s moves to (back[r], back[column[r]])."""
+    column, value = np.zeros(1, dtype=np.intp), np.ones(1)
+    for q, f in enumerate(term.factors):
+        columns, values = _FACTOR_ROWS[f]
+        column = np.add.outer(columns << q, column).ravel()
+        value = np.multiply.outer(values, value).ravel()
+    back = shift_amplitudes(np.arange(len(column)), axes, term.axis_shifts)
+    dense = np.zeros((len(column), len(column)))
+    dense[back, back[column]] = term.coefficient * value
+    return dense
 
 
 def reassemble_dense(op: PoissonOperator) -> np.ndarray:

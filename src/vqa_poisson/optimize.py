@@ -206,7 +206,7 @@ class OptimizationTrace(BfgsResult):
 
     final_report: CostReport
     circuit_executions: int
-    trace_distance: float | None = None  # None for an aborted GradNorm trial
+    trace_distance: float = np.nan  # nan for an aborted GradNorm trial
 
 
 @dataclass
@@ -225,7 +225,7 @@ def minimize(problem: PoissonProblem, config: OptimizationConfig,
              trial_seed: int) -> OptimizationTrace:
     """Run one BFGS trial on the potential-energy cost from ``draw_theta(circuit, trial_seed)``.
 
-    The trial's trace distance to the classical solution (None for an aborted
+    The trial's trace distance to the classical solution (nan for an aborted
     GradNorm trial) reads the cost's psi at the final theta; it solves the
     classical system, so a singular operator raises SolverError here.
     """
@@ -259,7 +259,7 @@ def minimize(problem: PoissonProblem, config: OptimizationConfig,
         final_report = evaluate(op, circuit, result.final_theta, f)[0]
     except SingularOperatorError:  # the first cost failed, so no step was taken
         final_report = CostReport(np.nan, np.nan, np.nan, np.nan)
-    eps_tr = None
+    eps_tr = np.nan
     if reference is not None or not result.status.startswith("aborted"):
         eps_tr = trace_distance(psi, problem.classical().u_normalized)
     return OptimizationTrace(**vars(result), final_report=final_report,

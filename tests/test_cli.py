@@ -17,6 +17,7 @@ from vqa_poisson.gradient import grad_cost, grad_numerator, term_gradient
 from vqa_poisson.optimize import GradNorm, draw_theta
 from vqa_poisson.operators import FACTOR_I, FACTOR_X
 from vqa_poisson.sampling import derive_seed
+from vqa_poisson.states import ansatz_amplitudes
 
 EXPECTED_HEADERS = {
     "solve": "trial,status,iterations,circuit_executions,energy,r_opt,trace_distance,grad_norm",
@@ -475,13 +476,43 @@ def test_aborted_trials_stay_out_of_study_means(tmp_path, monkeypatch):
     rows, runs = cli._trial_table(study, tmp_path, GradNorm(1e-6))
     assert runs[2][1] is result
     assert [row[:3] for row in rows] == [[2, k, t.status] for k, t in enumerate(result.traces)]
-    written = (tmp_path / "trials.csv").read_text().splitlines()
-    assert [line.split(",")[2] for line in written[1:]] == [t.status for t in result.traces]
+    written = [line.split(",") for line in (tmp_path / "trials.csv").read_text().splitlines()]
+    assert [cells[2] for cells in written[1:]] == [t.status for t in result.traces]
+    # every other cell reads back as a float: the aborted trial's energy, r_opt,
+    # trace_distance and |g| all spell "no value" as nan
+    numbers = np.array([[float(c) for c in cells[:2] + cells[3:]] for cells in written[1:]])
+    assert np.all(np.isnan(numbers[1, 4:])) and np.all(np.isfinite(numbers[[0, 2]]))
     energies = [t.final_report.energy for t in ordinary]
     assert cli._aggregate(rows, 2, "energy") == [np.mean(energies), np.std(energies)]
     distances = [t.trace_distance for t in ordinary]
     assert cli._aggregate(rows, 2, "trace_distance") == [np.mean(distances), np.std(distances)]
     assert np.all(np.isnan(cli._aggregate(rows, 3, "energy")))  # no trials at n = 3
+
+
+def test_aborted_trial_stays_out_of_solution_field_fig(tmp_path, monkeypatch):
+    study = resolve_config(build_parser().parse_args(["solution-field", "--n", "2"]))
+    problem = make_problem(2, study.bc, study.layers, study.epsilon)
+    op = PoissonOperator((2,), study.bc, (), -1.0)  # always singular, on the same circuit
+    singular = PoissonProblem(op, problem.circuit, prepare_source_state(2),
+                              Bands(np.ones(4), np.zeros(3), 0.0))  # the 4 x 4 identity
+    config = OptimizationConfig(max_iterations=3)
+    aborted = minimize(singular, config, trial_seed=0)
+    ordinary = [minimize(problem, config, trial_seed=seed) for seed in (1, 2)]
+    assert aborted.status.startswith("aborted:")
+    result = TrialsResult([ordinary[0], aborted, ordinary[1]])
+    monkeypatch.setattr(cli, "run_trials", lambda problem, config: result)
+    assert main(["solution-field", "--n", "2", "--trials", "3", "--out", str(tmp_path)]) == 0
+    # results.csv keeps every trial's column; the fig averages those that did not abort
+    header, *lines = (tmp_path / "results.csv").read_text().splitlines()
+    assert header == "node,classical,trial_0,trial_1,trial_2"
+    field = np.array([[float(c) for c in line.split(",")] for line in lines])
+    assert np.all(np.isnan(field[:, 3])) and np.all(np.isfinite(field[:, [2, 4]]))
+    fig = np.loadtxt(tmp_path / "fig_solution_field.dat")
+    solutions = np.array([t.final_report.r_opt * ansatz_amplitudes(problem.circuit, t.final_theta)
+                          for t in ordinary])
+    scale = dict(rel=1e-11, abs=1e-11 * np.abs(solutions).max())
+    assert fig[:, 2] == pytest.approx(solutions.mean(axis=0), **scale)
+    assert fig[:, 3] == pytest.approx(solutions.std(axis=0), **scale)
 
 
 def test_shot_range_rejected_for_single_shot_experiments(tmp_path):

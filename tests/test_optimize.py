@@ -127,7 +127,8 @@ def test_aborted_trial_reports_diagnostic(monkeypatch):
     assert trace.iterations_used == 0
     # the failed first cost took the only sweep; no cost, so no final report
     assert seen["sweeps"] == seen["costs"] == 1
-    assert np.isnan(trace.final_report.energy) and trace.trace_distance is None
+    assert np.isnan(trace.final_report.energy)
+    assert isinstance(trace.trace_distance, float) and np.isnan(trace.trace_distance)
 
 
 @pytest.mark.parametrize("bc", [BoundaryCondition.PERIODIC, BoundaryCondition.NEUMANN])
