@@ -9,8 +9,8 @@ the MSE model reads the exact single-shot variances of :func:`term_shot_moments`
 Each estimate draws every circuit it measures from one
 ``np.random.default_rng(seed)`` in a fixed order (:func:`draw_counts`): a cost
 estimate its 1 + T slots one row at a time over their outcomes, a sampled
-gradient the same base draws and then its P (1 + 2T) shifted circuits in one
-call by shot value.  A shot scores +|c|, -|c| or 0, and counts summed over the
+gradient all its (1 + T) + P (1 + 2T) circuits, in slot order, in one call by
+shot value.  A shot scores +|c|, -|c| or 0, and counts summed over the
 outcomes of each value are multinomial over the values, so every mean keeps its
 distribution; numpy draws the rows of one 2-D call as consecutive calls would,
 so every row is an independent draw and every estimate is deterministic in its seed.
@@ -21,8 +21,8 @@ Distributions depend on the operator, the circuit, theta and f, not on the shots
 or the seed, so one 4-entry cache keyed on those four (theta and f by their
 bytes) and on whether the shifts are swept keeps them read-only: repeated
 estimates at one theta, as in a shot-count study, sweep and build once and then
-only draw.  A gradient entry holds 8 [2^(n+1) + T 2^n] + 32 P (1 + 2T) bytes:
-6 KB at n = 4, 54 KB at n = 10 and 674 KB at n = 14 (L = 5, Dirichlet).
+only draw.  A gradient entry holds 32 [(1 + T) + P (1 + 2T)] bytes: 5.5 KB at
+n = 4, 13.6 KB at n = 10 and 18.9 KB at n = 14 (L = 5, Dirichlet).
 """
 
 from __future__ import annotations
@@ -152,33 +152,31 @@ def _slots(op: PoissonOperator, circuit: AnsatzCircuit, theta: np.ndarray, f: St
 
 @functools.lru_cache(maxsize=4)
 def _slot_distributions(shifted: bool, op: PoissonOperator, circuit: AnsatzCircuit,
-                        theta_bytes: bytes, f_bytes: bytes) -> tuple[tuple, tuple]:
+                        theta_bytes: bytes, f_bytes: bytes) -> tuple:
     """Read-only distributions of every slot :func:`_slots` measures at one theta and f,
-    built once: ``(base, blocks)`` with each slot's one-row (probs, values) at theta, and
-    for a gradient ``(classes, scales)`` over its shifted rows in draw order (the P
-    pi-shifted numerator rows, every term's +pi/2 rows, then every term's -pi/2 rows):
-    each row's probabilities of a shot value > 0, < 0 and = 0, and its term's |c|."""
-    dists = tuple(_row_distributions(*slot) for slot in _slots(
-        op, circuit, np.frombuffer(theta_bytes), Statevector(np.frombuffer(f_bytes)), shifted))
-    blocks = ()
-    if shifted:
-        count = circuit.parameter_count
-        # the zero class last: numpy's multinomial gives its last category the remainder
-        classes = [np.stack([np.where(test, probs[1:], 0.0).sum(axis=-1)
-                             for test in (values > 0, values < 0, values == 0)], axis=-1)
-                   for probs, values in dists]
-        scales = [np.abs(values).max() for _, values in dists]
-        blocks = (np.concatenate(classes[:1] + [c[:count] for c in classes[1:]]
-                                 + [c[count:] for c in classes[1:]]),
-                  np.repeat(scales + scales[1:], count))
-        dists = tuple((probs[:1].copy(), values) for probs, values in dists)
-    for probs in [probs for probs, _ in dists] + list(blocks):
-        probs.setflags(write=False)
-    return dists, blocks
+    built once.  A cost estimate's entry is each slot's one-row (probs, values) at theta.
+    A gradient's is ``(classes, scales)`` over every row it measures, each slot's rows in
+    :func:`_slots` order: each row's probabilities of a shot value > 0, < 0 and = 0, and
+    its term's |c|."""
+    dists = [_row_distributions(*slot) for slot in _slots(
+        op, circuit, np.frombuffer(theta_bytes), Statevector(np.frombuffer(f_bytes)), shifted)]
+    if not shifted:
+        for probs, _ in dists:
+            probs.setflags(write=False)
+        return tuple(dists)
+    # the zero class last: numpy's multinomial gives its last category the remainder
+    classes = np.concatenate([np.stack([np.where(test, probs, 0.0).sum(axis=-1)
+                                        for test in (values > 0, values < 0, values == 0)],
+                                       axis=-1) for probs, values in dists])
+    scales = np.repeat([np.abs(values).max() for _, values in dists],
+                       [len(probs) for probs, _ in dists])
+    for array in (classes, scales):
+        array.setflags(write=False)
+    return classes, scales
 
 
 def _distributions(shifted: bool, op: PoissonOperator, circuit: AnsatzCircuit,
-                   theta: np.ndarray, f: Statevector) -> tuple[tuple, tuple]:
+                   theta: np.ndarray, f: Statevector) -> tuple:
     """:func:`_slot_distributions` keyed on a checked theta's bytes and f's amplitude bytes."""
     theta = _checked_theta(circuit, theta)
     return _slot_distributions(shifted, op, circuit, theta.tobytes(), f.amplitudes.tobytes())
@@ -194,19 +192,19 @@ def sample_cost_estimates(op: PoissonOperator, circuit: AnsatzCircuit,
     they draw from one ``np.random.default_rng(seed)``.  The returned tuple length
     is the number of circuits executed for one cost evaluation.
     """
-    return _base_estimate(op, _distributions(False, op, circuit, theta, f)[0], shots,
-                          np.random.default_rng(seed))
+    rng = np.random.default_rng(seed)
+    means = [float(_row_means(probs[0], values, shots, rng))
+             for probs, values in _distributions(False, op, circuit, theta, f)]
+    return _plug_in_cost(op, means, shots), tuple(map(ShotEstimate, means))
 
 
-def _base_estimate(op: PoissonOperator, dists: Sequence[tuple[np.ndarray, np.ndarray]],
-                   shots: int, rng) -> tuple[CostReport, tuple[ShotEstimate, ...]]:
-    """Plug-in cost from row 0 of every slot, drawn on `rng` in slot order; a
+def _plug_in_cost(op: PoissonOperator, means: Sequence[float], shots: int) -> CostReport:
+    """Plug-in cost from the 1 + T slot means at theta, the numerator's first; a
     non-positive sampled denominator raises :class:`UnstableEstimateError`."""
-    means = [float(_row_means(probs[0], values, shots, rng)) for probs, values in dists]
     den = op.constant_offset + sum(means[1:])
     if den <= 0.0:
         raise UnstableEstimateError(f"sampled denominator {den} is not positive at {shots} shots")
-    return cost_report(means[0], den), tuple(map(ShotEstimate, means))
+    return cost_report(means[0], den)
 
 
 def sample_cost(op: PoissonOperator, circuit: AnsatzCircuit, theta: np.ndarray,
@@ -235,18 +233,22 @@ def sampled_gradient(op: PoissonOperator, circuit: AnsatzCircuit, theta: np.ndar
     """Shot-based cost gradient via :func:`~vqa_poisson.gradient.parameter_shift_gradient`.
 
     Only the first call at a theta sweeps its 3P shifts and builds the slots'
-    distributions; later calls read them from the cache and only draw, all on one
-    ``np.random.default_rng(seed)``.  The base cost at theta is drawn first and equals
-    :func:`sample_cost_estimates` at `seed`, so a non-positive base denominator raises
-    before any shifted circuit is drawn.  Then one call draws the P(1 + 2T) shifted
-    circuits by shot value, a (n+, n-, n0) count row each: the P pi-shifted numerator
-    rows, then each term's P rows at theta + pi/2, then each term's P rows at
-    theta - pi/2.  Each mean is |c| (n+ - n-) / S, distributed exactly as the mean of
-    per-outcome counts, since summed multinomial counts are multinomial over the sums.
+    distributions; later calls read them from the cache and only draw.  One call on
+    ``np.random.default_rng(seed)`` draws every circuit by shot value, a (n+, n-, n0)
+    count row each, in slot order: the numerator at theta and its P pi shifts, then
+    each term at theta, its P shifts to theta + pi/2 and its P shifts to theta - pi/2.
+    Each mean is |c| (n+ - n-) / S, distributed exactly as the mean of per-outcome
+    counts, since summed multinomial counts are multinomial over the sums.  The base
+    cost comes from the 1 + T means at theta, so a non-positive sampled denominator
+    raises :class:`UnstableEstimateError` after the draw.
     """
-    base, (classes, scales) = _distributions(True, op, circuit, theta, f)
-    rng = np.random.default_rng(seed)
-    report, _ = _base_estimate(op, base, shots, rng)
-    counts = draw_counts(classes, shots, rng)
-    means = (scales * (counts[:, 0] - counts[:, 1]) / shots).reshape(-1, circuit.parameter_count)
-    return parameter_shift_gradient(report, means[0], means[1:len(base)], means[len(base):])
+    classes, scales = _distributions(True, op, circuit, theta, f)
+    if shots < 1:
+        raise ValueError(f"shots must be >= 1, got {shots}")
+    counts = draw_counts(classes, shots, np.random.default_rng(seed))
+    means = scales * (counts[:, 0] - counts[:, 1]) / shots
+    count = circuit.parameter_count
+    terms = means[count + 1:].reshape(len(op.terms), 2 * count + 1)
+    report = _plug_in_cost(op, [means[0], *terms[:, 0]], shots)
+    return parameter_shift_gradient(report, means[1:count + 1], terms[:, 1:count + 1],
+                                    terms[:, count + 1:])

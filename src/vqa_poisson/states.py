@@ -204,19 +204,19 @@ def _checked_theta(circuit: AnsatzCircuit, theta: np.ndarray) -> np.ndarray:
     return theta
 
 
-def _forward_sweep(circuit: AnsatzCircuit, factors: tuple[np.ndarray, np.ndarray],
-                   rows: int) -> np.ndarray:
-    """(rows, 2^n) amplitudes of the ansatz from its columns' (K_hi, K_lo^T):
-    (columns, 2^a, 2^a) and (columns, 2^b, 2^b), or with a row axis after the
-    column axis for one column per row."""
+def _forward_sweep(circuit: AnsatzCircuit, factors, rows: int) -> np.ndarray:
+    """(rows, 2^n) amplitudes of the ansatz from its columns' (K_hi, K_lo^T) pairs in
+    column order, (2^a, 2^a) and (2^b, 2^b), or stacks with a leading row axis for one
+    column per row; an iterator of pairs is consumed one column at a time."""
     n = circuit.n_qubits
-    k_his, k_lo_ts = factors
+    columns = iter(factors)
+    k_hi, k_lo_t = next(columns)
     # the first column on |0...0> is the outer product of its factors' first
     # columns: one rounded product per amplitude, as the two GEMMs give
-    amps = k_his[0][..., :, 0, None] * k_lo_ts[0][..., None, 0, :]
-    for column in range(1, len(k_his)):
+    amps = k_hi[..., :, 0, None] * k_lo_t[..., None, 0, :]
+    for column, (k_hi, k_lo_t) in enumerate(columns, 1):
         amps *= _cz_brick_signs(n, (column - 1) % 2)
-        amps = _apply_column(amps, k_his[column], k_lo_ts[column])
+        amps = _apply_column(amps, k_hi, k_lo_t)
     return amps.reshape(rows, 1 << n)
 
 
@@ -231,7 +231,7 @@ def _theta_factors(circuit: AnsatzCircuit, theta_bytes: bytes) -> tuple:
     more records would only hold memory."""
     theta = np.frombuffer(theta_bytes).reshape(circuit.n_layers + 1, circuit.n_qubits)
     factors = _ry_factors(theta / 2.0)
-    psi = _forward_sweep(circuit, factors, 1)[0]
+    psi = _forward_sweep(circuit, zip(*factors), 1)[0]
     psi.setflags(write=False)
     return factors, psi, []
 
@@ -254,15 +254,15 @@ def _theta_record(circuit: AnsatzCircuit, theta: np.ndarray) -> tuple:
 
 
 def ansatz_amplitude_rows(circuit: AnsatzCircuit, thetas: np.ndarray) -> np.ndarray:
-    """Row r of the result is :func:`ansatz_amplitudes` at thetas[r], from one sweep."""
+    """Row r of the result is :func:`ansatz_amplitudes` at thetas[r], from one sweep
+    that builds each column's per-row factors only as it reaches that column."""
     thetas = np.asarray(thetas, dtype=float)
     if thetas.ndim != 2 or thetas.shape[1] != circuit.parameter_count:
         raise ValueError(f"thetas must have shape (rows, {circuit.parameter_count}), "
                          f"got {thetas.shape}")
     rows = thetas.shape[0]
     columns = (thetas / 2.0).reshape(rows, circuit.n_layers + 1, circuit.n_qubits)
-    factors = _ry_factors(np.swapaxes(columns, 0, 1))
-    return _forward_sweep(circuit, factors, rows)
+    return _forward_sweep(circuit, map(_ry_factors, np.swapaxes(columns, 0, 1)), rows)
 
 
 def ansatz_adjoint(circuit: AnsatzCircuit, theta: np.ndarray, lam: np.ndarray) -> np.ndarray:

@@ -206,8 +206,8 @@ def test_sampled_streams_are_pinned():
     assert report.energy == pytest.approx(-0.0772768818410192, rel=1e-12)
     np.testing.assert_allclose(
         sampled_gradient(op, circuit, theta, f, 256, 2024),
-        [-0.13989378461088492, -0.013084283335478224, 0.15366378942485126,
-         0.047319734265162824], rtol=1e-12)
+        [-0.15050827006623527, 0.0034523809131398672, 0.15493868588561682,
+         0.07617149443640127], rtol=1e-12)
 
 
 def test_shot_values_match_per_qubit_reference():
@@ -250,20 +250,16 @@ def test_sampled_gradient_draws_its_circuit_count(monkeypatch):
                         lambda probs, shots, rng: draws.append(
                             (probs, shots, rng, draw(probs, shots, rng))) or draws[-1][-1])
     sampled_gradient(op, circuit, np.linspace(0.1, 1.0, 4), f, 64, 3)
-    rows = [np.atleast_2d(probs).shape[0] for probs, _, _, _ in draws]
-    assert sum(rows) == count_sampled_gradient_circuits(op, circuit.parameter_count) == 41
-    # (1 + T) single per-outcome draws for the base cost, then one draw by shot value
-    # of the P pi-shifted numerator rows and every term at +pi/2, then at -pi/2
+    # one draw by shot value of every circuit, the 1 + T at theta and the P (1 + 2T)
+    # shifted ones: the numerator at theta and its P pi shifts, then each term at
+    # theta and its P shifts to +pi/2 and P shifts to -pi/2
+    ((probs, shots, _, counts),) = draws
     terms = len(op.terms)
-    assert rows == [1] * (1 + terms) + [4 + 2 * terms * 4]
-    assert np.shape(draws[-1][0]) == (4 + 2 * terms * 4, 3)
-    assert len(draws) == 2 + terms == 6 and all(shots == 64 for _, shots, _, _ in draws)
-    # every draw comes from one generator, set up once from the seed: replaying
-    # the calls in order on default_rng(3) gives the same counts
-    assert len({id(rng) for _, _, rng, _ in draws}) == 1
-    replay = np.random.default_rng(3)
-    for probs, shots, _, counts in draws:
-        np.testing.assert_array_equal(replay.multinomial(shots, probs), counts)
+    assert np.shape(probs) == ((1 + terms) + 4 * (1 + 2 * terms), 3)
+    assert len(probs) == count_sampled_gradient_circuits(op, circuit.parameter_count) == 41
+    assert shots == 64
+    # the generator is set up from the seed: the same draw on default_rng(3) gives the counts
+    np.testing.assert_array_equal(np.random.default_rng(3).multinomial(shots, probs), counts)
 
 
 def test_identical_rows_draw_independent_counts(monkeypatch):
@@ -309,22 +305,19 @@ def test_gradient_cache_entry_stores_each_row_once():
     n = 4
     op, circuit, f = decompose(n, DIRICHLET), AnsatzCircuit(n, 5), prepare_source_state(n)
     theta = random_theta(np.random.default_rng(3), circuit)
-    base, blocks = sampling._distributions(True, op, circuit, theta, f)
+    classes, scales = sampling._distributions(True, op, circuit, theta, f)
     count, terms = circuit.parameter_count, len(op.terms)
-    rows = count * (1 + 2 * terms)
-    assert [probs.shape for probs, _ in base] == [(1, 2 << n)] + [(1, 1 << n)] * terms
-    assert [block.shape for block in blocks] == [(rows, 3), (rows,)]
-    # each shot-value table is the term's own, shared with every entry
-    for (_, values), term in zip(base, (ancilla_x_term(n), *op.terms)):
-        assert values is sampling._shot_values(term)
-    # each shifted row's |c|, in draw order: numerator, terms at +pi/2, terms at -pi/2
-    coefficients = [ancilla_x_term(n).coefficient] + [t.coefficient for t in op.terms] * 2
-    np.testing.assert_array_equal(blocks[1], np.repeat(np.abs(coefficients), count))
-    # a per-outcome row at theta per slot, three class probabilities and a scale per
-    # shifted row, and no array is a view that keeps a larger build alive
-    probs = [probs for probs, _ in base] + list(blocks)
-    assert all(p.base is None for p in probs)
-    assert sum(p.nbytes for p in probs) == 8 * ((2 << n) + terms * (1 << n)) + 32 * rows == 6016
+    rows = (1 + terms) + count * (1 + 2 * terms)
+    assert classes.shape == (rows, 3) and scales.shape == (rows,)
+    # each row's |c| in slot order: the numerator at theta and its P pi shifts, then
+    # each term at theta and its 2P +-pi/2 shifts
+    coefficients = [ancilla_x_term(n).coefficient] + [t.coefficient for t in op.terms]
+    np.testing.assert_array_equal(
+        scales, np.repeat(np.abs(coefficients), [1 + count] + [1 + 2 * count] * terms))
+    # three class probabilities and a scale per row, and no array is a view that
+    # keeps a larger build alive
+    assert classes.base is None and scales.base is None
+    assert classes.nbytes + scales.nbytes == 32 * rows == 5504
 
 
 def test_row_counts_sum_to_shots():
@@ -399,21 +392,25 @@ def test_sampled_gradient_approaches_exact_at_eight_qubits():
 
 
 def test_class_draw_keeps_each_estimates_distribution(monkeypatch):
-    # every shifted mean, drawn by shot value, has the exact single-shot mean and
-    # variance / S of its circuit: the numerator at each pi shift, the X-only terms
-    # and the projector term (the one with a zero class) at each +-pi/2 shift
+    # every mean, drawn by shot value, has the exact single-shot mean and variance / S
+    # of its circuit: the numerator (no zero class) at theta and each pi shift, the
+    # X-only terms and the projector term (the one with a zero class) at theta and
+    # each +-pi/2 shift
     n, shots, seeds = 3, 64, 2000
     op, circuit, f = decompose(n, DIRICHLET), AnsatzCircuit(n, 1), prepare_source_state(n)
     count, terms = circuit.parameter_count, len(op.terms)
     theta = random_theta(np.random.default_rng(7), circuit)
-    means = []
+    means, base = [], []
+    monkeypatch.setattr(sampling, "_plug_in_cost",
+                        lambda op, at_theta, shots: base.append(at_theta))
     monkeypatch.setattr(sampling, "parameter_shift_gradient",
                         lambda report, g_num, plus, minus:
                         means.append(np.vstack([g_num, plus, minus])) or g_num)
     for seed in range(seeds):
         sampled_gradient(op, circuit, theta, f, shots, seed)
-    means = np.array(means)
-    assert means.shape == (seeds, 1 + 2 * terms, count)
+    assert np.shape(means) == (seeds, 1 + 2 * terms, count)
+    assert np.shape(base) == (seeds, 1 + terms)
+    means = np.hstack([np.reshape(means, (seeds, -1)), base])
     exact = np.empty((1 + 2 * terms, count, 2))
     for i in range(count):
         sup = prepare_superposition_state(f, shifted_state(circuit, theta, i))
@@ -424,7 +421,11 @@ def test_class_draw_keeps_each_estimates_distribution(monkeypatch):
             psi = prepare_ansatz_state(circuit, shifted)
             for k, term in enumerate(op.terms):
                 exact[1 + side * terms + k, i] = term_shot_moments(term, psi, op.axes)
-    mean, variance = exact[..., 0], exact[..., 1] / shots
+    psi = prepare_ansatz_state(circuit, theta)
+    at_theta = [term_shot_moments(ancilla_x_term(n), prepare_superposition_state(f, psi))]
+    at_theta += [term_shot_moments(term, psi, op.axes) for term in op.terms]
+    exact = np.vstack([exact.reshape(-1, 2), at_theta])
+    mean, variance = exact[:, 0], exact[:, 1] / shots
     assert variance.min() > 1e-3 / shots and np.abs(mean).min() > 0.02
     # within 4 standard errors of the exact mean, and a spread within 15% of the
     # exact one (about 4.7 standard errors of a variance over 2,000 draws)
@@ -433,23 +434,21 @@ def test_class_draw_keeps_each_estimates_distribution(monkeypatch):
 
 
 def _per_circuit_sampled_gradient(op, circuit, theta, f, shots, seed):
-    """The sampled gradient built circuit by circuit, every state prepared on its own
-    and one distribution build per circuit, all drawn on one ``default_rng(seed)``:
-    the base cost's 1 + T circuits at theta over their outcomes, then the shifted
-    groups by shot value.  The base draws must equal :func:`sample_cost_estimates`'
-    at `seed`."""
+    """The sampled gradient built circuit by circuit, every state prepared on its own,
+    one distribution build and one draw by shot value per circuit, all on one
+    ``default_rng(seed)`` in slot order: the numerator at theta and its P pi shifts,
+    then each term at theta, its P shifts to +pi/2 and its P shifts to -pi/2."""
     rng = np.random.default_rng(seed)
     count = circuit.parameter_count
 
-    def term_mean(term, state, axes):
+    def mean(term, state, axes):
+        # the circuit's probabilities of a shot value > 0, < 0 and = 0; a shot
+        # scores |c|, -|c| or 0
         probs, values = sampling._row_distributions(term, state.amplitudes[None], axes)
-        return float(sampling.draw_counts(probs[0], shots, rng) @ values / shots)
-
-    psi = prepare_ansatz_state(circuit, theta)
-    means = [term_mean(ancilla_x_term(op.n_qubits), prepare_superposition_state(f, psi), None)]
-    means += [term_mean(term, psi, op.axes) for term in op.terms]
-    base, estimates = sample_cost_estimates(op, circuit, theta, f, shots, seed)
-    assert [e.mean for e in estimates] == means
+        classes = [np.where(test, probs, 0.0).sum(axis=-1)[0]
+                   for test in (values > 0, values < 0, values == 0)]
+        counts = sampling.draw_counts(np.array(classes), shots, rng)
+        return abs(term.coefficient) * (counts[0] - counts[1]) / shots
 
     def half_pi_states(offset):
         out = []
@@ -459,28 +458,20 @@ def _per_circuit_sampled_gradient(op, circuit, theta, f, shots, seed):
             out.append(prepare_ansatz_state(circuit, shifted))
         return out
 
-    def group_means(term, group_states, axes):
-        # each circuit's probabilities of a shot value > 0, < 0 and = 0, drawn as one
-        # group; a shot scores |c|, -|c| or 0
-        classes = []
-        for s in group_states:
-            probs, values = sampling._row_distributions(term, s.amplitudes[None], axes)
-            classes.append([np.where(test, probs, 0.0).sum(axis=-1)[0]
-                            for test in (values > 0, values < 0, values == 0)])
-        counts = sampling.draw_counts(np.array(classes), shots, rng)
-        return abs(term.coefficient) * (counts[:, 0] - counts[:, 1]) / shots
-
-    sups = [prepare_superposition_state(f, shifted_state(circuit, theta, i))
-            for i in range(count)]
-    g_num = group_means(ancilla_x_term(op.n_qubits), sups, None)
-    branch_sums = []
-    for offset in (np.pi / 2.0, -np.pi / 2.0):
-        total = np.zeros(count)
-        for term in op.terms:
-            total += group_means(term, half_pi_states(offset), op.axes)
-        branch_sums.append(total)
+    psi = prepare_ansatz_state(circuit, theta)
+    states_at = [psi] + [shifted_state(circuit, theta, i) for i in range(count)]
+    numerator = [mean(ancilla_x_term(op.n_qubits), prepare_superposition_state(f, s), None)
+                 for s in states_at]
+    base, branch_sums = [], [np.zeros(count), np.zeros(count)]
+    for term in op.terms:
+        base.append(mean(term, psi, op.axes))
+        for total, offset in zip(branch_sums, (np.pi / 2.0, -np.pi / 2.0)):
+            total += [mean(term, s, op.axes) for s in half_pi_states(offset)]
+    num, den = numerator[0], op.constant_offset + sum(base)
+    if den <= 0.0:
+        raise UnstableEstimateError(f"sampled denominator {den}")
+    g_num = np.array(numerator[1:])
     d_den = 0.5 * (branch_sums[0] - branch_sums[1])
-    num, den = base.numerator, base.denominator
     return -0.5 * num * g_num / den + 0.5 * num * num * d_den / (den * den)
 
 
@@ -601,17 +592,18 @@ def test_cached_distributions_are_read_only():
     circuit = AnsatzCircuit(2, 1)
     f = prepare_source_state(2)
     theta = np.linspace(0.3, 1.2, circuit.parameter_count)
-    for shifted in (False, True):
-        base, blocks = sampling._distributions(shifted, op, circuit, theta, f)
-        assert len(base) == 1 + len(op.terms)
-        assert len(blocks) == (2 if shifted else 0)
-        for probs, values in base:
-            assert probs.shape[0] == 1
-            assert not probs.flags.writeable
-            assert not values.flags.writeable
-        for probs in [probs for probs, _ in base] + list(blocks):
-            with pytest.raises(ValueError):
-                probs.flat[0] = 0.5
+    base = sampling._distributions(False, op, circuit, theta, f)
+    assert len(base) == 1 + len(op.terms)
+    # each shot-value table is the term's own, shared with every entry
+    for (probs, values), term in zip(base, (ancilla_x_term(2), *op.terms), strict=True):
+        assert probs.shape[0] == 1
+        assert values is sampling._shot_values(term)
+        assert not values.flags.writeable
+    classes, scales = sampling._distributions(True, op, circuit, theta, f)
+    for probs in [probs for probs, _ in base] + [classes, scales]:
+        assert not probs.flags.writeable
+        with pytest.raises(ValueError):
+            probs.flat[0] = 0.5
 
 
 def test_other_source_operator_or_theta_misses_the_cache():
@@ -648,7 +640,7 @@ def test_theta_with_a_row_axis_raises_with_a_warm_cache():
             estimator(op, circuit, theta[None], f, 64, 1)
 
 
-def test_unstable_gradient_base_raises_before_any_group_draw(monkeypatch):
+def test_unstable_gradient_base_raises_after_its_one_draw(monkeypatch):
     base = decompose(2, BoundaryCondition.NEUMANN, 1e-3)
     # a large negative offset forces every sampled denominator below zero
     op = PoissonOperator(base.axes, base.bc, base.terms, -100.0)
@@ -656,9 +648,9 @@ def test_unstable_gradient_base_raises_before_any_group_draw(monkeypatch):
     draws = []
     draw = sampling.draw_counts
     monkeypatch.setattr(sampling, "draw_counts",
-                        lambda probs, shots, seed: draws.append(np.ndim(probs))
+                        lambda probs, shots, seed: draws.append(np.shape(probs))
                         or draw(probs, shots, seed))
     with pytest.raises(UnstableEstimateError):
         sampled_gradient(op, circuit, np.linspace(0.1, 1.0, 4), prepare_source_state(2), 64, 3)
-    # the 1 + T single-row base draws, and no draw of a shifted group
-    assert draws == [1] * (1 + len(op.terms))
+    # the base comes from the one draw of every circuit, theta's rows among them
+    assert draws == [((1 + len(op.terms)) + 4 * (1 + 2 * len(op.terms)), 3)]

@@ -216,8 +216,9 @@ def test_batched_sweep_matches_per_theta_states(n, rng):
     barren-plateau workload runs."""
     for layers in range(6):
         circuit = AnsatzCircuit(n, layers)
-        # one row as a cost estimate sweeps theta alone, five as a batch
-        for count in (1, 5):
+        # one row as a cost estimate sweeps theta alone, five as a batch, and the
+        # 3P + 1 rows of a sampled gradient: theta and its P pi and 2P +-pi/2 shifts
+        for count in (1, 5, 3 * circuit.parameter_count + 1):
             thetas = rng.uniform(0, 4 * np.pi, (count, circuit.parameter_count))
             rows = ansatz_amplitude_rows(circuit, thetas)
             assert rows.shape == (count, 1 << n)
