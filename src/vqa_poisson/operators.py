@@ -266,19 +266,19 @@ def build_fem_2d(mesh: Mesh2D, epsilon: float = 0.0) -> PoissonOperator:
 def assemble_fem_2d_dense(mesh: Mesh2D) -> np.ndarray:
     """Brute-force element-by-element FEM assembly with periodic wrap.
 
-    Independent of the tessellation decomposition: one ``np.add.at`` adds each element's
-    4 x 4 matrix in integer sixths at its corner nodes, so the result is exact.
+    Independent of the tessellation decomposition: one ``np.add.at`` adds each element's 4 x 4
+    matrix in integer sixths, exact in float64, at its corner nodes; one division rounds each.
     """
     nx, size = mesh.nodes_x, mesh.nodes_x * mesh.nodes_y
-    element6 = np.array([[4, -1, -1, -2],
-                         [-1, 4, -2, -1],
-                         [-1, -2, 4, -1],
-                         [-2, -1, -1, 4]], dtype=np.int64)
+    element6 = np.array([[4.0, -1.0, -1.0, -2.0],
+                         [-1.0, 4.0, -2.0, -1.0],
+                         [-1.0, -2.0, 4.0, -1.0],
+                         [-2.0, -1.0, -1.0, 4.0]])
     x, y = np.arange(nx), np.arange(0, size, nx)[:, None]  # element corner (0, 0) = x + y
     nodes = np.array([(x + dx) % nx + (y + dy * nx) % size for dy in (0, 1) for dx in (0, 1)])
-    acc = np.zeros((size, size), dtype=np.int64)
+    acc = np.zeros((size, size))
     np.add.at(acc, (nodes[:, None], nodes[None, :]), element6[:, :, None, None])
-    return acc / 6.0
+    return np.divide(acc, 6.0, out=acc)
 
 
 def term_dense(term: ObservableTerm, axes: tuple[int, ...]) -> np.ndarray:

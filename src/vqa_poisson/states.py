@@ -14,21 +14,17 @@ half the time (``np.dot`` contracts a stack along other axes).  The ansatz is
 simulated on real float64 arrays, kept in that matrix form: a forward sweep
 for its state (or, in one sweep, for a stack of parameter vectors) and a
 reverse (adjoint) sweep for its gradients.  The latest theta keeps one
-record: the column factors, psi, and psi's readout tables from the first
-adjoint sweep there, so repeated gradients at one theta sweep only their own
-vector, bit for bit as before.  The tables are rows of one block the record
-owns, gathered in place with ``mode="clip"``: given ``out``, "raise" gathers
-into a temporary, and the index is in range by construction.  Under glibc,
-freeing a block above 128 KB raises the dynamic mmap and trim thresholds, so
-later blocks reuse heap pages instead of faulting in fresh ones; another
-allocator gives the same bits, but the time may not move.  The source |f> is
-the paper's +-h^n step state (h = 1/sqrt(2)); entry points take any real f.
+record: the column factors, psi, and the forward sweep's column states, which
+the first adjoint sweep there turns into one block of readout tables, so every
+gradient sweeps only its own vector.  The source |f> is the paper's +-h^n
+step state (h = 1/sqrt(2)); entry points take any real f.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -204,46 +200,47 @@ def _checked_theta(circuit: AnsatzCircuit, theta: np.ndarray) -> np.ndarray:
     return theta
 
 
-def _forward_sweep(circuit: AnsatzCircuit, factors, rows: int) -> np.ndarray:
-    """(rows, 2^n) amplitudes of the ansatz from its columns' (K_hi, K_lo^T) pairs in
-    column order, (2^a, 2^a) and (2^b, 2^b), or stacks with a leading row axis for one
-    column per row; an iterator of pairs is consumed one column at a time."""
+def _forward_sweep(circuit: AnsatzCircuit, factors) -> Iterator[np.ndarray]:
+    """The ansatz amplitudes after each R_Y column, in :func:`_matrices` form, from the
+    columns' (K_hi, K_lo^T) pairs in column order, (2^a, 2^a) and (2^b, 2^b), or stacks
+    with a leading row axis for one column per row; an iterator of pairs is consumed
+    one column at a time.  Each state yielded is a new array the sweep does not change."""
     n = circuit.n_qubits
     columns = iter(factors)
     k_hi, k_lo_t = next(columns)
     # the first column on |0...0> is the outer product of its factors' first
     # columns: one rounded product per amplitude, as the two GEMMs give
     amps = k_hi[..., :, 0, None] * k_lo_t[..., None, 0, :]
+    yield amps
     for column, (k_hi, k_lo_t) in enumerate(columns, 1):
-        amps *= _cz_brick_signs(n, (column - 1) % 2)
-        amps = _apply_column(amps, k_hi, k_lo_t)
-    return amps.reshape(rows, 1 << n)
+        amps = _apply_column(amps * _cz_brick_signs(n, (column - 1) % 2), k_hi, k_lo_t)
+        yield amps
 
 
 @functools.lru_cache(maxsize=1)
 def _theta_factors(circuit: AnsatzCircuit, theta_bytes: bytes) -> tuple:
-    """The record of one theta: every column's (K_hi, K_lo^T), psi from one
-    forward sweep (read-only), and a list that the first :func:`ansatz_adjoint`
-    at theta fills with each column's readout table (R_Y(pi)_q psi_c / 2)_q,
-    rows of one block it owns, gathered with ``mode="clip"`` (fault-free under
-    glibc, bit-equal under any allocator).  Only the latest theta keeps one:
-    the solver and the studies reuse only the theta they evaluated last, so
-    more records would only hold memory."""
+    """The record of one theta: every column's (K_hi, K_lo^T), psi (read-only), and
+    a list of the forward sweep's L + 1 column states, which the first
+    :func:`ansatz_adjoint` at theta replaces with one (L + 1, n, 2^n) block of
+    their readout tables.  Only the latest theta keeps one: the solver and the
+    studies reuse only the theta they evaluated last, so more records would only
+    hold memory."""
     theta = np.frombuffer(theta_bytes).reshape(circuit.n_layers + 1, circuit.n_qubits)
     factors = _ry_factors(theta / 2.0)
-    psi = _forward_sweep(circuit, zip(*factors), 1)[0]
+    states = list(_forward_sweep(circuit, zip(*factors)))
+    psi = states[-1].reshape(-1)
     psi.setflags(write=False)
-    return factors, psi, []
+    return factors, psi, states
 
 
 def ansatz_amplitudes(circuit: AnsatzCircuit, theta: np.ndarray) -> np.ndarray:
     """Real amplitudes of U(theta)|0...0> for the alternating layered ansatz.
 
     The result is read-only: it is the psi of theta's record, which only the
-    latest theta keeps, with its column factors and, once an adjoint sweep
-    has run at theta, its (L + 1) n 2^n float64 readout tables: one block,
-    gathered with ``mode="clip"``, fault-free under glibc and bit-equal under
-    any allocator (at L = 5 the record holds 0.6 MB at n = 10, 12.7 MB at n = 14).
+    latest theta keeps with its column factors and either its L + 1 column
+    states or, once an adjoint sweep has run at theta, their (L + 1) n 2^n
+    float64 readout tables (at L = 5 the record then holds 0.6 MB at n = 10,
+    12.7 MB at n = 14).
     """
     return _theta_record(circuit, theta)[1]
 
@@ -255,14 +252,17 @@ def _theta_record(circuit: AnsatzCircuit, theta: np.ndarray) -> tuple:
 
 def ansatz_amplitude_rows(circuit: AnsatzCircuit, thetas: np.ndarray) -> np.ndarray:
     """Row r of the result is :func:`ansatz_amplitudes` at thetas[r], from one sweep
-    that builds each column's per-row factors only as it reaches that column."""
+    that builds each column's per-row factors only as it reaches that column and
+    keeps only its running state."""
     thetas = np.asarray(thetas, dtype=float)
     if thetas.ndim != 2 or thetas.shape[1] != circuit.parameter_count:
         raise ValueError(f"thetas must have shape (rows, {circuit.parameter_count}), "
                          f"got {thetas.shape}")
     rows = thetas.shape[0]
     columns = (thetas / 2.0).reshape(rows, circuit.n_layers + 1, circuit.n_qubits)
-    return _forward_sweep(circuit, map(_ry_factors, np.swapaxes(columns, 0, 1)), rows)
+    for amps in _forward_sweep(circuit, map(_ry_factors, np.swapaxes(columns, 0, 1))):
+        pass
+    return amps.reshape(rows, 1 << circuit.n_qubits)
 
 
 def ansatz_adjoint(circuit: AnsatzCircuit, theta: np.ndarray, lam: np.ndarray) -> np.ndarray:
@@ -270,15 +270,15 @@ def ansatz_adjoint(circuit: AnsatzCircuit, theta: np.ndarray, lam: np.ndarray) -
 
     ``lam`` is a real vector; psi is :func:`ansatz_amplitudes` at ``theta``,
     read from theta's record.  The sweep un-applies the circuit column by
-    column to psi and lam together (Jones & Gacon, arXiv:2009.02823), with
-    the transposed factors of the forward sweep: R_Y(-phi) = R_Y(phi)^T.
-    The gates of an R_Y column commute, so every gradient of a column is read
-    at the point just after it: d psi/d theta_i = (1/2) R_Y(pi)_q applied
-    there.  The rows swept are (psi/2, -psi/2, lam): one gather from the first
-    two is a column's readout table, row q of it R_Y(pi)_q psi_c / 2, and
-    halving and negation are exact.  The first sweep at a theta gathers psi's
-    tables in place (``mode="clip"``) into the record's one block, fault-free
-    under glibc, bit-equal under any allocator; later sweeps un-apply lam alone.
+    column to lam (Jones & Gacon, arXiv:2009.02823), with the transposed
+    factors of the forward sweep: R_Y(-phi) = R_Y(phi)^T.  The gates of an
+    R_Y column commute, so every gradient of a column is read at the point
+    just after it: d psi/d theta_i = (1/2) R_Y(pi)_q applied there, and
+    column c's gradients are its readout table, row q of it
+    R_Y(pi)_q psi_c / 2, times lam_c.  The first sweep at a theta gathers
+    every table in one take from the rows (psi_c / 2, -psi_c / 2) of the
+    forward sweep's column states (halving and negation are exact), and the
+    record keeps the block in their place.
     """
     return _adjoint_sweep(circuit, _theta_record(circuit, theta), lam)
 
@@ -286,27 +286,20 @@ def ansatz_adjoint(circuit: AnsatzCircuit, theta: np.ndarray, lam: np.ndarray) -
 def _adjoint_sweep(circuit: AnsatzCircuit, record: tuple, lam: np.ndarray) -> np.ndarray:
     """:func:`ansatz_adjoint` from theta's record (:func:`_theta_record`)."""
     n = circuit.n_qubits
-    index = _ry_pi_index(n)
     (k_his, k_lo_ts), psi, tables = record
     lam = np.asarray(lam, dtype=float)
     if lam.shape != psi.shape:
         raise ValueError(f"lam must have the state's {psi.size} amplitudes, got shape {lam.shape}")
-    # Once psi's tables are filled, un-apply lam alone, as one matrix: each
-    # row of the stack is its own product, so lam rounds as it does beside psi.
-    reuse = bool(tables)
-    rows = _matrices(lam if reuse else np.array([psi * 0.5, psi * -0.5, lam]))
-    readouts, block = (tables, None) if reuse else ([], np.empty((len(k_his), n, psi.size)))
+    if tables[0].ndim == 2:  # the 2-D column states until the first sweep, then the 3-D block
+        halves = np.reshape(tables, (len(tables), 1, psi.size)) * [[0.5], [-0.5]]
+        tables[:] = [halves.reshape(len(tables), -1).take(_ry_pi_index(n), axis=1)]
+    block, lam_c = tables[0], _matrices(lam)
     grad = np.empty(circuit.parameter_count)
-    for step, column in enumerate(range(circuit.n_layers, -1, -1)):
-        if not reuse:
-            readouts.append(rows.take(index, out=block[step], mode="clip"))
-        base = column * n
-        lam_c = rows if reuse else rows[-1]
-        readouts[step].dot(lam_c.reshape(-1), out=grad[base:base + n])
+    for column in range(circuit.n_layers, -1, -1):
+        block[column].dot(lam_c.reshape(-1), out=grad[column * n:(column + 1) * n])
         if column:
-            rows = _apply_column(rows, k_his[column].T, k_lo_ts[column].T)
-            rows *= _cz_brick_signs(n, (column - 1) % 2)
-    tables[:] = readouts  # filled by the first sweep, unchanged by later ones
+            lam_c = _apply_column(lam_c, k_his[column].T, k_lo_ts[column].T)
+            lam_c *= _cz_brick_signs(n, (column - 1) % 2)
     return grad
 
 

@@ -293,9 +293,10 @@ def test_barren_plateau_gradients_share_one_forward_sweep(n, rng, monkeypatch):
     sweeps = []
     forward_sweep = states._forward_sweep
 
-    def counted(*args):
-        sweeps.append(args[2])
-        return forward_sweep(*args)
+    def counted(circuit, factors):
+        swept = list(forward_sweep(circuit, factors))
+        sweeps.append(swept[0].size >> circuit.n_qubits)  # the rows swept
+        return iter(swept)
 
     monkeypatch.setattr(states, "_forward_sweep", counted)
     states._theta_factors.cache_clear()
@@ -333,21 +334,20 @@ def test_adjoint_fills_the_records_tables_once(rng):
     lam = rng.normal(size=32)
     states._theta_factors.cache_clear()
     tables = states._theta_factors(circuit, theta.tobytes())[2]
-    assert tables == []
-    pair = ansatz_adjoint(circuit, theta, lam)
+    # until the first sweep the record holds the forward sweep's column states
     assert len(tables) == circuit.n_layers + 1
-    # the tables are the C-contiguous (n, 2^n) rows of one block, gathered in place
-    block = tables[0].base
-    assert block.shape == (circuit.n_layers + 1, 5, 32)
-    for step, table in enumerate(tables):
-        assert table.base is block and table.flags.c_contiguous and table.shape == (5, 32)
-        assert table.ctypes.data == block[step].ctypes.data
-    filled = list(tables)
-    # a later sweep at theta reads the same tables and gives the same bits
+    assert all(state.shape == (8, 4) for state in tables)
+    pair = ansatz_adjoint(circuit, theta, lam)
+    # the first sweep replaces them with one C-contiguous (L + 1, n, 2^n) block
+    [block] = tables
+    assert block.shape == (circuit.n_layers + 1, 5, 32) and block.flags.c_contiguous
+    filled = block.copy()
+    # a later sweep at theta reads the same block and gives the same bits
     assert np.array_equal(ansatz_adjoint(circuit, theta, lam), pair)
-    assert all(a is b for a, b in zip(tables, filled, strict=True))
+    assert len(tables) == 1 and tables[0] is block
     other = rng.normal(size=32)
     warm = ansatz_adjoint(circuit, theta, other)
+    assert np.array_equal(block, filled)
     states._theta_factors.cache_clear()
     assert np.array_equal(warm, ansatz_adjoint(circuit, theta, other))
 
@@ -364,11 +364,12 @@ def test_records_never_share_table_memory(n, rng):
     states._theta_factors.cache_clear()
     gradient1 = evaluate(op, circuit, theta1, f.amplitudes)[1]
     tables1 = states._theta_record(circuit, theta1)[2]
-    first = gradient1()  # fills theta1's tables
-    grad_cost(op, circuit, theta2, f)  # evicts theta1's record, fills theta2's tables
+    first = gradient1()  # fills theta1's block
+    grad_cost(op, circuit, theta2, f)  # evicts theta1's record, fills theta2's block
     tables2 = states._theta_record(circuit, theta2)[2]
-    assert len(tables1) == len(tables2) == circuit.n_layers + 1
-    assert not any(np.shares_memory(a, b) for a in tables1 for b in tables2)
+    assert len(tables1) == len(tables2) == 1
+    assert tables1[0].shape == tables2[0].shape == (circuit.n_layers + 1, n, 1 << n)
+    assert not np.shares_memory(tables1[0], tables2[0])
     again = gradient1()
     states._theta_factors.cache_clear()
     cold = evaluate(op, circuit, theta1, f.amplitudes)[1]()

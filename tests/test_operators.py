@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from vqa_poisson import (BoundaryCondition, Mesh2D, ObservableTerm, Statevector,
+from vqa_poisson import (DEFAULT_EPSILON, BoundaryCondition, Mesh2D, ObservableTerm, Statevector,
                          assemble_fem_2d_dense, build_fem_2d, build_matrix,
                          decompose, reassemble_dense, shift_amplitudes)
+from vqa_poisson.cost import apply_operator
 from vqa_poisson.operators import DENSE_QUBIT_CAP, FACTOR_I, FACTOR_X, term_dense
 
 from conftest import random_real_state
@@ -162,3 +163,63 @@ def test_dense_reassembly_cap():
     op = decompose(13, BoundaryCondition.DIRICHLET)
     with pytest.raises(ValueError):
         reassemble_dense(op)
+
+
+# Closed-form eigenpairs (LeVeque, Finite Difference Methods for Ordinary and Partial
+# Differential Equations, SIAM 2007, ch. 2), written here from the stencils alone.
+# A mode is cos or sin of 2 pi m / period for an integer numerator m, reduced modulo
+# the period before the call, so the angle keeps every bit at any size.  A residual
+# bound of 16 ulps of the largest eigenvalue sits above the 4.4e-16 to 2.2e-15 the
+# modes read, and far below the 1e-12 a one-term coefficient change reads.
+MODE_ULPS = 16
+
+
+def _turn(numerator, period):
+    """2 pi numerator / period, the numerator reduced modulo the period first."""
+    return 2.0 * np.pi * (np.asarray(numerator) % period) / period
+
+
+def _mode_1d(bc, n, k, epsilon):
+    """(v, lam) of the k-th mode of one axis of N = 2^n nodes; lam is
+    2 - 2 cos(2 pi k / period) + epsilon for the mode's own period in k."""
+    size = 1 << n
+    j = np.arange(size)
+    if bc is BoundaryCondition.PERIODIC:  # cos(2 pi k j / N)
+        v, period = np.cos(_turn(k * j, size)), size
+    elif bc is BoundaryCondition.DIRICHLET:  # sin(pi k (j + 1) / (N + 1)), k = 1..N
+        v, period = np.sin(_turn(k * (j + 1), 2 * (size + 1))), 2 * (size + 1)
+    else:  # Neumann: cos(pi k (j + 1/2) / N)
+        v, period = np.cos(_turn(k * (2 * j + 1), 4 * size)), 2 * size
+    return v, 2.0 - 2.0 * np.cos(_turn(k, period)) + epsilon
+
+
+@pytest.mark.parametrize("bc", ALL_BCS)
+@pytest.mark.parametrize("n", [2, 5, 12, 16])
+def test_operator_has_the_closed_form_eigenmodes(bc, n):
+    size = 1 << n
+    epsilon = DEFAULT_EPSILON[bc]
+    op = decompose(n, bc, epsilon)
+    last = {size} if bc is BoundaryCondition.DIRICHLET else {0}  # Dirichlet's k runs 1..N
+    for k in sorted({1, size // 3, size // 2, size - 1} | last):
+        v, lam = _mode_1d(bc, n, k, epsilon)
+        residual = np.max(np.abs(apply_operator(op, v) - lam * v))
+        assert residual <= MODE_ULPS * np.finfo(float).eps * (4.0 + epsilon), (k, residual)
+
+
+@pytest.mark.parametrize("n_x,n_y", [(1, 1), (1, 3), (4, 2), (8, 8)])
+def test_fem_2d_operator_has_the_closed_form_eigenmodes(n_x, n_y):
+    """The periodic bilinear stencil, 8/3 at a node and -1/3 at each of its eight
+    neighbours, takes the Fourier mode (a, b) to 8/3 - (2/3)(cos a + cos b)
+    - (4/3) cos a cos b times itself."""
+    mesh = Mesh2D(n_x, n_y)
+    epsilon = 1e-3
+    op = build_fem_2d(mesh, epsilon)
+    size_x, size_y = mesh.nodes_x, mesh.nodes_y
+    i_x, i_y = np.arange(size_x * size_y) % size_x, np.arange(size_x * size_y) // size_x
+    for k_x, k_y in sorted({(0, 0), (1, 0), (0, 1), (1, 1), (size_x // 3, size_y - 1),
+                            (size_x // 2, size_y // 2), (size_x - 1, size_y // 3)}):
+        v = np.cos(_turn(k_x * i_x * size_y + k_y * i_y * size_x, size_x * size_y))
+        cos_a, cos_b = np.cos(_turn(k_x, size_x)), np.cos(_turn(k_y, size_y))
+        lam = 8.0 / 3.0 - 2.0 / 3.0 * (cos_a + cos_b) - 4.0 / 3.0 * cos_a * cos_b + epsilon
+        residual = np.max(np.abs(apply_operator(op, v) - lam * v))
+        assert residual <= MODE_ULPS * np.finfo(float).eps * (4.0 + epsilon), ((k_x, k_y), residual)

@@ -501,8 +501,13 @@ def _count_sweeps_and_builds(monkeypatch):
     """Lists that record the rows of every forward sweep and distribution build."""
     sweeps, builds = [], []
     sweep = states._forward_sweep
-    monkeypatch.setattr(states, "_forward_sweep",
-                        lambda circ, half, rows: sweeps.append(rows) or sweep(circ, half, rows))
+
+    def counted(circuit, factors):
+        swept = list(sweep(circuit, factors))
+        sweeps.append(swept[0].size >> circuit.n_qubits)  # the rows swept
+        return iter(swept)
+
+    monkeypatch.setattr(states, "_forward_sweep", counted)
     build = sampling._row_distributions
     monkeypatch.setattr(sampling, "_row_distributions",
                         lambda term, rows, axes: builds.append(len(rows))

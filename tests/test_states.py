@@ -143,17 +143,23 @@ def _cz_brick(circuit, column, rows):
     return rows
 
 
-def _gate_by_gate_state(circuit, theta):
+def _gate_by_gate_column_states(circuit, theta):
     """The circuit applied to |0...0> one gate at a time, where an R_Y column is
-    one gate of the column kernel."""
+    one gate of the column kernel: the state after each R_Y column."""
     reference = np.zeros((1, 1 << circuit.n_qubits))
     reference[0, 0] = 1.0
+    column_states = []
     for column in range(circuit.n_layers + 1):
         if column:
             reference = _cz_brick(circuit, column, reference)
         gates = _column_gates(circuit, theta, column)
         reference = _column(reference, *_column_factors(gates))
-    return reference[0]
+        column_states.append(reference[0])
+    return column_states
+
+
+def _gate_by_gate_state(circuit, theta):
+    return _gate_by_gate_column_states(circuit, theta)[-1]
 
 
 def _thetas_with_exact_angles(rng, circuit):
@@ -175,29 +181,31 @@ def test_ansatz_state_is_bit_identical_to_gate_by_gate_reference(n, rng):
 
 
 def _reference_adjoint(circuit, theta, lam):
-    """The adjoint gradient from the stacked (psi, lam) pair and (index, sign)
-    tables: each column's readout 0.5 * ((sign * psi_c[index]) @ lam_c), then the
-    pair un-applied with the column's transposed factors and the CZ brick."""
+    """The adjoint gradient from the gate-by-gate forward state psi_c after each
+    column and (index, sign) tables: each column's readout
+    0.5 * ((sign * psi_c[index]) @ lam_c), then lam un-applied with the column's
+    transposed factors and the CZ brick."""
     n = circuit.n_qubits
     idx = np.arange(1 << n)
     masks = (1 << np.arange(n))[:, None]
     index, sign = idx ^ masks, np.where(idx & masks, 1.0, -1.0)
-    rows = np.stack([_gate_by_gate_state(circuit, theta), lam])
+    column_states = _gate_by_gate_column_states(circuit, theta)
+    lam_c = lam[None]
     grad = np.empty(circuit.parameter_count)
     for column in range(circuit.n_layers, -1, -1):
-        psi_c, lam_c = rows
-        grad[column * n:(column + 1) * n] = 0.5 * ((sign * psi_c[index]) @ lam_c)
+        psi_c = column_states[column]
+        grad[column * n:(column + 1) * n] = 0.5 * ((sign * psi_c[index]) @ lam_c[0])
         if column:
             k_hi, k_lo_t = _column_factors(_column_gates(circuit, theta, column))
-            rows = _cz_brick(circuit, column, _column(rows, k_hi.T, k_lo_t.T))
+            lam_c = _cz_brick(circuit, column, _column(lam_c, k_hi.T, k_lo_t.T))
     return grad
 
 
 @pytest.mark.parametrize("n", range(1, 11))
 def test_adjoint_is_bit_identical_to_the_pair_sweep_reference(n, rng):
-    """Cold, the sweep un-applies (psi / 2, -psi / 2, lam) and gathers its tables
-    from the first two rows; warm, it reads the stored tables.  Both keep every
-    bit of the reference's pair sweep."""
+    """Cold, the sweep gathers every column's table from the forward sweep's
+    column states; warm, it reads the stored tables.  Both un-apply lam alone
+    and keep every bit of the reference's."""
     for layers in range(4):
         circuit = AnsatzCircuit(n, layers)
         for theta in _thetas_with_exact_angles(rng, circuit):
