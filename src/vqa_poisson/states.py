@@ -183,7 +183,7 @@ def _cz_brick_signs(n_qubits: int, parity: int) -> np.ndarray:
 
 @functools.lru_cache(maxsize=None)
 def _ry_pi_index(n_qubits: int) -> np.ndarray:
-    """Flat indices into the rows (phi/2, -phi/2, ...) that gather
+    """Flat indices into the stacked rows (phi/2, -phi/2) that gather
     (R_Y(pi)_q phi / 2)[i] at [q, i]: phi[i ^ 2^q], negated where bit q of i is clear."""
     idx = np.arange(1 << n_qubits)
     masks = (1 << np.arange(n_qubits))[:, None]
