@@ -1,23 +1,23 @@
 """Dense statevector simulation of the gate set used by the solver circuits.
 
 Index convention: basis state |i> stores qubit q in bit q of i, so qubit 0 is
-the least-significant bit.  All gates here (X, H, R_Y, CZ) are real, so every
-state the solver prepares is real, and a :class:`Statevector` holds float64
-amplitudes only.  Every single-qubit gate runs through one column kernel.  A
-column, one gate per qubit with identities where none acts, is K_hi (x) K_lo
-over the high a = n - n // 2 and low b = n // 2 qubits; on an amplitude row
-viewed as a 2^a x 2^b matrix X it is the two small products K_hi X K_lo^T.
-A product of one matrix or vector goes through ``ndarray.dot``, and a stack
-through ``matmul`` (``@``): both reach the same BLAS call, so the bits agree,
-but at n <= 10 dispatch costs more than arithmetic, and ``dot`` dispatches in
-half the time (``np.dot`` contracts a stack along other axes).  The ansatz is
-simulated on real float64 arrays, kept in that matrix form: a forward sweep
-for its state (or, in one sweep, for a stack of parameter vectors) and a
-reverse (adjoint) sweep for its gradients.  The latest theta keeps one
-record: the column factors, psi, and the forward sweep's column states, which
-the first adjoint sweep there turns into one block of readout tables, so every
-gradient sweeps only its own vector.  The source |f> is the paper's +-h^n
-step state (h = 1/sqrt(2)); entry points take any real f.
+the least-significant bit.  All gates here (X, H, R_Y, CZ) are real, so a
+:class:`Statevector` holds float64 amplitudes only.  Every single-qubit gate
+runs through one column kernel.  A column, one gate per qubit with identities
+where none acts, is K_hi (x) K_lo over the high a = n - n // 2 and low
+b = n // 2 qubits; on an amplitude row viewed as a 2^a x 2^b matrix X it is
+the two small products K_hi X K_lo^T.  An m-qubit factor of R_Y, H and I
+gates has only 2^m distinct magnitudes: one reduce builds them, and one signed
+gather the factors, the bytes of the gates' Kronecker chain.  A product of one
+matrix or vector goes through ``ndarray.dot``, a stack through ``matmul``:
+both reach the same BLAS call, so the bits agree, but at n <= 10 ``dot``
+dispatches in half the time (``np.dot`` contracts a stack along other axes).
+The ansatz is simulated in that matrix form: a forward sweep for its state
+(or, in one sweep, for a stack of parameter vectors) and a reverse (adjoint)
+sweep for its gradients.  The latest theta keeps one record: the column
+factors, psi, and the forward sweep's column states, which the first adjoint
+sweep there turns into one block of readout tables.  The source |f> is the
+paper's +-h^n step state (h = 1/sqrt(2)); entry points take any real f.
 """
 
 from __future__ import annotations
@@ -72,55 +72,71 @@ class Statevector:
         return cls(amps)
 
 
-_HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
+_H = 1.0 / np.sqrt(2.0)
+_PAD = np.array([1.0, -1.0])  # row n of a column's table: K_lo's pad, and the sign
+_HALVES = np.array([[0.5], [-0.5]])  # the readout tables' rows (psi_c/2, -psi_c/2)
+# the +-1 pattern of each gate kind: R_Y = [[c, -s], [s, c]], H = h [[1, 1], [1, -1]], I
+_SIGNS = {"y": [[1.0, -1.0], [1.0, 1.0]], "h": [[1.0, 1.0], [1.0, -1.0]], "i": [[1.0, 1.0]] * 2}
 
 
-def _kron_chain(gates: np.ndarray) -> np.ndarray:
-    """Kronecker product g_{m-1} (x) ... (x) g_0 of a (..., m, 2, 2) gate stack:
-    (..., 2^m, 2^m), vectorized over the leading axes."""
-    out = gates[..., 0, :, :] if gates.shape[-3] else np.ones(gates.shape[:-3] + (1, 1))
-    for j in range(1, gates.shape[-3]):
-        # the next gate is the more significant factor, so the inner loops run
-        # over the product so far, not over a 2x2 gate
-        size = 2 * out.shape[-1]
-        out = (gates[..., j, :, None, :, None] * out[..., None, :, None, :]).reshape(
-            *out.shape[:-2], size, size)
-    return np.ascontiguousarray(out)
+@functools.lru_cache(maxsize=256)
+def _column_plan(kinds: str) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_column_factors`' table rows of each signed magnitude's operands,
+    K_hi's then K_lo^T's, and gather of entry [x, y] by its sign and x ^ y."""
+    n, low = len(kinds), len(kinds) // 2
+    j = np.arange(n - low + 1)[:, None]
+    operands, gather = [], []
+    for m, first, offset, order in ((n - low, low, 0, (0, 1)), (low, 0, 2 << n - low, (1, 0))):
+        z = np.arange(2 << m)  # bit m is the sign, the last operand: row n's 1.0 or -1.0;
+        # operand j < m is qubit first + j's row at bit j, and row n's 1.0 pads K_lo
+        operands.append(np.where(j < m, 2 * (first + j) + (z >> j & 1),
+                                 2 * n + (j == n - low) * (z >> m)))
+        # the most significant qubit is the outermost Kronecker factor; K_lo is transposed
+        signs = functools.reduce(np.kron, [_SIGNS[k] for k in kinds[first:first + m][::-1]], [[1]])
+        xor = np.bitwise_xor.outer(z[:1 << m], z[:1 << m]).ravel()
+        gather.append(offset + (np.transpose(signs, order).ravel() < 0) * (1 << m) + xor)
+    plans = np.concatenate(operands, axis=1), np.concatenate(gather)
+    for plan in plans:
+        plan.setflags(write=False)
+    return plans
 
 
-def _column_factors(gates: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(K_hi, K_lo^T) of columns of single-qubit gates, gates[..., q, :, :] on qubit q.
+def _column_factors(table: np.ndarray, kinds: str) -> tuple[np.ndarray, np.ndarray]:
+    """(K_hi, K_lo^T) of columns of single-qubit gates, from their (..., n + 1, 2)
+    table: gate q = kinds[q] is +-table[..., q, x ^ y], and row n is ``_PAD``.
 
-    The column's 2^n x 2^n matrix is K_hi (x) K_lo: K_hi over the high
-    a = n - n // 2 qubits, K_lo over the low b = n // 2.  Every leading index
-    of ``gates`` gets its own pair.  K_lo is kept transposed, as
-    :func:`_apply_column` multiplies by it.  The factors are read-only: the
-    Hadamard and theta caches hand them to every caller.
+    K_hi is over the high a = n - n // 2 qubits, K_lo over the low b = n // 2.
+    An m-qubit factor's entry is +-M[x ^ y], M[z] = v_{m-1}[z_{m-1}] * (... *
+    v_0[z_0]) as the Kronecker chain rounds it: one reduce gives the 2^(m+1)
+    signed magnitudes, the sign an exact last operand, and one gather the
+    entries.  Each leading index gets its own pair, read-only as the Hadamard
+    and theta caches share them; K_lo is transposed for :func:`_apply_column`.
     """
-    low = gates.shape[-3] // 2
-    # a transposed view would carry its strides into every product of the chain
-    low_t = np.ascontiguousarray(np.swapaxes(gates[..., :low, :, :], -1, -2))
-    factors = _kron_chain(gates[..., low:, :, :]), _kron_chain(low_t)
-    for factor in factors:
-        factor.setflags(write=False)
-    return factors
+    operands, gather = _column_plan(kinds)
+    lead, a, b = table.shape[:-2], 1 << (len(kinds) + 1) // 2, 1 << len(kinds) // 2
+    operands = table.reshape(*lead, -1).take(operands, axis=-1)
+    built = np.multiply.reduce(operands, axis=-2).take(gather, axis=-1)
+    built.setflags(write=False)
+    return built[..., :a * a].reshape(*lead, a, a), built[..., a * a:].reshape(*lead, b, b)
 
 
 def _ry_factors(half_angles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """:func:`_column_factors` of R_Y columns, [[c, -s], [s, c]] of the half-angles
     (..., n): one product pair per leading index, all built in one pass."""
-    cos, sin = np.cos(half_angles), np.sin(half_angles)
-    gates = np.empty(cos.shape + (2, 2))
-    gates[..., 0, 0] = gates[..., 1, 1] = cos
-    gates[..., 1, 0], gates[..., 0, 1] = sin, -sin
-    return _column_factors(gates)
+    n = half_angles.shape[-1]
+    table = np.empty(half_angles.shape[:-1] + (n + 1, 2))
+    # ufuncs writing into a strided table take twice as long at n <= 3
+    table[..., :n, 0], table[..., :n, 1] = np.cos(half_angles), np.sin(half_angles)
+    table[..., n, :] = _PAD
+    return _column_factors(table, "y" * n)
 
 
 @functools.lru_cache(maxsize=256)
 def _hadamard_factors(n_qubits: int, mask: int) -> tuple[np.ndarray, np.ndarray]:
     """:func:`_column_factors` of a Hadamard on every qubit of ``mask``, built once."""
-    on = ((mask >> np.arange(n_qubits)) & 1).astype(bool)[:, None, None]
-    return _column_factors(np.where(on, _HADAMARD, np.eye(2)))
+    kinds = "".join("ih"[mask >> q & 1] for q in range(n_qubits))
+    table = np.array([[_H, _H] if kind == "h" else [1.0, 0.0] for kind in kinds] + [_PAD])
+    return _column_factors(table, kinds)
 
 
 def _matrices(amps: np.ndarray) -> np.ndarray:
@@ -222,9 +238,7 @@ def _theta_factors(circuit: AnsatzCircuit, theta_bytes: bytes) -> tuple:
     """The record of one theta: every column's (K_hi, K_lo^T), psi (read-only), and
     a list of the forward sweep's L + 1 column states, which the first
     :func:`ansatz_adjoint` at theta replaces with one (L + 1, n, 2^n) block of
-    their readout tables.  Only the latest theta keeps one: the solver and the
-    studies reuse only the theta they evaluated last, so more records would only
-    hold memory."""
+    their readout tables.  The solver and the studies reuse only the last theta."""
     theta = np.frombuffer(theta_bytes).reshape(circuit.n_layers + 1, circuit.n_qubits)
     factors = _ry_factors(theta / 2.0)
     states = list(_forward_sweep(circuit, zip(*factors)))
@@ -234,14 +248,10 @@ def _theta_factors(circuit: AnsatzCircuit, theta_bytes: bytes) -> tuple:
 
 
 def ansatz_amplitudes(circuit: AnsatzCircuit, theta: np.ndarray) -> np.ndarray:
-    """Real amplitudes of U(theta)|0...0> for the alternating layered ansatz.
-
-    The result is read-only: it is the psi of theta's record, which only the
-    latest theta keeps with its column factors and either its L + 1 column
-    states or, once an adjoint sweep has run at theta, their (L + 1) n 2^n
-    float64 readout tables (at L = 5 the record then holds 0.6 MB at n = 10,
-    12.7 MB at n = 14).
-    """
+    """Real amplitudes of U(theta)|0...0> for the alternating layered ansatz,
+    read-only: the psi of theta's record, which also holds the column factors
+    and the L + 1 column states or, after an adjoint sweep, their readout
+    tables (0.6 MB at n = 10 and 12.7 MB at n = 14, L = 5)."""
     return _theta_record(circuit, theta)[1]
 
 
@@ -270,15 +280,13 @@ def ansatz_adjoint(circuit: AnsatzCircuit, theta: np.ndarray, lam: np.ndarray) -
 
     ``lam`` is a real vector; psi is :func:`ansatz_amplitudes` at ``theta``,
     read from theta's record.  The sweep un-applies the circuit column by
-    column to lam (Jones & Gacon, arXiv:2009.02823), with the transposed
-    factors of the forward sweep: R_Y(-phi) = R_Y(phi)^T.  The gates of an
-    R_Y column commute, so every gradient of a column is read at the point
-    just after it: d psi/d theta_i = (1/2) R_Y(pi)_q applied there, and
-    column c's gradients are its readout table, row q of it
-    R_Y(pi)_q psi_c / 2, times lam_c.  The first sweep at a theta gathers
-    every table in one take from the rows (psi_c / 2, -psi_c / 2) of the
-    forward sweep's column states (halving and negation are exact), and the
-    record keeps the block in their place.
+    column to lam (Jones & Gacon, arXiv:2009.02823) with the transposed
+    factors, R_Y(-phi) = R_Y(phi)^T.  An R_Y column's gates commute, so
+    d psi/d theta_i = (1/2) R_Y(pi)_q psi_c, psi_c the state after column c,
+    and column c's gradients are its readout table times lam_c.  The first
+    sweep at a theta gathers every table in one take from the rows
+    (psi_c/2, -psi_c/2) of the forward states (exact), and the record keeps
+    the block in their place.
     """
     return _adjoint_sweep(circuit, _theta_record(circuit, theta), lam)
 
@@ -291,7 +299,7 @@ def _adjoint_sweep(circuit: AnsatzCircuit, record: tuple, lam: np.ndarray) -> np
     if lam.shape != psi.shape:
         raise ValueError(f"lam must have the state's {psi.size} amplitudes, got shape {lam.shape}")
     if tables[0].ndim == 2:  # the 2-D column states until the first sweep, then the 3-D block
-        halves = np.reshape(tables, (len(tables), 1, psi.size)) * [[0.5], [-0.5]]
+        halves = np.concatenate(tables).reshape(len(tables), 1, psi.size) * _HALVES
         tables[:] = [halves.reshape(len(tables), -1).take(_ry_pi_index(n), axis=1)]
     block, lam_c = tables[0], _matrices(lam)
     grad = np.empty(circuit.parameter_count)
@@ -315,7 +323,7 @@ def prepare_source_state(n_qubits: int) -> Statevector:
     multiplied in once per qubit as its columns round it (not 2^{-n/2})."""
     if n_qubits < 1:
         raise ValueError(f"n_qubits must be >= 1, got {n_qubits}")
-    magnitude = math.prod([_HADAMARD[0, 0]] * n_qubits)
+    magnitude = math.prod([_H] * n_qubits)
     return Statevector(np.repeat([magnitude, -magnitude], 1 << (n_qubits - 1)))
 
 

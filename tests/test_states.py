@@ -6,9 +6,8 @@ from hypothesis import strategies as st
 from vqa_poisson import (AnsatzCircuit, Statevector, prepare_ansatz_state, prepare_source_state,
                          prepare_superposition_state)
 from vqa_poisson import states
-from vqa_poisson.states import (_apply_column, _column_factors, _hadamard_factors, _matrices,
-                                _ry_factors, ansatz_adjoint, ansatz_amplitude_rows,
-                                ansatz_amplitudes)
+from vqa_poisson.states import (_apply_column, _hadamard_factors, _matrices, _ry_factors,
+                                ansatz_adjoint, ansatz_amplitude_rows, ansatz_amplitudes)
 
 from conftest import random_real_state
 
@@ -16,6 +15,27 @@ from conftest import random_real_state
 def _column(rows, k_hi, k_lo_t):
     """The column kernel on flat (rows, 2^n) amplitudes."""
     return _apply_column(_matrices(rows), k_hi, k_lo_t).reshape(rows.shape)
+
+
+def _kron_chain(gates):
+    """Kronecker product g_{m-1} (x) ... (x) g_0 of a (..., m, 2, 2) gate stack:
+    (..., 2^m, 2^m), each product of 2x2 entries rounded as the next gate times
+    the product so far."""
+    out = gates[..., 0, :, :] if gates.shape[-3] else np.ones(gates.shape[:-3] + (1, 1))
+    for j in range(1, gates.shape[-3]):
+        size = 2 * out.shape[-1]
+        out = (gates[..., j, :, None, :, None] * out[..., None, :, None, :]).reshape(
+            *out.shape[:-2], size, size)
+    return np.ascontiguousarray(out)
+
+
+def _chain_factors(gates):
+    """(K_hi, K_lo^T) of a column given as its (..., n, 2, 2) gate stack, by the
+    Kronecker chain: K_hi over the high n - n // 2 qubits, K_lo over the low n // 2.
+    The oracle of the package's column-factor build."""
+    low = gates.shape[-3] // 2
+    low_t = np.swapaxes(gates[..., :low, :, :], -1, -2)
+    return _kron_chain(gates[..., low:, :, :]), _kron_chain(low_t)
 
 
 def test_h_on_single_qubit():
@@ -153,7 +173,7 @@ def _gate_by_gate_column_states(circuit, theta):
         if column:
             reference = _cz_brick(circuit, column, reference)
         gates = _column_gates(circuit, theta, column)
-        reference = _column(reference, *_column_factors(gates))
+        reference = _column(reference, *_chain_factors(gates))
         column_states.append(reference[0])
     return column_states
 
@@ -196,7 +216,7 @@ def _reference_adjoint(circuit, theta, lam):
         psi_c = column_states[column]
         grad[column * n:(column + 1) * n] = 0.5 * ((sign * psi_c[index]) @ lam_c[0])
         if column:
-            k_hi, k_lo_t = _column_factors(_column_gates(circuit, theta, column))
+            k_hi, k_lo_t = _chain_factors(_column_gates(circuit, theta, column))
             lam_c = _cz_brick(circuit, column, _column(lam_c, k_hi.T, k_lo_t.T))
     return grad
 
@@ -246,9 +266,28 @@ def test_ry_factors_are_the_gate_stacks_column_factors(n, rng):
         for half in (half_angles, np.swapaxes(half_angles, 0, -2)):
             cos, sin = np.cos(half), np.sin(half)
             gates = np.stack([np.stack([cos, -sin], -1), np.stack([sin, cos], -1)], -2)
-            for built, chained in zip(_ry_factors(half), _column_factors(gates), strict=True):
+            for built, chained in zip(_ry_factors(half), _chain_factors(gates), strict=True):
                 assert built.shape == chained.shape
                 assert built.tobytes() == chained.tobytes()
+
+
+@pytest.mark.parametrize("n", [*range(1, 7), 10, 14])
+def test_hadamard_factors_are_the_gate_stacks_column_factors(n):
+    """The Hadamard column build gives the bytes of the Kronecker chain of H
+    and identity gates, zeros' signs included, for every mask at n <= 6 and for
+    one H, H on every qubit and H on alternate qubits at n = 10 and 14; the
+    factors the cache hands out are read-only."""
+    hadamard = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
+    alternate = sum(1 << q for q in range(0, n, 2))
+    for mask in range(1 << n) if n <= 6 else (1, (1 << n) - 1, alternate):
+        on = ((mask >> np.arange(n)) & 1).astype(bool)[:, None, None]
+        # uncached: the n = 14 factors would crowd the measurement rotations' cache
+        built = _hadamard_factors.__wrapped__(n, mask)
+        for factor, chained in zip(built, _chain_factors(np.where(on, hadamard, np.eye(2))),
+                                   strict=True):
+            assert factor.shape == chained.shape
+            assert factor.tobytes() == chained.tobytes()
+            assert not factor.flags.writeable
 
 
 def test_ansatz_amplitudes_are_read_only(rng):
@@ -375,7 +414,7 @@ def _two_term_gate(rows, qubit, gates):
 def _kernel(rows, gates):
     """The column kernel on a (rows, 2^n) array, the column given as its
     (..., n, 2, 2) gate stack."""
-    return _column(rows, *_column_factors(gates))
+    return _column(rows, *_chain_factors(gates))
 
 
 @pytest.mark.parametrize("n", range(1, 13))
